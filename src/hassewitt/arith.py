@@ -7,8 +7,10 @@ odd prime.  All values are plain ``int`` / ``fractions.Fraction``; results
 are exact.
 
 Factorization strategy: trial division (wheel mod 30) up to a bound, then
-Brent-cycle Pollard rho on whatever survives, with deterministic
-Miller-Rabin primality testing throughout.  The trial bound defaults to
+Brent-cycle Pollard rho on whatever survives.  Primality is decided by the
+Baillie-PSW test (a strong base-2 test plus a strong Lucas test with
+Selfridge's parameters) at every size: it is exact below 2**64 and no
+composite passing it is known above.  The trial bound defaults to
 10**6 and can be lowered or raised through the ``HASSEWITT_FACTOR_LIMIT``
 environment variable; exceeding the overall budget raises
 :class:`EffortExceededError` rather than returning a wrong answer.
@@ -26,10 +28,6 @@ from .errors import DomainError, EffortExceededError, InternalError
 
 DEFAULT_FACTOR_LIMIT = 1_000_000
 
-# Deterministic witness set: correct for all n < 3.317e24, used unchanged
-# for larger inputs as a fixed-witness compromise.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -43,29 +41,77 @@ def _factor_limit() -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the fixed witness tuple."""
+    """Baillie-PSW: small-prime trial division, then strong base-2 and strong Lucas tests."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
-        if n == p:
-            return True
         if n % p == 0:
+            return n == p
+    return _strong_base2(n) and _strong_lucas(n)
+
+
+def _odd_part(m: int) -> tuple[int, int]:
+    """(d, s) with m = d * 2**s and d odd, for m > 0."""
+    s = (m & -m).bit_length() - 1
+    return m >> s, s
+
+
+def _strong_base2(n: int) -> bool:
+    """Strong probable-prime test to base 2 for odd n > 2."""
+    d, s = _odd_part(n - 1)
+    x = pow(2, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 2 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    D = 5
+    while _jacobi(D, n) != -1:
+        if gcd(D, n) not in (1, n):
             return False
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = _odd_part(n + 1)
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    # U_k, V_k, Q^k for k running through the binary prefixes of d
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _brent_rho(n: int, budget: int) -> int:
@@ -207,11 +253,7 @@ def legendre(a: int, p: int) -> int:
     """Quadratic residue symbol (a/p) for an odd prime p; 0 iff p | a."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise DomainError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else 1
+    return _jacobi(a, p)
 
 
 def legendre_fraction(a: Fraction, p: int) -> int:

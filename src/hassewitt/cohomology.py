@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Union
+from math import gcd
+from typing import Iterable, Sequence, Union
 
 from . import arith
 from .errors import DomainError, InternalError
@@ -95,12 +95,21 @@ class SquareClass:
             rep = arith.squarefree_part(Fraction(value))
         object.__setattr__(self, "rep", rep)
 
+    @staticmethod
+    def from_squarefree(rep: int) -> "SquareClass":
+        """The class of rep, which the caller guarantees is squarefree."""
+        out = object.__new__(SquareClass)
+        object.__setattr__(out, "rep", rep)
+        return out
+
     @property
     def is_trivial(self) -> bool:
         return self.rep == 1
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return SquareClass(self.rep * other.rep)
+        # a*b = (a/g)*(b/g)*g**2, and (a/g)*(b/g) is squarefree
+        g = gcd(self.rep, other.rep)
+        return SquareClass.from_squarefree((self.rep // g) * (other.rep // g))
 
     def to_json(self) -> int:
         return self.rep
@@ -214,10 +223,7 @@ def cup(x: "Rat | SquareClass", y: "Rat | SquareClass") -> CohClass2:
     The symbol is +1 outside {inf, 2, primes dividing either
     representative}, so scanning that candidate set is exhaustive.
     """
-    a = SquareClass(x)
-    b = SquareClass(y)
-    support = [v for v in relevant_places(a, b) if hilbert_symbol(a, b, v) == -1]
-    return CohClass2(support)
+    return cup_sum((x, y))
 
 
 def add2(x: CohClass2, y: CohClass2) -> CohClass2:
@@ -225,13 +231,24 @@ def add2(x: CohClass2, y: CohClass2) -> CohClass2:
     return x + y
 
 
+def pairwise_symbol(values: Sequence["Rat | SquareClass"], v: Place) -> int:
+    """prod over i < j of (a_i, a_j)_v, as prod over j of (a_1 ... a_(j-1), a_j)_v.
+
+    The two products agree by bilinearity of the Hilbert symbol; the second
+    takes len(values) - 1 symbols instead of a quadratic number.
+    """
+    sym = 1
+    prefix = values[0] if values else 1
+    for a in values[1:]:
+        sym *= hilbert_symbol(prefix, a, v)
+        prefix = prefix * a
+    return sym
+
+
 def cup_sum(values: Iterable["Rat | SquareClass"]) -> CohClass2:
     """Sum of cup(a_i, a_j) over all unordered pairs i < j."""
     classes = [SquareClass(v) for v in values]
-    total = CohClass2.zero()
-    for a, b in combinations(classes, 2):
-        total = total + cup(a, b)
-    return total
+    return CohClass2(v for v in relevant_places(*classes) if pairwise_symbol(classes, v) == -1)
 
 
 def localize(x: "SquareClass | CohClass2", v: Place) -> int:

@@ -1,10 +1,10 @@
 """Nondegenerate quadratic forms over Q and their complete invariants.
 
 A form is a symmetric rational Gram matrix.  Congruence diagonalization is
-done by symmetric Gaussian elimination in exact arithmetic; the classifying
-data (rank, signature, determinant class, degree-1 and degree-2 classes,
-local Hasse units) is read off any diagonalization and does not depend on
-the one chosen.  Two forms over Q are isometric iff all of it matches,
+done once per form, by symmetric Gaussian elimination in exact arithmetic;
+the classifying data (rank, signature, determinant class, degree-1 and
+degree-2 classes, local Hasse units) is read off that diagonal and does
+not depend on it.  Two forms over Q are isometric iff all of it matches,
 which is what :func:`isometric` decides.
 """
 
@@ -12,17 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .cohomology import (
-    CohClass2,
-    Place,
-    SquareClass,
-    cup_sum,
-    hilbert_symbol,
-    relevant_places,
-)
+from .arith import factor, padic_split
+from .cohomology import INF, TWO, CohClass2, Place, SquareClass, pairwise_symbol
 from .errors import DomainError
 
 Rat = Fraction
@@ -51,8 +45,7 @@ class QuadraticForm:
                 if gram[i][j] != gram[j][i]:
                     raise DomainError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
-        if _det(gram) == 0:
-            raise DomainError("Gram matrix is degenerate")
+        object.__setattr__(self, "_pivots", _eliminate(gram))
 
     @property
     def rank(self) -> int:
@@ -67,27 +60,6 @@ class QuadraticForm:
 
 def _rat_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _det(gram: tuple[tuple[Fraction, ...], ...]) -> Fraction:
-    n = len(gram)
-    m = [list(row) for row in gram]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
 
 
 @dataclass(frozen=True)
@@ -120,15 +92,16 @@ def standard_form(n: int) -> QuadraticForm:
     return diagonal_form([1] * n)
 
 
-def diagonalize(q: QuadraticForm) -> DiagonalForm:
-    """Entries of a diagonal form congruent to q over Q.
+def _eliminate(gram: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
+    """Pivots of a symmetric elimination of gram: a congruent diagonal.
 
-    Symmetric elimination; a zero pivot with a nonzero off-diagonal entry
-    in its row is repaired by the congruence e_i <- e_i +- e_j, which keeps
-    the arithmetic rational and exact.
+    A zero pivot with a nonzero off-diagonal entry in its row is repaired
+    by the congruence e_i <- e_i +- e_j, which keeps the arithmetic
+    rational and exact.  Every move has determinant 1, so the product of
+    the pivots is det(gram).
     """
-    n = q.rank
-    m = [list(row) for row in q.gram]
+    n = len(gram)
+    m = [list(row) for row in gram]
 
     def add_into(i: int, j: int, s: int) -> None:
         for k in range(n):
@@ -156,19 +129,25 @@ def diagonalize(q: QuadraticForm) -> DiagonalForm:
                 for k in range(n):
                     m[k][j] -= f * m[k][i]
         entries.append(m[i][i])
-    return DiagonalForm(entries)
+    return tuple(entries)
 
 
-@dataclass(frozen=True, eq=False)
+def diagonalize(q: QuadraticForm) -> DiagonalForm:
+    """Entries of a diagonal form congruent to q over Q: the pivots of the
+    elimination the constructor ran."""
+    return DiagonalForm(q._pivots)
+
+
+@dataclass(frozen=True)
 class FormInvariants:
     """Full classifying data of a rational form.
 
-    disc and w1 are both the square class of the product of diagonal
-    entries (no sign twist is applied) and therefore coincide; both are
-    reported.  hasse_local carries the product of local symbols over pairs
-    of diagonal entries, tabulated on the finite places where it can be
-    nontrivial; it is +1 everywhere else.  Equality compares the canonical
-    data, so the incidental choice of tabulated places does not matter.
+    disc and w1 are both the square class of the determinant (no sign
+    twist is applied) and therefore coincide; both are reported.
+    hasse_local carries the Hasse unit, the product of local symbols over
+    pairs of diagonal entries, at 2, at the odd primes of disc and at the
+    finite places of w2; it is +1 everywhere else.  That key set depends
+    only on the isometry class, so isometric forms serialize identically.
     """
 
     rank: int
@@ -182,16 +161,8 @@ class FormInvariants:
     def hasse_minus_places(self) -> frozenset[Place]:
         return frozenset(v for v, s in self.hasse_local.items() if s == -1)
 
-    def _canonical(self):
-        return (self.rank, self.signature, self.disc, self.w2, self.hasse_minus_places)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormInvariants):
-            return NotImplemented
-        return self._canonical() == other._canonical()
-
     def __hash__(self) -> int:
-        return hash(self._canonical())
+        return hash((self.rank, self.signature, self.disc, self.w2))
 
     def to_json(self) -> dict:
         return {
@@ -205,23 +176,29 @@ class FormInvariants:
 
 
 def invariants(q: QuadraticForm) -> FormInvariants:
-    """rank, signature, determinant class, w1, w2 and local Hasse units."""
+    """rank, signature, determinant class, w1, w2 and local Hasse units.
+
+    With L the lcm of the Gram denominators, L*q is integral, and an
+    integral form whose determinant is a unit at an odd p has trivial Hasse
+    unit at p (Serre, A Course in Arithmetic, Ch. IV).  So local symbols
+    are needed only at 2, inf and the primes of L*|numerator(det q)|.
+    """
     diag = diagonalize(q).entries
     pos = sum(1 for a in diag if a > 0)
     neg = len(diag) - pos
-    disc = SquareClass(1)
-    for a in diag:
-        disc = disc * SquareClass(a)
-    w2 = cup_sum(diag)
-    places = relevant_places(*diag)
-    hasse = {}
-    for v in places:
-        if v.is_infinite:
-            continue
-        s = 1
-        for a, b in combinations(diag, 2):
-            s *= hilbert_symbol(a, b, v)
-        hasse[v] = s
+    det = prod(diag)
+    denominators = lcm(*(x.denominator for row in q.gram for x in row))
+    primes = [p for p, _ in factor(denominators * abs(det.numerator)).factors]
+    disc_rep = -1 if det < 0 else 1
+    for p in primes:
+        if padic_split(det, p)[0] % 2:
+            disc_rep *= p
+    places = [TWO] + [Place.finite(p) for p in primes if p != 2] + [INF]
+    units = {v: pairwise_symbol(diag, v) for v in places}
+    w2 = CohClass2(v for v, s in units.items() if s == -1)
+    del units[INF]
+    hasse = {v: s for v, s in units.items() if v == TWO or s == -1 or disc_rep % v.prime == 0}
+    disc = SquareClass.from_squarefree(disc_rep)
     return FormInvariants(
         rank=len(diag),
         signature=(pos, neg),
@@ -233,15 +210,9 @@ def invariants(q: QuadraticForm) -> FormInvariants:
 
 
 def isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:
-    """Isometry over Q: same rank, signature, determinant class and local
-    Hasse unit at every place where either form can ramify."""
-    if q1.rank != q2.rank:
-        return False
-    i1 = invariants(q1)
-    i2 = invariants(q2)
-    if i1.signature != i2.signature or i1.disc != i2.disc:
-        return False
-    return i1.hasse_minus_places == i2.hasse_minus_places
+    """Isometry over Q (Hasse-Minkowski): same rank, signature,
+    determinant class and local Hasse unit at every place."""
+    return q1.rank == q2.rank and invariants(q1) == invariants(q2)
 
 
 def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:

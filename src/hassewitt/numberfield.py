@@ -5,13 +5,12 @@ its Gram matrix in the power basis is the Hankel matrix of power sums of
 the roots, which Newton's identities produce from the coefficients without
 ever touching a root.  Resultants run through the subresultant polynomial
 remainder sequence over the integers, real root counts through Sturm
-chains, and residue factorization patterns through distinct-degree plus
-Cantor-Zassenhaus splitting over F_p.
+chains, and residue factorization patterns through distinct-degree
+factorization over F_p, which gives the degree and count of the factors.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as igcd
@@ -499,37 +498,6 @@ def _fp_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _fp_split_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Split a squarefree monic product of degree-d irreducibles."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = _fp_trim(a)
-        if len(a) - 1 < 1:
-            continue
-        if p == 2:
-            # trace map a + a^2 + a^4 + ... splits over F_2
-            t = a[:]
-            acc = a[:]
-            for _ in range(d - 1):
-                acc = _fp_powmod(acc, 2, f, p)
-                width = max(len(t), len(acc))
-                t = _fp_trim([((t[i] if i < len(t) else 0) + (acc[i] if i < len(acc) else 0)) % p for i in range(width)])
-            g = _fp_gcd(f, t, p) if t else []
-        else:
-            b = _fp_powmod(a, (p**d - 1) // 2, f, p)
-            b = b[:]
-            if not b:
-                continue
-            b[0] = (b[0] - 1) % p
-            g = _fp_gcd(f, _fp_trim(b), p)
-        if g and 0 < len(g) - 1 < n:
-            rest = _fp_divmod(f, g, p)[0]
-            return _fp_split_equal_degree(g, d, p, rng) + _fp_split_equal_degree(rest, d, p, rng)
-
-
 def factor_pattern_mod_p(algebra: EtaleAlgebra, p: int) -> tuple[tuple[int, int], ...]:
     """Degrees and multiplicities of the irreducible factors of f mod p.
 
@@ -547,12 +515,10 @@ def factor_pattern_mod_p(algebra: EtaleAlgebra, p: int) -> tuple[tuple[int, int]
     fp = _fp_trim(fp)
     if len(fp) - 1 != f.degree:
         raise InternalError("monic reduction lost its degree")
-    rng = random.Random(0x5EED5)
     pattern: list[tuple[int, int]] = []
     for part, mult in _fp_squarefree_parts(fp, p):
         for block, d in _fp_distinct_degree(part, p):
-            for g in _fp_split_equal_degree(block, d, p, rng):
-                pattern.append((len(g) - 1, mult))
+            pattern.extend([(d, mult)] * ((len(block) - 1) // d))
     pattern.sort()
     if sum(d * m for d, m in pattern) != f.degree:
         raise InternalError("factor pattern does not account for the degree")

@@ -40,6 +40,30 @@ def test_factor_roundtrip_random():
         assert fac.as_dict() == naive_factor(n)
 
 
+PSI12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981
+
+
+def test_is_prime_matches_naive():
+    assert [n for n in range(20_001) if is_prime(n)] == [n for n in range(20_001) if naive_is_prime(n)]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    carmichael = (561, 1105, 1729, 41041, 825265)
+    strong_base2 = (2047, 3215031751)
+    strong_lucas = (5459, 5777, 10877)
+    # strong pseudoprimes to every prime base up to 23, 37 and 41 respectively
+    multi_base = (3825123056546413051, PSI12, PSI13)
+    for n in carmichael + strong_base2 + strong_lucas + multi_base:
+        assert not is_prime(n), n
+    for p in (2**61 - 1, 2**89 - 1, 2**127 - 1, 399165290221, 798330580441):
+        assert is_prime(p), p
+
+
+def test_factor_psi12():
+    assert factor(PSI12) == Factorization(1, ((399165290221, 1), (798330580441, 1)))
+
+
 def test_factor_matches_naive():
     rng = random.Random(55)
     for _ in range(80):

@@ -72,6 +72,13 @@ def test_form_subcommands(capsys):
     assert out.strip() == "not isometric"
 
 
+def test_isometric_forms_give_identical_reports():
+    # <5, 5> is isometric to <1, 1>: the hasse_local key set must not see the 5
+    out1 = dump_report(execute("form-invariants", {"gram": "5,0;0,5"})[0])
+    out2 = dump_report(execute("form-invariants", {"gram": "1,0;0,1"})[0])
+    assert out1 == out2
+
+
 def test_tracefield(capsys):
     code, out, _ = run_capture(capsys, ["tracefield", "--poly", "-1,1,0,0,1", "--json"])
     assert code == 0

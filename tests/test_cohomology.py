@@ -170,6 +170,9 @@ def test_cup_examples():
     assert cup(1, -7).is_zero
     assert cup(-1, -1) == places(2, "inf")
     assert cup(2, -283) == places(2, 283)
+    # 318665857834031151167461 = 399165290221 * 798330580441 fools
+    # Miller-Rabin with the prime bases up to 37
+    assert cup(2, 318665857834031151167461) == places(2, 399165290221)
 
 
 def test_cup_product_formula_sample():

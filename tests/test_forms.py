@@ -81,7 +81,16 @@ def test_invariants_congruence_independence_sample():
         n = rng.randint(1, 5)
         q = random_nondegenerate_symmetric(rng, n, 30)
         p = random_unimodular(rng, n)
-        assert invariants(q) == invariants(congruent_form(q, p))
+        i1, i2 = invariants(q), invariants(congruent_form(q, p))
+        assert i1 == i2
+        assert i1.to_json() == i2.to_json()
+
+
+def test_invariants_see_denominator_primes():
+    # det = 1, yet the form ramifies at 3: the places come from L * det
+    inv = invariants(QuadraticForm([[Fraction(1, 3), 0], [0, 3]]))
+    assert inv.disc.is_trivial
+    assert inv.w2.to_json() == [2, 3]
 
 
 def test_hasse_product_formula():
