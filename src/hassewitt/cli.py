@@ -235,7 +235,27 @@ def make_report(req_id, command, inputs, outputs=None, assumptions=(), status="o
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return _render_exact(json.dumps, report, sort_keys=True, separators=(",", ":"))
+
+
+def _render_exact(render, *args, **kwargs) -> str:
+    """render(*args, **kwargs), lifting the interpreter's int-to-str digit
+    limit (4300 by default) if render hits it.
+
+    The limit guards the parsing of outside input and stays in force there.
+    Output integers are bounded by the input limits instead: chi near the
+    hypersurface limits has about 16,400 digits.  The CLI is
+    single-threaded, so the limit is restored before anything else runs.
+    """
+    try:
+        return render(*args, **kwargs)
+    except ValueError:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return render(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +444,7 @@ def run(argv=None) -> int:
             print(dump_report(make_report(None, command, {k: v for k, v in params.items() if v is not None},
                                           outputs, assumptions)))
         else:
-            print(_render_human(command, outputs))
+            print(_render_exact(_render_human, command, outputs))
         return 0
     except (CLIInputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

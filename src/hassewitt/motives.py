@@ -29,10 +29,18 @@ TOKEN_MINUS_ONE_DISC = "(-1,disc_d(f))"
 
 _CLASS_MINUS_ONE_MINUS_ONE = CohClass2([Place.finite(2), INF])
 
+# Input limits: they bound the size of every report (chi has O(n log d)
+# bits) and the time of euler_characteristic.
+MAX_DIMENSION = 4096
+MAX_CODIMENSION = 8
+MAX_DEGREE = 10**4
+
 
 @dataclass(frozen=True)
 class CompleteIntersectionSpec:
-    """Even dimension n >= 2 and the multidegree (d_1, ..., d_c)."""
+    """Even dimension 2 <= n <= MAX_DIMENSION and the multidegree
+    (d_1, ..., d_c), with 1 <= c <= MAX_CODIMENSION and
+    1 <= d_i <= MAX_DEGREE."""
 
     n: int
     degrees: tuple[int, ...]
@@ -43,6 +51,12 @@ class CompleteIntersectionSpec:
             raise DomainError("dimension must be even and >= 2")
         if not degrees or any(d < 1 for d in degrees):
             raise DomainError("degrees must be a nonempty list of integers >= 1")
+        if n > MAX_DIMENSION:
+            raise DomainError(f"dimension must be <= {MAX_DIMENSION}")
+        if len(degrees) > MAX_CODIMENSION:
+            raise DomainError(f"codimension must be <= {MAX_CODIMENSION}")
+        if any(d > MAX_DEGREE for d in degrees):
+            raise DomainError(f"degrees must be <= {MAX_DEGREE}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degrees", degrees)
 
@@ -79,21 +93,21 @@ class SymbolicClass:
 def euler_characteristic(spec: CompleteIntersectionSpec) -> int:
     """Coefficient of h**(n+c) in (1+h)**(n+c+1) d1...dc h**c / prod(1 + d_i h).
 
-    Extracted from the truncated integer power series, so exact."""
+    Extracted from the truncated integer power series, so exact.  The
+    binomial row comes from C(N, k) = C(N, k-1) (N-k+1)/k, and each division
+    by (1 + d h) is the recurrence out[k] = series[k] - d out[k-1], so the
+    cost is O(n c) big-integer steps."""
     n, c = spec.n, spec.codimension
+    big_n = n + c + 1
     # series of (1+h)**(n+c+1) / prod(1 + d_i h) up to degree n
-    series = [comb(n + c + 1, k) for k in range(n + 1)]
+    series = [1] * (n + 1)
+    for k in range(1, n + 1):
+        series[k] = series[k - 1] * (big_n - k + 1) // k
     for d in spec.degrees:
-        # multiply by 1/(1 + d h) = sum (-d)**k h**k
-        out = [0] * (n + 1)
+        prev = 0
         for k in range(n + 1):
-            acc = 0
-            power = 1
-            for j in range(k, -1, -1):
-                acc += series[j] * power
-                power *= -d
-            out[k] = acc
-        series = out
+            prev = series[k] - d * prev
+            series[k] = prev
     return spec.total_degree * series[n]
 
 
@@ -131,7 +145,10 @@ def betti_w_invariants(spec: CompleteIntersectionSpec) -> tuple[int, int, Square
 
         w1 = m'(-1),    w2 = C(m', 2)(-1,-1).
     """
-    chi = euler_characteristic(spec)
+    return _betti_w_from_chi(spec, euler_characteristic(spec))
+
+
+def _betti_w_from_chi(spec: CompleteIntersectionSpec, chi: int) -> tuple[int, int, SquareClass, CohClass2]:
     m = chi - spec.n
     if not _binomial_is_even(spec):
         m -= spec.total_degree
@@ -261,7 +278,7 @@ class MotiveReport:
 
 def motive_report(spec: CompleteIntersectionSpec) -> MotiveReport:
     chi = euler_characteristic(spec)
-    m, m_prime, w1, w2 = betti_w_invariants(spec)
+    m, m_prime, w1, w2 = _betti_w_from_chi(spec, chi)
     if spec.codimension == 1:
         delta1, delta2 = delta_expressions(spec.n, spec.degrees[0])
     else:

@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as igcd
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .arith import is_prime
 from .errors import DomainError, InternalError
-from .forms import FormInvariants, QuadraticForm, invariants
+from .forms import FormInvariants, QuadraticForm, diagonalize, invariants
 from .cohomology import SquareClass
 
 
@@ -315,14 +315,15 @@ def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
     gram = trace_gram(algebra)
     inv = invariants(gram)
     r1, r2 = real_signature(algebra)
+    # for monic f, det of the trace Gram matrix is disc(f) exactly
+    if prod(diagonalize(gram).entries) != discriminant(algebra.poly):
+        raise InternalError("trace form discriminant mismatch")
     report = TraceFormReport(
         gram=gram,
-        disc_field=SquareClass(discriminant(algebra.poly)),
+        disc_field=inv.w1,
         signature=(r1 + r2, r2),
         form_invariants=inv,
     )
-    if report.disc_field != inv.w1:
-        raise InternalError("trace form discriminant mismatch")
     if report.signature != inv.signature:
         raise InternalError("trace form signature mismatch")
     return report

@@ -4,10 +4,11 @@ Each of these recomputes a quantity by a route disjoint from the library
 implementation: naive trial division instead of rho, Sylvester
 determinants instead of remainder sequences, companion matrix powers
 instead of Newton recursions, exhaustive squaring instead of Euler's
-criterion.
+criterion, full series convolution instead of the division recurrence.
 """
 
 from fractions import Fraction
+from math import comb, prod
 import random
 
 from hassewitt.forms import QuadraticForm
@@ -38,6 +39,24 @@ def naive_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def naive_euler_characteristic(n: int, degrees: list[int]) -> int:
+    """d1...dc times the coefficient of h**n in (1+h)**(n+c+1) / prod(1 + d_i h),
+    each division done as a full O(n**2) convolution with sum (-d)**k h**k."""
+    c = len(degrees)
+    series = [comb(n + c + 1, k) for k in range(n + 1)]
+    for d in degrees:
+        out = [0] * (n + 1)
+        for k in range(n + 1):
+            acc = 0
+            power = 1
+            for j in range(k, -1, -1):
+                acc += series[j] * power
+                power *= -d
+            out[k] = acc
+        series = out
+    return prod(degrees) * series[n]
 
 
 def squares_mod(p: int) -> set[int]:

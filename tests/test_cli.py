@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hassewitt import arith
 from hassewitt.cli import dump_report, execute, run
+from hassewitt.cohomology import Place, hilbert_symbol
 
 
 def run_capture(capsys, argv):
@@ -25,6 +27,24 @@ def test_hilbert_json(capsys):
     assert report["outputs"] == {"symbol": -1}
     assert report["command"] == "hilbert"
     assert report["id"] is None
+
+
+def test_hilbert_proves_place_prime_once(monkeypatch):
+    p = 2**100 - 15
+    calls = []
+    real = arith.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    # both entries have odd valuation, so both unit Legendre symbols are taken
+    outputs, _ = execute("hilbert", {"a": 3 * p, "b": 5 * p, "place": p})
+    assert calls == [p]
+    calls.clear()
+    assert hilbert_symbol(3 * p, 5 * p, Place.finite(p)) == outputs["symbol"]
+    assert calls == [p]
 
 
 def test_embedding_golden(capsys):

@@ -1,11 +1,19 @@
+import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from hassewitt import motives
+from hassewitt.cli import run
 from hassewitt.cohomology import SquareClass
 from hassewitt.errors import DomainError
 from hassewitt.forms import diagonal_form, invariants
 from hassewitt.motives import (
+    MAX_CODIMENSION,
+    MAX_DEGREE,
+    MAX_DIMENSION,
     CompleteIntersectionSpec,
     SymbolicClass,
     betti_middle,
@@ -23,6 +31,8 @@ from hassewitt.motives import (
 )
 from hassewitt.numberfield import Poly, discriminant
 
+from oracles import naive_euler_characteristic
+
 
 def test_spec_validation():
     with pytest.raises(DomainError):
@@ -31,6 +41,61 @@ def test_spec_validation():
         CompleteIntersectionSpec(2, [])
     with pytest.raises(DomainError):
         CompleteIntersectionSpec(2, [0])
+
+
+# one step past each input limit, next to the largest accepted value
+_AT_LIMITS = [
+    (MAX_DIMENSION, [2]),
+    (2, [2] * MAX_CODIMENSION),
+    (2, [MAX_DEGREE]),
+    (MAX_DIMENSION, [MAX_DEGREE] * MAX_CODIMENSION),
+]
+_PAST_LIMITS = [
+    (MAX_DIMENSION + 2, [2]),
+    (2, [2] * (MAX_CODIMENSION + 1)),
+    (2, [MAX_DEGREE + 1]),
+]
+
+
+def test_spec_limits():
+    for n, degrees in _AT_LIMITS:
+        assert CompleteIntersectionSpec(n, degrees).n == n
+    for n, degrees in _PAST_LIMITS:
+        with pytest.raises(DomainError):
+            CompleteIntersectionSpec(n, degrees)
+
+
+def test_spec_limits_in_batch(tmp_path, capsys):
+    specs = _AT_LIMITS + _PAST_LIMITS
+    infile = tmp_path / "in.jsonl"
+    outfile = tmp_path / "out.jsonl"
+    infile.write_text(
+        "".join(
+            json.dumps({"id": i, "command": "hypersurface", "parameters": {"n": n, "degrees": degrees}}) + "\n"
+            for i, (n, degrees) in enumerate(specs)
+        )
+    )
+    assert run(["batch", "--in", str(infile), "--out", str(outfile)]) == 0
+    capsys.readouterr()
+    lines = outfile.read_text().splitlines()
+    # chi at the largest spec has about 16,400 digits, past Python's default
+    # int-to-str limit of 4300, so the reports are read back with it lifted
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        reports = [json.loads(line) for line in lines]
+        chis = [motive_report(CompleteIntersectionSpec(n, degrees)).chi for n, degrees in _AT_LIMITS]
+        single_shot = f"chi: {chis[-1]}"
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert [r["status"] for r in reports] == ["ok"] * len(_AT_LIMITS) + ["input_error"] * len(_PAST_LIMITS)
+    assert [r["outputs"]["chi"] for r in reports[: len(_AT_LIMITS)]] == chis
+    n, degrees = _AT_LIMITS[-1]
+    assert run(["hypersurface", "--n", str(n), "--degrees", ",".join(map(str, degrees))]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == single_shot
+    for n, degrees in _PAST_LIMITS:
+        assert run(["hypersurface", "--n", str(n), "--degrees", ",".join(map(str, degrees))]) == 1
+        capsys.readouterr()
 
 
 def test_euler_characteristic_cubic_surface():
@@ -54,6 +119,15 @@ def test_euler_characteristic_surfaces_in_p4():
             chi = euler_characteristic(CompleteIntersectionSpec(2, [d1, d2]))
             expected = d1 * d2 * (d1**2 + d2**2 + d1 * d2 - 5 * (d1 + d2) + 10)
             assert chi == expected
+
+
+def test_euler_characteristic_matches_convolution():
+    rng = random.Random(20260)
+    for _ in range(300):
+        n = 2 * rng.randint(1, 40)
+        degrees = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+        spec = CompleteIntersectionSpec(n, degrees)
+        assert euler_characteristic(spec) == naive_euler_characteristic(n, degrees), (n, degrees)
 
 
 def test_betti_middle():
@@ -214,3 +288,21 @@ def test_motive_report_complete_intersection():
     assert report.chi == 6 * (4 + 9 + 6 - 25 + 10)
     assert report.delta1 is None and report.delta2 is None
     assert report.to_json()["delta1"] is None
+
+
+def test_motive_report_evaluates_chi_once(monkeypatch):
+    calls = []
+    kernel = motives.euler_characteristic
+
+    def counted(spec):
+        calls.append(spec)
+        return kernel(spec)
+
+    monkeypatch.setattr(motives, "euler_characteristic", counted)
+    for n, degrees in [(2, [3]), (6, [2, 5]), (12, [4, 4, 7])]:
+        spec = CompleteIntersectionSpec(n, degrees)
+        calls.clear()
+        report = motive_report(spec)
+        assert calls == [spec]
+        assert report.chi == kernel(spec)
+        assert (report.m, report.m_prime, report.w1_qB, report.w2_qB) == betti_w_invariants(spec)
