@@ -408,6 +408,9 @@ def _process_request_line(line: str) -> dict:
             request = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CLIInputError(f"malformed JSON: {exc}")
+        except ValueError as exc:
+            # an integer literal past Python's int-to-str limit (4,300 digits)
+            raise CLIInputError(f"integer literal too long: {exc}")
         if not isinstance(request, dict):
             raise CLIInputError("request must be an object")
         req_id = request.get("id")

@@ -6,7 +6,9 @@ the roots, which Newton's identities produce from the coefficients without
 ever touching a root.  Resultants run through the subresultant polynomial
 remainder sequence over the integers, real root counts through Sturm
 chains, and residue factorization patterns through distinct-degree
-factorization over F_p, which gives the degree and count of the factors.
+factorization over F_p, which gives the degree and count of the factors:
+x**p mod f is computed once per squarefree part, and the higher Frobenius
+powers x**(p**i) come from the Frobenius matrix.
 """
 
 from __future__ import annotations
@@ -123,9 +125,10 @@ class Poly:
         return a.monic()
 
     def is_squarefree(self) -> bool:
+        # in characteristic 0, f is squarefree iff f and f' have no common root
         if self.is_zero:
             return False
-        return self.gcd(self.derivative()).degree <= 0
+        return self.degree <= 0 or resultant(self, self.derivative()) != 0
 
     def integer_coeffs(self) -> tuple[int, list[int]]:
         """(d, coeffs) with d > 0 minimal such that d * self has integer coefficients."""
@@ -397,17 +400,6 @@ def _fp_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_trim(out)
-
-
 def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     a = a[:]
     db = len(b) - 1
@@ -432,17 +424,6 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
         return []
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
-
-
-def _fp_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _fp_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
 
 
 def _fp_deriv(a: list[int], p: int) -> list[int]:
@@ -477,23 +458,92 @@ def _fp_squarefree_parts(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
+def _fp_reduce(out: list[int], g: list[int], p: int) -> list[int]:
+    """Remainder of out modulo monic g over F_p.
+
+    out holds unreduced integers (sums of products of residues) and is
+    overwritten; each eliminated coefficient and each kept one is taken
+    mod p exactly once.
+    """
+    n = len(g) - 1
+    for k in range(len(out) - 1, n - 1, -1):
+        c = out[k] % p
+        if c:
+            base = k - n
+            for i in range(n):
+                out[base + i] -= c * g[i]
+    return _fp_trim([c % p for c in out[:n]])
+
+
+def _fp_mulmod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _fp_reduce(out, g, p)
+
+
+def _fp_sqrmod(a: list[int], g: list[int], p: int) -> list[int]:
+    if not a:
+        return []
+    n = len(a)
+    out = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[2 * i] += x * x
+            x2 = 2 * x
+            for j in range(i + 1, n):
+                out[i + j] += x2 * a[j]
+    return _fp_reduce(out, g, p)
+
+
+def _fp_xpow(e: int, g: list[int], p: int) -> list[int]:
+    """x**e mod monic g over F_p for e >= 1, left to right: a set bit
+    multiplies by x, which is a one-place shift."""
+    result = _fp_reduce([0, 1], g, p)
+    for bit in bin(e)[3:]:
+        result = _fp_sqrmod(result, g, p)
+        if bit == "1":
+            result = _fp_reduce([0] + result, g, p)
+    return result
+
+
 def _fp_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """(product of irreducible factors, common degree) pairs, f squarefree monic."""
+    """(product of irreducible factors, common degree) pairs, f squarefree monic.
+
+    x**p mod f is computed once.  Row j of the Frobenius matrix is
+    x**(j*p) mod f, so h -> h(x**p) mod f, which takes x**(p**i) to
+    x**(p**(i+1)), is a vector-matrix product.  h stays reduced mod f rather
+    than the shrinking g: g divides f, so gcd(g, h - x) is the same.
+    """
     out = []
-    h = [0, 1]
-    i = 1
+    n = len(f) - 1
     g = f[:]
-    while len(g) - 1 >= 2 * i:
-        h = _fp_powmod(h, p, g, p)
-        probe = h[:] + [0, 0]
-        probe[1] = (probe[1] - 1) % p  # h - x
-        probe = _fp_trim(probe)
-        d = _fp_gcd(g, probe, p) if probe else g[:]
-        if len(d) - 1 > 0:
-            out.append((d, i))
-            g = _fp_divmod(g, d, p)[0]
-            h = _fp_divmod(h, g, p)[1]
-        i += 1
+    if n >= 2:
+        xp = _fp_xpow(p, f, p)
+        rows = [[1], xp]
+        while len(rows) < n:
+            rows.append(_fp_mulmod(rows[-1], xp, f, p))
+        h = [0, 1]
+        i = 1
+        while len(g) - 1 >= 2 * i:
+            acc = [0] * n
+            for c, row in zip(h, rows):
+                if c:
+                    for k, r in enumerate(row):
+                        acc[k] += c * r
+            h = _fp_trim([c % p for c in acc])
+            probe = h[:] + [0, 0]
+            probe[1] = (probe[1] - 1) % p  # h - x
+            probe = _fp_trim(probe)
+            d = _fp_gcd(g, probe, p) if probe else g[:]
+            if len(d) - 1 > 0:
+                out.append((d, i))
+                g = _fp_divmod(g, d, p)[0]
+            i += 1
     if len(g) - 1 > 0:
         out.append((g, len(g) - 1))
     return out

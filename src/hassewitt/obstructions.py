@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .arith import factor, is_prime
+from .arith import factor
 from .cohomology import (
     CohClass2,
     INF,
@@ -109,8 +109,12 @@ def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
     """
     if p == 2:
         raise DomainError("the local table excludes the prime 2")
-    if p < 3 or p % 2 == 0 or not is_prime(p):
+    if p < 3 or p % 2 == 0:
         raise DomainError(f"{p} must be an odd prime")
+    try:
+        place = Place.finite(p)  # the constructor proves p prime
+    except DomainError:
+        raise DomainError(f"{p} must be an odd prime") from None
     eight = -1 if ((p * p - 1) // 8) % 2 else 1  # (-1)**((p^2-1)/8)
     four = -1 if ((p - 1) // 2) % 2 else 1       # (-1)**((p-1)/2)
     name = t.name
@@ -127,7 +131,7 @@ def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
     if name == "2^2":
         return (-four, 1)
     if name == "1^2,1^2":
-        sym = hilbert_symbol(d_f, p, Place.finite(p))
+        sym = hilbert_symbol(d_f, p, place)
         return (four * sym, 1)
     raise DomainError(f"unknown decomposition type {name!r}")
 

@@ -4,7 +4,8 @@ Each of these recomputes a quantity by a route disjoint from the library
 implementation: naive trial division instead of rho, Sylvester
 determinants instead of remainder sequences, companion matrix powers
 instead of Newton recursions, exhaustive squaring instead of Euler's
-criterion, full series convolution instead of the division recurrence.
+criterion, full series convolution instead of the division recurrence,
+a fresh x**(p**i) mod g per degree instead of the Frobenius matrix.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from math import comb, prod
 import random
 
 from hassewitt.forms import QuadraticForm
-from hassewitt.numberfield import Poly
+from hassewitt.numberfield import Poly, _fp_divmod, _fp_gcd, _fp_trim
 
 
 def naive_factor(n: int) -> dict[int, int]:
@@ -213,3 +214,49 @@ def brute_factor_pattern(coeffs: list[int], p: int) -> tuple[tuple[int, int], ..
     for d, m in pattern:
         expanded.append((d, m))
     return tuple(sorted(expanded))
+
+
+def naive_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """(product of irreducible factors, common degree) pairs for squarefree
+    monic f over F_p, raising h to the p-th power mod the remaining g by
+    repeated squaring at every degree, each product reduced mod p term by
+    term."""
+
+    def mul(a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = (out[i + j] + x * y) % p
+        return _fp_trim(out)
+
+    def powmod(base, e, mod):
+        result = [1]
+        base = _fp_divmod(base, mod, p)[1]
+        while e:
+            if e & 1:
+                result = _fp_divmod(mul(result, base), mod, p)[1]
+            base = _fp_divmod(mul(base, base), mod, p)[1]
+            e >>= 1
+        return result
+
+    out = []
+    h = [0, 1]
+    i = 1
+    g = f[:]
+    while len(g) - 1 >= 2 * i:
+        h = powmod(h, p, g)
+        probe = h[:] + [0, 0]
+        probe[1] = (probe[1] - 1) % p  # h - x
+        probe = _fp_trim(probe)
+        d = _fp_gcd(g, probe, p) if probe else g[:]
+        if len(d) - 1 > 0:
+            out.append((d, i))
+            g = _fp_divmod(g, d, p)[0]
+            h = _fp_divmod(h, g, p)[1]
+        i += 1
+    if len(g) - 1 > 0:
+        out.append((g, len(g) - 1))
+    return out

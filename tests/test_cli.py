@@ -201,6 +201,26 @@ def test_batch_malformed_line_keeps_going(tmp_path, capsys):
     assert bad["error"]
 
 
+def test_batch_oversize_integer_literal_is_input_error(tmp_path, capsys):
+    # json.loads refuses integer literals past Python's 4,300-digit limit
+    infile = tmp_path / "in.jsonl"
+    outfile = tmp_path / "out.jsonl"
+    big = "7" * 5000
+    infile.write_text(
+        '{"id": "big", "command": "hilbert", "parameters": {"a": ' + big + ', "b": 3, "place": 5}}\n'
+        + json.dumps({"id": "next", "command": "hilbert", "parameters": {"a": 3, "b": 5, "place": 7}})
+        + "\n"
+    )
+    code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert code == 0
+    bad, good = [json.loads(line) for line in outfile.read_text().splitlines()]
+    assert bad["status"] == "input_error"
+    assert bad["id"] is None
+    assert "4300" in bad["error"]
+    assert good["status"] == "ok"
+    assert good["id"] == "next"
+
+
 def test_batch_empty_file(tmp_path, capsys):
     infile = tmp_path / "in.jsonl"
     outfile = tmp_path / "out.jsonl"

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from hassewitt import numberfield
+from hassewitt.arith import is_prime
 from hassewitt.cohomology import SquareClass
 from hassewitt.errors import DomainError
 from hassewitt.forms import invariants, isometric, orthogonal_sum
@@ -19,7 +21,7 @@ from hassewitt.numberfield import (
     trace_gram,
 )
 
-from oracles import companion_power_traces, naive_is_prime, sylvester_resultant
+from oracles import companion_power_traces, naive_distinct_degree, naive_is_prime, sylvester_resultant
 
 X4_X_1 = Poly([-1, 1, 0, 0, 1])            # x^4 + x - 1
 X4_X3_2X_1 = Poly([-1, -2, 0, 1, 1])       # x^4 + x^3 - 2x - 1
@@ -68,6 +70,26 @@ def _random_poly(rng, degree):
     while lead == 0:
         lead = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return Poly(coeffs + [lead])
+
+
+def test_is_squarefree_matches_gcd_criterion():
+    # the Euclidean criterion over Q: gcd(f, f') is a constant
+    def by_gcd(f):
+        return not f.is_zero and f.gcd(f.derivative()).degree <= 0
+
+    rng = random.Random(22)
+    cases = [Poly([]), Poly([0]), Poly([3]), Poly([Fraction(-2, 7)])]
+    for _ in range(150):
+        f = _random_poly(rng, rng.randrange(0, 5))
+        g = _random_poly(rng, rng.randrange(1, 4))
+        cases += [f, f * g, f * g * g, (g * g).scale(Fraction(3, 5))]
+    for r in range(-3, 4):
+        linear = Poly([-r, 1])
+        cases += [linear * linear * Poly([1, 0, 1]), linear * Poly([r + 1, 1]) * Poly([2, 0, 1])]
+    assert any(f.is_squarefree() for f in cases)
+    assert any(not f.is_squarefree() and f.degree > 0 for f in cases)
+    for f in cases:
+        assert f.is_squarefree() == by_gcd(f), f
 
 
 def test_discriminant_quartic_fields():
@@ -266,3 +288,107 @@ def test_factor_pattern_rejects_bad_inputs():
         factor_pattern_mod_p(alg, 5)
     with pytest.raises(DomainError):
         factor_pattern_mod_p(EtaleAlgebra(Poly([1, 0, 1])), 6)
+
+
+def test_distinct_degree_matches_naive():
+    rng = random.Random(93)
+    for p in (2, 3, 5, 7, 101, 65537, 2**61 - 1):
+        checked = 0
+        while checked < 30:
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 10))] + [1]
+            for part, _ in numberfield._fp_squarefree_parts(f, p):
+                checked += 1
+                assert numberfield._fp_distinct_degree(part, p) == naive_distinct_degree(part, p), (part, p)
+
+
+def _prime_1_mod_840(low):
+    p = low // 840 * 840 + 1
+    while p < low or not is_prime(p):
+        p += 840
+    return p
+
+
+P61 = _prime_1_mod_840(2**60)  # 61 bits; F_p contains the 840th roots of unity
+
+
+def _irreducible_binomial(rng, d, p, used):
+    """x^d - a irreducible over F_p with p = 1 mod 840: a is no r-th power
+    for any prime r dividing d (Lidl-Niederreiter, Theorem 3.75)."""
+    primes = [r for r in (2, 3, 5, 7) if d % r == 0]
+    while True:
+        a = rng.randint(2, 10**6)
+        if a not in used and all(pow(a, (p - 1) // r, p) != 1 for r in primes):
+            used.add(a)
+            return Poly([-a] + [0] * (d - 1) + [1])
+
+
+def _constructed(rng, degrees, squared_linear=False):
+    """(f, pattern mod P61) for f a product of x - r (degree 1) and
+    irreducible x^d - a, times (x - r)(x - r - p) when squared_linear."""
+    p = P61
+    used: set = set()
+    f = Poly([1])
+    pattern = []
+    if squared_linear:
+        r = rng.randint(-50, 50)
+        f = Poly([-r, 1]) * Poly([-r - p, 1])
+        used.add(r)
+        pattern.append((1, 2))
+    for d in degrees:
+        if d == 1:
+            r = rng.choice([r for r in range(-10**6, 10**6, 7919) if r not in used])
+            used.add(r)
+            f = f * Poly([-r, 1])
+        else:
+            f = f * _irreducible_binomial(rng, d, p, used)
+        pattern.append((d, 1))
+    return f, tuple(sorted(pattern))
+
+
+def test_factor_pattern_by_construction():
+    assert P61.bit_length() == 61 and P61 % 840 == 1
+    rng = random.Random(94)
+    shapes = [
+        ((4, 4), False),
+        ((1, 1, 2, 2), False),
+        ((3,), True),
+        ((2, 2), True),
+        ((8,), False),
+        ((1, 7), False),
+        ((2, 3, 3), False),
+        ((5, 1, 1), True),
+        ((6,), False),
+    ]
+    for degrees, squared_linear in shapes:
+        for _ in range(3):
+            f, expected = _constructed(rng, degrees, squared_linear)
+            assert factor_pattern_mod_p(EtaleAlgebra(f), P61) == expected, (f, expected)
+
+
+def test_frobenius_power_once_per_squarefree_part(monkeypatch):
+    calls = []
+    real = numberfield._fp_xpow
+
+    def counted(e, g, p):
+        calls.append(len(g) - 1)
+        return real(e, g, p)
+
+    monkeypatch.setattr(numberfield, "_fp_xpow", counted)
+    rng = random.Random(95)
+    p = P61
+    a = 3 + P61 % 7  # any a != 0: x^2 - a and x^2 - a - p are coprime over Q
+    square = Poly([-a, 0, 1]) * Poly([-a - p, 0, 1])  # (x^2 - a)^2 mod p
+    cases = [
+        # one part of degree 5, one linear part squared: one x^p
+        (_constructed(rng, (3, 2), squared_linear=True)[0], 1),
+        # a cubic part and a quadratic part squared: two
+        (_constructed(rng, (3,))[0] * square, 2),
+        # only linear parts: none
+        (_constructed(rng, (1,), squared_linear=True)[0], 0),
+    ]
+    for f, expected in cases:
+        calls.clear()
+        factor_pattern_mod_p(EtaleAlgebra(f), p)
+        fp = [int(c) % p for c in f.coeffs]
+        parts = numberfield._fp_squarefree_parts(fp, p)
+        assert len(calls) == expected == sum(1 for g, _ in parts if len(g) - 1 >= 2), (f, calls)

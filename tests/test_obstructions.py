@@ -143,8 +143,10 @@ def _symbol(a, p):
 def test_jehanne_rejects_two_and_composites():
     with pytest.raises(DomainError):
         jehanne_local(2, DecompositionType("1^4"), -283)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="9 must be an odd prime"):
         jehanne_local(9, DecompositionType("1^4"), -283)
+    with pytest.raises(DomainError, match="1000009 must be an odd prime"):
+        jehanne_local(1000009, DecompositionType("1^2,1^2"), 5)  # 293 * 3413
     with pytest.raises(DomainError):
         DecompositionType("1^5")
 
@@ -275,3 +277,24 @@ def test_delta_composition_identity():
         assert d13.delta2 == d12.delta2 + d23.delta2 + cup(w1 * w2, w2 * w3)
         # degree-1 symmetry
         assert delta_comparison(q2, q1).delta1 == d12.delta1
+
+
+def test_jehanne_proves_p_prime_once(monkeypatch):
+    from hassewitt import arith
+
+    p = 1000003
+    # the 1^2,1^2 branch also takes a Hilbert symbol at p
+    expected = ((-1) ** ((p - 1) // 2) * _symbol(5 * p, p), 1)
+    calls = []
+    real = arith.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    assert jehanne_local(p, DecompositionType("1^2,1^2"), 5 * p) == expected
+    assert calls == [p]
+    calls.clear()
+    assert jehanne_local(p, DecompositionType("1^4"), 5 * p) == (-1, -1)
+    assert calls == [p]
