@@ -17,9 +17,10 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .cohomology import Place, hilbert_symbol
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .forms import QuadraticForm, invariants, isometric
 from .motives import CompleteIntersectionSpec, motive_report
 from .numberfield import EtaleAlgebra, Poly, trace_form_report
@@ -72,10 +73,7 @@ def parse_place(value) -> Place:
         return value
     if isinstance(value, bool):
         raise CLIInputError(f"cannot parse place {value!r}")
-    try:
-        return Place.parse(value if isinstance(value, (int, str)) else str(value))
-    except DomainError as exc:
-        raise CLIInputError(str(exc))
+    return Place.parse(value if isinstance(value, (int, str)) else str(value))
 
 
 def parse_poly(value) -> Poly:
@@ -97,10 +95,7 @@ def parse_gram(value) -> QuadraticForm:
         matrix = [[parse_rational(c) for c in row] for row in value]
     else:
         raise CLIInputError(f"cannot parse Gram matrix {value!r}")
-    try:
-        return QuadraticForm(matrix)
-    except DomainError as exc:
-        raise CLIInputError(str(exc))
+    return QuadraticForm(matrix)
 
 
 def parse_degrees(value) -> list[int]:
@@ -112,15 +107,8 @@ def parse_degrees(value) -> list[int]:
     raise CLIInputError(f"cannot parse degree list {value!r}")
 
 
-def _etale(value) -> EtaleAlgebra:
-    try:
-        return EtaleAlgebra(parse_poly(value))
-    except DomainError as exc:
-        raise CLIInputError(str(exc))
-
-
 # ---------------------------------------------------------------------------
-# command registry
+# command table
 # ---------------------------------------------------------------------------
 
 
@@ -145,14 +133,13 @@ def _run_form_isometric(params: dict):
 
 
 def _run_tracefield(params: dict):
-    algebra = _etale(_need(params, "poly"))
+    algebra = EtaleAlgebra(parse_poly(_need(params, "poly")))
     return trace_form_report(algebra).to_json(), ()
 
 
 def _run_embedding(params: dict):
-    algebra = _etale(_need(params, "poly"))
-    report = lifting_decisions(algebra)
-    payload = report.to_json()
+    algebra = EtaleAlgebra(parse_poly(_need(params, "poly")))
+    payload = lifting_decisions(algebra).to_json()
     assumptions = tuple(payload.pop("assumptions"))
     return payload, assumptions
 
@@ -176,15 +163,13 @@ def _run_hypersurface(params: dict):
         degrees = parse_degrees(params["degrees"])
     else:
         raise CLIInputError("either d or degrees is required")
-    spec = CompleteIntersectionSpec(n, degrees)
-    return motive_report(spec).to_json(), ()
+    return motive_report(CompleteIntersectionSpec(n, degrees)).to_json(), ()
 
 
 def _run_delta(params: dict):
     q_omega = parse_gram(_need(params, "gram_omega"))
     q_eta = parse_gram(_need(params, "gram_eta"))
-    pair = delta_comparison(q_omega, q_eta)
-    return pair.to_json(), ()
+    return delta_comparison(q_omega, q_eta).to_json(), ()
 
 
 def _need(params: dict, key: str):
@@ -193,30 +178,54 @@ def _need(params: dict, key: str):
     return params[key]
 
 
+class Command(NamedTuple):
+    """One CLI command.  `params` maps each batch key to the help of its flag,
+    `--key` with `_` spelled `-`; batch name `group-leaf` is the subcommand
+    `group leaf`.  Runners name the parsers and library functions at call
+    time, so a rebinding of those globals (tracing, tests) reaches them."""
+
+    help: str
+    run: Callable[[dict], tuple]
+    params: dict[str, str | None]
+    optional: tuple[str, ...] = ()  # the parameters not required as flags
+    classes: tuple[str, ...] = ()  # output keys printed as degree-2 classes
+    render: Callable[[dict], str] | None = None  # one-line human output
+
+
 COMMANDS = {
-    "hilbert": _run_hilbert,
-    "form-invariants": _run_form_invariants,
-    "form-isometric": _run_form_isometric,
-    "tracefield": _run_tracefield,
-    "embedding": _run_embedding,
-    "jehanne": _run_jehanne,
-    "hypersurface": _run_hypersurface,
-    "delta": _run_delta,
+    "hilbert": Command("local Hilbert symbol (a, b)_v", _run_hilbert,
+                       {"a": None, "b": None, "place": "prime or 'inf'"},
+                       render=lambda outputs: str(outputs["symbol"])),
+    "form-invariants": Command("full invariants of a form", _run_form_invariants,
+                               {"gram": "rows 'a,b;b,c' of the Gram matrix"}, classes=("w2",)),
+    "form-isometric": Command("decide isometry over Q", _run_form_isometric, {"gram1": None, "gram2": None},
+                              render=lambda outputs: "isometric" if outputs["isometric"] else "not isometric"),
+    "tracefield": Command("trace form report of Q[x]/(f)", _run_tracefield,
+                          {"poly": "ascending coefficients 'c0,c1,...'"}),
+    "embedding": Command("embedding problem decisions for a quartic", _run_embedding, {"poly": None},
+                         classes=("sw2", "sp2", "w2_trace")),
+    "jehanne": Command("local table pair for a quartic decomposition type", _run_jehanne,
+                       {"p": None, "type": "one of: unramified, 1^2,1,1  1^3,1  1^2,2  1^4  2^2  1^2,1^2",
+                        "disc": None}),
+    "hypersurface": Command("complete intersection middle-cohomology report", _run_hypersurface,
+                            {"n": None, "d": None, "degrees": "comma-separated multidegree"},
+                            optional=("d", "degrees"), classes=("w2_qB",)),
+    "delta": Command("comparison classes of two forms", _run_delta, {"gram_omega": None, "gram_eta": None},
+                     classes=("delta2",)),
 }
 
 
 def execute(command: str, params: dict):
     """Run one command; returns (outputs, assumptions).  Raises
     CLIInputError / DomainError on bad input."""
-    runner = COMMANDS.get(command)
-    if runner is None:
+    spec = COMMANDS.get(command)
+    if spec is None:
         raise CLIInputError(f"unknown command {command!r}")
     if not isinstance(params, dict):
         raise CLIInputError("parameters must be an object")
-    unknown = set(params) - set(_PARAM_KEYS[command])
-    if unknown:
-        raise CLIInputError(f"unknown parameters for {command}: {sorted(unknown)}")
-    return runner(params)
+    if not params.keys() <= spec.params.keys():  # a subset test builds no set
+        raise CLIInputError(f"unknown parameters for {command}: {sorted(params.keys() - spec.params.keys())}")
+    return spec.run(params)
 
 
 def make_report(req_id, command, inputs, outputs=None, assumptions=(), status="ok", error=None) -> dict:
@@ -258,6 +267,12 @@ def _render_exact(render, *args, **kwargs) -> str:
             sys.set_int_max_str_digits(saved)
 
 
+def _error_text(exc: Exception) -> str:
+    """str(exc) cut after 200 characters: messages echo rejected input."""
+    text = str(exc)
+    return text if len(text) <= 200 else f"{text[:200]}… ({len(text)} characters)"
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -284,47 +299,20 @@ def _build_parser() -> _Parser:
                "trial-division factorization (default 1000000).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def leaf(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    form = None  # added with its first leaf, so --help lists commands in table order
+    for name, spec in COMMANDS.items():
+        group, _, leaf = name.partition("-")
+        if leaf:
+            if form is None:
+                form = sub.add_parser(group, help="quadratic form computations").add_subparsers(
+                    dest="form_command", required=True)
+            p = form.add_parser(leaf, help=spec.help)
+        else:
+            p = sub.add_parser(name, help=spec.help)
+        p.set_defaults(name=name)
         p.add_argument("--json", action="store_true", help="emit one report object")
-        return p
-
-    p = leaf("hilbert", help="local Hilbert symbol (a, b)_v")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--place", required=True, help="prime or 'inf'")
-
-    form = sub.add_parser("form", help="quadratic form computations")
-    form_sub = form.add_subparsers(dest="form_command", required=True)
-    p = form_sub.add_parser("invariants", help="full invariants of a form")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--gram", required=True, help="rows 'a,b;b,c' of the Gram matrix")
-    p = form_sub.add_parser("isometric", help="decide isometry over Q")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--gram1", required=True)
-    p.add_argument("--gram2", required=True)
-
-    p = leaf("tracefield", help="trace form report of Q[x]/(f)")
-    p.add_argument("--poly", required=True, help="ascending coefficients 'c0,c1,...'")
-
-    p = leaf("embedding", help="embedding problem decisions for a quartic")
-    p.add_argument("--poly", required=True)
-
-    p = leaf("jehanne", help="local table pair for a quartic decomposition type")
-    p.add_argument("--p", required=True)
-    p.add_argument("--type", required=True, dest="type",
-                   help="one of: unramified, 1^2,1,1  1^3,1  1^2,2  1^4  2^2  1^2,1^2")
-    p.add_argument("--disc", required=True)
-
-    p = leaf("hypersurface", help="complete intersection middle-cohomology report")
-    p.add_argument("--n", required=True)
-    p.add_argument("--d")
-    p.add_argument("--degrees", help="comma-separated multidegree")
-
-    p = leaf("delta", help="comparison classes of two forms")
-    p.add_argument("--gram-omega", required=True, dest="gram_omega")
-    p.add_argument("--gram-eta", required=True, dest="gram_eta")
+        for key, text in spec.params.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, required=key not in spec.optional, help=text)
 
     p = sub.add_parser("batch", help="process JSON-Lines requests")
     p.add_argument("--in", required=True, dest="infile")
@@ -332,37 +320,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_PARAM_KEYS = {
-    "hilbert": ("a", "b", "place"),
-    "form-invariants": ("gram",),
-    "form-isometric": ("gram1", "gram2"),
-    "tracefield": ("poly",),
-    "embedding": ("poly",),
-    "jehanne": ("p", "type", "disc"),
-    "hypersurface": ("n", "d", "degrees"),
-    "delta": ("gram_omega", "gram_eta"),
-}
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
 
-def _render_class2(values: list) -> str:
-    return "{" + ", ".join(str(v) for v in values) + "}"
-
-
-def _render_human(command: str, outputs: dict) -> str:
-    if command == "hilbert":
-        return str(outputs["symbol"])
-    if command == "form-isometric":
-        return "isometric" if outputs["isometric"] else "not isometric"
+def _render_human(spec: Command, outputs: dict) -> str:
+    if spec.render is not None:
+        return spec.render(outputs)
     lines = []
     for key, value in outputs.items():
         if isinstance(value, list) and all(not isinstance(v, (list, dict)) for v in value):
-            if key in ("w2", "w2_qB", "sw2", "sp2", "w2_trace", "delta2"):
-                lines.append(f"{key}: {_render_class2(value)}")
+            if key in spec.classes:
+                lines.append(f"{key}: " + "{" + ", ".join(str(v) for v in value) + "}")
             else:
                 lines.append(f"{key}: {tuple(value)}")
         elif isinstance(value, dict):
@@ -421,10 +391,10 @@ def _process_request_line(line: str) -> dict:
         inputs = params if isinstance(params, dict) else {}
         outputs, assumptions = execute(command, params)
         return make_report(req_id, command, inputs, outputs, assumptions)
-    except (CLIInputError, DomainError) as exc:
-        return make_report(req_id, command, inputs, status="input_error", error=str(exc))
+    except DomainError as exc:
+        return make_report(req_id, command, inputs, status="input_error", error=_error_text(exc))
     except Exception as exc:  # noqa: BLE001 - keep the stream alive
-        return make_report(req_id, command, inputs, status="internal_error", error=str(exc))
+        return make_report(req_id, command, inputs, status="internal_error", error=_error_text(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +408,19 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "batch":
             return run_batch(args.infile, args.outfile)
-        command = args.command
-        if command == "form":
-            command = f"form-{args.form_command}"
-        params = {key: getattr(args, key, None) for key in _PARAM_KEYS[command]}
-        outputs, assumptions = execute(command, params)
+        spec = COMMANDS[args.name]
+        params = {key: getattr(args, key) for key in spec.params if getattr(args, key) is not None}
+        outputs, assumptions = execute(args.name, params)
         if args.json:
-            print(dump_report(make_report(None, command, {k: v for k, v in params.items() if v is not None},
-                                          outputs, assumptions)))
+            print(dump_report(make_report(None, args.name, params, outputs, assumptions)))
         else:
-            print(_render_exact(_render_human, command, outputs))
+            print(_render_exact(_render_human, spec, outputs))
         return 0
-    except (CLIInputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except DomainError as exc:
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - invariant violations exit distinctly
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {_error_text(exc)}", file=sys.stderr)
         return 2
 
 

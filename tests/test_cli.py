@@ -1,9 +1,12 @@
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from hassewitt import arith
-from hassewitt.cli import dump_report, execute, run
+from hassewitt.cli import COMMANDS, _build_parser, dump_report, execute, run
 from hassewitt.cohomology import Place, hilbert_symbol
 
 
@@ -259,7 +262,8 @@ def test_batch_unreadable_file(tmp_path, capsys):
 
 
 def test_help_exits_zero(capsys):
-    for argv in (["--help"], ["form", "--help"], ["hilbert", "--help"]):
+    leaves = [[*name.split("-"), "--help"] for name in COMMANDS]
+    for argv in (["--help"], ["form", "--help"], *leaves, ["batch", "--help"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 0
@@ -289,3 +293,92 @@ def test_batch_determinism(tmp_path, capsys):
         assert code == 0
         outs.append(outfile.read_text())
     assert outs[0] == outs[1]
+
+
+def _subcommands(parser) -> dict:
+    """name -> parser of the subcommands of an argparse parser, in order."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_table_params_are_leaf_flags():
+    top = _subcommands(_build_parser())
+    # the form group is created with its first leaf, so the table's order holds
+    assert list(top) == ["hilbert", "form", "tracefield", "embedding", "jehanne", "hypersurface", "delta",
+                         "batch"]
+    for name, spec in COMMANDS.items():
+        group, _, leaf = name.partition("-")
+        parser = _subcommands(top[group])[leaf] if leaf else top[name]
+        flags = {a.option_strings[0]: a for a in parser._actions if a.option_strings}
+        assert set(flags) == {"-h", "--json", *("--" + key.replace("_", "-") for key in spec.params)}, name
+        for key in spec.params:
+            action = flags["--" + key.replace("_", "-")]
+            assert action.dest == key, name
+            assert action.required == (key not in spec.optional), name
+
+
+# Human output of the non-batch README examples, captured before the command
+# table replaced the per-command argparse leaves.
+GOLDEN_HUMAN = [
+    ("hilbert --a -1 --b -1 --place inf", "-1\n"),
+    ("hilbert --a 2 --b -283 --place 283", "-1\n"),
+    ('form invariants --gram "2,0;0,-6"',
+     "rank: 2\nsignature: (1, 1)\ndisc: -3\nw1: -3\nw2: {2, 3}\nhasse_local: 2: -1, 3: -1\n"),
+    ('form isometric --gram1 "1,0;0,1" --gram2 "2,0;0,2"', "isometric\n"),
+    ('tracefield --poly "-1,1,0,0,1"',
+     "gram: [[4, 0, 0, -3], [0, 0, -3, 4], [0, -3, 4, 0], [-3, 4, 0, 3]]\ndisc_field: -283\nsignature: (3, 1)\n"
+     "invariants: rank: 4, signature: [3, 1], disc: -283, w1: -283, w2: [2, 283], "
+     "hasse_local: {'2': -1, '283': -1}\n"),
+    ('embedding --poly "-1,1,0,0,1"',
+     "field_disc: -283\nsw2: {}\nsp2: {2, 283}\nw2_trace: {2, 283}\nlift_solvable: False\n"
+     "lift_delta_solvable: True\nlocal_table: 2: [-1, -1], 283: [-1, -1], inf: [1, 1]\n"),
+    ('jehanne --p 283 --type "1^2,1,1" --disc -283', "w2_p: -1\nsymbol_p: -1\n"),
+    ("hypersurface --n 2 --d 3",
+     "chi: 9\nb_n: 7\ntau_mod8: 3\nm: 4\nm_prime: 2\nw1_qB: 1\nw2_qB: {2, inf}\n"
+     "delta1: numeric: -1, tokens: ['disc_d(f)']\ndelta2: numeric: [2, 'inf'], tokens: ['w2(q_dR)']\n"),
+    ("hypersurface --n 2 --degrees 2,3",
+     "chi: 24\nb_n: 22\ntau_mod8: 0\nm: 22\nm_prime: 11\nw1_qB: -1\nw2_qB: {2, inf}\n"
+     "delta1: None\ndelta2: None\n"),
+    ('delta --gram-omega "1,0;0,1" --gram-eta "2,0;0,-6"', "delta1: -3\ndelta2: {2, 3}\n"),
+]
+
+
+@pytest.mark.parametrize("line, expected", GOLDEN_HUMAN, ids=[line for line, _ in GOLDEN_HUMAN])
+def test_human_output_golden(capsys, line, expected):
+    argv = shlex.split(line)
+    assert run_capture(capsys, argv) == (0, expected, "")
+    code, out, _ = run_capture(capsys, argv + ["--json"])
+    assert code == 0
+    report = json.loads(out)
+    # the --json report and the batch path read the same table entry
+    assert report["outputs"] == execute(report["command"], report["inputs"])[0]
+
+
+def test_readme_examples_run(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hassewitt ")]
+    examples = [argv for argv in examples if argv[0] != "batch"]
+    assert examples
+    for argv in examples:
+        code, _, err = run_capture(capsys, argv)
+        assert code == 0, (argv, err)
+
+
+def test_long_input_echo_is_capped(capsys):
+    code, out, err = run_capture(capsys, ["hilbert", "--a", "7" * 5000, "--b", "3", "--place", "5"])
+    assert (code, out) == (1, "")
+    # the message is "cannot parse rational '77...7'": 23 + 5000 + 1 characters
+    assert err == "error: cannot parse rational '" + "7" * 177 + "… (5024 characters)\n"
+
+
+def test_batch_long_input_echo_is_capped(tmp_path, capsys):
+    infile = tmp_path / "in.jsonl"
+    outfile = tmp_path / "out.jsonl"
+    poly = "1," + "7" * 5000 + ",1"
+    infile.write_text(json.dumps({"id": "t", "command": "tracefield", "parameters": {"poly": poly}}) + "\n")
+    code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert code == 0
+    report = json.loads(outfile.read_text())
+    assert report["status"] == "input_error"
+    assert report["error"] == "cannot parse rational '" + "7" * 177 + "… (5024 characters)"
+    assert report["inputs"] == {"poly": poly}
