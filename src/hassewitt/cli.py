@@ -13,6 +13,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -349,19 +350,17 @@ def _render_human(spec: Command, outputs: dict) -> str:
 
 
 def run_batch(infile: str, outfile: str) -> int:
-    try:
-        stream = open(infile, "r", encoding="utf-8") if infile != "-" else sys.stdin
-    except OSError as exc:
-        print(f"error: cannot read {infile}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        out = open(outfile, "w", encoding="utf-8") if outfile != "-" else sys.stdout
-    except OSError as exc:
-        print(f"error: cannot write {outfile}: {exc}", file=sys.stderr)
-        if stream is not sys.stdin:
-            stream.close()
-        return 1
-    with stream, out:
+    with contextlib.ExitStack() as opened:  # closes files it opened, never stdin or stdout
+        try:
+            stream = opened.enter_context(open(infile, "r", encoding="utf-8")) if infile != "-" else sys.stdin
+        except OSError as exc:
+            print(f"error: cannot read {infile}: {exc}", file=sys.stderr)
+            return 1
+        try:
+            out = opened.enter_context(open(outfile, "w", encoding="utf-8")) if outfile != "-" else sys.stdout
+        except OSError as exc:
+            print(f"error: cannot write {outfile}: {exc}", file=sys.stderr)
+            return 1
         for line in stream:
             if not line.strip():
                 continue

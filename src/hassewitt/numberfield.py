@@ -4,16 +4,18 @@ The algebra Q[x]/(f) carries the symmetric pairing (u, v) -> trace(u*v);
 its Gram matrix in the power basis is the Hankel matrix of power sums of
 the roots, which Newton's identities produce from the coefficients without
 ever touching a root.  Resultants run through the subresultant polynomial
-remainder sequence over the integers, real root counts through Sturm
-chains, and residue factorization patterns through distinct-degree
-factorization over F_p, which gives the degree and count of the factors:
-x**p mod f is computed once per squarefree part, and the higher Frobenius
-powers x**(p**i) come from the Frobenius matrix.
+remainder sequence over the integers.  The discriminant and the real
+signature come from one such sequence of (f, f'), run once per algebra:
+its members are signed multiples of the Sturm sequence.  Residue
+factorization patterns come from distinct-degree factorization over F_p,
+which gives the degree and count of the factors: x**p mod f is computed
+once per squarefree part, and the higher Frobenius powers x**(p**i) come
+from the Frobenius matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as igcd
 from math import lcm, prod
@@ -160,8 +162,16 @@ def _int_content(cs: Sequence[int]) -> int:
     return g or 1
 
 
-def _subresultant_res(a: list[int], b: list[int]) -> int:
-    """Resultant of nonzero integer polynomials by the subresultant PRS."""
+def _subresultant_res(a: list[int], b: list[int]) -> tuple[int, int]:
+    """(Res(a, b), V(-inf) - V(+inf)) for nonzero integer polynomials by
+    one subresultant PRS; the count needs deg a >= deg b and Res != 0.
+
+    Member P_k is a multiple of sign eps_k of the Sturm member S_k (S_0 = a,
+    S_1 = b, S_(k+1) = -rem(S_(k-1), S_k)), and V counts sign changes of the
+    S_k.  P_(k+1) = prem(P_(k-1), P_k) / (g * h**delta) gives
+    eps_(k+1) = -eps_(k-1) * sign(lc P_k)**(delta + 1) * sign(g * h**delta).
+    For b = a' the count is the number of real roots of a (Sturm).
+    """
     da, db = len(a) - 1, len(b) - 1
     sign = 1
     if da < db:
@@ -169,13 +179,18 @@ def _subresultant_res(a: list[int], b: list[int]) -> int:
         da, db = db, da
         if (da * db) % 2:
             sign = -1
+    # signs of the Sturm members at +inf (hi) and -inf (lo); count is V(-inf) - V(+inf) so far
+    hi_a, hi_b = (1 if a[-1] > 0 else -1), (1 if b[-1] > 0 else -1)
+    lo_a, lo_b = hi_a * (-1) ** da, hi_b * (-1) ** db
+    count = (lo_a != lo_b) - (hi_a != hi_b)
     if db == 0:
-        return sign * b[0] ** da
+        return sign * b[0] ** da, count
     ca, cb = _int_content(a), _int_content(b)
     a = [c // ca for c in a]
     b = [c // cb for c in b]
     scale = ca**db * cb**da
     g = h = 1
+    eps_a = eps_b = 1
     while True:
         da, db = len(a) - 1, len(b) - 1
         delta = da - db
@@ -198,9 +213,14 @@ def _subresultant_res(a: list[int], b: list[int]) -> int:
         if missing:
             r = [c * lb**missing for c in r]
         if not r:
-            return 0
+            return 0, count
         denom = g * h**delta
+        eps_a, eps_b = eps_b, -eps_a * (1 if lb > 0 or delta % 2 else -1) * (1 if denom > 0 else -1)
         a, b = b, [c // denom for c in r]
+        hi = eps_b * (1 if b[-1] > 0 else -1)
+        lo = hi if len(b) % 2 else -hi  # times (-1)**deg
+        count += (lo != lo_b) - (hi != hi_b)
+        lo_b, hi_b = lo, hi
         g = a[-1]
         if delta:
             num = g**delta
@@ -208,7 +228,7 @@ def _subresultant_res(a: list[int], b: list[int]) -> int:
         if len(b) - 1 == 0:
             da = len(a) - 1
             res = b[0] ** da // h ** (da - 1) if da >= 1 else b[0]
-            return sign * scale * res
+            return sign * scale * res, count
 
 
 def resultant(f: Poly, g: Poly) -> Fraction:
@@ -221,8 +241,20 @@ def resultant(f: Poly, g: Poly) -> Fraction:
         return g.coeffs[0] ** f.degree
     df, fi = f.integer_coeffs()
     dg, gi = g.integer_coeffs()
-    res = _subresultant_res(fi, gi)
+    res, _ = _subresultant_res(fi, gi)
     return Fraction(res, df**g.degree * dg**f.degree)
+
+
+def _disc_and_real_roots(f: Poly) -> tuple[Fraction, int]:
+    """(disc f, number of real roots of f) for deg f >= 1, from one PRS.
+    disc f = 0 exactly when f has a repeated root; the count is then void."""
+    d, fi = f.integer_coeffs()
+    res, count = _subresultant_res(fi, [i * c for i, c in enumerate(fi)][1:])
+    n = f.degree
+    # disc f = (-1)**(n(n-1)/2) * Res(f, f') / lc f, where
+    # Res(d*f, d*f') = d**(2n - 1) * Res(f, f') and d * lc f = fi[-1]
+    disc = Fraction(res, d ** (2 * n - 2) * fi[-1])
+    return (-disc if (n * (n - 1) // 2) % 2 else disc), count
 
 
 def discriminant(f: Poly) -> Fraction:
@@ -232,13 +264,9 @@ def discriminant(f: Poly) -> Fraction:
     """
     if f.is_zero or not f.is_monic:
         raise DomainError("discriminant requires a monic polynomial")
-    d = f.degree
-    if d < 1:
+    if f.degree < 1:
         raise DomainError("discriminant requires degree >= 1")
-    if d == 1:
-        return Fraction(1)
-    res = resultant(f, f.derivative())
-    return -res if (d * (d - 1) // 2) % 2 else res
+    return _disc_and_real_roots(f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +276,13 @@ def discriminant(f: Poly) -> Fraction:
 
 @dataclass(frozen=True)
 class EtaleAlgebra:
-    """Q[x]/(f) for monic squarefree f; reducible f models a product of fields."""
+    """Q[x]/(f) for monic squarefree f; reducible f models a product of fields.
+
+    disc f and the real root count come from the constructor's one PRS."""
 
     poly: Poly
+    disc: Fraction = field(compare=False)
+    real_roots: int = field(compare=False)
 
     def __init__(self, poly: "Poly | Iterable"):
         if not isinstance(poly, Poly):
@@ -259,9 +291,12 @@ class EtaleAlgebra:
             raise DomainError("defining polynomial must have degree >= 1")
         if not poly.is_monic:
             raise DomainError("defining polynomial must be monic")
-        if not poly.is_squarefree():
+        disc, real_roots = _disc_and_real_roots(poly)
+        if disc == 0:
             raise DomainError("defining polynomial must be squarefree")
         object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "real_roots", real_roots)
 
     @property
     def degree(self) -> int:
@@ -319,7 +354,7 @@ def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
     inv = invariants(gram)
     r1, r2 = real_signature(algebra)
     # for monic f, det of the trace Gram matrix is disc(f) exactly
-    if prod(diagonalize(gram).entries) != discriminant(algebra.poly):
+    if prod(diagonalize(gram).entries) != algebra.disc:
         raise InternalError("trace form discriminant mismatch")
     report = TraceFormReport(
         gram=gram,
@@ -337,51 +372,19 @@ def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
 # ---------------------------------------------------------------------------
 
 
-def _sign_at_infinity(p: Poly, positive: bool) -> int:
-    lead = p.leading
-    s = 1 if lead > 0 else -1
-    if not positive and p.degree % 2:
-        s = -s
-    return s
-
-
-def _primitive_int(p: Poly) -> Poly:
-    # positive rescaling only: sign data is what Sturm chains consume
-    _, cs = p.integer_coeffs()
-    c = _int_content(cs)
-    return Poly([Fraction(x, c) for x in cs])
-
-
-def sturm_chain(f: Poly) -> list[Poly]:
-    chain = [_primitive_int(f), _primitive_int(f.derivative())]
-    while chain[-1].degree > 0:
-        r = chain[-2] % chain[-1]
-        if r.is_zero:
-            raise DomainError("Sturm chain requires a squarefree polynomial")
-        chain.append(_primitive_int(-r))
-    return chain
-
-
 def count_real_roots(f: Poly) -> int:
     """Number of real roots of a squarefree polynomial."""
     if f.is_zero or f.degree < 1:
         return 0
-    chain = sturm_chain(f)
-
-    def variations(positive: bool) -> int:
-        signs = []
-        for p in chain:
-            if p.is_zero:
-                continue
-            signs.append(_sign_at_infinity(p, positive) if p.degree > 0 else (1 if p.coeffs[0] > 0 else -1))
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return variations(False) - variations(True)
+    disc, count = _disc_and_real_roots(f)
+    if disc == 0:
+        raise DomainError("real root count requires a squarefree polynomial")
+    return count
 
 
 def real_signature(algebra: EtaleAlgebra) -> tuple[int, int]:
     """(r1, r2): real roots and conjugate pairs of the defining polynomial."""
-    r1 = count_real_roots(algebra.poly)
+    r1 = algebra.real_roots
     d = algebra.degree
     if (d - r1) % 2:
         raise InternalError("parity of complex roots broken")

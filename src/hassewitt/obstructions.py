@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .arith import factor
 from .cohomology import (
     CohClass2,
     INF,
@@ -32,11 +31,10 @@ from .cohomology import (
     cup,
     cup_sum,
     hilbert_symbol,
-    localize,
 )
 from .errors import DomainError
 from .forms import QuadraticForm, invariants
-from .numberfield import EtaleAlgebra, discriminant, trace_gram
+from .numberfield import EtaleAlgebra, trace_gram
 
 QUARTIC_ASSUMPTIONS = (
     "defining quartic is irreducible over Q with Galois closure of group S4",
@@ -46,7 +44,7 @@ QUARTIC_ASSUMPTIONS = (
 
 def sp2_permutation(algebra: EtaleAlgebra) -> CohClass2:
     """Spinor class of the permutation representation: (2) cup (disc f)."""
-    return cup(SquareClass(2), SquareClass(discriminant(algebra.poly)))
+    return cup(SquareClass(2), SquareClass(algebra.disc))
 
 
 def sw2_permutation(algebra: EtaleAlgebra) -> CohClass2:
@@ -178,21 +176,15 @@ def lifting_decisions(algebra: EtaleAlgebra) -> LiftReport:
     vanishing alone."""
     if algebra.degree != 4:
         raise DomainError("lifting decisions are defined for quartics only")
-    disc_class = SquareClass(discriminant(algebra.poly))
-    w2_trace = invariants(trace_gram(algebra)).w2
-    sp2 = sp2_permutation(algebra)
-    sw2 = w2_trace + sp2
-
-    places = {INF, Place.finite(2)}
-    places.update(w2_trace.support)
-    places.update(sp2.support)
-    for q, _ in factor(disc_class.rep).factors:
-        places.add(Place.finite(q))
+    inv = invariants(trace_gram(algebra))
+    disc_class, w2_trace = inv.w1, inv.w2  # det of the trace form is disc f
+    # {inf} and the hasse_local keys cover 2, the finite places of w2 and
+    # the odd primes of disc f, so they hold the supports of w2 and sp2
     table = {}
-    for v in sorted(places):
-        w_loc = -1 if localize(w2_trace, v) else 1
-        sym = hilbert_symbol(2, disc_class, v)
-        table[v] = (w_loc, sym)
+    for v in sorted({INF, *inv.hasse_local}):
+        table[v] = (-1 if v in w2_trace else 1, hilbert_symbol(2, disc_class, v))
+    sp2 = CohClass2(v for v, (_, sym) in table.items() if sym == -1)
+    sw2 = w2_trace + sp2
 
     return LiftReport(
         field_disc=disc_class,

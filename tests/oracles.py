@@ -2,14 +2,16 @@
 
 Each of these recomputes a quantity by a route disjoint from the library
 implementation: naive trial division instead of rho, Sylvester
-determinants instead of remainder sequences, companion matrix powers
-instead of Newton recursions, exhaustive squaring instead of Euler's
-criterion, full series convolution instead of the division recurrence,
-a fresh x**(p**i) mod g per degree instead of the Frobenius matrix.
+determinants instead of remainder sequences, a Fraction Sturm chain
+instead of the signs carried by the integer subresultant sequence,
+companion matrix powers instead of Newton recursions, exhaustive squaring
+instead of Euler's criterion, full series convolution instead of the
+division recurrence, a fresh x**(p**i) mod g per degree instead of the
+Frobenius matrix.
 """
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 import random
 
 from hassewitt.forms import QuadraticForm
@@ -98,6 +100,30 @@ def sylvester_resultant(f: Poly, g: Poly) -> Fraction:
                 for c in range(col, size):
                     matrix[r][c] -= factor * matrix[col][c]
     return det
+
+
+def naive_count_real_roots(f: Poly) -> int:
+    """Real roots of a squarefree polynomial by a Fraction Sturm chain
+    S_0 = f, S_1 = f', S_(k+1) = -(S_(k-1) mod S_k), each member rescaled
+    by a positive rational, with sign variations counted at -inf and +inf."""
+
+    def primitive(p: Poly) -> Poly:
+        _, cs = p.integer_coeffs()
+        c = gcd(*cs)
+        return Poly([Fraction(x, c) for x in cs])
+
+    chain = [primitive(f), primitive(f.derivative())]
+    while chain[-1].degree > 0:
+        r = chain[-2] % chain[-1]
+        if r.is_zero:
+            raise ValueError("Sturm chain requires a squarefree polynomial")
+        chain.append(primitive(-r))
+
+    def variations(positive: bool) -> int:
+        signs = [(1 if p.leading > 0 else -1) * (1 if positive or p.degree % 2 == 0 else -1) for p in chain]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(False) - variations(True)
 
 
 def companion_power_traces(f: Poly, upto: int) -> list[Fraction]:

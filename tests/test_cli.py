@@ -1,6 +1,8 @@
 import argparse
+import io
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,6 +255,16 @@ def test_batch_bad_command_and_params(tmp_path, capsys):
     assert len(lines) == 4
     assert all(r["status"] == "input_error" for r in lines)
     assert [r["id"] for r in lines] == [1, 2, 3, None]
+
+
+def test_batch_leaves_stdio_open(monkeypatch):
+    request = {"id": "s", "command": "hilbert", "parameters": {"a": -1, "b": -1, "place": "inf"}}
+    stdin, stdout = io.StringIO(json.dumps(request) + "\n"), io.StringIO()
+    monkeypatch.setattr(sys, "stdin", stdin)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["batch", "--in", "-", "--out", "-"]) == 0
+    assert not stdin.closed and not stdout.closed
+    assert json.loads(stdout.getvalue())["outputs"] == {"symbol": -1}
 
 
 def test_batch_unreadable_file(tmp_path, capsys):

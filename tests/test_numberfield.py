@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,13 @@ from hassewitt.numberfield import (
     trace_gram,
 )
 
-from oracles import companion_power_traces, naive_distinct_degree, naive_is_prime, sylvester_resultant
+from oracles import (
+    companion_power_traces,
+    naive_count_real_roots,
+    naive_distinct_degree,
+    naive_is_prime,
+    sylvester_resultant,
+)
 
 X4_X_1 = Poly([-1, 1, 0, 0, 1])            # x^4 + x - 1
 X4_X3_2X_1 = Poly([-1, -2, 0, 1, 1])       # x^4 + x^3 - 2x - 1
@@ -165,6 +172,92 @@ def test_real_signature_examples():
     assert real_signature(EtaleAlgebra(Poly([1, 0, 1]))) == (0, 1)
     assert count_real_roots(Poly([-2, 0, 1])) == 2
     assert count_real_roots(Poly([2, 0, 1])) == 0
+
+
+def test_repeated_roots_rejected():
+    x = Poly([0, 1])
+    for f in (Poly([-1, 1]) * Poly([-1, 1]) * Poly([2, 1]), x * x * Poly([1, 0, 1])):
+        for g in (f, f.scale(Fraction(-3, 2))):
+            with pytest.raises(DomainError):
+                count_real_roots(g)
+        with pytest.raises(DomainError):
+            EtaleAlgebra(f)
+
+
+def _shift(f, t):
+    """f(x - t), by Horner's rule in the shifted variable."""
+    out = Poly([])
+    for c in reversed(f.coeffs):
+        out = out * Poly([-t, 1]) + Poly([c])
+    return out
+
+
+def test_real_root_count_by_construction():
+    rng = random.Random(141)
+    for _ in range(120):
+        roots = rng.sample(range(-12, 13), rng.randint(0, 4))
+        quads = rng.sample([(b, c) for b in range(-4, 5) for c in range(1, 8) if b * b < 4 * c], rng.randint(0, 2))
+        if not roots and not quads:
+            continue
+        f = Poly([1])
+        for r in roots:
+            f = f * Poly([-r, 1])
+        for b, c in quads:
+            f = f * Poly([c, b, 1])
+        t = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        scaled = _shift(f, t).scale(Fraction(-rng.randint(1, 9), rng.randint(1, 4)))
+        assert count_real_roots(scaled) == len(roots), (roots, quads, t)
+    for n in range(1, 9):
+        for a in (Fraction(3), Fraction(-3), Fraction(5, 7), Fraction(-2, 9)):
+            expected = 1 if n % 2 else (2 if a > 0 else 0)
+            binomial = Poly([-a] + [0] * (n - 1) + [1])
+            assert count_real_roots(binomial) == expected, (n, a)
+            assert count_real_roots(binomial.scale(-1)) == expected, (n, a)
+
+
+def test_real_root_count_matches_sturm_chain():
+    # sparse inputs make the remainder sequence skip degrees (delta >= 2)
+    x5 = Poly([1, -1, 0, 0, 0, 1])  # x^5 - x + 1: members of degree 5, 4, 1, 0, so delta = 3
+    cases = [x5, x5.scale(-2), Poly([-1, 0, 0, 0, 0, 0, 0, 1]), Poly([1, 0, -3, 0, 0, 0, 0, 0, 1])]
+    rng = random.Random(142)
+    while len(cases) < 400:
+        d = rng.randint(1, 9)
+        if rng.random() < 0.4:
+            coeffs = [Fraction(rng.randint(-5, 5)) if rng.random() < 0.3 else Fraction(0) for _ in range(d)]
+            f = Poly(coeffs + [Fraction(rng.choice([-3, -1, 1, 2]))])
+        else:
+            f = _random_poly(rng, d)
+        if f.is_squarefree():
+            cases.append(f)
+    for f in cases:
+        assert count_real_roots(f) == naive_count_real_roots(f), f
+
+
+def _count_calls(monkeypatch, name, counts):
+    """Count calls of numberfield.<name> through every hassewitt module
+    that binds it."""
+    real = getattr(numberfield, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("hassewitt") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+
+
+def test_one_remainder_sequence_per_request(monkeypatch):
+    from hassewitt import cli
+
+    counts = {}
+    for name in ("_subresultant_res", "discriminant", "count_real_roots", "resultant"):
+        _count_calls(monkeypatch, name, counts)
+    for command, poly in (("tracefield", "-1,1,0,0,1"), ("tracefield", "1/2,0,-3,1"),
+                          ("embedding", "-1,-2,0,1,1"), ("embedding", "-2,0,-10,0,1")):
+        counts.clear()
+        cli.execute(command, {"poly": poly})
+        assert counts == {"_subresultant_res": 1}, (command, poly, counts)
 
 
 def test_signature_matches_trace_form_diagonalization():

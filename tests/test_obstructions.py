@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from hassewitt.arith import factor
 from hassewitt.cohomology import INF, CohClass2, Place, SquareClass, cup, localize
 from hassewitt.errors import DomainError
 from hassewitt.forms import diagonal_form, invariants, standard_form
@@ -103,6 +105,31 @@ def test_lifting_decisions_local_table():
     assert report.local_table[Place.finite(2)] == (-1, -1)
     assert report.local_table[INF] == (1, 1)
     assert tuple(report.assumptions)  # quartic hypotheses are recorded
+
+
+def test_lifting_decisions_agree_with_direct_classes():
+    # the report reads disc, sp2 and the table places off the trace form
+    rng = random.Random(171)
+    checked = 0
+    while checked < 90:
+        kind = checked % 3
+        if kind == 0:
+            f = Poly([rng.randint(-9, 9) for _ in range(4)] + [1])
+        elif kind == 1:  # reducible: a product of two monic quadratics
+            f = Poly([rng.randint(-9, 9), rng.randint(-5, 5), 1]) * Poly([rng.randint(-9, 9), rng.randint(-5, 5), 1])
+        else:
+            f = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)] + [1])
+        if not f.is_squarefree():
+            continue
+        checked += 1
+        alg = EtaleAlgebra(f)
+        report = lifting_decisions(alg)
+        assert report.field_disc == SquareClass(discriminant(f)), f
+        assert report.sp2 == sp2_permutation(alg) == cup(2, discriminant(f)), f
+        assert report.sw2 == sw2_permutation(alg), f
+        places = {INF, Place.finite(2), *report.w2_trace.support, *report.sp2.support}
+        places.update(Place.finite(q) for q, _ in factor(report.field_disc.rep).factors)
+        assert set(report.local_table) == places, f
 
 
 def test_lifting_decisions_requires_quartic():
