@@ -49,6 +49,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction reads "1e100000" as an integer of 100,001 digits: a short
+        # string past the 4,300-digit literal limit, so exponents are refused
+        if "e" in value or "E" in value:
+            raise CLIInputError(f"exponent notation is not accepted, write p/q: {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError):

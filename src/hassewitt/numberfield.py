@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as igcd
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Sequence
 
 from .arith import is_prime
 from .errors import DomainError, InternalError
-from .forms import FormInvariants, QuadraticForm, diagonalize, invariants
+from .forms import FormInvariants, QuadraticForm, invariants
 from .cohomology import SquareClass
 
 
@@ -354,7 +354,7 @@ def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
     inv = invariants(gram)
     r1, r2 = real_signature(algebra)
     # for monic f, det of the trace Gram matrix is disc(f) exactly
-    if prod(diagonalize(gram).entries) != algebra.disc:
+    if gram.det != algebra.disc:
         raise InternalError("trace form discriminant mismatch")
     report = TraceFormReport(
         gram=gram,

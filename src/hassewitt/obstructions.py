@@ -26,6 +26,7 @@ from typing import Iterable, Union
 from .cohomology import (
     CohClass2,
     INF,
+    MINUS_ONE,
     Place,
     SquareClass,
     cup,
@@ -261,12 +262,13 @@ def delta_comparison(q_base: QuadraticForm, q_twist: QuadraticForm) -> DeltaPair
         delta1 = w1(q) + w1(q')
         delta2 = w2(q) + w1(q).w1(q) + w1(q).w1(q') + w2(q')
 
-    written additively in the mod-2 cohomology ring.
+    written additively in the mod-2 cohomology ring.  By bilinearity and
+    (x, x) = (x, -1), the two cups are the one cup w1(q).(-w1(q')).
     """
     if q_base.rank != q_twist.rank:
         raise DomainError("comparison requires forms of equal rank")
     a = invariants(q_base)
     b = invariants(q_twist)
     delta1 = a.w1 * b.w1
-    delta2 = a.w2 + cup(a.w1, a.w1) + cup(a.w1, b.w1) + b.w2
+    delta2 = a.w2 + b.w2 + cup(a.w1, MINUS_ONE * b.w1)
     return DeltaPair(delta1, delta2)

@@ -7,13 +7,17 @@ instead of the signs carried by the integer subresultant sequence,
 companion matrix powers instead of Newton recursions, exhaustive squaring
 instead of Euler's criterion, full series convolution instead of the
 division recurrence, a fresh x**(p**i) mod g per degree instead of the
-Frobenius matrix.
+Frobenius matrix, Fraction pivots and a Hilbert symbol per pair of
+diagonal entries instead of leading minors and their local classes.
 """
 
 from fractions import Fraction
 from math import comb, gcd, prod
 import random
 
+from hassewitt.arith import factor, squarefree_part
+from hassewitt.cohomology import INF, Place, hilbert_symbol
+from hassewitt.errors import DomainError
 from hassewitt.forms import QuadraticForm
 from hassewitt.numberfield import Poly, _fp_divmod, _fp_gcd, _fp_trim
 
@@ -144,6 +148,74 @@ def companion_power_traces(f: Poly, upto: int) -> list[Fraction]:
         ]
         traces.append(sum(power[i][i] for i in range(d)))
     return traces
+
+
+def naive_eliminate(rows) -> tuple[Fraction, ...]:
+    """Pivots of a symmetric Gaussian elimination in Fraction arithmetic:
+    a congruent diagonal.
+
+    A zero pivot with a nonzero off-diagonal entry in its row is repaired
+    by the congruence e_i <- e_i +- e_j.  Every move has determinant 1, so
+    the product of the pivots is the determinant.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+
+    def add_into(i: int, j: int, s: int) -> None:
+        for k in range(n):
+            m[i][k] += s * m[j][k]
+        for k in range(n):
+            m[k][i] += s * m[k][j]
+
+    entries = []
+    for i in range(n):
+        if m[i][i] == 0:
+            for j in range(i + 1, n):
+                if m[i][j] != 0:
+                    # one of the two signs always produces a nonzero pivot
+                    s = 1 if m[i][i] + 2 * m[i][j] + m[j][j] != 0 else -1
+                    add_into(i, j, s)
+                    break
+            else:
+                raise DomainError("Gram matrix is degenerate")
+        pivot = m[i][i]
+        for j in range(i + 1, n):
+            if m[j][i]:
+                f = m[j][i] / pivot
+                for k in range(n):
+                    m[j][k] -= f * m[i][k]
+                for k in range(n):
+                    m[k][j] -= f * m[k][i]
+        entries.append(m[i][i])
+    return tuple(entries)
+
+
+def naive_form_invariants(rows) -> dict:
+    """The `form-invariants` report of a Gram matrix from naive_eliminate's
+    diagonal: the Hasse unit at each place as the product of (a_i, a_j)_v
+    over all pairs i < j, at inf, 2 and every prime of some entry, and the
+    determinant class as squarefree_part(det)."""
+    diag = naive_eliminate(rows)
+    neg = sum(1 for a in diag if a < 0)
+    disc = squarefree_part(prod(diag))
+    places = {2}
+    for a in diag:
+        places.update(p for p, _ in factor(a.numerator * a.denominator).factors)
+    units = {}
+    for v in [Place.finite(p) for p in places] + [INF]:
+        units[v] = prod(hilbert_symbol(diag[i], diag[j], v)
+                        for i in range(len(diag)) for j in range(i + 1, len(diag)))
+    w2 = sorted(v for v, s in units.items() if s == -1)
+    hasse = {v: s for v, s in units.items()
+             if not v.is_infinite and (v.prime == 2 or s == -1 or disc % v.prime == 0)}
+    return {
+        "rank": len(diag),
+        "signature": [len(diag) - neg, neg],
+        "disc": disc,
+        "w1": disc,
+        "w2": [v.to_json() for v in w2],
+        "hasse_local": {repr(v): s for v, s in sorted(hasse.items())},
+    }
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> list[list[int]]:

@@ -226,6 +226,41 @@ def test_batch_oversize_integer_literal_is_input_error(tmp_path, capsys):
     assert good["id"] == "next"
 
 
+# Fraction would read these as integers of 100,001 and 10**9 + 1 digits
+EXPONENT_LITERALS = ("1e100000", "1e1000000000")
+
+
+@pytest.mark.parametrize("literal", EXPONENT_LITERALS)
+def test_batch_exponent_literal_is_input_error(tmp_path, capsys, literal):
+    infile = tmp_path / "in.jsonl"
+    outfile = tmp_path / "out.jsonl"
+    requests = [
+        {"id": "h", "command": "hilbert", "parameters": {"a": literal, "b": 3, "place": 5}},
+        {"id": "f", "command": "form-invariants", "parameters": {"gram": [[literal]]}},
+        {"id": "next", "command": "hilbert", "parameters": {"a": 3, "b": 5, "place": 7}},
+    ]
+    infile.write_text("".join(json.dumps(r) + "\n" for r in requests))
+    code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert code == 0
+    hilbert, form, good = [json.loads(line) for line in outfile.read_text().splitlines()]
+    for bad in (hilbert, form):
+        assert bad["status"] == "input_error"
+        assert bad["error"] == f"exponent notation is not accepted, write p/q: '{literal}'"
+    assert good["status"] == "ok"
+
+
+@pytest.mark.parametrize("literal", EXPONENT_LITERALS)
+def test_exponent_literal_exits_one(capsys, literal):
+    for argv in (
+        ["hilbert", "--a", literal, "--b", "3", "--place", "5"],
+        ["hilbert", "--a", "3", "--b", literal.upper(), "--place", "inf"],
+        ["form", "invariants", "--gram", f"1,0;0,{literal}"],
+    ):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert "exponent notation" in err, argv
+
+
 def test_batch_empty_file(tmp_path, capsys):
     infile = tmp_path / "in.jsonl"
     outfile = tmp_path / "out.jsonl"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -50,6 +51,28 @@ def test_diagonalize_zero_diagonal_block():
     d = diagonalize(q)
     assert len(d.entries) == 3
     assert isometric(q, d.form())
+
+
+# Pivots of the elimination as released before the integer kernel, which
+# ran the same pivot choice and e_i <- e_i +- e_j repair in Fraction
+# arithmetic, with the determinant of each Gram matrix.
+PINNED_PIVOTS = [
+    ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], ("2", "-1/2", "-12"), 12),
+    ([[0, "1/2", "1/3"], ["1/2", "2/3", "-1/4"], ["1/3", "-1/4", 0]], ("5/3", "-3/20", "17/27"), Fraction(-17, 108)),
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, "3/2"], [0, 0, "3/2", 0]], ("2", "-1/2", "3", "-3/4"), Fraction(9, 4)),
+    ([["1/3", 0], [0, 3]], ("1/3", "3"), 1),
+    ([[2, 1, 0], [1, 0, 1], [0, 1, 0]], ("2", "-1/2", "2"), -2),
+    ([[0, -1], [-1, 2]], ("4", "-1/4"), -1),  # the repair takes e_1 - e_2
+    ([[0, 1], [1, -2]], ("-4", "1/4"), -1),
+]
+
+
+@pytest.mark.parametrize("rows, pivots, det", PINNED_PIVOTS)
+def test_diagonalize_pinned_pivots(rows, pivots, det):
+    q = QuadraticForm([[Fraction(x) for x in row] for row in rows])
+    d = diagonalize(q)
+    assert d.entries == tuple(Fraction(x) for x in pivots)
+    assert prod(d.entries) == det == q.det
 
 
 def test_invariants_standard_form():

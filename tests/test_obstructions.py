@@ -306,6 +306,16 @@ def test_delta_composition_identity():
         assert delta_comparison(q2, q1).delta1 == d12.delta1
 
 
+def test_delta2_one_cup_matches_two_cups():
+    rng = random.Random(1729)
+    for _ in range(220):
+        n = rng.randint(1, 5)
+        q1 = random_nondegenerate_symmetric(rng, n, 30)
+        q2 = random_nondegenerate_symmetric(rng, n, 30)
+        a, b = invariants(q1), invariants(q2)
+        assert delta_comparison(q1, q2).delta2 == a.w2 + cup(a.w1, a.w1) + cup(a.w1, b.w1) + b.w2
+
+
 def test_jehanne_proves_p_prime_once(monkeypatch):
     from hassewitt import arith
 
