@@ -256,17 +256,6 @@ def legendre(a: int, p: int) -> int:
     return _jacobi(a, p)
 
 
-def legendre_fraction(a: Fraction, p: int) -> int:
-    """legendre() extended to rational p-adic units (odd denominator part).
-
-    p must be an odd prime; it is not re-checked here, because every caller
-    holds a ``Place`` whose constructor proved p prime."""
-    num, den = a.numerator, a.denominator
-    if num % p == 0 or den % p == 0:
-        raise DomainError(f"{a} is not a unit at {p}")
-    return _jacobi(num * den, p)
-
-
 def padic_split(q: Fraction, p: int) -> tuple[int, Fraction]:
     """Write q = p**v * u with u a p-adic unit; returns (v, u)."""
     if q == 0:

@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple
 
 from .cohomology import Place, hilbert_symbol
@@ -43,21 +44,36 @@ class CLIInputError(DomainError):
 # ---------------------------------------------------------------------------
 
 
-def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
+# a plain ASCII integer or p/q, read without building a Fraction
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_ratio(value) -> tuple[int, int]:
+    """A rational parameter as (numerator, denominator) in lowest terms.  A
+    JSON int or a plain p/q string goes there with no Fraction built."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if not isinstance(value, str):
         raise CLIInputError(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        # Fraction reads "1e100000" as an integer of 100,001 digits: a short
-        # string past the 4,300-digit literal limit, so exponents are refused
-        if "e" in value or "E" in value:
-            raise CLIInputError(f"exponent notation is not accepted, write p/q: {value!r}")
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise CLIInputError(f"cannot parse rational {value!r}")
-    raise CLIInputError(f"expected a rational, got {value!r}")
+    # Fraction reads "1e100000" as an integer of 100,001 digits: a short
+    # string past the 4,300-digit literal limit, so exponents are refused
+    if "e" in value or "E" in value:
+        raise CLIInputError(f"exponent notation is not accepted, write p/q: {value!r}")
+    text = value.strip()
+    match = _RATIO.fullmatch(text)
+    try:
+        if match:
+            num, den = int(match[1]), int(match[2] or 1)
+            g = gcd(num, den) if den else 0  # p/0 divides by zero below
+            return num // g, den // g
+        x = Fraction(text)
+        return x.numerator, x.denominator
+    except (ValueError, ZeroDivisionError):  # ValueError also past the digit limit
+        raise CLIInputError(f"cannot parse rational {value!r}")
+
+
+def parse_rational(value) -> Fraction:
+    return Fraction(*_parse_ratio(value))
 
 
 def parse_int(value) -> int:
@@ -93,14 +109,14 @@ def parse_poly(value) -> Poly:
 def parse_gram(value) -> QuadraticForm:
     if isinstance(value, str):
         rows = [r for r in value.split(";") if r.strip()]
-        matrix = [[parse_rational(c) for c in row.split(",")] for row in rows]
+        matrix = [[_parse_ratio(c) for c in row.split(",")] for row in rows]
     elif isinstance(value, (list, tuple)):
         if not all(isinstance(row, (list, tuple)) for row in value):
             raise CLIInputError("Gram matrix must be a list of rows")
-        matrix = [[parse_rational(c) for c in row] for row in value]
+        matrix = [[_parse_ratio(c) for c in row] for row in value]
     else:
         raise CLIInputError(f"cannot parse Gram matrix {value!r}")
-    return QuadraticForm(matrix)
+    return QuadraticForm._from_ratios(matrix)
 
 
 def parse_degrees(value) -> list[int]:

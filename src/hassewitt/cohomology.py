@@ -8,6 +8,11 @@ store degree 2 classes as even place sets, with addition as symmetric
 difference and cup products of square classes computed place by place
 through Hilbert symbols.
 
+There is one Hilbert-symbol kernel, in integers, shared with ``forms``:
+a rational is replaced by num * den, whose class in Q_p^x / (Q_p^x)^2 is
+packed as bits (:func:`_square_class_at`), so that products of classes are
+XORs and a symbol is a few bit operations (:func:`_symbol_exponent`).
+
 Conventions: a place is either a finite prime or the real place ``inf``;
 the Hilbert symbol (a, b)_v is +1 exactly when z**2 = a x**2 + b y**2 has a
 nontrivial solution over the completion at v.
@@ -21,6 +26,7 @@ from math import gcd
 from typing import Iterable, Sequence, Union
 
 from . import arith
+from .arith import _jacobi
 from .errors import DomainError, InternalError
 
 Rat = Union[int, Fraction]
@@ -36,13 +42,15 @@ class Place:
 
     _key: tuple[int, int]
 
-    def __post_init__(self):
-        kind, p = self._key
-        if kind == 0 and not arith.is_prime(p):
-            raise DomainError(f"{p} is not prime")
-
     @staticmethod
     def finite(p: int) -> "Place":
+        if not arith.is_prime(p):
+            raise DomainError(f"{p} is not prime")
+        return Place((0, p))
+
+    @staticmethod
+    def from_prime(p: int) -> "Place":
+        """The place of p, which the caller has already proved prime."""
         return Place((0, p))
 
     @staticmethod
@@ -159,62 +167,73 @@ class CohClass2:
         return "{" + inner + "}"
 
 
-def _as_fraction(x: "Rat | SquareClass") -> Fraction:
+def _integer_rep(x: "Rat | SquareClass") -> int:
+    """An integer in the square class of x (num * den for a rational), 0 for 0."""
     if isinstance(x, SquareClass):
-        return Fraction(x.rep)
-    return Fraction(x)
+        return x.rep
+    q = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return q.numerator * q.denominator
+
+
+def _square_class_at(x: int, p: int, unit: bool = True) -> int:
+    """The class of the nonzero integer x = p**v * u in Q_p^x / (Q_p^x)^2,
+    packed as bits over F_2 so that products of classes are XORs: bit 0 is
+    v mod 2; at odd p bit 1 says u is not a square mod p; at p = 2 bits 1
+    and 2 are eps(u) = (u - 1)/2 and omega(u) = (u**2 - 1)/8 mod 2.  With
+    unit false, the residue symbol at odd p is skipped and bit 1 left 0."""
+    if p == 2:
+        v = (x & -x).bit_length() - 1
+        u = (x >> v) % 8
+        return (v & 1) | (u % 4 == 3) << 1 | (u in (3, 5)) << 2
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return (v & 1) | (unit and _jacobi(x, p) == -1) << 1
+
+
+def _symbol_exponent(a: int, b: int, p: int) -> int:
+    """e with (a, b)_p = (-1)**e, for classes packed by _square_class_at
+    (Serre, A Course in Arithmetic, Ch. III, Thm. 1).  At odd p the unit
+    bit of one class is read only when the other has odd valuation."""
+    va, vb = a & 1, b & 1
+    if p == 2:
+        return (a >> 1 & b >> 1 & 1) ^ (va & b >> 2) ^ (vb & a >> 2)
+    return (va & vb & p >> 1) ^ (va & b >> 1) ^ (vb & a >> 1)
 
 
 def hilbert_symbol(a: "Rat | SquareClass", b: "Rat | SquareClass", v: Place) -> int:
     """Local Hilbert symbol (a, b)_v in {-1, +1} for nonzero rationals."""
-    a = _as_fraction(a)
-    b = _as_fraction(b)
-    if a == 0 or b == 0:
+    x, y = _integer_rep(a), _integer_rep(b)
+    if x == 0 or y == 0:
         raise DomainError("Hilbert symbol needs nonzero entries")
     if v.is_infinite:
-        return -1 if (a < 0 and b < 0) else 1
+        return -1 if (x < 0 and y < 0) else 1
     p = v.prime
-    alpha, u = arith.padic_split(a, p)
-    beta, w = arith.padic_split(b, p)
-    if p == 2:
-        e = _eps2(u) * _eps2(w) + alpha * _omega2(w) + beta * _omega2(u)
-        return -1 if e % 2 else 1
-    sym = 1
-    if (alpha * beta) % 2 and (p - 1) // 2 % 2:
-        sym = -sym
-    if beta % 2:
-        sym *= arith.legendre_fraction(u, p)
-    if alpha % 2:
-        sym *= arith.legendre_fraction(w, p)
-    return sym
+    # at odd p one entry's residue symbol counts only against an odd
+    # valuation of the other, so it is computed only then
+    ca = _square_class_at(x, p, unit=False)
+    cb = _square_class_at(y, p, unit=ca & 1)
+    if cb & 1 and p != 2:
+        ca = _square_class_at(x, p)
+    return -1 if _symbol_exponent(ca, cb, p) else 1
 
 
-def _unit_mod8(u: Fraction) -> int:
-    num, den = u.numerator, u.denominator
-    return num * pow(den, -1, 8) % 8
-
-
-def _eps2(u: Fraction) -> int:
-    """(u - 1)/2 mod 2 for a 2-adic unit: 0 for u = 1 mod 4, 1 for u = 3."""
-    return 0 if _unit_mod8(u) % 4 == 1 else 1
-
-
-def _omega2(u: Fraction) -> int:
-    """(u**2 - 1)/8 mod 2 for a 2-adic unit: 0 for u = +-1 mod 8."""
-    return 0 if _unit_mod8(u) in (1, 7) else 1
+def _places_of(reps: Sequence[int]) -> list[Place]:
+    """2 and the odd primes dividing some of the nonzero integers reps, each
+    factored once; their places skip the primality test factor() passed."""
+    primes = set()
+    for x in reps:
+        primes.update(p for p, _ in arith.factor(x).factors)
+    return [TWO] + [Place.from_prime(p) for p in sorted(primes - {2})]
 
 
 def relevant_places(*values: "Rat | SquareClass") -> list[Place]:
     """{inf, 2} plus the odd primes dividing numerator or denominator."""
-    places = {INF, TWO}
-    for x in values:
-        q = _as_fraction(x)
-        if q == 0:
-            raise DomainError("0 has no relevant places")
-        for p, _ in arith.factor(q.numerator * q.denominator).factors:
-            if p != 2:
-                places.add(Place.finite(p))
-    return sorted(places)
+    reps = [_integer_rep(x) for x in values]
+    if 0 in reps:
+        raise DomainError("0 has no relevant places")
+    return _places_of(reps) + [INF]
 
 
 def cup(x: "Rat | SquareClass", y: "Rat | SquareClass") -> CohClass2:
@@ -231,24 +250,29 @@ def add2(x: CohClass2, y: CohClass2) -> CohClass2:
     return x + y
 
 
-def pairwise_symbol(values: Sequence["Rat | SquareClass"], v: Place) -> int:
-    """prod over i < j of (a_i, a_j)_v, as prod over j of (a_1 ... a_(j-1), a_j)_v.
-
-    The two products agree by bilinearity of the Hilbert symbol; the second
-    takes len(values) - 1 symbols instead of a quadratic number.
-    """
-    sym = 1
-    prefix = values[0] if values else 1
-    for a in values[1:]:
-        sym *= hilbert_symbol(prefix, a, v)
-        prefix = prefix * a
-    return sym
-
-
 def cup_sum(values: Iterable["Rat | SquareClass"]) -> CohClass2:
-    """Sum of cup(a_i, a_j) over all unordered pairs i < j."""
-    classes = [SquareClass(v) for v in values]
-    return CohClass2(v for v in relevant_places(*classes) if pairwise_symbol(classes, v) == -1)
+    """Sum of cup(a_i, a_j) over all unordered pairs i < j.
+
+    By bilinearity it is prod over j of (a_1 ... a_(j-1), a_j)_v at each
+    place, with the prefix an XOR of packed classes; at inf, (-1)**C(neg, 2).
+    """
+    reps = [_integer_rep(x) for x in values]
+    if 0 in reps:
+        raise DomainError("0 has no squarefree part")
+    support = []
+    for v in _places_of(reps):
+        p = v.prime
+        e = prefix = 0  # the class of the empty product
+        for x in reps:
+            c = _square_class_at(x, p)
+            e ^= _symbol_exponent(prefix, c, p)
+            prefix ^= c
+        if e:
+            support.append(v)
+    neg = sum(1 for x in reps if x < 0)
+    if neg * (neg - 1) // 2 % 2:
+        support.append(INF)
+    return CohClass2(support)
 
 
 def localize(x: "SquareClass | CohClass2", v: Place) -> int:
@@ -259,16 +283,10 @@ def localize(x: "SquareClass | CohClass2", v: Place) -> int:
     """
     if isinstance(x, CohClass2):
         return 1 if v in x else 0
-    rep = Fraction(SquareClass(x).rep)
+    rep = SquareClass(x).rep
     if v.is_infinite:
         return 1 if rep < 0 else 0
-    p = v.prime
-    val, u = arith.padic_split(rep, p)
-    if val % 2:
-        return 1
-    if p == 2:
-        return 0 if _unit_mod8(u) == 1 else 1
-    return 0 if arith.legendre_fraction(u, p) == 1 else 1
+    return 1 if _square_class_at(rep, v.prime) else 0
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
 """Nondegenerate quadratic forms over Q and their complete invariants.
 
-A form is a symmetric rational Gram matrix.  With L the lcm of its
-denominators, L*Gram is integral, and the constructor runs one
-fraction-free (Bareiss) symmetric elimination on it, keeping the leading
-principal minors D_1, ..., D_n of a congruent copy.  By Jacobi, the form
-is congruent to <D_1/L, D_2/(L D_1), ..., D_n/(L D_(n-1))>, so every
-classifying datum (rank, signature, determinant class, degree-1 and
+A form is a symmetric rational Gram matrix, held as L, the lcm of its
+reduced denominators, and the integral matrix L*Gram; the CLI parses
+Gram entries straight into that pair.  The constructor runs one
+fraction-free (Bareiss) symmetric elimination on L*Gram, keeping the
+leading principal minors D_1, ..., D_n of a congruent copy.  By Jacobi,
+the form is congruent to <D_1/L, D_2/(L D_1), ..., D_n/(L D_(n-1))>, so
+every classifying datum (rank, signature, determinant class, degree-1 and
 degree-2 classes, local Hasse units) is read off the integers L and D_i:
-each local symbol comes from their valuations and unit residues, and no
-rational arithmetic runs.  Two forms over Q are isometric iff all of it
-matches, which is what :func:`isometric` decides.
+each local symbol comes from their packed square classes (the symbol
+kernel of ``cohomology``), and no rational arithmetic runs.  Two forms
+over Q are isometric iff all of it matches, which is what
+:func:`isometric` decides.
 """
 
 from __future__ import annotations
@@ -19,46 +21,57 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .arith import _jacobi, factor
-from .cohomology import INF, TWO, CohClass2, Place, SquareClass
+from .arith import factor
+from .cohomology import INF, TWO, CohClass2, Place, SquareClass, _square_class_at, _symbol_exponent
 from .errors import DomainError
-
-Rat = Fraction
-
-
-def _to_fraction_rows(rows: Iterable[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
 class QuadraticForm:
     """Symmetric rational Gram matrix with nonzero determinant.
 
-    Besides the matrix it keeps L, the lcm of its denominators, and the
-    leading principal minors D_1, ..., D_n of a congruent copy of the
-    integral matrix L*gram (see :func:`_leading_minors`).
+    It is held as L, the lcm of the reduced denominators of its entries,
+    and the integral matrix L*gram; that pair is canonical, so equality and
+    hashing compare it, and ``gram`` is rebuilt from it on demand.  The
+    constructor also keeps the leading principal minors D_1, ..., D_n of a
+    congruent copy of L*gram (see :func:`_leading_minors`).
     """
 
-    gram: tuple[tuple[Fraction, ...], ...]
+    _scale: int
+    _scaled: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Sequence]):
-        gram = _to_fraction_rows(rows)
-        n = len(gram)
-        if n == 0 or any(len(row) != n for row in gram):
+        rats = ([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows)
+        self._set([[(x.numerator, x.denominator) for x in row] for row in rats])
+
+    @classmethod
+    def _from_ratios(cls, rows: list[list[tuple[int, int]]]) -> "QuadraticForm":
+        """The form with entries num/den, from (num, den) pairs in lowest terms."""
+        q = object.__new__(cls)
+        q._set(rows)
+        return q
+
+    def _set(self, rows: list[list[tuple[int, int]]]) -> None:
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
             raise DomainError("Gram matrix must be square and nonempty")
-        scale = lcm(*(x.denominator for row in gram for x in row))
-        m = [[x.numerator * (scale // x.denominator) for x in row] for row in gram]
-        for i in range(n):
-            for j in range(i):
-                if m[i][j] != m[j][i]:
-                    raise DomainError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", gram)
+        scale = lcm(*[den for row in rows for _, den in row])
+        m = [[num * (scale // den) for num, den in row] for row in rows]
+        scaled = tuple(map(tuple, m))
+        if tuple(zip(*scaled)) != scaled:
+            raise DomainError("Gram matrix must be symmetric")
         object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_scaled", scaled)
         object.__setattr__(self, "_minors", _leading_minors(m))
 
     @property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        scale = self._scale
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in self._scaled)
+
+    @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self._scaled)
 
     @property
     def det(self) -> Fraction:
@@ -66,14 +79,15 @@ class QuadraticForm:
         return Fraction(self._minors[-1], self._scale ** self.rank)
 
     def to_json(self) -> list[list]:
-        return [[_rat_json(x) for x in row] for row in self.gram]
+        return [[_rat_json(x, self._scale) for x in row] for row in self._scaled]
 
     def __repr__(self) -> str:
         return f"QuadraticForm({[list(map(str, r)) for r in self.gram]})"
 
 
-def _rat_json(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _rat_json(num: int, den: int):
+    g = gcd(num, den)
+    return num // g if den == g else f"{num // g}/{den // g}"
 
 
 @dataclass(frozen=True)
@@ -90,8 +104,7 @@ class DiagonalForm:
 
     def form(self) -> QuadraticForm:
         n = len(self.entries)
-        rows = [[self.entries[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        return QuadraticForm(rows)
+        return QuadraticForm([[x if i == j else 0 for j in range(n)] for i, x in enumerate(self.entries)])
 
 
 def diagonal_form(entries: Iterable) -> QuadraticForm:
@@ -150,31 +163,6 @@ def diagonalize(q: QuadraticForm) -> DiagonalForm:
     D_i / (L D_(i-1)) of the constructor's elimination, with D_0 = 1."""
     scale, minors = q._scale, q._minors
     return DiagonalForm(Fraction(d, scale * prev) for prev, d in zip((1,) + minors, minors))
-
-
-def _square_class_at(x: int, p: int) -> int:
-    """The class of the nonzero integer x = p**v * u in Q_p^x / (Q_p^x)^2,
-    packed as bits over F_2 so that products of classes are XORs: bit 0 is
-    v mod 2; at odd p bit 1 says u is not a square mod p; at p = 2 bits 1
-    and 2 are eps(u) = (u - 1)/2 and omega(u) = (u**2 - 1)/8 mod 2."""
-    if p == 2:
-        v = (x & -x).bit_length() - 1
-        u = (x >> v) % 8
-        return (v & 1) | (u % 4 == 3) << 1 | (u in (3, 5)) << 2
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return (v & 1) | (_jacobi(x, p) == -1) << 1
-
-
-def _symbol_exponent(a: int, b: int, p: int) -> int:
-    """e with (a, b)_p = (-1)**e, for classes packed by _square_class_at
-    (Serre, A Course in Arithmetic, Ch. III, Thm. 1)."""
-    va, vb = a & 1, b & 1
-    if p == 2:
-        return (a >> 1 & b >> 1 & 1) ^ (va & b >> 2) ^ (vb & a >> 2)
-    return (va & vb & p >> 1) ^ (va & b >> 1) ^ (vb & a >> 1)
 
 
 def _local_hasse(scale: int, minors: tuple[int, ...], p: int) -> tuple[int, int]:
@@ -245,26 +233,20 @@ def invariants(q: QuadraticForm) -> FormInvariants:
     n = len(minors)
     neg = sum(1 for prev, d in zip((1,) + minors, minors) if (prev < 0) != (d < 0))
     det_num = minors[-1] // gcd(minors[-1], scale ** n)
-    primes = [p for p, _ in factor(scale * abs(det_num)).factors]
+    # factor() has proved these primes, so their places take no second test
+    places = [TWO] + [Place.from_prime(p) for p, _ in factor(scale * abs(det_num)).factors if p != 2]
     disc_rep = -1 if det_num < 0 else 1
     units = {}
-    for p in [2] + [p for p in primes if p != 2]:
-        units[Place.finite(p)], odd = _local_hasse(scale, minors, p)
+    for v in places:
+        units[v], odd = _local_hasse(scale, minors, v.prime)
         if odd:
-            disc_rep *= p
+            disc_rep *= v.prime
     units[INF] = -1 if neg * (neg - 1) // 2 % 2 else 1
     w2 = CohClass2(v for v, s in units.items() if s == -1)
     del units[INF]
     hasse = {v: s for v, s in units.items() if v == TWO or s == -1 or disc_rep % v.prime == 0}
     disc = SquareClass.from_squarefree(disc_rep)
-    return FormInvariants(
-        rank=n,
-        signature=(n - neg, neg),
-        disc=disc,
-        w1=disc,
-        w2=w2,
-        hasse_local=hasse,
-    )
+    return FormInvariants(rank=n, signature=(n - neg, neg), disc=disc, w1=disc, w2=w2, hasse_local=hasse)
 
 
 def isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:
@@ -276,13 +258,7 @@ def isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:
 def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
     """Block-diagonal sum."""
     n1, n2 = q1.rank, q2.rank
-    zero = Fraction(0)
-    rows = []
-    for i in range(n1):
-        rows.append(list(q1.gram[i]) + [zero] * n2)
-    for i in range(n2):
-        rows.append([zero] * n1 + list(q2.gram[i]))
-    return QuadraticForm(rows)
+    return QuadraticForm([list(row) + [0] * n2 for row in q1.gram] + [[0] * n1 + list(row) for row in q2.gram])
 
 
 def scale(q: QuadraticForm, c) -> QuadraticForm:

@@ -8,15 +8,17 @@ companion matrix powers instead of Newton recursions, exhaustive squaring
 instead of Euler's criterion, full series convolution instead of the
 division recurrence, a fresh x**(p**i) mod g per degree instead of the
 Frobenius matrix, Fraction pivots and a Hilbert symbol per pair of
-diagonal entries instead of leading minors and their local classes.
+diagonal entries instead of leading minors and their local classes, a
+Fraction p-adic split with Euler's criterion instead of packed square
+classes of integer representatives.
 """
 
 from fractions import Fraction
 from math import comb, gcd, prod
 import random
 
-from hassewitt.arith import factor, squarefree_part
-from hassewitt.cohomology import INF, Place, hilbert_symbol
+from hassewitt.arith import factor, padic_split, squarefree_part
+from hassewitt.cohomology import INF, Place, SquareClass
 from hassewitt.errors import DomainError
 from hassewitt.forms import QuadraticForm
 from hassewitt.numberfield import Poly, _fp_divmod, _fp_gcd, _fp_trim
@@ -190,6 +192,44 @@ def naive_eliminate(rows) -> tuple[Fraction, ...]:
     return tuple(entries)
 
 
+def naive_hilbert_symbol(a, b, v: Place) -> int:
+    """(a, b)_v from the p-adic split a = p**alpha * u of each Fraction
+    entry (Serre, A Course in Arithmetic, Ch. III, Thm. 1), with Legendre
+    symbols by Euler's criterion and 2-adic units read mod 8."""
+    a = Fraction(a.rep if isinstance(a, SquareClass) else a)
+    b = Fraction(b.rep if isinstance(b, SquareClass) else b)
+    if a == 0 or b == 0:
+        raise DomainError("Hilbert symbol needs nonzero entries")
+    if v.is_infinite:
+        return -1 if (a < 0 and b < 0) else 1
+    p = v.prime
+    alpha, u = padic_split(a, p)
+    beta, w = padic_split(b, p)
+
+    def residue(x: Fraction, m: int) -> int:
+        return x.numerator * pow(x.denominator, -1, m) % m
+
+    if p == 2:
+        def eps(x):
+            return 0 if residue(x, 4) == 1 else 1
+
+        def omega(x):
+            return 0 if residue(x, 8) in (1, 7) else 1
+
+        e = eps(u) * eps(w) + alpha * omega(w) + beta * omega(u)
+        return -1 if e % 2 else 1
+
+    def euler(x):
+        return 1 if pow(residue(x, p), (p - 1) // 2, p) == 1 else -1
+
+    sym = -1 if (alpha * beta) % 2 and (p - 1) // 2 % 2 else 1
+    if beta % 2:
+        sym *= euler(u)
+    if alpha % 2:
+        sym *= euler(w)
+    return sym
+
+
 def naive_form_invariants(rows) -> dict:
     """The `form-invariants` report of a Gram matrix from naive_eliminate's
     diagonal: the Hasse unit at each place as the product of (a_i, a_j)_v
@@ -203,7 +243,7 @@ def naive_form_invariants(rows) -> dict:
         places.update(p for p, _ in factor(a.numerator * a.denominator).factors)
     units = {}
     for v in [Place.finite(p) for p in places] + [INF]:
-        units[v] = prod(hilbert_symbol(diag[i], diag[j], v)
+        units[v] = prod(naive_hilbert_symbol(diag[i], diag[j], v)
                         for i in range(len(diag)) for j in range(i + 1, len(diag)))
     w2 = sorted(v for v, s in units.items() if s == -1)
     hasse = {v: s for v, s in units.items()

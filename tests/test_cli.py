@@ -8,8 +8,20 @@ from pathlib import Path
 import pytest
 
 from hassewitt import arith
-from hassewitt.cli import COMMANDS, _build_parser, dump_report, execute, run
+from hassewitt.cli import (
+    COMMANDS,
+    _build_parser,
+    _error_text,
+    _process_request_line,
+    dump_report,
+    execute,
+    parse_gram,
+    parse_rational,
+    run,
+)
 from hassewitt.cohomology import Place, hilbert_symbol
+from hassewitt.errors import DomainError
+from hassewitt.forms import QuadraticForm, invariants
 
 
 def run_capture(capsys, argv):
@@ -429,3 +441,47 @@ def test_batch_long_input_echo_is_capped(tmp_path, capsys):
     assert report["status"] == "input_error"
     assert report["error"] == "cannot parse rational '" + "7" * 177 + "… (5024 characters)"
     assert report["inputs"] == {"poly": poly}
+
+
+# Gram entries on the integer parser's fast path and off it; each must give
+# what one Fraction per entry through parse_rational gave.  They sit in
+# [[x, 1], [1, 0]], whose determinant is -1 whatever x is, so that no
+# request factors a 4,300-digit number.
+BIG = "7" * 4300
+GRAM_STRINGS = ("+5", "-0", " 7 ", "1_000", "1.5", "٣", "3/0", "3/-4", " 3 / 4 ", "0x10", "1e5", "",
+                "4/6", "-12/8", "007", BIG, "-" + BIG + "/128", BIG + "7")
+GRAM_JSON_ONLY = (True, 1.0, None, int(BIG), -int(BIG))
+
+
+def _fraction_route(entry):
+    """(form, None) or (None, error text) as parse_gram gave them through parse_rational."""
+    try:
+        return QuadraticForm([[parse_rational(entry), 1], [1, 0]]), None
+    except DomainError as exc:
+        return None, _error_text(exc)
+
+
+@pytest.mark.parametrize("entry", GRAM_STRINGS + GRAM_JSON_ONLY)
+def test_integer_gram_parser_matches_parse_rational(capsys, entry):
+    want, error = _fraction_route(entry)
+    try:
+        got = parse_gram([[entry, 1], [1, 0]])
+    except DomainError as exc:
+        assert _error_text(exc) == error
+    else:
+        assert error is None
+        assert (got, got.gram, got.to_json(), repr(got)) == (want, want.gram, want.to_json(), repr(want))
+
+    line = json.dumps({"id": 1, "command": "form-invariants", "parameters": {"gram": [[entry, 1], [1, 0]]}})
+    report = _process_request_line(line)
+    if error is None:
+        assert report["status"] == "ok" and report["outputs"] == invariants(want).to_json()
+    else:
+        assert report["status"] == "input_error" and report["error"] == error
+
+    if isinstance(entry, str):
+        code, out, err = run_capture(capsys, ["form", "invariants", f"--gram={entry},1;1,0", "--json"])
+        if error is None:
+            assert code == 0 and json.loads(out)["outputs"] == invariants(want).to_json()
+        else:
+            assert (code, out, err) == (1, "", f"error: {error}\n")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hassewitt import cohomology
 from hassewitt.arith import squarefree_part
 from hassewitt.cohomology import (
     INF,
@@ -39,6 +40,26 @@ def test_place_parsing_and_order():
         Place.finite(6)
     with pytest.raises(DomainError):
         Place.parse("x")
+
+
+def test_place_finite_still_proves_primality():
+    psi12 = 318665857834031151167461  # 399165290221 * 798330580441, a strong pseudoprime to 2..37
+    for n in (psi12, 1, 0, -7, 6):
+        with pytest.raises(DomainError):
+            Place.finite(n)
+        with pytest.raises(DomainError):
+            Place.parse(str(n))
+    assert Place.from_prime(283) == Place.finite(283) == Place.parse("283")
+
+
+def test_hilbert_symbol_takes_residue_symbols_only_against_odd_valuations(monkeypatch):
+    taken = []
+    real = cohomology._jacobi
+    monkeypatch.setattr(cohomology, "_jacobi", lambda a, n: taken.append(a) or real(a, n))
+    assert hilbert_symbol(3, 5, Place.finite(7)) == 1
+    assert taken == []
+    assert hilbert_symbol(3, 14, Place.finite(7)) == -1  # 3 is not a square mod 7
+    assert taken == [3]
 
 
 def test_square_class_canonical():

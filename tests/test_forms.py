@@ -4,7 +4,9 @@ from math import prod
 
 import pytest
 
-from hassewitt.cohomology import INF, cup, hilbert_symbol, localize
+from hassewitt import arith, forms
+from hassewitt.cli import parse_gram
+from hassewitt.cohomology import INF, Place, cup, cup_sum, hilbert_symbol, localize
 from hassewitt.errors import DomainError
 from hassewitt.forms import (
     QuadraticForm,
@@ -206,3 +208,62 @@ def test_form_invariants_json():
     assert payload["disc"] == -3
     assert payload["w2"] == [2, 3]
     assert set(payload["hasse_local"]) == {"2", "3"}
+
+
+def test_form_identity_across_entry_types():
+    h, t, s = Fraction(1, 2), Fraction(-2, 3), Fraction(7, 6)
+    halves = [[h, t, 0], [t, 5, s], [0, s, Fraction(-3, 4)]]
+    integral = [[2, 1, 0], [1, -3, 4], [0, 4, 5]]
+    for rows, pinned in (
+        (halves, "QuadraticForm([['1/2', '-2/3', '0'], ['-2/3', '5', '7/6'], ['0', '7/6', '-3/4']])"),
+        (integral, "QuadraticForm([['2', '1', '0'], ['1', '-3', '4'], ['0', '4', '5']])"),
+    ):
+        spellings = [
+            rows,
+            [[Fraction(x) for x in row] for row in rows],
+            [[str(x) for x in row] for row in rows],
+            [[f"{2 * Fraction(x).numerator}/{2 * Fraction(x).denominator}" for x in row] for row in rows],
+        ]
+        qs = [QuadraticForm(r) for r in spellings] + [parse_gram(r) for r in spellings[2:]]
+        first = qs[0]
+        assert repr(first) == pinned
+        assert first.gram == tuple(tuple(Fraction(x) for x in row) for row in rows)
+        assert first.to_json() == [[int(x) if Fraction(x).denominator == 1 else str(x) for x in row] for row in rows]
+        for q in qs:
+            assert q == first and hash(q) == hash(first)
+            assert (q.gram, q.to_json(), repr(q)) == (first.gram, first.to_json(), repr(first))
+        assert scale(first, 4) != first
+
+
+def test_unchecked_places_come_from_factor(monkeypatch):
+    """invariants and cup_sum build Places with no primality test, only for
+    primes that factor() returned; once factor's cache is warm they run no
+    primality test at all."""
+    proved, built = set(), []
+    real_factor, real_from_prime = arith.factor, Place.from_prime
+
+    def recording_factor(n):
+        fac = real_factor(n)
+        proved.update(p for p, _ in fac.factors)
+        return fac
+
+    def recording_from_prime(p):
+        built.append(p)
+        return real_from_prime(p)
+
+    monkeypatch.setattr(arith, "factor", recording_factor)
+    monkeypatch.setattr(forms, "factor", recording_factor)
+    monkeypatch.setattr(Place, "from_prime", recording_from_prime)
+    rng = random.Random(8)
+    qs = [random_nondegenerate_symmetric(rng, rng.randint(1, 6), 40) for _ in range(60)]
+    qs.append(diagonal_form([2**61 - 1, Fraction(3, 10007), -1, Fraction(-5, 9)]))
+    for q in qs:
+        cup_sum([invariants(q).w1, -3, Fraction(10, 7)])
+    assert built and set(built) <= proved
+
+    tests = []
+    real_is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: tests.append(n) or real_is_prime(n))
+    for q in qs:
+        cup_sum([invariants(q).w1, -3, Fraction(10, 7)])
+    assert tests == []
