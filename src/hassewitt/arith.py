@@ -6,19 +6,16 @@ squarefree part of a rational, and the quadratic residue symbol modulo an
 odd prime.  All values are plain ``int`` / ``fractions.Fraction``; results
 are exact.
 
-Factorization strategy: trial division (wheel mod 30) up to a bound, then
-Brent-cycle Pollard rho on whatever survives.  Primality is decided by the
+Factorization strategy: trial division (wheel mod 30), then Brent-cycle
+Pollard rho on whatever survives.  Primality is decided by the
 Baillie-PSW test (a strong base-2 test plus a strong Lucas test with
 Selfridge's parameters) at every size: it is exact below 2**64 and no
-composite passing it is known above.  The trial bound defaults to
-10**6 and can be lowered or raised through the ``HASSEWITT_FACTOR_LIMIT``
-environment variable; exceeding the overall budget raises
+composite passing it is known above.  Exceeding the rho budget raises
 :class:`EffortExceededError` rather than returning a wrong answer.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,18 +23,7 @@ from math import gcd, isqrt
 
 from .errors import DomainError, EffortExceededError, InternalError
 
-DEFAULT_FACTOR_LIMIT = 1_000_000
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _factor_limit() -> int:
-    raw = os.environ.get("HASSEWITT_FACTOR_LIMIT", "")
-    try:
-        limit = int(raw) if raw else DEFAULT_FACTOR_LIMIT
-    except ValueError:
-        raise DomainError(f"HASSEWITT_FACTOR_LIMIT must be an integer, got {raw!r}")
-    return max(limit, 100)
 
 
 def is_prime(n: int) -> bool:
@@ -175,18 +161,18 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n >= 1 into an ascending (prime, exponent) tuple."""
     if n == 1:
         return ()
-    limit = _factor_limit()
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     # wheel mod 30 starting at 7, with periodic primality checkpoints so a
-    # large prime or semiprime cofactor falls through to rho early
+    # large prime or semiprime cofactor falls through to rho early; past
+    # 10**4 only cofactors up to 10**10 stay, so d never passes 10**5
     steps = (4, 2, 4, 2, 4, 6, 2, 6)
     d, i = 7, 0
     checkpoint = 1_000
-    while n > 1 and d * d <= n and d <= limit:
+    while n > 1 and d * d <= n:
         if d >= checkpoint:
             if is_prime(n):
                 break
@@ -205,7 +191,7 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     # whatever is left: prime, or composite with no divisor below the stage
     # bound; rho plus recursion finishes it
     stack = [n] if n > 1 else []
-    budget = max(1 << 22, limit)
+    budget = 1 << 22
     while stack:
         m = stack.pop()
         if m == 1:

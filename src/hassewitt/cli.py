@@ -316,8 +316,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="hassewitt",
         description=__doc__,
-        epilog="HASSEWITT_FACTOR_LIMIT caps the primes attempted during "
-               "trial-division factorization (default 1000000).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     form = None  # added with its first leaf, so --help lists commands in table order

@@ -8,10 +8,11 @@ store degree 2 classes as even place sets, with addition as symmetric
 difference and cup products of square classes computed place by place
 through Hilbert symbols.
 
-There is one Hilbert-symbol kernel, in integers, shared with ``forms``:
-a rational is replaced by num * den, whose class in Q_p^x / (Q_p^x)^2 is
-packed as bits (:func:`_square_class_at`), so that products of classes are
-XORs and a symbol is a few bit operations (:func:`_symbol_exponent`).
+There is one local-symbol formula, in integers, shared with ``forms``: a
+rational is replaced by num * den, which :func:`_split` reduces at p to its
+valuation parity and its unit mod p (mod 8 at 2), and
+:func:`_hasse_exponent` gives the product of the symbols over all pairs of
+a diagonal form in closed form, with at most one residue symbol.
 
 Conventions: a place is either a finite prime or the real place ``inf``;
 the Hilbert symbol (a, b)_v is +1 exactly when z**2 = a x**2 + b y**2 has a
@@ -175,31 +176,43 @@ def _integer_rep(x: "Rat | SquareClass") -> int:
     return q.numerator * q.denominator
 
 
-def _square_class_at(x: int, p: int, unit: bool = True) -> int:
-    """The class of the nonzero integer x = p**v * u in Q_p^x / (Q_p^x)^2,
-    packed as bits over F_2 so that products of classes are XORs: bit 0 is
-    v mod 2; at odd p bit 1 says u is not a square mod p; at p = 2 bits 1
-    and 2 are eps(u) = (u - 1)/2 and omega(u) = (u**2 - 1)/8 mod 2.  With
-    unit false, the residue symbol at odd p is skipped and bit 1 left 0."""
+def _split(x: int, p: int) -> tuple[int, int]:
+    """(v mod 2, u mod p) for the nonzero integer x = p**v * u with p not
+    dividing u, or (v mod 2, u mod 8) at p = 2: all a symbol at p reads."""
     if p == 2:
         v = (x & -x).bit_length() - 1
-        u = (x >> v) % 8
-        return (v & 1) | (u % 4 == 3) << 1 | (u in (3, 5)) << 2
+        return v & 1, (x >> v) % 8
     v = 0
     while x % p == 0:
         x //= p
         v += 1
-    return (v & 1) | (unit and _jacobi(x, p) == -1) << 1
+    return v & 1, x % p
 
 
-def _symbol_exponent(a: int, b: int, p: int) -> int:
-    """e with (a, b)_p = (-1)**e, for classes packed by _square_class_at
-    (Serre, A Course in Arithmetic, Ch. III, Thm. 1).  At odd p the unit
-    bit of one class is read only when the other has odd valuation."""
-    va, vb = a & 1, b & 1
+def _hasse_exponent(entries: Sequence[tuple[int, int]], p: int) -> int:
+    """e with prod over i < j of (a_i, a_j)_p = (-1)**e, each a_i given as
+    (v_i mod 2, an integer congruent to its unit mod p, or mod 8 at 2), as
+    :func:`_split` returns it.
+
+    Serre's formula (A Course in Arithmetic, Ch. III, Thm. 1) summed over
+    the pairs: with k entries of odd valuation, the unit of a_i is paired
+    with the k - v_i odd-valuation entries other than a_i, so only U counts,
+    the product of the units of the odd-valuation entries when k is even
+    and of the even-valuation ones when k is odd.  At odd p,
+    e = eps(p) C(k, 2) + [U is a non-residue]; at p = 2, e = C(E, 2) + omega(U)
+    with E the number of units = 3 mod 4.
+    """
+    modulus = 8 if p == 2 else p
+    k = 0
+    units = [1, 1]  # the unit products of the even- and the odd-valuation entries
+    for v, u in entries:
+        k += v
+        units[v] = units[v] * u % modulus
+    unit = units[1 - k % 2]
     if p == 2:
-        return (a >> 1 & b >> 1 & 1) ^ (va & b >> 2) ^ (vb & a >> 2)
-    return (va & vb & p >> 1) ^ (va & b >> 1) ^ (vb & a >> 1)
+        threes = sum(u % 4 == 3 for _, u in entries)
+        return (threes * (threes - 1) // 2 + (unit in (3, 5))) & 1
+    return (k * (k - 1) // 2 * (p >> 1) + (unit != 1 and _jacobi(unit, p) == -1)) & 1
 
 
 def hilbert_symbol(a: "Rat | SquareClass", b: "Rat | SquareClass", v: Place) -> int:
@@ -210,13 +223,7 @@ def hilbert_symbol(a: "Rat | SquareClass", b: "Rat | SquareClass", v: Place) -> 
     if v.is_infinite:
         return -1 if (x < 0 and y < 0) else 1
     p = v.prime
-    # at odd p one entry's residue symbol counts only against an odd
-    # valuation of the other, so it is computed only then
-    ca = _square_class_at(x, p, unit=False)
-    cb = _square_class_at(y, p, unit=ca & 1)
-    if cb & 1 and p != 2:
-        ca = _square_class_at(x, p)
-    return -1 if _symbol_exponent(ca, cb, p) else 1
+    return -1 if _hasse_exponent((_split(x, p), _split(y, p)), p) else 1
 
 
 def _places_of(reps: Sequence[int]) -> list[Place]:
@@ -253,22 +260,13 @@ def add2(x: CohClass2, y: CohClass2) -> CohClass2:
 def cup_sum(values: Iterable["Rat | SquareClass"]) -> CohClass2:
     """Sum of cup(a_i, a_j) over all unordered pairs i < j.
 
-    By bilinearity it is prod over j of (a_1 ... a_(j-1), a_j)_v at each
-    place, with the prefix an XOR of packed classes; at inf, (-1)**C(neg, 2).
+    At a finite place that is :func:`_hasse_exponent` of the entries; at
+    inf, (-1)**C(neg, 2).
     """
     reps = [_integer_rep(x) for x in values]
     if 0 in reps:
         raise DomainError("0 has no squarefree part")
-    support = []
-    for v in _places_of(reps):
-        p = v.prime
-        e = prefix = 0  # the class of the empty product
-        for x in reps:
-            c = _square_class_at(x, p)
-            e ^= _symbol_exponent(prefix, c, p)
-            prefix ^= c
-        if e:
-            support.append(v)
+    support = [v for v in _places_of(reps) if _hasse_exponent([_split(x, v.prime) for x in reps], v.prime)]
     neg = sum(1 for x in reps if x < 0)
     if neg * (neg - 1) // 2 % 2:
         support.append(INF)
@@ -286,7 +284,9 @@ def localize(x: "SquareClass | CohClass2", v: Place) -> int:
     rep = SquareClass(x).rep
     if v.is_infinite:
         return 1 if rep < 0 else 0
-    return 1 if _square_class_at(rep, v.prime) else 0
+    p = v.prime
+    odd, unit = _split(rep, p)
+    return 1 if odd or (unit != 1 if p == 2 else _jacobi(unit, p) == -1) else 0
 
 
 @dataclass(frozen=True)

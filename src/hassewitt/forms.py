@@ -8,10 +8,10 @@ leading principal minors D_1, ..., D_n of a congruent copy.  By Jacobi,
 the form is congruent to <D_1/L, D_2/(L D_1), ..., D_n/(L D_(n-1))>, so
 every classifying datum (rank, signature, determinant class, degree-1 and
 degree-2 classes, local Hasse units) is read off the integers L and D_i:
-each local symbol comes from their packed square classes (the symbol
-kernel of ``cohomology``), and no rational arithmetic runs.  Two forms
-over Q are isometric iff all of it matches, which is what
-:func:`isometric` decides.
+at each place they are split once into valuation parity and unit, and the
+Hasse unit is the closed form of ``cohomology`` on the pivots they give,
+with no rational arithmetic.  Two forms over Q are isometric iff all of
+it matches, which is what :func:`isometric` decides.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .arith import factor
-from .cohomology import INF, TWO, CohClass2, Place, SquareClass, _square_class_at, _symbol_exponent
+from .cohomology import INF, TWO, CohClass2, Place, SquareClass, _hasse_exponent, _split
 from .errors import DomainError
 
 
@@ -165,24 +165,6 @@ def diagonalize(q: QuadraticForm) -> DiagonalForm:
     return DiagonalForm(Fraction(d, scale * prev) for prev, d in zip((1,) + minors, minors))
 
 
-def _local_hasse(scale: int, minors: tuple[int, ...], p: int) -> tuple[int, int]:
-    """(Hasse unit, v_p(det) mod 2) at the finite prime p.
-
-    The Hasse unit of <a_1, ..., a_n> is the product over j of
-    (a_1 ... a_(j-1), a_j)_p.  With a_j = D_j / (L D_(j-1)), up to squares
-    the prefix is L**(j-1) D_(j-1) and a_j is L D_(j-1) D_j.
-    """
-    cl = _square_class_at(scale, p)
-    e = 0
-    prev = 0  # the class of D_0 = 1
-    for j, d in enumerate(minors):  # d = D_(j+1)
-        cur = _square_class_at(d, p)
-        if j:
-            e ^= _symbol_exponent(prev ^ (cl if j % 2 else 0), cl ^ prev ^ cur, p)
-        prev = cur
-    return -1 if e else 1, (prev ^ (cl if len(minors) % 2 else 0)) & 1
-
-
 @dataclass(frozen=True)
 class FormInvariants:
     """Full classifying data of a rational form.
@@ -227,7 +209,9 @@ def invariants(q: QuadraticForm) -> FormInvariants:
     an odd p has trivial Hasse unit at p (Serre, A Course in Arithmetic,
     Ch. IV).  So local symbols are needed only at 2, inf and the primes of
     L*|numerator(det q)|.  The pivot D_i / (L D_(i-1)) is negative when
-    D_(i-1) and D_i differ in sign.
+    D_(i-1) and D_i differ in sign, and at p it is L D_(i-1) D_i up to
+    squares: its valuation parity is a sum and its unit a product of the
+    splits of L and the D_i.  v_p(det) mod 2 is the sum of the pivot parities.
     """
     scale, minors = q._scale, q._minors
     n = len(minors)
@@ -238,9 +222,13 @@ def invariants(q: QuadraticForm) -> FormInvariants:
     disc_rep = -1 if det_num < 0 else 1
     units = {}
     for v in places:
-        units[v], odd = _local_hasse(scale, minors, v.prime)
-        if odd:
-            disc_rep *= v.prime
+        p = v.prime
+        odd_l, unit_l = _split(scale, p)
+        splits = [(0, 1)] + [_split(d, p) for d in minors]  # D_0 = 1
+        pivots = [(odd_l ^ a ^ b, unit_l * u * w) for (a, u), (b, w) in zip(splits, splits[1:])]
+        units[v] = -1 if _hasse_exponent(pivots, p) else 1
+        if (odd_l & n) ^ splits[-1][0]:  # the pivot parities sum to n v_p(L) + v_p(D_n)
+            disc_rep *= p
     units[INF] = -1 if neg * (neg - 1) // 2 % 2 else 1
     w2 = CohClass2(v for v, s in units.items() if s == -1)
     del units[INF]

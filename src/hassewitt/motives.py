@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import Optional, Union
 
-from .cohomology import CohClass2, INF, Place, SquareClass
+from .cohomology import INF, MINUS_ONE, ONE, CohClass2, Place, SquareClass
 from .errors import DomainError, InternalError
 from .forms import QuadraticForm, diagonal_form
 from .numberfield import Poly, resultant
@@ -155,7 +155,7 @@ def _betti_w_from_chi(spec: CompleteIntersectionSpec, chi: int) -> tuple[int, in
     if m % 2:
         raise InternalError("middle lattice shift is odd")
     m_prime = m // 2
-    w1 = SquareClass(-1) if m_prime % 2 else SquareClass(1)
+    w1 = MINUS_ONE if m_prime % 2 else ONE
     w2 = _CLASS_MINUS_ONE_MINUS_ONE if (m_prime * (m_prime - 1) // 2) % 2 else CohClass2.zero()
     return m, m_prime, w1, w2
 
@@ -168,7 +168,7 @@ def hypersurface_w(n: int, d: int) -> tuple[SquareClass, CohClass2]:
         w2 = floor((n+2)/4) (1 + d/2) (-1,-1)    d even
     """
     CompleteIntersectionSpec(n, [d])  # validate
-    w1 = SquareClass(-1) if ((n // 2) * (d - 1)) % 2 else SquareClass(1)
+    w1 = MINUS_ONE if ((n // 2) * (d - 1)) % 2 else ONE
     if d % 2:
         coeff = (d - 1) // 2
     else:
@@ -190,18 +190,18 @@ def delta_expressions(n: int, d: int) -> tuple[SymbolicClass, SymbolicClass]:
     """
     CompleteIntersectionSpec(n, [d])  # validate
     if d % 2:
-        sign = -1 if ((d - 1) // 2) % 2 else 1
+        sign = MINUS_ONE if ((d - 1) // 2) % 2 else ONE
         coeff = (d - 1) // 2
         extra_tokens: tuple[str, ...] = ()
     else:
-        sign = -1 if ((d // 2) * ((n + 2) // 2)) % 2 else 1
+        sign = MINUS_ONE if ((d // 2) * ((n + 2) // 2)) % 2 else ONE
         if n % 4 == 0:
             coeff = (n // 4) * (1 + d // 2)
             extra_tokens = ()
         else:
             coeff = ((n + 2) // 4) * (1 + d // 2)
             extra_tokens = (TOKEN_MINUS_ONE_DISC,)
-    delta1 = SymbolicClass(SquareClass(sign), (TOKEN_DISC,))
+    delta1 = SymbolicClass(sign, (TOKEN_DISC,))
     numeric2 = _CLASS_MINUS_ONE_MINUS_ONE if coeff % 2 else CohClass2.zero()
     delta2 = SymbolicClass(numeric2, (TOKEN_W2_DR,) + extra_tokens)
     return delta1, delta2
@@ -223,12 +223,12 @@ def binary_divided_disc(g: Poly) -> Fraction:
     the divided discriminant in the dimension-0 case."""
     if g.is_zero or g.degree < 1:
         raise DomainError("binary form must dehomogenize to degree >= 1")
-    if not g.is_squarefree():
-        raise DomainError("binary form must be squarefree")
     d = g.degree
     if d == 1:
         return Fraction(1)
     res = resultant(g, g.derivative())
+    if res == 0:  # a repeated root
+        raise DomainError("binary form must be squarefree")
     return -res if (d * (d - 1) // 2) % 2 else res
 
 

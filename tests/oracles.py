@@ -8,9 +8,9 @@ companion matrix powers instead of Newton recursions, exhaustive squaring
 instead of Euler's criterion, full series convolution instead of the
 division recurrence, a fresh x**(p**i) mod g per degree instead of the
 Frobenius matrix, Fraction pivots and a Hilbert symbol per pair of
-diagonal entries instead of leading minors and their local classes, a
-Fraction p-adic split with Euler's criterion instead of packed square
-classes of integer representatives.
+diagonal entries instead of leading minors and the closed-form exponent
+over all pairs, a Fraction p-adic split with Euler's criterion instead of
+the valuation parities and units of integer representatives.
 """
 
 from fractions import Fraction

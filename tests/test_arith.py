@@ -136,25 +136,7 @@ def test_legendre_rejects_bad_modulus():
             legendre(3, p)
 
 
-def test_factor_limit_env_knob(monkeypatch):
-    from hassewitt import arith
-
-    monkeypatch.setenv("HASSEWITT_FACTOR_LIMIT", "500")
-    arith._factor_positive.cache_clear()
-    try:
-        # trial stage is capped at 500; rho must pick up the larger primes
-        n = 104729 * 1299709  # both prime, both above the cap
-        assert factor(n).as_dict() == {104729: 1, 1299709: 1}
-        assert factor(2**4 * 104729).as_dict() == {2: 4, 104729: 1}
-    finally:
-        monkeypatch.delenv("HASSEWITT_FACTOR_LIMIT")
-        arith._factor_positive.cache_clear()
-
-    monkeypatch.setenv("HASSEWITT_FACTOR_LIMIT", "junk")
-    arith._factor_positive.cache_clear()
-    try:
-        with pytest.raises(DomainError):
-            factor(9973 * 9967)
-    finally:
-        monkeypatch.delenv("HASSEWITT_FACTOR_LIMIT")
-        arith._factor_positive.cache_clear()
+def test_factor_splits_a_cofactor_past_trial_division():
+    n = 104729 * 1299709  # both prime; n > 10**10 leaves the split to rho
+    assert factor(n).as_dict() == {104729: 1, 1299709: 1}
+    assert factor(2**4 * 104729).as_dict() == {2: 4, 104729: 1}

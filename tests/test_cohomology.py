@@ -60,6 +60,10 @@ def test_hilbert_symbol_takes_residue_symbols_only_against_odd_valuations(monkey
     assert taken == []
     assert hilbert_symbol(3, 14, Place.finite(7)) == -1  # 3 is not a square mod 7
     assert taken == [3]
+    taken.clear()
+    # both valuations odd: one symbol, of the product 3 * 2 of the units
+    assert hilbert_symbol(21, 14, Place.finite(7)) == 1
+    assert len(taken) == 1
 
 
 def test_square_class_canonical():

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from hassewitt import arith, forms
+from hassewitt import arith, cohomology, forms
 from hassewitt.cli import parse_gram
 from hassewitt.cohomology import INF, Place, cup, cup_sum, hilbert_symbol, localize
 from hassewitt.errors import DomainError
@@ -267,3 +267,14 @@ def test_unchecked_places_come_from_factor(monkeypatch):
     for q in qs:
         cup_sum([invariants(q).w1, -3, Fraction(10, 7)])
     assert tests == []
+
+
+def test_invariants_take_at_most_one_residue_symbol_per_odd_place(monkeypatch):
+    taken = []
+    real = cohomology._jacobi
+    monkeypatch.setattr(cohomology, "_jacobi", lambda a, n: taken.append(n) or real(a, n))
+    inv = invariants(diagonal_form([3, 5, 15, 7, 21, 2, -6, 10]))
+    assert max(taken.count(p) for p in set(taken)) == 1
+    assert set(taken) <= {3, 5, 7}
+    assert inv.to_json()["hasse_local"] == {"2": 1, "3": -1, "5": -1}
+    assert inv.w2.to_json() == [3, 5]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hassewitt import motives
+from hassewitt import arith, motives, numberfield
 from hassewitt.cli import run
 from hassewitt.cohomology import SquareClass
 from hassewitt.errors import DomainError
@@ -306,3 +306,24 @@ def test_motive_report_evaluates_chi_once(monkeypatch):
         assert calls == [spec]
         assert report.chi == kernel(spec)
         assert (report.m, report.m_prime, report.w1_qB, report.w2_qB) == betti_w_invariants(spec)
+
+
+def test_binary_divided_disc_runs_one_remainder_sequence(monkeypatch):
+    runs = []
+    real = numberfield._subresultant_res
+    monkeypatch.setattr(numberfield, "_subresultant_res", lambda a, b: runs.append(a) or real(a, b))
+    assert binary_divided_disc(Poly([1, 0, 3, 1])) == -135  # x^3 + 3x^2 + 1
+    assert len(runs) == 1
+    runs.clear()
+    with pytest.raises(DomainError, match="^binary form must be squarefree$"):
+        binary_divided_disc(Poly([1, 2, 1]))  # (x + 1)^2
+    assert len(runs) == 1
+
+
+def test_motive_report_factors_nothing(monkeypatch):
+    calls = []
+    real = arith.squarefree_part
+    monkeypatch.setattr(arith, "squarefree_part", lambda q: calls.append(q) or real(q))
+    for n, degrees in [(2, [3]), (4, [2]), (6, [4]), (2, [2, 3])]:
+        motive_report(CompleteIntersectionSpec(n, degrees))
+    assert calls == []
