@@ -12,6 +12,10 @@ Baillie-PSW test (a strong base-2 test plus a strong Lucas test with
 Selfridge's parameters) at every size: it is exact below 2**64 and no
 composite passing it is known above.  Exceeding the rho budget raises
 :class:`EffortExceededError` rather than returning a wrong answer.
+
+Factorizations and primality answers are memoized per process, up to
+8,192 of each; the memo only holds what the tests returned, so no answer
+depends on it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,12 @@ from math import gcd, isqrt
 from .errors import DomainError, EffortExceededError, InternalError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_CACHE_SIZE = 8192  # entries in each per-process memo: primality and factorization
 
 
+# a hit proves nothing new, like a _factor_positive hit: it is the bool BPSW
+# returned for this n; typed, so is_prime(7.0) and is_prime(True) keep theirs
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def is_prime(n: int) -> bool:
     """Baillie-PSW: small-prime trial division, then strong base-2 and strong Lucas tests."""
     if n < 2:
@@ -156,7 +164,7 @@ class Factorization:
         return dict(self.factors)
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n >= 1 into an ascending (prime, exponent) tuple."""
     if n == 1:

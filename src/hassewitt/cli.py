@@ -134,12 +134,13 @@ def parse_degrees(value) -> list[int]:
 
 
 def _run_hilbert(params: dict):
-    a = parse_rational(_need(params, "a"))
-    b = parse_rational(_need(params, "b"))
+    a_num, a_den = _parse_ratio(_need(params, "a"))
+    b_num, b_den = _parse_ratio(_need(params, "b"))
     place = parse_place(_need(params, "place"))
-    if a == 0 or b == 0:
+    if a_num == 0 or b_num == 0:
         raise CLIInputError("Hilbert symbol entries must be nonzero")
-    return {"symbol": hilbert_symbol(a, b, place)}, ()
+    # num * den lies in the square class of num / den
+    return {"symbol": hilbert_symbol(a_num * a_den, b_num * b_den, place)}, ()
 
 
 def _run_form_invariants(params: dict):
@@ -289,8 +290,9 @@ def _render_exact(render, *args, **kwargs) -> str:
 
 
 def _error_text(exc: Exception) -> str:
-    """str(exc) cut after 200 characters: messages echo rejected input."""
-    text = str(exc)
+    """str(exc), prefixed with the exception's type unless it is a
+    DomainError, cut after 200 characters: messages echo rejected input."""
+    text = str(exc) if isinstance(exc, DomainError) else f"{type(exc).__name__}: {exc}"
     return text if len(text) <= 200 else f"{text[:200]}… ({len(text)} characters)"
 
 

@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from hassewitt import arith
 from hassewitt.arith import Factorization, factor, is_prime, legendre, squarefree_part
+from hassewitt.cli import run_batch
 from hassewitt.errors import DomainError
 
 from oracles import naive_factor, naive_is_prime, squares_mod
@@ -140,3 +143,49 @@ def test_factor_splits_a_cofactor_past_trial_division():
     n = 104729 * 1299709  # both prime; n > 10**10 leaves the split to rho
     assert factor(n).as_dict() == {104729: 1, 1299709: 1}
     assert factor(2**4 * 104729).as_dict() == {2: 4, 104729: 1}
+
+
+P100 = 2**100 - 15  # prime
+
+
+def _count_strong_lucas(monkeypatch) -> list[int]:
+    calls = []
+    real = arith._strong_lucas
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "_strong_lucas", counted)
+    return calls
+
+
+def test_is_prime_memo_proves_a_prime_once(monkeypatch):
+    is_prime.cache_clear()
+    calls = _count_strong_lucas(monkeypatch)
+    assert is_prime(P100) and is_prime(P100)
+    assert calls == [P100]
+    # typed: a float is not served the int's entry, and fails as it did unmemoized
+    assert is_prime(53)
+    with pytest.raises(TypeError):
+        is_prime(53.0)
+
+
+def test_is_prime_memo_keeps_pseudoprimes_composite():
+    is_prime.cache_clear()
+    for n in (PSI12, PSI13, 561, 2047, 5459):
+        assert not is_prime(n), n
+        assert not is_prime(n), n
+
+
+def test_is_prime_memo_one_lucas_test_per_batch_place(monkeypatch, tmp_path):
+    is_prime.cache_clear()
+    calls = _count_strong_lucas(monkeypatch)
+    infile, outfile = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    infile.write_text("".join(
+        json.dumps({"id": i, "command": "hilbert", "parameters": {"a": 3 * P100 + i, "b": -i - 1, "place": P100}})
+        + "\n" for i in range(50)))
+    assert run_batch(str(infile), str(outfile)) == 0
+    reports = [json.loads(line) for line in outfile.read_text().splitlines()]
+    assert [r["status"] for r in reports] == ["ok"] * 50
+    assert calls == [P100]

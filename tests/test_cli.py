@@ -3,11 +3,12 @@ import io
 import json
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hassewitt import arith
+from hassewitt import arith, cli
 from hassewitt.cli import (
     COMMANDS,
     _build_parser,
@@ -62,6 +63,51 @@ def test_hilbert_proves_place_prime_once(monkeypatch):
     calls.clear()
     assert hilbert_symbol(3 * p, 5 * p, Place.finite(p)) == outputs["symbol"]
     assert calls == [p]
+
+
+def test_hilbert_runner_builds_no_fraction(monkeypatch):
+    def refused(value):
+        raise AssertionError(f"parse_rational({value!r})")
+
+    monkeypatch.setattr(cli, "parse_rational", refused)
+    for a, b, place in (("3/4", -7, 7), ("-6/8", "5/3", 3), (2, "-1/2", 2), ("-1", -1, "inf"), (12, 18, 5)):
+        outputs, _ = execute("hilbert", {"a": a, "b": b, "place": place})
+        want = hilbert_symbol(Fraction(a), Fraction(b), Place.parse(place))
+        assert outputs == {"symbol": want}, (a, b, place)
+    # errors keep their order: a, b, place, then the nonzero check
+    for params, error in (({"a": "x", "b": "y", "place": 4}, "cannot parse rational 'x'"),
+                          ({"a": 0, "b": "y", "place": 4}, "cannot parse rational 'y'"),
+                          ({"a": 0, "b": 1, "place": 4}, "4 is not prime"),
+                          ({"a": "0/3", "b": 1, "place": 5}, "Hilbert symbol entries must be nonzero")):
+        with pytest.raises(DomainError) as info:
+            execute("hilbert", params)
+        assert str(info.value) == error
+
+
+def _broken_hilbert_symbol(a, b, v):
+    raise ZeroDivisionError("boom" * 75)
+
+
+# "ZeroDivisionError: " plus 300 characters, cut after 200
+CUT_INTERNAL_ERROR = "ZeroDivisionError: " + ("boom" * 75)[:181] + "… (319 characters)"
+
+
+def test_internal_error_names_the_exception_type_in_batch(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "hilbert_symbol", _broken_hilbert_symbol)
+    infile, outfile = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    infile.write_text(json.dumps({"id": 1, "command": "hilbert", "parameters": {"a": 2, "b": 3, "place": 5}}) + "\n"
+                      + json.dumps({"id": 2, "command": "hypersurface", "parameters": {"n": 2, "d": 3}}) + "\n")
+    code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert code == 0
+    first, second = [json.loads(line) for line in outfile.read_text().splitlines()]
+    assert (first["status"], first["error"]) == ("internal_error", CUT_INTERNAL_ERROR)
+    assert (second["id"], second["status"]) == (2, "ok")
+
+
+def test_internal_error_names_the_exception_type_single_shot(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "hilbert_symbol", _broken_hilbert_symbol)
+    code, out, err = run_capture(capsys, ["hilbert", "--a", "2", "--b", "3", "--place", "5"])
+    assert (code, out, err) == (2, "", f"internal error: {CUT_INTERNAL_ERROR}\n")
 
 
 def test_embedding_golden(capsys):
