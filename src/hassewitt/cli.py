@@ -99,11 +99,10 @@ def parse_place(value) -> Place:
 
 def parse_poly(value) -> Poly:
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        return Poly([parse_rational(p) for p in parts])
-    if isinstance(value, (list, tuple)):
-        return Poly([parse_rational(c) for c in value])
-    raise CLIInputError(f"cannot parse polynomial coefficients {value!r}")
+        value = value.split(",")  # an empty field is an error, never a dropped coefficient
+    elif not isinstance(value, (list, tuple)):
+        raise CLIInputError(f"cannot parse polynomial coefficients {value!r}")
+    return Poly._from_ratios([_parse_ratio(c) for c in value])
 
 
 def parse_gram(value) -> QuadraticForm:

@@ -1,12 +1,17 @@
 """Etale Q-algebras presented by squarefree monic polynomials.
 
-The algebra Q[x]/(f) carries the symmetric pairing (u, v) -> trace(u*v);
-its Gram matrix in the power basis is the Hankel matrix of power sums of
-the roots, which Newton's identities produce from the coefficients without
-ever touching a root.  Resultants run through the subresultant polynomial
-remainder sequence over the integers.  The discriminant and the real
-signature come from one such sequence of (f, f'), run once per algebra:
-its members are signed multiples of the Sturm sequence.  Residue
+A polynomial f is held as c, the lcm of the reduced denominators of its
+coefficients, and the integral coefficients of c*f; the CLI parses
+coefficients straight into that pair, and the request path builds no
+rational number.  The algebra Q[x]/(f) carries the symmetric pairing
+(u, v) -> trace(u*v); its Gram matrix in the power basis is the Hankel
+matrix of power sums of the roots.  Newton's identities give them without
+ever touching a root, run in integers on the monic integral
+g = c**d * f(x/c), whose roots are c times those of f, so that
+p_k(f) = p_k(g) / c**k.  Resultants run through the subresultant
+polynomial remainder sequence over the integers.  The discriminant and the
+real signature come from one such sequence of (f, f'), run once per
+algebra: its members are signed multiples of the Sturm sequence.  Residue
 factorization patterns come from distinct-degree factorization over F_p,
 which gives the degree and count of the factors: x**p mod f is computed
 once per squarefree part, and the higher Frobenius powers x**(p**i) come
@@ -23,40 +28,64 @@ from typing import Iterable, Sequence
 
 from .arith import is_prime
 from .errors import DomainError, InternalError
-from .forms import FormInvariants, QuadraticForm, invariants
+from .forms import FormInvariants, QuadraticForm, _rat_json, invariants
 from .cohomology import SquareClass
 
 
 @dataclass(frozen=True)
 class Poly:
-    """Univariate polynomial over Q, coefficients ascending by degree."""
+    """Univariate polynomial over Q, coefficients ascending by degree.
 
-    coeffs: tuple[Fraction, ...]
+    It is held as c, the lcm of the reduced denominators of its
+    coefficients, and the integral coefficients of c*f with trailing zeros
+    trimmed; that pair is canonical, so equality and hashing compare it,
+    and ``coeffs`` is rebuilt from it on demand.
+    """
+
+    _scale: int
+    _scaled: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        rats = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
+        self._set([(x.numerator, x.denominator) for x in rats])
+
+    @classmethod
+    def _from_ratios(cls, pairs: Iterable[tuple[int, int]]) -> "Poly":
+        """The polynomial with coefficients num/den, from (num, den) pairs in lowest terms."""
+        f = object.__new__(cls)
+        f._set(list(pairs))
+        return f
+
+    def _set(self, pairs: list[tuple[int, int]]) -> None:
+        while pairs and pairs[-1][0] == 0:
+            pairs.pop()
+        scale = lcm(*[den for _, den in pairs])
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_scaled", tuple(num * (scale // den) for num, den in pairs))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        scale = self._scale
+        return tuple(Fraction(x, scale) for x in self._scaled)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._scaled
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._scaled) - 1
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._scaled[-1], self._scale)
 
     @property
     def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == 1
+        return not self.is_zero and self._scaled[-1] == self._scale
 
     def __call__(self, x) -> Fraction:
         acc = Fraction(0)
@@ -134,18 +163,18 @@ class Poly:
 
     def integer_coeffs(self) -> tuple[int, list[int]]:
         """(d, coeffs) with d > 0 minimal such that d * self has integer coefficients."""
-        d = lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
-        return d, [int(c * d) for c in self.coeffs]
+        return self._scale, list(self._scaled)
 
     def to_json(self) -> list:
-        return [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+        return [_rat_json(x, self._scale) for x in self._scaled]
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "Poly(0)"
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, x in enumerate(self._scaled):
+            if x:
+                c = _rat_json(x, self._scale)
                 terms.append(f"{c}*x^{i}" if i else f"{c}")
         return "Poly(" + " + ".join(terms) + ")"
 
@@ -245,16 +274,16 @@ def resultant(f: Poly, g: Poly) -> Fraction:
     return Fraction(res, df**g.degree * dg**f.degree)
 
 
-def _disc_and_real_roots(f: Poly) -> tuple[Fraction, int]:
-    """(disc f, number of real roots of f) for deg f >= 1, from one PRS.
-    disc f = 0 exactly when f has a repeated root; the count is then void."""
+def _disc_and_real_roots(f: Poly) -> tuple[int, int, int]:
+    """(num, den, number of real roots of f) with disc f = num / den, for
+    deg f >= 1, from one PRS.  num = 0 exactly when f has a repeated root;
+    the count is then void."""
     d, fi = f.integer_coeffs()
     res, count = _subresultant_res(fi, [i * c for i, c in enumerate(fi)][1:])
     n = f.degree
     # disc f = (-1)**(n(n-1)/2) * Res(f, f') / lc f, where
     # Res(d*f, d*f') = d**(2n - 1) * Res(f, f') and d * lc f = fi[-1]
-    disc = Fraction(res, d ** (2 * n - 2) * fi[-1])
-    return (-disc if (n * (n - 1) // 2) % 2 else disc), count
+    return (-res if (n * (n - 1) // 2) % 2 else res), d ** (2 * n - 2) * fi[-1], count
 
 
 def discriminant(f: Poly) -> Fraction:
@@ -266,7 +295,8 @@ def discriminant(f: Poly) -> Fraction:
         raise DomainError("discriminant requires a monic polynomial")
     if f.degree < 1:
         raise DomainError("discriminant requires degree >= 1")
-    return _disc_and_real_roots(f)[0]
+    num, den, _ = _disc_and_real_roots(f)
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +308,12 @@ def discriminant(f: Poly) -> Fraction:
 class EtaleAlgebra:
     """Q[x]/(f) for monic squarefree f; reducible f models a product of fields.
 
-    disc f and the real root count come from the constructor's one PRS."""
+    disc f, kept as an integer pair and built as a rational only when read,
+    and the real root count come from the constructor's one PRS."""
 
     poly: Poly
-    disc: Fraction = field(compare=False)
     real_roots: int = field(compare=False)
+    _disc: tuple[int, int] = field(compare=False, repr=False)
 
     def __init__(self, poly: "Poly | Iterable"):
         if not isinstance(poly, Poly):
@@ -291,44 +322,72 @@ class EtaleAlgebra:
             raise DomainError("defining polynomial must have degree >= 1")
         if not poly.is_monic:
             raise DomainError("defining polynomial must be monic")
-        disc, real_roots = _disc_and_real_roots(poly)
-        if disc == 0:
+        num, den, real_roots = _disc_and_real_roots(poly)
+        if num == 0:
             raise DomainError("defining polynomial must be squarefree")
         object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "real_roots", real_roots)
+        object.__setattr__(self, "_disc", (num, den))
+
+    @property
+    def disc(self) -> Fraction:
+        return Fraction(*self._disc)
 
     @property
     def degree(self) -> int:
         return self.poly.degree
+
+    def __repr__(self) -> str:
+        return f"EtaleAlgebra(poly={self.poly!r}, disc={self.disc!r}, real_roots={self.real_roots!r})"
+
+
+def _newton_sums(f: Poly, upto: int) -> list[int]:
+    """p_0, ..., p_upto for the roots of g = c**d * f(x/c), where f is monic
+    of degree d and c*f is the integral polynomial f holds, by Newton's
+    identities in integers.
+
+    g is monic and integral: its coefficient at x**i < x**d is
+    (c*a_i) * c**(d-i-1).  Its roots are c times those of f, so
+    p_k(f) = p_k(g) / c**k.
+    """
+    c, scaled = f._scale, f._scaled
+    d = len(scaled) - 1
+    # top[i] is the coefficient of g at x**(d-i)
+    top = [1] + [scaled[d - i] * c ** (i - 1) for i in range(1, d + 1)]
+    p = [d]
+    for k in range(1, upto + 1):
+        s = k * top[k] if k <= d else 0
+        for i in range(1, min(k, d + 1)):
+            s += top[i] * p[k - i]
+        p.append(-s)
+    return p
 
 
 def power_sums(f: Poly, upto: int) -> list[Fraction]:
     """p_0, ..., p_upto for the roots of monic f, by Newton's identities."""
     if not f.is_monic:
         raise DomainError("power sums require a monic polynomial")
-    d = f.degree
-    c = f.coeffs
-    p: list[Fraction] = [Fraction(d)]
-    for k in range(1, upto + 1):
-        s = Fraction(0)
-        for i in range(1, min(k, d + 1)):
-            s += c[d - i] * p[k - i]
-        if k <= d:
-            s += k * c[d - k]
-        p.append(-s)
-    return p
+    c = f._scale
+    return [Fraction(pk, c**k) for k, pk in enumerate(_newton_sums(f, upto))]
 
 
 def trace_gram(algebra: EtaleAlgebra) -> QuadraticForm:
     """Gram matrix of (u, v) -> trace(u*v) in the power basis 1, x, ..., x^(d-1).
 
     Entry (i, j) is the power sum p_(i+j); squarefreeness of the defining
-    polynomial is exactly nondegeneracy of this matrix.
+    polynomial is exactly nondegeneracy of this matrix.  The entries go to
+    the form as the pairs (p_k(g), c**k) of :func:`_newton_sums` in lowest
+    terms.
     """
-    d = algebra.degree
-    p = power_sums(algebra.poly, 2 * d - 2)
-    return QuadraticForm([[p[i + j] for j in range(d)] for i in range(d)])
+    f = algebra.poly
+    d, c = f.degree, f._scale
+    ratios = []
+    power = 1  # c**k
+    for pk in _newton_sums(f, 2 * d - 2):
+        g = igcd(pk, power)
+        ratios.append((pk // g, power // g))
+        power *= c
+    return QuadraticForm._from_ratios([ratios[i : i + d] for i in range(d)])
 
 
 @dataclass(frozen=True)
@@ -353,8 +412,10 @@ def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
     gram = trace_gram(algebra)
     inv = invariants(gram)
     r1, r2 = real_signature(algebra)
-    # for monic f, det of the trace Gram matrix is disc(f) exactly
-    if gram.det != algebra.disc:
+    # for monic f, det of the trace Gram matrix is disc(f) exactly: with
+    # det = D_n / L**d and disc f = num / den, D_n * den = num * L**d
+    num, den = algebra._disc
+    if gram._minors[-1] * den != num * gram._scale ** gram.rank:
         raise InternalError("trace form discriminant mismatch")
     report = TraceFormReport(
         gram=gram,
@@ -376,8 +437,8 @@ def count_real_roots(f: Poly) -> int:
     """Number of real roots of a squarefree polynomial."""
     if f.is_zero or f.degree < 1:
         return 0
-    disc, count = _disc_and_real_roots(f)
-    if disc == 0:
+    num, _, count = _disc_and_real_roots(f)
+    if num == 0:
         raise DomainError("real root count requires a squarefree polynomial")
     return count
 
@@ -562,11 +623,11 @@ def factor_pattern_mod_p(algebra: EtaleAlgebra, p: int) -> tuple[tuple[int, int]
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     f = algebra.poly
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            raise DomainError(f"coefficient denominator divisible by {p}")
-    fp = [int(c.numerator * pow(c.denominator, -1, p)) % p for c in f.coeffs]
-    fp = _fp_trim(fp)
+    # c is the lcm of the reduced denominators, so p | c iff p divides one of them
+    if f._scale % p == 0:
+        raise DomainError(f"coefficient denominator divisible by {p}")
+    inv = pow(f._scale, -1, p)
+    fp = _fp_trim([x * inv % p for x in f._scaled])
     if len(fp) - 1 != f.degree:
         raise InternalError("monic reduction lost its degree")
     pattern: list[tuple[int, int]] = []

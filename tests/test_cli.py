@@ -531,3 +531,22 @@ def test_integer_gram_parser_matches_parse_rational(capsys, entry):
             assert code == 0 and json.loads(out)["outputs"] == invariants(want).to_json()
         else:
             assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("poly", ["1,,1", ",1,0,1", "1,0,1,", " ,0,1", ""])
+def test_empty_polynomial_field_is_input_error(tmp_path, capsys, poly):
+    """Every comma-separated field is a coefficient: an empty one is refused,
+    since dropping it would move every later coefficient down a degree."""
+    blank = next(field for field in poly.split(",") if not field.strip())
+    error = f"cannot parse rational {blank!r}"
+    for command in ("tracefield", "embedding"):
+        code, out, err = run_capture(capsys, [command, f"--poly={poly}", "--json"])
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+    infile, outfile = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    infile.write_text(json.dumps({"id": 1, "command": "tracefield", "parameters": {"poly": poly}}) + "\n"
+                      + json.dumps({"id": 2, "command": "tracefield", "parameters": {"poly": "1,0,1"}}) + "\n")
+    code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert code == 0
+    first, second = [json.loads(line) for line in outfile.read_text().splitlines()]
+    assert (first["status"], first["error"], first["inputs"]) == ("input_error", error, {"poly": poly})
+    assert (second["id"], second["status"], second["outputs"]["gram"]) == (2, "ok", [[2, 0], [0, -2]])

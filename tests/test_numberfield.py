@@ -7,7 +7,7 @@ import pytest
 from hassewitt import numberfield
 from hassewitt.arith import is_prime
 from hassewitt.cohomology import SquareClass
-from hassewitt.errors import DomainError
+from hassewitt.errors import DomainError, InternalError
 from hassewitt.forms import invariants, isometric, orthogonal_sum
 from hassewitt.numberfield import (
     EtaleAlgebra,
@@ -339,6 +339,24 @@ def test_factor_pattern_against_brute_force():
             assert factor_pattern_mod_p(EtaleAlgebra(f), p) == expected, (f, p)
 
 
+def test_factor_pattern_of_rational_coefficients():
+    """A denominator prime to p is inverted mod p: the pattern is that of
+    the coefficients num * den**-1 mod p."""
+    from oracles import brute_factor_pattern
+
+    rng = random.Random(94)
+    for p in (3, 5):
+        checked = 0
+        while checked < 15:
+            head = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 4, 8, 11, 13])) for _ in range(rng.randint(1, 3))]
+            f = Poly(head + [1])
+            if f.integer_coeffs()[0] == 1 or not f.is_squarefree():
+                continue
+            checked += 1
+            residues = [c.numerator * pow(c.denominator, -1, p) for c in f.coeffs]
+            assert factor_pattern_mod_p(EtaleAlgebra(f), p) == brute_factor_pattern(residues, p), (f, p)
+
+
 def test_factor_pattern_degree_conservation():
     rng = random.Random(92)
     for p in (2, 3, 5, 7, 97):
@@ -485,3 +503,77 @@ def test_frobenius_power_once_per_squarefree_part(monkeypatch):
         fp = [int(c) % p for c in f.coeffs]
         parts = numberfield._fp_squarefree_parts(fp, p)
         assert len(calls) == expected == sum(1 for g, _ in parts if len(g) - 1 >= 2), (f, calls)
+
+
+def test_poly_identity_across_entry_types():
+    """Ints, Fractions, p/q strings, unreduced 2p/2q strings and trailing
+    zeros give one canonical (c, c*f), through the constructor and through
+    parse_poly: equal polys, equal hashes, the same coeffs, to_json and
+    pinned repr, and equal algebras."""
+    from hassewitt.cli import parse_poly
+
+    rationals = [Fraction(1, 2), Fraction(-3, 4), 0, Fraction(5, 6), 1]
+    integral = [-1, 1, 0, 0, 1]
+    for coeffs, pinned, scaled in (
+        (rationals, "Poly(1/2 + -3/4*x^1 + 5/6*x^3 + 1*x^4)", (12, [6, -9, 0, 10, 12])),
+        (integral, "Poly(-1 + 1*x^1 + 1*x^4)", (1, [-1, 1, 0, 0, 1])),
+    ):
+        strings = [str(x) for x in coeffs]
+        unreduced = [f"{2 * Fraction(x).numerator}/{2 * Fraction(x).denominator}" for x in coeffs]
+        padded = strings + ["0", "0/7"]
+        polys = [Poly(coeffs), Poly([Fraction(x) for x in coeffs]), Poly(coeffs + [0, Fraction(0)])]
+        for spelling in (strings, unreduced, padded):
+            polys += [Poly(spelling), parse_poly(spelling), parse_poly(",".join(spelling))]
+        first = polys[0]
+        assert repr(first) == pinned
+        assert first.coeffs == tuple(Fraction(x) for x in coeffs)
+        assert first.to_json() == [int(x) if Fraction(x).denominator == 1 else str(x) for x in coeffs]
+        assert first.integer_coeffs() == scaled
+        for f in polys:
+            assert f == first and hash(f) == hash(first)
+            assert (f.coeffs, f.to_json(), repr(f)) == (first.coeffs, first.to_json(), repr(first))
+            assert EtaleAlgebra(f) == EtaleAlgebra(first)
+            assert hash(EtaleAlgebra(f)) == hash(EtaleAlgebra(first))
+        assert Poly(coeffs[:-1] + [2]) != first
+    assert Poly([0, "0/3", Fraction(0)]) == Poly([]) and repr(Poly(["0"])) == "Poly(0)"
+
+
+@pytest.mark.parametrize("command, poly", [
+    ("tracefield", "-1,1,0,0,1"),
+    ("tracefield", "1/2,-3/4,0,5/6,1"),
+    ("tracefield", ["-7/4", "2/6", 1]),
+    ("embedding", "-1,-2,0,1,1"),
+    ("embedding", ["1/3", "2/5", 0, -1, 1]),
+])
+def test_request_path_builds_no_fraction(monkeypatch, command, poly):
+    """tracefield and embedding parse, build the algebra, its trace Gram and
+    the report in integers: Fraction.__new__ is never called."""
+    from hassewitt import cli
+
+    built = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    outputs, assumptions = cli.execute(command, {"poly": poly})
+    cli.dump_report(cli.make_report(None, command, {"poly": poly}, outputs, assumptions))
+    monkeypatch.undo()
+    assert built == []
+
+
+def test_trace_form_report_checks_det_against_disc():
+    """The det(Gram) = disc f guard compares integer pairs by cross
+    multiplication: an unreduced pair for the same disc passes, another
+    disc raises."""
+    for poly in (X4_X_1, Poly(["1/2", "-3/4", 0, "5/6", 1])):
+        algebra = EtaleAlgebra(poly)
+        num, den = algebra._disc
+        want = trace_form_report(algebra)
+        object.__setattr__(algebra, "_disc", (-6 * num, -6 * den))
+        assert trace_form_report(algebra) == want
+        object.__setattr__(algebra, "_disc", (num + den, den))
+        with pytest.raises(InternalError, match="trace form discriminant mismatch"):
+            trace_form_report(algebra)
