@@ -107,8 +107,8 @@ def parse_poly(value) -> Poly:
 
 def parse_gram(value) -> QuadraticForm:
     if isinstance(value, str):
-        rows = [r for r in value.split(";") if r.strip()]
-        matrix = [[_parse_ratio(c) for c in row.split(",")] for row in rows]
+        # an empty row or field is an error, never a dropped one
+        matrix = [[_parse_ratio(c) for c in row.split(",")] for row in value.split(";")]
     elif isinstance(value, (list, tuple)):
         if not all(isinstance(row, (list, tuple)) for row in value):
             raise CLIInputError("Gram matrix must be a list of rows")
@@ -120,8 +120,7 @@ def parse_gram(value) -> QuadraticForm:
 
 def parse_degrees(value) -> list[int]:
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        return [parse_int(p) for p in parts]
+        return [parse_int(p) for p in value.split(",")]  # an empty field is an error
     if isinstance(value, (list, tuple)):
         return [parse_int(d) for d in value]
     raise CLIInputError(f"cannot parse degree list {value!r}")

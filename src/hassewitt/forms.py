@@ -74,9 +74,14 @@ class QuadraticForm:
         return len(self._scaled)
 
     @property
+    def det_pair(self) -> tuple[int, int]:
+        """(D_n, L**n): the determinant as a pair of integers, not in lowest terms."""
+        return self._minors[-1], self._scale ** self.rank
+
+    @property
     def det(self) -> Fraction:
         """The determinant, D_n / L**n."""
-        return Fraction(self._minors[-1], self._scale ** self.rank)
+        return Fraction(*self.det_pair)
 
     def to_json(self) -> list[list]:
         return [[_rat_json(x, self._scale) for x in row] for row in self._scaled]

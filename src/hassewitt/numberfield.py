@@ -3,7 +3,9 @@
 A polynomial f is held as c, the lcm of the reduced denominators of its
 coefficients, and the integral coefficients of c*f; the CLI parses
 coefficients straight into that pair, and the request path builds no
-rational number.  The algebra Q[x]/(f) carries the symmetric pairing
+rational number.  :class:`Poly` is a value type with no arithmetic (coeffs,
+degree, leading, is_monic, derivative, is_squarefree, integer_coeffs,
+to_json).  The algebra Q[x]/(f) carries the symmetric pairing
 (u, v) -> trace(u*v); its Gram matrix in the power basis is the Hankel
 matrix of power sums of the roots.  Newton's identities give them without
 ever touching a root, run in integers on the monic integral
@@ -38,8 +40,10 @@ class Poly:
 
     It is held as c, the lcm of the reduced denominators of its
     coefficients, and the integral coefficients of c*f with trailing zeros
-    trimmed; that pair is canonical, so equality and hashing compare it,
-    and ``coeffs`` is rebuilt from it on demand.
+    trimmed; that pair is canonical, so equality and hashing compare it.
+    A value type with no arithmetic, it offers ``coeffs`` (rebuilt from the
+    pair on demand), ``is_zero``, ``degree``, ``leading``, ``is_monic``,
+    ``derivative``, ``is_squarefree``, ``integer_coeffs`` and ``to_json``.
     """
 
     _scale: int
@@ -87,73 +91,8 @@ class Poly:
     def is_monic(self) -> bool:
         return not self.is_zero and self._scaled[-1] == self._scale
 
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(x) + c
-        return acc
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
-    def scale(self, c) -> "Poly":
-        return Poly([Fraction(c) * x for x in self.coeffs])
-
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise DomainError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(()), self
-        quo = [Fraction(0)] * (dq + 1)
-        inv = 1 / other.leading
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv
-            quo[k] = c
-            if c:
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] -= c * b
-        return Poly(quo), Poly(rem[: other.degree])
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "Poly":
-        return self.scale(1 / self.leading)
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
 
     def is_squarefree(self) -> bool:
         # in characteristic 0, f is squarefree iff f and f' have no common root
@@ -415,7 +354,8 @@ def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
     # for monic f, det of the trace Gram matrix is disc(f) exactly: with
     # det = D_n / L**d and disc f = num / den, D_n * den = num * L**d
     num, den = algebra._disc
-    if gram._minors[-1] * den != num * gram._scale ** gram.rank:
+    det_num, det_den = gram.det_pair
+    if det_num * den != num * det_den:
         raise InternalError("trace form discriminant mismatch")
     report = TraceFormReport(
         gram=gram,

@@ -10,14 +10,16 @@ division recurrence, a fresh x**(p**i) mod g per degree instead of the
 Frobenius matrix, Fraction pivots and a Hilbert symbol per pair of
 diagonal entries instead of leading minors and the closed-form exponent
 over all pairs, a Fraction p-adic split with Euler's criterion instead of
-the valuation parities and units of integer representatives.
+the valuation parities and units of integer representatives.  Products,
+remainders and gcds of polynomials, used to build test inputs and by the
+Sturm chain, run on Fraction coefficient lists here.
 """
 
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 import random
 
-from hassewitt.arith import factor, padic_split, squarefree_part
+from hassewitt.arith import factor, squarefree_part
 from hassewitt.cohomology import INF, Place, SquareClass
 from hassewitt.errors import DomainError
 from hassewitt.forms import QuadraticForm
@@ -108,25 +110,63 @@ def sylvester_resultant(f: Poly, g: Poly) -> Fraction:
     return det
 
 
+# Fraction polynomials as coefficient lists, lowest degree first, with no
+# trailing zeros; the library's Poly has no arithmetic of its own.
+
+
+def poly_mul(*factors) -> list[Fraction]:
+    """The product of coefficient lists."""
+    out = [Fraction(1)]
+    for f in factors:
+        prod_ = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod_[i + j] += a * b
+        out = prod_
+    return out
+
+
+def poly_rem(a, b) -> list[Fraction]:
+    """The remainder of a by nonzero b, by long division."""
+    r = [Fraction(x) for x in a]
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        for i, x in enumerate(b):
+            r[len(r) - len(b) + i] -= c * x
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def poly_gcd(a, b) -> list[Fraction]:
+    """A gcd of a and b by Euclid's algorithm, up to a unit."""
+    while b:
+        a, b = b, poly_rem(a, b)
+    return list(a)
+
+
 def naive_count_real_roots(f: Poly) -> int:
     """Real roots of a squarefree polynomial by a Fraction Sturm chain
     S_0 = f, S_1 = f', S_(k+1) = -(S_(k-1) mod S_k), each member rescaled
     by a positive rational, with sign variations counted at -inf and +inf."""
 
-    def primitive(p: Poly) -> Poly:
-        _, cs = p.integer_coeffs()
-        c = gcd(*cs)
-        return Poly([Fraction(x, c) for x in cs])
+    def primitive(cs: list[Fraction]) -> list[Fraction]:
+        den = lcm(*(x.denominator for x in cs))
+        ints = [int(x * den) for x in cs]
+        c = gcd(*ints)
+        return [Fraction(x, c) for x in ints]
 
-    chain = [primitive(f), primitive(f.derivative())]
-    while chain[-1].degree > 0:
-        r = chain[-2] % chain[-1]
-        if r.is_zero:
+    cs = list(f.coeffs)
+    chain = [primitive(cs), primitive([i * c for i, c in enumerate(cs)][1:])]
+    while len(chain[-1]) > 1:
+        r = poly_rem(chain[-2], chain[-1])
+        if not r:
             raise ValueError("Sturm chain requires a squarefree polynomial")
-        chain.append(primitive(-r))
+        chain.append(primitive([-c for c in r]))
 
     def variations(positive: bool) -> int:
-        signs = [(1 if p.leading > 0 else -1) * (1 if positive or p.degree % 2 == 0 else -1) for p in chain]
+        signs = [(1 if p[-1] > 0 else -1) * (1 if positive or len(p) % 2 else -1) for p in chain]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     return variations(False) - variations(True)
@@ -203,8 +243,18 @@ def naive_hilbert_symbol(a, b, v: Place) -> int:
     if v.is_infinite:
         return -1 if (a < 0 and b < 0) else 1
     p = v.prime
-    alpha, u = padic_split(a, p)
-    beta, w = padic_split(b, p)
+
+    def padic_split(x: Fraction) -> tuple[int, Fraction]:
+        """x = p**e * u with u a p-adic unit, as (e, u)."""
+        e = 0
+        while x.numerator % p == 0:
+            x, e = x / p, e + 1
+        while x.denominator % p == 0:
+            x, e = x * p, e - 1
+        return e, x
+
+    alpha, u = padic_split(a)
+    beta, w = padic_split(b)
 
     def residue(x: Fraction, m: int) -> int:
         return x.numerator * pow(x.denominator, -1, m) % m

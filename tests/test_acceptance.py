@@ -43,6 +43,7 @@ from hassewitt.obstructions import (
 from oracles import (
     companion_power_traces,
     congruent_form,
+    poly_mul,
     random_nondegenerate_symmetric,
     random_unimodular,
 )
@@ -148,9 +149,7 @@ def test_criterion_07_multiquadratic_cross_validation():
         vals = set()
         while len(vals) < k:
             vals.add(squarefree_part(rng.randint(2, 500) * rng.choice([1, -1])))
-        poly = Poly([1])
-        for a in sorted(vals):
-            poly = poly * Poly([-a, 0, 1])
+        poly = Poly(poly_mul(*[[-a, 0, 1] for a in sorted(vals)]))
         if not poly.is_squarefree():
             continue
         done += 1

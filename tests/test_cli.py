@@ -550,3 +550,35 @@ def test_empty_polynomial_field_is_input_error(tmp_path, capsys, poly):
     first, second = [json.loads(line) for line in outfile.read_text().splitlines()]
     assert (first["status"], first["error"], first["inputs"]) == ("input_error", error, {"poly": poly})
     assert (second["id"], second["status"], second["outputs"]["gram"]) == (2, "ok", [[2, 0], [0, -2]])
+
+
+@pytest.mark.parametrize(
+    "command, param, value",
+    [
+        ("form-invariants", "gram", "1,0;;0,1"),
+        ("form-invariants", "gram", "1,0;0,1;"),
+        ("form-invariants", "gram", "1, ;0,1"),
+        ("form-invariants", "gram", ""),
+        ("hypersurface", "degrees", "2,,3"),
+        ("hypersurface", "degrees", "2,3,"),
+        ("hypersurface", "degrees", ""),
+    ],
+)
+def test_empty_gram_row_or_degree_is_input_error(tmp_path, capsys, command, param, value):
+    """Every ;-separated row and every ,-separated field or degree is read:
+    an empty one is refused, never dropped."""
+    blank = next(f for row in value.split(";") for f in row.split(",") if not f.strip())
+    error = f"cannot parse {'rational' if param == 'gram' else 'integer'} {blank!r}"
+    fixed = {"n": 2} if command == "hypersurface" else {}
+    argv = ["form", "invariants"] if command == "form-invariants" else [command, "--n", "2"]
+    code, out, err = run_capture(capsys, argv + [f"--{param}={value}", "--json"])
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+    good = "1,0;0,1" if param == "gram" else "2,3"
+    infile, outfile = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    infile.write_text(json.dumps({"id": 1, "command": command, "parameters": {**fixed, param: value}}) + "\n"
+                      + json.dumps({"id": 2, "command": command, "parameters": {**fixed, param: good}}) + "\n")
+    code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert code == 0
+    first, second = [json.loads(line) for line in outfile.read_text().splitlines()]
+    assert (first["status"], first["error"], first["inputs"][param]) == ("input_error", error, value)
+    assert (second["id"], second["status"]) == (2, "ok")

@@ -17,7 +17,7 @@ from hassewitt.errors import DomainError
 from hassewitt.forms import QuadraticForm
 from hassewitt.numberfield import EtaleAlgebra, Poly, discriminant, power_sums, trace_gram
 
-from oracles import companion_power_traces, naive_count_real_roots, sylvester_resultant
+from oracles import companion_power_traces, naive_count_real_roots, poly_mul, sylvester_resultant
 
 COEFF = st.one_of(
     st.just(Fraction(0)),
@@ -29,9 +29,9 @@ COEFF = st.one_of(
 def monic_polys(draw) -> Poly:
     degree = draw(st.integers(1, 8))
     if degree >= 3 and draw(st.integers(0, 3)) == 0:  # h**2 * k, not squarefree
-        h = Poly([draw(COEFF), 1])
-        k = Poly([draw(COEFF) for _ in range(degree - 2)] + [1])
-        return h * h * k
+        h = [draw(COEFF), 1]
+        k = [draw(COEFF) for _ in range(degree - 2)] + [1]
+        return Poly(poly_mul(h, h, k))
     return Poly([draw(COEFF) for _ in range(degree)] + [1])
 
 

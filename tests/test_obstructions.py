@@ -28,7 +28,7 @@ from hassewitt.obstructions import (
     sw2_permutation,
 )
 
-from oracles import random_nondegenerate_symmetric
+from oracles import poly_mul, random_nondegenerate_symmetric
 
 F1 = EtaleAlgebra(Poly([-1, 1, 0, 0, 1]))          # x^4 + x - 1, disc -283
 F2 = EtaleAlgebra(Poly([-1, -2, 0, 1, 1]))         # x^4 + x^3 - 2x - 1, disc -275
@@ -48,7 +48,7 @@ def test_sp2_permutation():
     assert sp2_permutation(F1) == places(2, 283)
     assert sp2_permutation(EtaleAlgebra(Poly([1, 0, 1]))).is_zero  # cup(2, -4) = cup(2, -1)
     # square discriminant: (x^2-2)(x^2-8) has disc class 1
-    alg = EtaleAlgebra(Poly([-2, 0, 1]) * Poly([-8, 0, 1]))
+    alg = EtaleAlgebra(Poly(poly_mul([-2, 0, 1], [-8, 0, 1])))
     assert SquareClass(discriminant(alg.poly)).is_trivial
     assert sp2_permutation(alg).is_zero
 
@@ -116,7 +116,7 @@ def test_lifting_decisions_agree_with_direct_classes():
         if kind == 0:
             f = Poly([rng.randint(-9, 9) for _ in range(4)] + [1])
         elif kind == 1:  # reducible: a product of two monic quadratics
-            f = Poly([rng.randint(-9, 9), rng.randint(-5, 5), 1]) * Poly([rng.randint(-9, 9), rng.randint(-5, 5), 1])
+            f = Poly(poly_mul([rng.randint(-9, 9), rng.randint(-5, 5), 1], [rng.randint(-9, 9), rng.randint(-5, 5), 1]))
         else:
             f = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)] + [1])
         if not f.is_squarefree():
@@ -223,9 +223,7 @@ def test_multiquadratic_character_cross_validation():
         while len(vals) < k:
             vals.add(squarefree_part(rng.randint(2, 400) * rng.choice([1, -1])))
         vals = sorted(vals)
-        poly = Poly([1])
-        for a in vals:
-            poly = poly * Poly([-a, 0, 1])
+        poly = Poly(poly_mul(*[[-a, 0, 1] for a in vals]))
         if not poly.is_squarefree():
             continue
         done += 1
