@@ -6,9 +6,10 @@ squarefree part of a rational, and the quadratic residue symbol modulo an
 odd prime.  All values are plain ``int`` / ``fractions.Fraction``; results
 are exact.
 
-Factorization strategy: trial division (wheel mod 30), then Brent-cycle
-Pollard rho on whatever survives.  Primality is decided by the
-Baillie-PSW test (a strong base-2 test plus a strong Lucas test with
+Factorization strategy: one gcd with the product of the odd primes below
+10**4 finds the small primes, then Brent-cycle Pollard rho, reducing once
+per eight steps, splits whatever composite survives.  Primality is decided
+by the Baillie-PSW test (a strong base-2 test plus a strong Lucas test with
 Selfridge's parameters) at every size: it is exact below 2**64 and no
 composite passing it is known above.  Exceeding the rho budget raises
 :class:`EffortExceededError` rather than returning a wrong answer.
@@ -23,12 +24,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import DomainError, EffortExceededError, InternalError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _CACHE_SIZE = 8192  # entries in each per-process memo: primality and factorization
+_TRIAL_BOUND = 10_000  # trial division finds every prime below this bound
+
+
+def _odd_primes_below(bound: int) -> tuple[int, ...]:
+    """The odd primes below bound, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    for p in range(3, isqrt(bound - 1) + 1, 2):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return tuple(p for p in range(3, bound, 2) if sieve[p])
+
+
+_TRIAL_PRIMES = _odd_primes_below(_TRIAL_BOUND)
+_PRIMORIAL = prod(_TRIAL_PRIMES)
 
 
 # a hit proves nothing new, like a _factor_positive hit: it is the bool BPSW
@@ -123,9 +138,29 @@ def _brent_rho(n: int, budget: int) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                # eight differences per reduction of q: at every gcd q is,
+                # up to sign, the product reduced once per step
+                steps = min(m, r - k)
+                for _ in range(steps >> 3):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    d = x - y
+                    y = (y * y + c) % n
+                    d *= x - y
+                    y = (y * y + c) % n
+                    d *= x - y
+                    y = (y * y + c) % n
+                    d *= x - y
+                    y = (y * y + c) % n
+                    d *= x - y
+                    y = (y * y + c) % n
+                    d *= x - y
+                    y = (y * y + c) % n
+                    d *= x - y
+                    y = (y * y + c) % n
+                    q = q * d * (x - y) % n
+                for _ in range(steps & 7):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
                 count += m
@@ -138,7 +173,7 @@ def _brent_rho(n: int, budget: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
                 count += 1
                 if count > budget:
                     break
@@ -167,44 +202,33 @@ class Factorization:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n >= 1 into an ascending (prime, exponent) tuple."""
-    if n == 1:
-        return ()
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    n, s = _odd_part(n)
+    out: dict[int, int] = {2: s} if s else {}
+    # the primes below _TRIAL_BOUND that divide n are those of g, which is
+    # squarefree: once p * p > g, what is left of g is 1 or a prime
+    g = gcd(n, _PRIMORIAL)
+    primes: list[int] = []
+    for p in _TRIAL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            primes.append(p)
+            g //= p
+    if g > 1:
+        primes.append(g)
+    for p in primes:
+        e = 0
         while n % p == 0:
-            out[p] = out.get(p, 0) + 1
             n //= p
-    # wheel mod 30 starting at 7, with periodic primality checkpoints so a
-    # large prime or semiprime cofactor falls through to rho early; past
-    # 10**4 only cofactors up to 10**10 stay, so d never passes 10**5
-    steps = (4, 2, 4, 2, 4, 6, 2, 6)
-    d, i = 7, 0
-    checkpoint = 1_000
-    while n > 1 and d * d <= n:
-        if d >= checkpoint:
-            if is_prime(n):
-                break
-            if checkpoint >= 10_000 and n > 10**10:
-                break  # rho splits survivors this size much faster
-            checkpoint *= 10
-        if n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-            # cheap exit once the cofactor is proven prime
-            if n > 1 and is_prime(n):
-                break
-        else:
-            d += steps[i]
-            i = (i + 1) % 8
-    # whatever is left: prime, or composite with no divisor below the stage
-    # bound; rho plus recursion finishes it
+            e += 1
+        out[p] = e
+    # every prime left is above _TRIAL_BOUND, so a composite left is above
+    # its square; rho plus recursion finishes the rest
     stack = [n] if n > 1 else []
     budget = 1 << 22
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         if isqrt(m) ** 2 == m:

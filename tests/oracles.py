@@ -13,15 +13,18 @@ over all pairs, a Fraction p-adic split with Euler's criterion instead of
 the valuation parities and units of integer representatives.  Products,
 remainders and gcds of polynomials, used to build test inputs and by the
 Sturm chain, run on Fraction coefficient lists here.
+
+One entry is a reference rather than an independent route:
+reference_brent_rho is Brent's rho reducing once per step, which the
+library's eight-step loop must match factor for factor.
 """
 
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 import random
 
-from hassewitt.arith import factor, squarefree_part
 from hassewitt.cohomology import INF, Place, SquareClass
-from hassewitt.errors import DomainError
+from hassewitt.errors import DomainError, EffortExceededError
 from hassewitt.forms import QuadraticForm
 from hassewitt.numberfield import Poly, _fp_divmod, _fp_gcd, _fp_trim
 
@@ -39,6 +42,47 @@ def naive_factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def reference_brent_rho(n: int, budget: int) -> int:
+    """Brent's rho with one difference |x - y| multiplied into q and one
+    reduction mod n per step; the same polynomials, rounds and budget as
+    arith._brent_rho."""
+    if n % 2 == 0:
+        return 2
+    for c in range(1, 64):
+        y, m, g, r, q = 2, 128, 1, 1, 1
+        x = ys = y
+        count = 0
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += m
+                count += m
+                if count > budget:
+                    break
+            r *= 2
+            if count > budget:
+                break
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+                count += 1
+                if count > budget:
+                    break
+        if 1 < g < n:
+            return g
+    raise EffortExceededError(f"factorization effort exhausted on {n}")
 
 
 def naive_is_prime(n: int) -> bool:
@@ -284,13 +328,21 @@ def naive_form_invariants(rows) -> dict:
     """The `form-invariants` report of a Gram matrix from naive_eliminate's
     diagonal: the Hasse unit at each place as the product of (a_i, a_j)_v
     over all pairs i < j, at inf, 2 and every prime of some entry, and the
-    determinant class as squarefree_part(det)."""
+    determinant class as the sign of det times the primes of odd exponent
+    in det.  Each numerator and denominator is factored by naive_factor on
+    its own: their product can hold two primes of 27 bits."""
     diag = naive_eliminate(rows)
     neg = sum(1 for a in diag if a < 0)
-    disc = squarefree_part(prod(diag))
-    places = {2}
+    exponents: dict[int, int] = {}  # the parity of each is its parity in det
     for a in diag:
-        places.update(p for p, _ in factor(a.numerator * a.denominator).factors)
+        for part in (a.numerator, a.denominator):
+            for p, e in naive_factor(part).items():
+                exponents[p] = exponents.get(p, 0) + e
+    disc = -1 if neg % 2 else 1
+    for p, e in exponents.items():
+        if e % 2:
+            disc *= p
+    places = {2, *exponents}
     units = {}
     for v in [Place.finite(p) for p in places] + [INF]:
         units[v] = prod(naive_hilbert_symbol(diag[i], diag[j], v)

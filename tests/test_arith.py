@@ -1,15 +1,18 @@
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hassewitt import arith
 from hassewitt.arith import Factorization, factor, is_prime, legendre, squarefree_part
 from hassewitt.cli import run_batch
 from hassewitt.errors import DomainError
 
-from oracles import naive_factor, naive_is_prime, squares_mod
+from oracles import naive_factor, naive_is_prime, reference_brent_rho, squares_mod
 
 
 def test_factor_basic():
@@ -140,9 +143,72 @@ def test_legendre_rejects_bad_modulus():
 
 
 def test_factor_splits_a_cofactor_past_trial_division():
-    n = 104729 * 1299709  # both prime; n > 10**10 leaves the split to rho
+    n = 104729 * 1299709  # both prime and above 10**4, so rho splits n
     assert factor(n).as_dict() == {104729: 1, 1299709: 1}
     assert factor(2**4 * 104729).as_dict() == {2: 4, 104729: 1}
+
+
+def test_trial_primes_are_the_odd_primes_below_ten_thousand():
+    odd_primes = tuple(p for p in range(3, 10**4) if naive_is_prime(p))
+    assert arith._TRIAL_PRIMES == odd_primes
+    assert arith._PRIMORIAL == prod(odd_primes)
+
+
+@pytest.mark.parametrize("n, want", [
+    (1, {}),
+    (9973, {9973: 1}),  # the largest prime below 10**4
+    (10007, {10007: 1}),  # the smallest prime above it
+    (9973**2, {9973: 2}),
+    (10007**2, {10007: 2}),  # the smallest composite with no prime below 10**4
+    (9973 * 10007, {9973: 1, 10007: 1}),
+    (99_999_989, {99_999_989: 1}),  # the largest prime below 10**8
+    (2**61 * 9973**3, {2: 61, 9973: 3}),
+    (10007 * 10009, {10007: 1, 10009: 1}),  # between 10**8 and 10**10
+])
+def test_factor_trial_division_boundaries(n, want):
+    assert factor(n).as_dict() == want == naive_factor(n)
+
+
+def _next_prime(n: int) -> int:
+    while not naive_is_prime(n):
+        n += 1
+    return n
+
+
+DRAWN_PRIME = st.one_of(
+    st.sampled_from([p for p in range(100) if naive_is_prime(p)]),
+    st.sampled_from([p for p in range(9_900, 10_100) if naive_is_prime(p)]),
+    st.integers(10**4, 99_990).map(_next_prime),
+    st.integers(2**25, 2**30 - 100).map(_next_prime),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(DRAWN_PRIME, st.integers(1, 3)), min_size=1, max_size=4))
+def test_factor_recovers_products_of_drawn_primes(parts):
+    want: dict[int, int] = {}
+    for p, e in parts:
+        want[p] = want.get(p, 0) + e
+    assert factor(prod(p**e for p, e in parts)).as_dict() == want
+
+
+def test_brent_rho_finds_the_one_step_factor():
+    rng = random.Random(13)
+
+    def product(count: int, low: int, high: int) -> int:
+        n = 1
+        for _ in range(count):
+            bits = rng.randint(low, high)
+            n *= _next_prime(rng.getrandbits(bits) | 1 << (bits - 1))
+        return n
+
+    # the small semiprimes and the three-prime products often close cycles
+    # mod two primes in one block, so the fallback walk and the block
+    # boundaries decide which factor comes back
+    for count, low, high in ((2, 20, 30), (2, 5, 12), (3, 8, 16)):
+        for _ in range(200):
+            n = product(count, low, high)
+            assert arith._brent_rho(n, 1 << 22) == reference_brent_rho(n, 1 << 22), n
 
 
 P100 = 2**100 - 15  # prime

@@ -171,6 +171,17 @@ def test_tracefield(capsys):
     assert outputs["gram"][0] == [4, 0, 0, -3]
 
 
+def test_tracefield_discriminant_split_by_rho(capsys):
+    # x^2 - 3*134217757*536883271: the 57-bit semiprime has no factor below 10**4
+    code, out, _ = run_capture(capsys, ["tracefield", "--poly", "-216177805213329441,0,1", "--json"])
+    assert code == 0
+    assert out.strip() == (
+        '{"assumptions":[],"command":"tracefield","id":null,"inputs":{"poly":"-216177805213329441,0,1"},'
+        '"outputs":{"disc_field":216177805213329441,"gram":[[2,0],[0,432355610426658882]],'
+        '"invariants":{"disc":216177805213329441,"hasse_local":{"134217757":-1,"2":1,"3":-1,"536883271":1},'
+        '"rank":2,"signature":[2,0],"w1":216177805213329441,"w2":[3,134217757]},"signature":[2,0]},"status":"ok"}')
+
+
 def test_jehanne(capsys):
     code, out, _ = run_capture(capsys, ["jehanne", "--p", "283", "--type", "1^2,1,1", "--disc", "-283", "--json"])
     assert code == 0
