@@ -177,6 +177,8 @@ def _run_jehanne(params: dict):
 
 def _run_hypersurface(params: dict):
     n = parse_int(_need(params, "n"))
+    if params.get("d") is not None and params.get("degrees") is not None:
+        raise CLIInputError("give d or degrees, not both")
     if "d" in params and params["d"] is not None:
         degrees = [parse_int(params["d"])]
     elif "degrees" in params and params["degrees"] is not None:

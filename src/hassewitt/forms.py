@@ -189,10 +189,6 @@ class FormInvariants:
     w2: CohClass2
     hasse_local: dict[Place, int]
 
-    @property
-    def hasse_minus_places(self) -> frozenset[Place]:
-        return frozenset(v for v, s in self.hasse_local.items() if s == -1)
-
     def __hash__(self) -> int:
         return hash((self.rank, self.signature, self.disc, self.w2))
 

@@ -14,10 +14,11 @@ p_k(f) = p_k(g) / c**k.  Resultants run through the subresultant
 polynomial remainder sequence over the integers.  The discriminant and the
 real signature come from one such sequence of (f, f'), run once per
 algebra: its members are signed multiples of the Sturm sequence.  Residue
-factorization patterns come from distinct-degree factorization over F_p,
-which gives the degree and count of the factors: x**p mod f is computed
-once per squarefree part, and the higher Frobenius powers x**(p**i) come
-from the Frobenius matrix.
+factorization patterns come from one distinct-degree factorization of f
+over F_p, which gives the degree and count of the factors and peels off
+their multiplicities by repeated gcds: x**p mod f is computed once per
+polynomial, and the higher Frobenius powers x**(p**i) come from the
+Frobenius matrix.
 """
 
 from __future__ import annotations
@@ -95,10 +96,10 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def is_squarefree(self) -> bool:
-        # in characteristic 0, f is squarefree iff f and f' have no common root
+        # in characteristic 0, f is squarefree iff disc f != 0
         if self.is_zero:
             return False
-        return self.degree <= 0 or resultant(self, self.derivative()) != 0
+        return self.degree <= 0 or _disc_and_real_roots(self)[0] != 0
 
     def integer_coeffs(self) -> tuple[int, list[int]]:
         """(d, coeffs) with d > 0 minimal such that d * self has integer coefficients."""
@@ -430,38 +431,6 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _fp_deriv(a: list[int], p: int) -> list[int]:
-    return _fp_trim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
-def _fp_squarefree_parts(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Decompose monic f over F_p as a product of squarefree parts with
-    multiplicities: returns (g, m) pairs with f = prod g**m, g squarefree."""
-    out: list[tuple[list[int], int]] = []
-    e = 1
-    while len(f) - 1 > 0:
-        fp = _fp_deriv(f, p)
-        if not fp:
-            # f = g(x^p) = g(x)**p over the prime field
-            f = _fp_trim([f[i] for i in range(0, len(f), p)])
-            e *= p
-            continue
-        c = _fp_gcd(f, fp, p)
-        w = _fp_divmod(f, c, p)[0]
-        i = 1
-        while len(w) - 1 > 0:
-            y = _fp_gcd(w, c, p)
-            z = _fp_divmod(w, y, p)[0]
-            if len(z) - 1 > 0:
-                out.append((z, i * e))
-            w = y
-            if y != [1]:
-                c = _fp_divmod(c, y, p)[0]
-            i += 1
-        f = c
-    return out
-
-
 def _fp_reduce(out: list[int], g: list[int], p: int) -> list[int]:
     """Remainder of out modulo monic g over F_p.
 
@@ -515,13 +484,17 @@ def _fp_xpow(e: int, g: list[int], p: int) -> list[int]:
     return result
 
 
-def _fp_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """(product of irreducible factors, common degree) pairs, f squarefree monic.
+def _fp_pattern(f: list[int], p: int) -> list[tuple[int, int]]:
+    """(degree, multiplicity) of each irreducible factor of monic f over F_p,
+    by one distinct-degree pass over f itself.
 
     x**p mod f is computed once.  Row j of the Frobenius matrix is
     x**(j*p) mod f, so h -> h(x**p) mod f, which takes x**(p**i) to
-    x**(p**(i+1)), is a vector-matrix product.  h stays reduced mod f rather
-    than the shrinking g: g divides f, so gcd(g, h - x) is the same.
+    x**(p**(i+1)), is a vector-matrix product.  g is what is left of f, and
+    at step i it has no factor of degree below i, so d = gcd(g, h - x) is
+    the product of its distinct degree-i factors (h stays reduced mod f:
+    g divides f).  Dividing d out of g and taking gcd(g, d) again leaves
+    the factors of higher multiplicity, one multiplicity at a time.
     """
     out = []
     n = len(f) - 1
@@ -544,12 +517,17 @@ def _fp_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
             probe[1] = (probe[1] - 1) % p  # h - x
             probe = _fp_trim(probe)
             d = _fp_gcd(g, probe, p) if probe else g[:]
-            if len(d) - 1 > 0:
-                out.append((d, i))
+            m = 1
+            while len(d) - 1 > 0:
                 g = _fp_divmod(g, d, p)[0]
+                rest = _fp_gcd(g, d, p)
+                out.extend([(i, m)] * ((len(d) - len(rest)) // i))
+                d = rest
+                m += 1
             i += 1
+    # deg g < 2i and g has no factor of degree below i: g is irreducible
     if len(g) - 1 > 0:
-        out.append((g, len(g) - 1))
+        out.append((len(g) - 1, 1))
     return out
 
 
@@ -570,11 +548,7 @@ def factor_pattern_mod_p(algebra: EtaleAlgebra, p: int) -> tuple[tuple[int, int]
     fp = _fp_trim([x * inv % p for x in f._scaled])
     if len(fp) - 1 != f.degree:
         raise InternalError("monic reduction lost its degree")
-    pattern: list[tuple[int, int]] = []
-    for part, mult in _fp_squarefree_parts(fp, p):
-        for block, d in _fp_distinct_degree(part, p):
-            pattern.extend([(d, mult)] * ((len(block) - 1) // d))
-    pattern.sort()
+    pattern = sorted(_fp_pattern(fp, p))
     if sum(d * m for d, m in pattern) != f.degree:
         raise InternalError("factor pattern does not account for the degree")
     return tuple(pattern)

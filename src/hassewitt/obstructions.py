@@ -95,10 +95,6 @@ class DecompositionType:
     def parse(text: str) -> "DecompositionType":
         return DecompositionType(text.strip())
 
-    @property
-    def is_unramified(self) -> bool:
-        return self.name == "unramified"
-
 
 def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
     """Local pair (w_{2,p} of the trace form, (2, d_F)_p) for a quartic

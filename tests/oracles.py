@@ -12,7 +12,8 @@ diagonal entries instead of leading minors and the closed-form exponent
 over all pairs, a Fraction p-adic split with Euler's criterion instead of
 the valuation parities and units of integer representatives.  Products,
 remainders and gcds of polynomials, used to build test inputs and by the
-Sturm chain, run on Fraction coefficient lists here.
+Sturm chain, run on Fraction coefficient lists here; the distinct-degree
+oracle divides and takes gcds over F_p with its own long division.
 
 One entry is a reference rather than an independent route:
 reference_brent_rho is Brent's rho reducing once per step, which the
@@ -26,7 +27,7 @@ import random
 from hassewitt.cohomology import INF, Place, SquareClass
 from hassewitt.errors import DomainError, EffortExceededError
 from hassewitt.forms import QuadraticForm
-from hassewitt.numberfield import Poly, _fp_divmod, _fp_gcd, _fp_trim
+from hassewitt.numberfield import Poly
 
 
 def naive_factor(n: int) -> dict[int, int]:
@@ -456,11 +457,39 @@ def brute_factor_pattern(coeffs: list[int], p: int) -> tuple[tuple[int, int], ..
     return tuple(sorted(expanded))
 
 
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over F_p by schoolbook long division,
+    for b with a leading coefficient that is a unit mod p."""
+    a = [c % p for c in a]
+    inv = pow(b[-1], -1, p)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = a[k + len(b) - 1] * inv % p
+        quo[k] = c
+        for i, x in enumerate(b):
+            a[k + i] = (a[k + i] - c * x) % p
+    return _trim(quo), _trim(a[: len(b) - 1])
+
+
+def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p by Euclid's algorithm; [] for gcd(0, 0)."""
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    while b:
+        a, b = b, fp_divmod(a, b, p)[1]
+    return [c * pow(a[-1], -1, p) % p for c in a] if a else []
+
+
 def naive_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """(product of irreducible factors, common degree) pairs for squarefree
     monic f over F_p, raising h to the p-th power mod the remaining g by
     repeated squaring at every degree, each product reduced mod p term by
-    term."""
+    term, with this module's own F_p division and gcd."""
 
     def mul(a, b):
         if not a or not b:
@@ -470,15 +499,15 @@ def naive_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
             if x:
                 for j, y in enumerate(b):
                     out[i + j] = (out[i + j] + x * y) % p
-        return _fp_trim(out)
+        return _trim(out)
 
     def powmod(base, e, mod):
         result = [1]
-        base = _fp_divmod(base, mod, p)[1]
+        base = fp_divmod(base, mod, p)[1]
         while e:
             if e & 1:
-                result = _fp_divmod(mul(result, base), mod, p)[1]
-            base = _fp_divmod(mul(base, base), mod, p)[1]
+                result = fp_divmod(mul(result, base), mod, p)[1]
+            base = fp_divmod(mul(base, base), mod, p)[1]
             e >>= 1
         return result
 
@@ -490,12 +519,12 @@ def naive_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
         h = powmod(h, p, g)
         probe = h[:] + [0, 0]
         probe[1] = (probe[1] - 1) % p  # h - x
-        probe = _fp_trim(probe)
-        d = _fp_gcd(g, probe, p) if probe else g[:]
+        probe = _trim(probe)
+        d = fp_gcd(g, probe, p) if probe else g[:]
         if len(d) - 1 > 0:
             out.append((d, i))
-            g = _fp_divmod(g, d, p)[0]
-            h = _fp_divmod(h, g, p)[1]
+            g = fp_divmod(g, d, p)[0]
+            h = fp_divmod(h, g, p)[1]
         i += 1
     if len(g) - 1 > 0:
         out.append((g, len(g) - 1))

@@ -593,3 +593,20 @@ def test_empty_gram_row_or_degree_is_input_error(tmp_path, capsys, command, para
     first, second = [json.loads(line) for line in outfile.read_text().splitlines()]
     assert (first["status"], first["error"], first["inputs"][param]) == ("input_error", error, value)
     assert (second["id"], second["status"]) == (2, "ok")
+
+
+def test_hypersurface_d_with_degrees_is_input_error(tmp_path, capsys):
+    """d and degrees name the same input two ways; given both, neither is
+    dropped in favour of the other."""
+    error = "give d or degrees, not both"
+    code, out, err = run_capture(capsys, ["hypersurface", "--n", "2", "--d", "3", "--degrees", "2,3", "--json"])
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+    infile, outfile = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    infile.write_text(
+        json.dumps({"id": 1, "command": "hypersurface", "parameters": {"n": 2, "d": 3, "degrees": "2,3"}}) + "\n"
+        + json.dumps({"id": 2, "command": "hypersurface", "parameters": {"n": 2, "degrees": "2,3"}}) + "\n")
+    code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert code == 0
+    first, second = [json.loads(line) for line in outfile.read_text().splitlines()]
+    assert (first["status"], first["error"]) == ("input_error", error)
+    assert (second["id"], second["status"], second["outputs"]["chi"]) == (2, "ok", 24)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -24,6 +25,7 @@ from hassewitt.numberfield import (
 
 from oracles import (
     companion_power_traces,
+    fp_gcd,
     naive_count_real_roots,
     naive_distinct_degree,
     naive_is_prime,
@@ -401,15 +403,28 @@ def test_factor_pattern_rejects_bad_inputs():
         factor_pattern_mod_p(EtaleAlgebra(Poly([1, 0, 1])), 6)
 
 
-def test_distinct_degree_matches_naive():
+def test_fp_pattern_matches_oracles():
+    from oracles import brute_factor_pattern
+
+    # every monic f of degree 1-4 over F_2 and F_3, p-th powers such as
+    # (x^2 + x + 1)^2 mod 2 among them
+    for p in (2, 3):
+        for deg in range(1, 5):
+            for tail in itertools.product(range(p), repeat=deg):
+                f = list(tail) + [1]
+                pattern = tuple(sorted(numberfield._fp_pattern(f, p)))
+                assert pattern == brute_factor_pattern(f, p), (f, p)
     rng = random.Random(93)
-    for p in (2, 3, 5, 7, 101, 65537, 2**61 - 1):
+    for p in (101, 65537, 2**61 - 1):
         checked = 0
         while checked < 30:
             f = [rng.randrange(p) for _ in range(rng.randint(1, 10))] + [1]
-            for part, _ in numberfield._fp_squarefree_parts(f, p):
-                checked += 1
-                assert numberfield._fp_distinct_degree(part, p) == naive_distinct_degree(part, p), (part, p)
+            if fp_gcd(f, [i * c for i, c in enumerate(f)][1:], p) != [1]:
+                continue
+            checked += 1
+            expected = sorted((d, 1) for block, d in naive_distinct_degree(f, p)
+                              for _ in range((len(block) - 1) // d))
+            assert sorted(numberfield._fp_pattern(f, p)) == expected, (f, p)
 
 
 def _prime_1_mod_840(low):
@@ -433,18 +448,25 @@ def _irreducible_binomial(rng, d, p, used):
             return [-a] + [0] * (d - 1) + [1]
 
 
-def _constructed(rng, degrees, squared_linear=False):
+def _constructed(rng, degrees, repeated=()):
     """(f, pattern mod P61) for f a product of x - r (degree 1) and
-    irreducible x^d - a, times (x - r)(x - r - p) when squared_linear."""
+    irreducible x^d - a, times, for each (d, m) in repeated, the m
+    polynomials x^d - a - k*p (k < m), which are coprime over Q and all
+    equal to one irreducible x^d - a mod p."""
     p = P61
     used: set = set()
     f = [1]
     pattern = []
-    if squared_linear:
-        r = rng.randint(-50, 50)
-        f = poly_mul([-r, 1], [-r - p, 1])
-        used.add(r)
-        pattern.append((1, 2))
+    for d, m in repeated:
+        if d == 1:
+            r = rng.randint(-50, 50)
+            used.add(r)
+            base = [-r, 1]
+        else:
+            base = _irreducible_binomial(rng, d, p, used)
+        for k in range(m):
+            f = poly_mul(f, [base[0] - k * p] + base[1:])
+        pattern.append((d, m))
     for d in degrees:
         if d == 1:
             r = rng.choice([r for r in range(-10**6, 10**6, 7919) if r not in used])
@@ -459,50 +481,57 @@ def _constructed(rng, degrees, squared_linear=False):
 def test_factor_pattern_by_construction():
     assert P61.bit_length() == 61 and P61 % 840 == 1
     rng = random.Random(94)
+    squared_linear = ((1, 2),)
     shapes = [
-        ((4, 4), False),
-        ((1, 1, 2, 2), False),
-        ((3,), True),
-        ((2, 2), True),
-        ((8,), False),
-        ((1, 7), False),
-        ((2, 3, 3), False),
-        ((5, 1, 1), True),
-        ((6,), False),
+        ((4, 4), ()),
+        ((1, 1, 2, 2), ()),
+        ((3,), squared_linear),
+        ((2, 2), squared_linear),
+        ((8,), ()),
+        ((1, 7), ()),
+        ((2, 3, 3), ()),
+        ((5, 1, 1), squared_linear),
+        ((6,), ()),
+        # repeated irreducible binomials: (x^2 - a)^2 (x^3 - b) mod p and more
+        ((3,), ((2, 2),)),
+        ((1,), ((3, 2),)),
+        ((), ((2, 3),)),
+        ((2,), ((2, 2), (1, 3))),
+        ((1, 1), ((2, 2), (2, 1))),
     ]
-    for degrees, squared_linear in shapes:
+    for degrees, repeated in shapes:
         for _ in range(3):
-            f, expected = _constructed(rng, degrees, squared_linear)
+            f, expected = _constructed(rng, degrees, repeated)
             assert factor_pattern_mod_p(EtaleAlgebra(f), P61) == expected, (f, expected)
 
 
-def test_frobenius_power_once_per_squarefree_part(monkeypatch):
+def test_frobenius_power_once_per_pattern(monkeypatch):
     calls = []
     real = numberfield._fp_xpow
 
     def counted(e, g, p):
-        calls.append(len(g) - 1)
+        calls.append((e, g[:]))
         return real(e, g, p)
 
     monkeypatch.setattr(numberfield, "_fp_xpow", counted)
     rng = random.Random(95)
     p = P61
-    a = 3 + P61 % 7  # any a != 0: x^2 - a and x^2 - a - p are coprime over Q
-    square = poly_mul([-a, 0, 1], [-a - p, 0, 1])  # (x^2 - a)^2 mod p
     cases = [
-        # one part of degree 5, one linear part squared: one x^p
-        (_constructed(rng, (3, 2), squared_linear=True)[0], 1),
-        # a cubic part and a quadratic part squared: two
-        (Poly(poly_mul(_constructed(rng, (3,))[0].coeffs, square)), 2),
-        # only linear parts: none
-        (_constructed(rng, (1,), squared_linear=True)[0], 0),
+        _constructed(rng, (3, 2), ((1, 2),))[0],
+        _constructed(rng, (3,), ((2, 2),))[0],
+        _constructed(rng, (1,), ((1, 2),))[0],
+        _constructed(rng, (), ((1, 2),))[0],  # degree 2, a squared linear factor mod p
+        _constructed(rng, (2,))[0],
+        _constructed(rng, (1,))[0],
+        Poly([Fraction(-3, 7), 1]),
     ]
-    for f, expected in cases:
+    for f in cases:
         calls.clear()
         factor_pattern_mod_p(EtaleAlgebra(f), p)
-        fp = [int(c) % p for c in f.coeffs]
-        parts = numberfield._fp_squarefree_parts(fp, p)
-        assert len(calls) == expected == sum(1 for g, _ in parts if len(g) - 1 >= 2), (f, calls)
+        c, scaled = f.integer_coeffs()
+        fp = [x * pow(c, -1, p) % p for x in scaled]
+        # x^p mod f itself, once, whatever the multiplicities; none for a linear f
+        assert calls == ([(p, fp)] if f.degree >= 2 else []), (f, calls)
 
 
 def test_poly_identity_across_entry_types():
