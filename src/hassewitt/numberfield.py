@@ -17,8 +17,8 @@ algebra: its members are signed multiples of the Sturm sequence.  Residue
 factorization patterns come from one distinct-degree factorization of f
 over F_p, which gives the degree and count of the factors and peels off
 their multiplicities by repeated gcds: x**p mod f is computed once per
-polynomial, and the higher Frobenius powers x**(p**i) come from the
-Frobenius matrix.
+polynomial, with each residue mod (f, p) packed into one int, and the
+higher Frobenius powers x**(p**i) come from the Frobenius matrix.
 """
 
 from __future__ import annotations
@@ -431,88 +431,85 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _fp_reduce(out: list[int], g: list[int], p: int) -> list[int]:
-    """Remainder of out modulo monic g over F_p.
+class _FpQuotient:
+    """F_p[x]/(f) for monic f of degree n >= 1.  A residue is one int whose
+    w-bit slot i holds its coefficient of x**i, reduced mod p.
 
-    out holds unreduced integers (sums of products of residues) and is
-    overwritten; each eliminated coefficient and each kept one is taken
-    mod p exactly once.
+    A product of two residues has slots of at most n(p-1)**2, and
+    multiplying it by x is a shift by one slot.  ``reduce`` folds slot
+    n + k back onto the low n slots by adding it times the packed row
+    x**(n+k) mod f, which adds at most n * n(p-1)**2 * (p-1) per slot; so
+    w = bitlen(n(p-1)**2 (1 + n(p-1))) leaves no carry between slots, and
+    each coefficient is taken mod p once, when it is unpacked.
     """
-    n = len(g) - 1
-    for k in range(len(out) - 1, n - 1, -1):
-        c = out[k] % p
-        if c:
-            base = k - n
-            for i in range(n):
-                out[base + i] -= c * g[i]
-    return _fp_trim([c % p for c in out[:n]])
 
+    def __init__(self, f: list[int], p: int):
+        n = len(f) - 1
+        self.f, self.p, self.n = f, p, n
+        self.w = w = (n * (p - 1) ** 2 * (1 + n * (p - 1))).bit_length()
+        self.mask, self.low = (1 << w) - 1, (1 << n * w) - 1
+        self.rows = [sum(-c % p << i * w for i, c in enumerate(f[:n]))]  # x**n mod f
+        while len(self.rows) < n:  # x * x**(n+k-1): only its slot n folds, by x**n
+            self.rows.append(self.reduce(self.rows[-1] << w))
 
-def _fp_mulmod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _fp_reduce(out, g, p)
+    def unpack(self, a: int) -> list[int]:
+        """The coefficients, each mod p, of a packed sum whose slots hold no carry."""
+        w, mask, p = self.w, self.mask, self.p
+        return _fp_trim([(a >> i * w & mask) % p for i in range(self.n)])
 
+    def reduce(self, s: int) -> int:
+        """The residue of s, a packed polynomial of degree < 2n whose slots
+        are at most n(p-1)**2."""
+        n, w, mask, p = self.n, self.w, self.mask, self.p
+        hi, acc = s >> n * w, s & self.low
+        for row in self.rows:
+            acc += (hi & mask) * row
+            hi >>= w
+        out = 0
+        for i in range(n - 1, -1, -1):
+            out = out << w | (acc >> i * w & mask) % p
+        return out
 
-def _fp_sqrmod(a: list[int], g: list[int], p: int) -> list[int]:
-    if not a:
-        return []
-    n = len(a)
-    out = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[2 * i] += x * x
-            x2 = 2 * x
-            for j in range(i + 1, n):
-                out[i + j] += x2 * a[j]
-    return _fp_reduce(out, g, p)
-
-
-def _fp_xpow(e: int, g: list[int], p: int) -> list[int]:
-    """x**e mod monic g over F_p for e >= 1, left to right: a set bit
-    multiplies by x, which is a one-place shift."""
-    result = _fp_reduce([0, 1], g, p)
-    for bit in bin(e)[3:]:
-        result = _fp_sqrmod(result, g, p)
-        if bit == "1":
-            result = _fp_reduce([0] + result, g, p)
-    return result
+    def xpow(self, e: int) -> int:
+        """x**e for e >= 1, left to right: a set bit of e shifts the square
+        by one slot (times x) before its one reduction."""
+        a = self.reduce(1 << self.w)
+        for bit in bin(e)[3:]:
+            s = a * a
+            if bit == "1":
+                s <<= self.w
+            a = self.reduce(s)
+        return a
 
 
 def _fp_pattern(f: list[int], p: int) -> list[tuple[int, int]]:
     """(degree, multiplicity) of each irreducible factor of monic f over F_p,
     by one distinct-degree pass over f itself.
 
-    x**p mod f is computed once.  Row j of the Frobenius matrix is
-    x**(j*p) mod f, so h -> h(x**p) mod f, which takes x**(p**i) to
-    x**(p**(i+1)), is a vector-matrix product.  g is what is left of f, and
-    at step i it has no factor of degree below i, so d = gcd(g, h - x) is
-    the product of its distinct degree-i factors (h stays reduced mod f:
-    g divides f).  Dividing d out of g and taking gcd(g, d) again leaves
-    the factors of higher multiplicity, one multiplicity at a time.
+    x**p mod f is computed once, in the packed ring :class:`_FpQuotient`,
+    where each squaring is one bigint product and one packed reduction.
+    Row j of the Frobenius matrix is x**(j*p) mod f, a product in the same
+    ring, so h -> h(x**p) mod f, which takes x**(p**i) to x**(p**(i+1)), is
+    the sum of the packed rows scaled by the coefficients of h, unpacked
+    once.  g is what is left of f, and at step i it has no factor of
+    degree below i, so d = gcd(g, h - x) is the product of its distinct
+    degree-i factors (h stays reduced mod f: g divides f).  Dividing d out
+    of g and taking gcd(g, d) again leaves the factors of higher
+    multiplicity, one multiplicity at a time.
     """
     out = []
     n = len(f) - 1
     g = f[:]
     if n >= 2:
-        xp = _fp_xpow(p, f, p)
-        rows = [[1], xp]
+        ring = _FpQuotient(f, p)
+        xp = ring.xpow(p)
+        rows = [1, xp]
         while len(rows) < n:
-            rows.append(_fp_mulmod(rows[-1], xp, f, p))
+            rows.append(ring.reduce(rows[-1] * xp))
         h = [0, 1]
         i = 1
         while len(g) - 1 >= 2 * i:
-            acc = [0] * n
-            for c, row in zip(h, rows):
-                if c:
-                    for k, r in enumerate(row):
-                        acc[k] += c * r
-            h = _fp_trim([c % p for c in acc])
+            h = ring.unpack(sum(c * row for c, row in zip(h, rows)))
             probe = h[:] + [0, 0]
             probe[1] = (probe[1] - 1) % p  # h - x
             probe = _fp_trim(probe)

@@ -7,7 +7,8 @@ instead of the signs carried by the integer subresultant sequence,
 companion matrix powers instead of Newton recursions, exhaustive squaring
 instead of Euler's criterion, full series convolution instead of the
 division recurrence, a fresh x**(p**i) mod g per degree instead of the
-Frobenius matrix, Fraction pivots and a Hilbert symbol per pair of
+Frobenius matrix, x**e mod f by right-to-left schoolbook products on
+coefficient lists instead of the packed ring, Fraction pivots and a Hilbert symbol per pair of
 diagonal entries instead of leading minors and the closed-form exponent
 over all pairs, a Fraction p-adic split with Euler's criterion instead of
 the valuation parities and units of integer representatives.  Products,
@@ -483,6 +484,18 @@ def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
         a, b = b, fp_divmod(a, b, p)[1]
     return [c * pow(a[-1], -1, p) % p for c in a] if a else []
+
+
+def fp_xpow(e: int, f: list[int], p: int) -> list[int]:
+    """x**e mod monic f over F_p, right to left, by schoolbook Fraction
+    products and this module's long division."""
+    result, base = [1], fp_divmod([0, 1], f, p)[1]
+    while e:
+        if e & 1:
+            result = fp_divmod([int(c) for c in poly_mul(result, base)], f, p)[1]
+        base = fp_divmod([int(c) for c in poly_mul(base, base)], f, p)[1]
+        e >>= 1
+    return result
 
 
 def naive_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:

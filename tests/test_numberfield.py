@@ -25,7 +25,9 @@ from hassewitt.numberfield import (
 
 from oracles import (
     companion_power_traces,
+    fp_divmod,
     fp_gcd,
+    fp_xpow,
     naive_count_real_roots,
     naive_distinct_degree,
     naive_is_prime,
@@ -415,9 +417,10 @@ def test_fp_pattern_matches_oracles():
                 pattern = tuple(sorted(numberfield._fp_pattern(f, p)))
                 assert pattern == brute_factor_pattern(f, p), (f, p)
     rng = random.Random(93)
-    for p in (101, 65537, 2**61 - 1):
+    # p from a few bits to four machine words
+    for p, count in ((101, 30), (65537, 30), (2**61 - 1, 30), (2**127 - 1, 10), (2**255 - 19, 10)):
         checked = 0
-        while checked < 30:
+        while checked < count:
             f = [rng.randrange(p) for _ in range(rng.randint(1, 10))] + [1]
             if fp_gcd(f, [i * c for i, c in enumerate(f)][1:], p) != [1]:
                 continue
@@ -425,6 +428,25 @@ def test_fp_pattern_matches_oracles():
             expected = sorted((d, 1) for block, d in naive_distinct_degree(f, p)
                               for _ in range((len(block) - 1) // d))
             assert sorted(numberfield._fp_pattern(f, p)) == expected, (f, p)
+
+
+def test_packed_ring_worst_case_slots():
+    """Every coefficient of f and of the residues at p - 1, which gives the
+    largest slot sums the width has to hold, for p from 2 to 256 bits."""
+    rng = random.Random(96)
+    for p in (2, 3, 2**61 - 1, 2**127 - 1, 2**256 - 189):
+        for n in range(1, 11):
+            f = [p - 1] * n + [1]
+            ring = numberfield._FpQuotient(f, p)
+            top = [p - 1] * n
+            packed = sum(c << i * ring.w for i, c in enumerate(top))
+            square = [int(c) for c in poly_mul(top, top)]
+            assert ring.unpack(ring.reduce(packed * packed)) == fp_divmod(square, f, p)[1]
+            assert ring.unpack(ring.reduce(packed * packed << ring.w)) == fp_divmod([0] + square, f, p)[1]
+            # h -> h(x**p) with every coefficient of h and of the rows at p - 1
+            assert ring.unpack((p - 1) * packed * n) == fp_divmod([n * (p - 1) ** 2 % p] * n, f, p)[1]
+            for e in (1, 2, p, rng.randrange(3, 2**80)):
+                assert ring.unpack(ring.xpow(e)) == fp_xpow(e, f, p), (p, n, e)
 
 
 def _prime_1_mod_840(low):
@@ -507,13 +529,13 @@ def test_factor_pattern_by_construction():
 
 def test_frobenius_power_once_per_pattern(monkeypatch):
     calls = []
-    real = numberfield._fp_xpow
+    real = numberfield._FpQuotient.xpow
 
-    def counted(e, g, p):
-        calls.append((e, g[:]))
-        return real(e, g, p)
+    def counted(ring, e):
+        calls.append((e, ring.f[:]))
+        return real(ring, e)
 
-    monkeypatch.setattr(numberfield, "_fp_xpow", counted)
+    monkeypatch.setattr(numberfield._FpQuotient, "xpow", counted)
     rng = random.Random(95)
     p = P61
     cases = [
