@@ -6,13 +6,18 @@ squarefree part of a rational, and the quadratic residue symbol modulo an
 odd prime.  All values are plain ``int`` / ``fractions.Fraction``; results
 are exact.
 
-Factorization strategy: one gcd with the product of the odd primes below
-10**4 finds the small primes, then Brent-cycle Pollard rho, reducing once
-per eight steps, splits whatever composite survives.  Primality is decided
-by the Baillie-PSW test (a strong base-2 test plus a strong Lucas test with
-Selfridge's parameters) at every size: it is exact below 2**64 and no
-composite passing it is known above.  Exceeding the rho budget raises
-:class:`EffortExceededError` rather than returning a wrong answer.
+Factorization strategy: a gcd with the product of the odd primes below
+100 finds the small primes, and a second gcd with the product of the odd
+primes below 10**4 runs only when the cofactor left is at least 100**2.
+A composite cofactor of at least 2**40 then meets Pollard's p - 1 method:
+stage 1 is one modular power 2**lcm(1..2,000), and stage 2 steps through
+the primes up to 50,000 by their gaps, one multiplication each.  Whatever
+p - 1 leaves composite, Brent-cycle Pollard rho, reducing once per eight
+steps, splits.  Primality is decided by the Baillie-PSW test (a strong
+base-2 test plus a strong Lucas test with Selfridge's parameters) at every
+size: it is exact below 2**64 and no composite passing it is known above.
+Exceeding the rho budget raises :class:`EffortExceededError` rather than
+returning a wrong answer.
 
 Factorizations and primality answers are memoized per process, up to
 8,192 of each; the memo only holds what the tests returned, so no answer
@@ -21,9 +26,11 @@ depends on it.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, EffortExceededError, InternalError
@@ -31,19 +38,41 @@ from .errors import DomainError, EffortExceededError, InternalError
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _CACHE_SIZE = 8192  # entries in each per-process memo: primality and factorization
 _TRIAL_BOUND = 10_000  # trial division finds every prime below this bound
+_SMALL_BOUND = 100  # the first trial gcd takes out the odd primes below this bound
+_PM1_B1 = 2_000  # p - 1 stage 1 finds P when P - 1 divides lcm(1..B1)
+_PM1_B2 = 50_000  # stage 2 finds P when P - 1 is that times one prime in (B1, B2]
+# below 2**40 a composite has a prime under 2**20, which rho finds in ~2.5k
+# steps (<= 0.4 ms): less than a p - 1 run that finds nothing (~1.3 ms)
+_PM1_FLOOR = 1 << 40
+_PM1_BATCH = 256  # stage-2 primes per gcd
 
 
-def _odd_primes_below(bound: int) -> tuple[int, ...]:
-    """The odd primes below bound, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * bound
-    for p in range(3, isqrt(bound - 1) + 1, 2):
+def _prime_tables() -> tuple[tuple[int, ...], int, int, bytes]:
+    """From one sieve of Eratosthenes to _PM1_B2: the odd primes below
+    _TRIAL_BOUND, lcm(1.._PM1_B1), and the primes in (_PM1_B1, _PM1_B2] as
+    the first of them and the gaps between consecutive ones (all below 256)."""
+    sieve = bytearray([1]) * (_PM1_B2 + 1)
+    for p in range(3, isqrt(_PM1_B2) + 1, 2):
         if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
-    return tuple(p for p in range(3, bound, 2) if sieve[p])
+            sieve[p * p::p] = bytes(len(range(p * p, _PM1_B2 + 1, p)))
+    primes = [2, *compress(range(3, _PM1_B2 + 1, 2), sieve[3::2])]
+    split = bisect(primes, _PM1_B1)
+    exponent = 1
+    for p in primes[:split]:
+        power = p
+        while power * p <= _PM1_B1:
+            power *= p
+        exponent *= power
+    stage2 = primes[split:]
+    trial = tuple(primes[1:bisect(primes, _TRIAL_BOUND)])
+    return trial, exponent, stage2[0], bytes(map(int.__sub__, stage2[1:], stage2))
 
 
-_TRIAL_PRIMES = _odd_primes_below(_TRIAL_BOUND)
+_TRIAL_PRIMES, _PM1_EXPONENT, _PM1_FIRST, _PM1_GAPS = _prime_tables()
 _PRIMORIAL = prod(_TRIAL_PRIMES)
+_SMALL_TRIAL = tuple(p for p in _TRIAL_PRIMES if p < _SMALL_BOUND)
+_LARGE_TRIAL = _TRIAL_PRIMES[len(_SMALL_TRIAL):]
+_SMALL_PRIMORIAL = prod(_SMALL_TRIAL)
 
 
 # a hit proves nothing new, like a _factor_positive hit: it is the bool BPSW
@@ -123,6 +152,34 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+def _pollard_pm1(m: int) -> int:
+    """A nontrivial factor of odd composite m by Pollard's p - 1 method, or 1.
+
+    Stage 1 finds the primes P of m for which the order of 2 mod P divides
+    lcm(1.._PM1_B1); stage 2 those for which it is such a divisor times one
+    prime in (_PM1_B1, _PM1_B2].  1 means that no prime was found, or that
+    every prime was found at once (the gcd is m): rho then splits m.
+    """
+    x = pow(2, _PM1_EXPONENT, m)
+    g = gcd(x - 1, m)
+    if g == 1:
+        # y runs through x**q for the primes q in (B1, B2], one product by a
+        # power of x per prime gap; the (y - 1) collect in acc between gcds
+        powers = [1]
+        for _ in range(max(_PM1_GAPS)):
+            powers.append(powers[-1] * x % m)
+        y = pow(x, _PM1_FIRST, m)
+        acc = y - 1
+        for start in range(0, len(_PM1_GAPS), _PM1_BATCH):
+            for d in _PM1_GAPS[start:start + _PM1_BATCH]:
+                y = y * powers[d] % m
+                acc = acc * (y - 1) % m
+            g = gcd(acc, m)
+            if g != 1:
+                break
+    return g if g < m else 1
+
+
 def _brent_rho(n: int, budget: int) -> int:
     """One nontrivial factor of odd composite n, or raise on exhausted budget."""
     if n % 2 == 0:
@@ -199,31 +256,40 @@ class Factorization:
         return dict(self.factors)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
-    """Factor n >= 1 into an ascending (prime, exponent) tuple."""
-    n, s = _odd_part(n)
-    out: dict[int, int] = {2: s} if s else {}
-    # the primes below _TRIAL_BOUND that divide n are those of g, which is
-    # squarefree: once p * p > g, what is left of g is 1 or a prime
-    g = gcd(n, _PRIMORIAL)
-    primes: list[int] = []
-    for p in _TRIAL_PRIMES:
+def _divide_out(n: int, primes: tuple[int, ...], product: int, out: dict[int, int]) -> int:
+    """n without the primes of gcd(n, product), with their exponents put
+    into out.  primes ascends and holds every one of those primes."""
+    # g is squarefree: once p * p > g, what is left of g is 1 or a prime
+    g = gcd(n, product)
+    found: list[int] = []
+    for p in primes:
         if p * p > g:
             break
         if g % p == 0:
-            primes.append(p)
+            found.append(p)
             g //= p
     if g > 1:
-        primes.append(g)
-    for p in primes:
+        found.append(g)
+    for p in found:
         e = 0
         while n % p == 0:
             n //= p
             e += 1
         out[p] = e
+    return n
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor n >= 1 into an ascending (prime, exponent) tuple."""
+    n, s = _odd_part(n)
+    out: dict[int, int] = {2: s} if s else {}
+    n = _divide_out(n, _SMALL_TRIAL, _SMALL_PRIMORIAL, out)
+    # every prime left is above _SMALL_BOUND, so below its square n is 1 or a prime
+    if n >= _SMALL_BOUND * _SMALL_BOUND:
+        n = _divide_out(n, _LARGE_TRIAL, _PRIMORIAL, out)
     # every prime left is above _TRIAL_BOUND, so a composite left is above
-    # its square; rho plus recursion finishes the rest
+    # its square; p - 1, rho and recursion finish the rest
     stack = [n] if n > 1 else []
     budget = 1 << 22
     while stack:
@@ -234,7 +300,9 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
         if isqrt(m) ** 2 == m:
             stack.extend((isqrt(m), isqrt(m)))
             continue
-        g = _brent_rho(m, budget)
+        g = _pollard_pm1(m) if m >= _PM1_FLOOR else 1
+        if g == 1:
+            g = _brent_rho(m, budget)
         stack.extend((g, m // g))
     return tuple(sorted(out.items()))
 

@@ -411,14 +411,16 @@ def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     inv = pow(b[-1], -1, p)
     if len(a) - 1 < db:
         return [], _fp_trim(a)
+    # the coefficients of a stay unreduced, each below (db + 1) * p**2 in
+    # size: a leading one is reduced when it is read, the remainder once
     quo = [0] * (len(a) - db)
     for k in range(len(a) - db - 1, -1, -1):
         c = a[k + db] * inv % p
         quo[k] = c
         if c:
-            for i in range(db + 1):
-                a[k + i] = (a[k + i] - c * b[i]) % p
-    return _fp_trim(quo), _fp_trim(a)
+            for i in range(db):
+                a[k + i] -= c * b[i]
+    return _fp_trim(quo), _fp_trim([r % p for r in a[:db]])
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:

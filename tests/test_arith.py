@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +169,20 @@ def test_factor_trial_division_boundaries(n, want):
     assert factor(n).as_dict() == want == naive_factor(n)
 
 
+def test_factor_matches_naive_on_both_sides_of_the_small_trial_bound():
+    # the first gcd takes out the primes below 100, the second those up to
+    # 10**4 and only when the cofactor left is at least 100**2
+    rng = random.Random(71)
+    seeded = [rng.randrange(1, 10**6) for _ in range(400)]
+    small = [p for p in range(3, 100) if naive_is_prime(p)]
+    large = [p for p in range(101, 10**4) if naive_is_prime(p)]
+    mixed = [rng.choice(small) ** rng.randint(1, 3) * rng.choice(large) ** rng.randint(1, 2)
+             * rng.choice((1, 2, 8, rng.choice(large))) for _ in range(200)]
+    edges = [97 * 101, 101**2, 101 * 103, 97**2 * 9973, 9_999, 10_000, 10_001, 3 * 10007, 99 * 10007 * 10009]
+    for n in seeded + mixed + edges:
+        assert factor(n).as_dict() == naive_factor(n), n
+
+
 def _next_prime(n: int) -> int:
     while not naive_is_prime(n):
         n += 1
@@ -255,3 +269,72 @@ def test_is_prime_memo_one_lucas_test_per_batch_place(monkeypatch, tmp_path):
     reports = [json.loads(line) for line in outfile.read_text().splitlines()]
     assert [r["status"] for r in reports] == ["ok"] * 50
     assert calls == [P100]
+
+
+def test_pm1_exponent_is_lcm_up_to_b1():
+    assert arith._PM1_EXPONENT == lcm(*range(1, arith._PM1_B1 + 1))
+
+
+# primes with P - 1 = 2**11 * 3**2 * 1999, 2 * 3**3 * 7**3 * 1999 and
+# 2**2 * 3**5 * 49999 (B1 = 2,000, B2 = 50,000), and a safe prime whose
+# Q - 1 = 2 * 268435631 is past B2
+STAGE1_P = 36_845_569
+STAGE1_OTHER = 37_025_479
+STAGE2_P = 48_599_029
+SAFE_Q = 536_871_263
+
+
+def test_pm1_test_primes_have_the_stated_p_minus_1():
+    for p in (STAGE1_P, STAGE1_OTHER, STAGE2_P, SAFE_Q):
+        assert naive_is_prime(p), p
+    assert naive_factor(STAGE1_P - 1) == {2: 11, 3: 2, 1999: 1}
+    assert naive_factor(STAGE1_OTHER - 1) == {2: 1, 3: 3, 7: 3, 1999: 1}
+    assert naive_factor(STAGE2_P - 1) == {2: 2, 3: 5, 49999: 1}
+    assert naive_factor(SAFE_Q - 1) == {2: 1, 268435631: 1}
+    # 2 has order divisible by 49999 mod STAGE2_P, so stage 1 misses it
+    assert pow(2, arith._PM1_EXPONENT, STAGE2_P) != 1
+
+
+def test_pm1_stage_1_splits_a_smooth_semiprime():
+    assert arith._pollard_pm1(STAGE1_P * SAFE_Q) == STAGE1_P
+
+
+def test_pm1_stage_2_splits_past_b1():
+    assert arith._pollard_pm1(STAGE2_P * SAFE_Q) == STAGE2_P
+
+
+def test_pm1_finding_every_prime_falls_back_to_rho():
+    m = STAGE1_P * STAGE1_OTHER  # both P - 1 divide lcm(1..B1): the gcd is m
+    assert arith._pollard_pm1(m) == 1
+    arith._factor_positive.cache_clear()
+    assert factor(m).as_dict() == {STAGE1_P: 1, STAGE1_OTHER: 1}
+
+
+def test_pm1_runs_only_on_cofactors_of_at_least_2_to_the_40(monkeypatch):
+    calls = []
+    real = arith._pollard_pm1
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(arith, "_pollard_pm1", counted)
+    arith._factor_positive.cache_clear()
+    below = 1_048_573 * 1_048_571  # two primes below 2**20, product below 2**40
+    assert below < 1 << 40
+    assert factor(3 * below).as_dict() == {3: 1, 1_048_571: 1, 1_048_573: 1}
+    assert calls == []
+    assert factor(7 * STAGE1_P * SAFE_Q).as_dict() == {7: 1, STAGE1_P: 1, SAFE_Q: 1}
+    assert calls == [STAGE1_P * SAFE_Q]
+
+
+def test_factor_splits_seeded_semiprime_cofactors():
+    rng = random.Random(23)
+    small = [p for p in range(2, 10**4) if naive_is_prime(p)]
+    for _ in range(200):
+        s = rng.choice(small)
+        P = Q = 0
+        while P == Q:
+            P, Q = (_next_prime(rng.getrandbits(bits) | 1 << (bits - 1))
+                    for bits in (rng.randint(25, 30), rng.randint(25, 30)))
+        assert factor(s * P * Q).as_dict() == {s: 1, P: 1, Q: 1}, (s, P, Q)
