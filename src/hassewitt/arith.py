@@ -11,11 +11,13 @@ Factorization strategy: a gcd with the product of the odd primes below
 primes below 10**4 runs only when the cofactor left is at least 100**2.
 A composite cofactor of at least 2**40 then meets Pollard's p - 1 method:
 stage 1 is one modular power 2**lcm(1..2,000), and stage 2 steps through
-the primes up to 50,000 by their gaps, one multiplication each.  Whatever
-p - 1 leaves composite, Brent-cycle Pollard rho, reducing once per eight
-steps, splits.  Primality is decided by the Baillie-PSW test (a strong
-base-2 test plus a strong Lucas test with Selfridge's parameters) at every
-size: it is exact below 2**64 and no composite passing it is known above.
+the primes up to 50,000 by their gaps, one multiplication each.  A gcd
+that takes in every prime at once is replayed, stage 1 one prime power at
+a time and a stage-2 batch one prime at a time.  Whatever p - 1 leaves
+composite, Brent-cycle Pollard rho, reducing once per eight steps,
+splits.  Primality is decided by the Baillie-PSW test (a strong base-2
+test plus a strong Lucas test with Selfridge's parameters) at every size:
+it is exact below 2**64 and no composite passing it is known above.
 Exceeding the rho budget raises :class:`EffortExceededError` rather than
 returning a wrong answer.
 
@@ -27,13 +29,13 @@ depends on it.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, EffortExceededError, InternalError
+from .values import Value, setfield
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _CACHE_SIZE = 8192  # entries in each per-process memo: primality and factorization
@@ -47,9 +49,10 @@ _PM1_FLOOR = 1 << 40
 _PM1_BATCH = 256  # stage-2 primes per gcd
 
 
-def _prime_tables() -> tuple[tuple[int, ...], int, int, bytes]:
+def _prime_tables() -> tuple[tuple[int, ...], tuple[int, ...], int, bytes]:
     """From one sieve of Eratosthenes to _PM1_B2: the odd primes below
-    _TRIAL_BOUND, lcm(1.._PM1_B1), and the primes in (_PM1_B1, _PM1_B2] as
+    _TRIAL_BOUND, the largest power of each prime up to _PM1_B1 (their
+    product is lcm(1.._PM1_B1)), and the primes in (_PM1_B1, _PM1_B2] as
     the first of them and the gaps between consecutive ones (all below 256)."""
     sieve = bytearray([1]) * (_PM1_B2 + 1)
     for p in range(3, isqrt(_PM1_B2) + 1, 2):
@@ -57,18 +60,19 @@ def _prime_tables() -> tuple[tuple[int, ...], int, int, bytes]:
             sieve[p * p::p] = bytes(len(range(p * p, _PM1_B2 + 1, p)))
     primes = [2, *compress(range(3, _PM1_B2 + 1, 2), sieve[3::2])]
     split = bisect(primes, _PM1_B1)
-    exponent = 1
+    powers = []
     for p in primes[:split]:
         power = p
         while power * p <= _PM1_B1:
             power *= p
-        exponent *= power
+        powers.append(power)
     stage2 = primes[split:]
     trial = tuple(primes[1:bisect(primes, _TRIAL_BOUND)])
-    return trial, exponent, stage2[0], bytes(map(int.__sub__, stage2[1:], stage2))
+    return trial, tuple(powers), stage2[0], bytes(map(int.__sub__, stage2[1:], stage2))
 
 
-_TRIAL_PRIMES, _PM1_EXPONENT, _PM1_FIRST, _PM1_GAPS = _prime_tables()
+_TRIAL_PRIMES, _PM1_POWERS, _PM1_FIRST, _PM1_GAPS = _prime_tables()
+_PM1_EXPONENT = prod(_PM1_POWERS)
 _PRIMORIAL = prod(_TRIAL_PRIMES)
 _SMALL_TRIAL = tuple(p for p in _TRIAL_PRIMES if p < _SMALL_BOUND)
 _LARGE_TRIAL = _TRIAL_PRIMES[len(_SMALL_TRIAL):]
@@ -157,12 +161,22 @@ def _pollard_pm1(m: int) -> int:
 
     Stage 1 finds the primes P of m for which the order of 2 mod P divides
     lcm(1.._PM1_B1); stage 2 those for which it is such a divisor times one
-    prime in (_PM1_B1, _PM1_B2].  1 means that no prime was found, or that
-    every prime was found at once (the gcd is m): rho then splits m.
+    prime in (_PM1_B1, _PM1_B2].  A gcd that takes in every prime of m at
+    once is replayed: stage 1 one prime power at a time from 2, ascending,
+    a stage-2 batch one prime at a time.  1 means that no prime was found,
+    or that every prime came in at the same prime power or stage-2 prime:
+    rho then splits m.
     """
     x = pow(2, _PM1_EXPONENT, m)
     g = gcd(x - 1, m)
-    if g == 1:
+    if g == m:
+        x = 2
+        for q in _PM1_POWERS:
+            x = pow(x, q, m)
+            g = gcd(x - 1, m)
+            if g != 1:
+                break
+    elif g == 1:
         # y runs through x**q for the primes q in (B1, B2], one product by a
         # power of x per prime gap; the (y - 1) collect in acc between gcds
         powers = [1]
@@ -171,10 +185,20 @@ def _pollard_pm1(m: int) -> int:
         y = pow(x, _PM1_FIRST, m)
         acc = y - 1
         for start in range(0, len(_PM1_GAPS), _PM1_BATCH):
-            for d in _PM1_GAPS[start:start + _PM1_BATCH]:
+            batch, base = _PM1_GAPS[start:start + _PM1_BATCH], y
+            for d in batch:
                 y = y * powers[d] % m
                 acc = acc * (y - 1) % m
             g = gcd(acc, m)
+            if g == m:
+                # every prime of m divides a y - 1 of this batch; base - 1
+                # is the first prime's in the first batch, prime to m later
+                y, g = base, gcd(base - 1, m)
+                for d in batch:
+                    if g != 1:
+                        break
+                    y = y * powers[d] % m
+                    g = gcd(y - 1, m)
             if g != 1:
                 break
     return g if g < m else 1
@@ -239,12 +263,22 @@ def _brent_rho(n: int, budget: int) -> int:
     raise EffortExceededError(f"factorization effort exhausted on {n}")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Value):
     """Signed prime factorization: sign * prod(p**e) reconstructs the input."""
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
+    _fields = ("sign", "factors")
+
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
+        setfield(self, "sign", sign)
+        setfield(self, "factors", factors)  # (prime, exponent), primes ascending
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.sign == other.sign and self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.factors))
 
     def value(self) -> int:
         n = self.sign

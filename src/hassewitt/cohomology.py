@@ -21,7 +21,6 @@ nontrivial solution over the completion at v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -29,19 +28,50 @@ from typing import Iterable, Sequence, Union
 from . import arith
 from .arith import _jacobi
 from .errors import DomainError, InternalError
+from .values import Value, setfield
 
 Rat = Union[int, Fraction]
 
 
-@dataclass(frozen=True, order=True)
-class Place:
+class Place(Value):
     """A place of Q: Finite(p) for a prime p, or the infinite (real) place.
 
     Ordering sorts finite places by the prime and puts ``inf`` last, which
     is also the serialization order.
     """
 
-    _key: tuple[int, int]
+    _fields = ("_key",)
+
+    def __init__(self, _key: tuple[int, int]):
+        setfield(self, "_key", _key)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._key,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key <= other._key
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key > other._key
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key >= other._key
+        return NotImplemented
 
     @staticmethod
     def finite(p: int) -> "Place":
@@ -91,25 +121,32 @@ INF = Place.infinite()
 TWO = Place.finite(2)
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(Value):
     """An element of Q^x / (Q^x)^2, stored as its squarefree integer."""
 
-    rep: int
+    _fields = ("rep",)
 
     def __init__(self, value: "Rat | SquareClass"):
         if isinstance(value, SquareClass):
             rep = value.rep
         else:
             rep = arith.squarefree_part(Fraction(value))
-        object.__setattr__(self, "rep", rep)
+        setfield(self, "rep", rep)
 
     @staticmethod
     def from_squarefree(rep: int) -> "SquareClass":
         """The class of rep, which the caller guarantees is squarefree."""
         out = object.__new__(SquareClass)
-        object.__setattr__(out, "rep", rep)
+        setfield(out, "rep", rep)
         return out
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rep == other.rep
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rep,))
 
     @property
     def is_trivial(self) -> bool:
@@ -131,17 +168,24 @@ ONE = SquareClass(1)
 MINUS_ONE = SquareClass(-1)
 
 
-@dataclass(frozen=True)
-class CohClass2:
+class CohClass2(Value):
     """A 2-torsion degree-2 class, stored by its even set of ramified places."""
 
-    support: frozenset[Place]
+    _fields = ("support",)
 
     def __init__(self, support: Iterable[Place] = ()):
         sup = frozenset(support)
         if len(sup) % 2:
             raise InternalError(f"odd local support {sorted(sup)}: product formula violated")
-        object.__setattr__(self, "support", sup)
+        setfield(self, "support", sup)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.support == other.support
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.support,))
 
     @staticmethod
     def zero() -> "CohClass2":
@@ -289,16 +333,18 @@ def localize(x: "SquareClass | CohClass2", v: Place) -> int:
     return 1 if odd or (unit != 1 if p == 2 else _jacobi(unit, p) == -1) else 0
 
 
-@dataclass(frozen=True)
-class TotalWittClass:
+class TotalWittClass(Value):
     """A unit 1 + w1 + w2 of the truncated mod-2 cohomology ring.
 
     Multiplication truncates in degree 3, so the degree-2 component of a
     product picks up the cup of the degree-1 components.
     """
 
-    w1: SquareClass
-    w2: CohClass2
+    _fields = ("w1", "w2")
+
+    def __init__(self, w1: SquareClass, w2: CohClass2):
+        setfield(self, "w1", w1)
+        setfield(self, "w2", w2)
 
     @property
     def w0(self) -> int:

@@ -16,7 +16,6 @@ it matches, which is what :func:`isometric` decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -24,10 +23,10 @@ from typing import Iterable, Sequence
 from .arith import factor
 from .cohomology import INF, TWO, CohClass2, Place, SquareClass, _hasse_exponent, _split
 from .errors import DomainError
+from .values import Value, setfield
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Value):
     """Symmetric rational Gram matrix with nonzero determinant.
 
     It is held as L, the lcm of the reduced denominators of its entries,
@@ -37,8 +36,7 @@ class QuadraticForm:
     congruent copy of L*gram (see :func:`_leading_minors`).
     """
 
-    _scale: int
-    _scaled: tuple[tuple[int, ...], ...]
+    _fields = ("_scale", "_scaled")
 
     def __init__(self, rows: Iterable[Sequence]):
         rats = ([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows)
@@ -60,9 +58,9 @@ class QuadraticForm:
         scaled = tuple(map(tuple, m))
         if tuple(zip(*scaled)) != scaled:
             raise DomainError("Gram matrix must be symmetric")
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_scaled", scaled)
-        object.__setattr__(self, "_minors", _leading_minors(m))
+        setfield(self, "_scale", scale)
+        setfield(self, "_scaled", scaled)
+        setfield(self, "_minors", _leading_minors(m))
 
     @property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -95,17 +93,16 @@ def _rat_json(num: int, den: int):
     return num // g if den == g else f"{num // g}/{den // g}"
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
+class DiagonalForm(Value):
     """Diagonal representative <a_1, ..., a_n>, all entries nonzero."""
 
-    entries: tuple[Fraction, ...]
+    _fields = ("entries",)
 
     def __init__(self, entries: Iterable):
         ent = tuple(Fraction(x) for x in entries)
         if not ent or any(x == 0 for x in ent):
             raise DomainError("diagonal entries must be nonzero")
-        object.__setattr__(self, "entries", ent)
+        setfield(self, "entries", ent)
 
     def form(self) -> QuadraticForm:
         n = len(self.entries)
@@ -170,8 +167,7 @@ def diagonalize(q: QuadraticForm) -> DiagonalForm:
     return DiagonalForm(Fraction(d, scale * prev) for prev, d in zip((1,) + minors, minors))
 
 
-@dataclass(frozen=True)
-class FormInvariants:
+class FormInvariants(Value):
     """Full classifying data of a rational form.
 
     disc and w1 are both the square class of the determinant (no sign
@@ -182,14 +178,38 @@ class FormInvariants:
     only on the isometry class, so isometric forms serialize identically.
     """
 
-    rank: int
-    signature: tuple[int, int]
-    disc: SquareClass
-    w1: SquareClass
-    w2: CohClass2
-    hasse_local: dict[Place, int]
+    _fields = ("rank", "signature", "disc", "w1", "w2", "hasse_local")
+
+    def __init__(
+        self,
+        rank: int,
+        signature: tuple[int, int],
+        disc: SquareClass,
+        w1: SquareClass,
+        w2: CohClass2,
+        hasse_local: dict[Place, int],
+    ):
+        setfield(self, "rank", rank)
+        setfield(self, "signature", signature)
+        setfield(self, "disc", disc)
+        setfield(self, "w1", w1)
+        setfield(self, "w2", w2)
+        setfield(self, "hasse_local", hasse_local)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.signature, self.disc, self.w1, self.w2, self.hasse_local) == (
+                other.rank,
+                other.signature,
+                other.disc,
+                other.w1,
+                other.w2,
+                other.hasse_local,
+            )
+        return NotImplemented
 
     def __hash__(self) -> int:
+        # hasse_local, a dict, is left out
         return hash((self.rank, self.signature, self.disc, self.w2))
 
     def to_json(self) -> dict:

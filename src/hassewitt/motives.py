@@ -13,7 +13,6 @@ numeric prefactors evaluated in the place-set model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 from typing import Optional, Union
@@ -22,6 +21,7 @@ from .cohomology import INF, MINUS_ONE, ONE, CohClass2, Place, SquareClass
 from .errors import DomainError, InternalError
 from .forms import QuadraticForm, diagonal_form
 from .numberfield import Poly, resultant
+from .values import Value, setfield
 
 TOKEN_DISC = "disc_d(f)"
 TOKEN_W2_DR = "w2(q_dR)"
@@ -36,14 +36,12 @@ MAX_CODIMENSION = 8
 MAX_DEGREE = 10**4
 
 
-@dataclass(frozen=True)
-class CompleteIntersectionSpec:
+class CompleteIntersectionSpec(Value):
     """Even dimension 2 <= n <= MAX_DIMENSION and the multidegree
     (d_1, ..., d_c), with 1 <= c <= MAX_CODIMENSION and
     1 <= d_i <= MAX_DEGREE."""
 
-    n: int
-    degrees: tuple[int, ...]
+    _fields = ("n", "degrees")
 
     def __init__(self, n: int, degrees):
         degrees = tuple(int(d) for d in degrees)
@@ -57,8 +55,8 @@ class CompleteIntersectionSpec:
             raise DomainError(f"codimension must be <= {MAX_CODIMENSION}")
         if any(d > MAX_DEGREE for d in degrees):
             raise DomainError(f"degrees must be <= {MAX_DEGREE}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degrees", degrees)
+        setfield(self, "n", n)
+        setfield(self, "degrees", degrees)
 
     @property
     def codimension(self) -> int:
@@ -69,18 +67,17 @@ class CompleteIntersectionSpec:
         return prod(self.degrees)
 
 
-@dataclass(frozen=True)
-class SymbolicClass:
+class SymbolicClass(Value):
     """A cohomology class split into an evaluated numeric part and formal
     tokens from the fixed vocabulary, with coefficients mod 2."""
 
-    numeric: Union[SquareClass, CohClass2]
-    tokens: tuple[str, ...]
+    _fields = ("numeric", "tokens")
 
-    def __post_init__(self):
-        allowed = {TOKEN_DISC, TOKEN_W2_DR, TOKEN_MINUS_ONE_DISC}
-        if not set(self.tokens) <= allowed:
-            raise InternalError(f"token outside the vocabulary: {self.tokens}")
+    def __init__(self, numeric: Union[SquareClass, CohClass2], tokens: tuple[str, ...]):
+        if not set(tokens) <= {TOKEN_DISC, TOKEN_W2_DR, TOKEN_MINUS_ONE_DISC}:
+            raise InternalError(f"token outside the vocabulary: {tokens}")
+        setfield(self, "numeric", numeric)
+        setfield(self, "tokens", tokens)
 
     def to_json(self) -> dict:
         return {"numeric": self.numeric.to_json(), "tokens": list(self.tokens)}
@@ -246,21 +243,34 @@ def cubic_surface_form() -> QuadraticForm:
     return diagonal_form([1] + [-1] * 6)
 
 
-@dataclass(frozen=True)
-class MotiveReport:
+class MotiveReport(Value):
     """Invariant bundle of the middle-cohomology motive of a complete
     intersection; the symbolic classes are present only for hypersurfaces,
     where the divided-discriminant vocabulary applies."""
 
-    chi: int
-    b_n: int
-    tau_mod8: int
-    m: int
-    m_prime: int
-    w1_qB: SquareClass
-    w2_qB: CohClass2
-    delta1: Optional[SymbolicClass]
-    delta2: Optional[SymbolicClass]
+    _fields = ("chi", "b_n", "tau_mod8", "m", "m_prime", "w1_qB", "w2_qB", "delta1", "delta2")
+
+    def __init__(
+        self,
+        chi: int,
+        b_n: int,
+        tau_mod8: int,
+        m: int,
+        m_prime: int,
+        w1_qB: SquareClass,
+        w2_qB: CohClass2,
+        delta1: Optional[SymbolicClass],
+        delta2: Optional[SymbolicClass],
+    ):
+        setfield(self, "chi", chi)
+        setfield(self, "b_n", b_n)
+        setfield(self, "tau_mod8", tau_mod8)
+        setfield(self, "m", m)
+        setfield(self, "m_prime", m_prime)
+        setfield(self, "w1_qB", w1_qB)
+        setfield(self, "w2_qB", w2_qB)
+        setfield(self, "delta1", delta1)
+        setfield(self, "delta2", delta2)
 
     def to_json(self) -> dict:
         return {

@@ -23,7 +23,6 @@ higher Frobenius powers x**(p**i) come from the Frobenius matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as igcd
 from math import lcm
@@ -33,10 +32,10 @@ from .arith import is_prime
 from .errors import DomainError, InternalError
 from .forms import FormInvariants, QuadraticForm, _rat_json, invariants
 from .cohomology import SquareClass
+from .values import Value, setfield
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Value):
     """Univariate polynomial over Q, coefficients ascending by degree.
 
     It is held as c, the lcm of the reduced denominators of its
@@ -47,8 +46,7 @@ class Poly:
     ``derivative``, ``is_squarefree``, ``integer_coeffs`` and ``to_json``.
     """
 
-    _scale: int
-    _scaled: tuple[int, ...]
+    _fields = ("_scale", "_scaled")
 
     def __init__(self, coeffs: Iterable):
         rats = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
@@ -65,8 +63,8 @@ class Poly:
         while pairs and pairs[-1][0] == 0:
             pairs.pop()
         scale = lcm(*[den for _, den in pairs])
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_scaled", tuple(num * (scale // den) for num, den in pairs))
+        setfield(self, "_scale", scale)
+        setfield(self, "_scaled", tuple(num * (scale // den) for num, den in pairs))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -244,16 +242,14 @@ def discriminant(f: Poly) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaleAlgebra:
+class EtaleAlgebra(Value):
     """Q[x]/(f) for monic squarefree f; reducible f models a product of fields.
 
     disc f, kept as an integer pair and built as a rational only when read,
-    and the real root count come from the constructor's one PRS."""
+    and the real root count come from the constructor's one PRS; equality
+    and hashing compare poly alone."""
 
-    poly: Poly
-    real_roots: int = field(compare=False)
-    _disc: tuple[int, int] = field(compare=False, repr=False)
+    _fields = ("poly",)
 
     def __init__(self, poly: "Poly | Iterable"):
         if not isinstance(poly, Poly):
@@ -265,9 +261,9 @@ class EtaleAlgebra:
         num, den, real_roots = _disc_and_real_roots(poly)
         if num == 0:
             raise DomainError("defining polynomial must be squarefree")
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "real_roots", real_roots)
-        object.__setattr__(self, "_disc", (num, den))
+        setfield(self, "poly", poly)
+        setfield(self, "real_roots", real_roots)
+        setfield(self, "_disc", (num, den))
 
     @property
     def disc(self) -> Fraction:
@@ -330,14 +326,22 @@ def trace_gram(algebra: EtaleAlgebra) -> QuadraticForm:
     return QuadraticForm._from_ratios([ratios[i : i + d] for i in range(d)])
 
 
-@dataclass(frozen=True)
-class TraceFormReport:
+class TraceFormReport(Value):
     """Trace form of an etale algebra together with its classifying data."""
 
-    gram: QuadraticForm
-    disc_field: SquareClass
-    signature: tuple[int, int]
-    form_invariants: FormInvariants
+    _fields = ("gram", "disc_field", "signature", "form_invariants")
+
+    def __init__(
+        self,
+        gram: QuadraticForm,
+        disc_field: SquareClass,
+        signature: tuple[int, int],
+        form_invariants: FormInvariants,
+    ):
+        setfield(self, "gram", gram)
+        setfield(self, "disc_field", disc_field)
+        setfield(self, "signature", signature)
+        setfield(self, "form_invariants", form_invariants)
 
     def to_json(self) -> dict:
         return {

@@ -20,7 +20,6 @@ forms of equal rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .cohomology import (
@@ -36,6 +35,7 @@ from .cohomology import (
 from .errors import DomainError
 from .forms import QuadraticForm, invariants
 from .numberfield import EtaleAlgebra, trace_gram
+from .values import Value, setfield
 
 QUARTIC_ASSUMPTIONS = (
     "defining quartic is irreducible over Q with Galois closure of group S4",
@@ -72,24 +72,24 @@ _RAMIFIED_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class DecompositionType:
+class DecompositionType(Value):
     """How a prime decomposes in a quartic field: one of the six ramified
     shapes, or unramified (with an optional residue-degree pattern)."""
 
-    name: str
-    pattern: tuple[int, ...] | None = None  # residue degrees when unramified
+    _fields = ("name", "pattern")  # pattern: residue degrees when unramified
 
-    def __post_init__(self):
-        if self.name == "unramified":
-            if self.pattern is not None and sum(self.pattern) != 4:
+    def __init__(self, name: str, pattern: tuple[int, ...] | None = None):
+        if name == "unramified":
+            if pattern is not None and sum(pattern) != 4:
                 raise DomainError("unramified residue degrees must sum to 4")
-            return
-        shape = _RAMIFIED_TYPES.get(self.name)
-        if shape is None:
-            raise DomainError(f"unknown decomposition type {self.name!r}")
-        if sum(e * f for e, f in shape) != 4:
-            raise DomainError("decomposition type does not sum to degree 4")
+        else:
+            shape = _RAMIFIED_TYPES.get(name)
+            if shape is None:
+                raise DomainError(f"unknown decomposition type {name!r}")
+            if sum(e * f for e, f in shape) != 4:
+                raise DomainError("decomposition type does not sum to degree 4")
+        setfield(self, "name", name)
+        setfield(self, "pattern", pattern)
 
     @staticmethod
     def parse(text: str) -> "DecompositionType":
@@ -136,8 +136,7 @@ def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftReport:
+class LiftReport(Value):
     """Solvability report for the two embedding problems of a quartic.
 
     lift_solvable decides the twisted problem (w2 of the trace form must
@@ -146,14 +145,36 @@ class LiftReport:
     trace form, local symbol (2, d_F)) in the +-1 convention.
     """
 
-    field_disc: SquareClass
-    sw2: CohClass2
-    sp2: CohClass2
-    w2_trace: CohClass2
-    lift_solvable: bool
-    lift_delta_solvable: bool
-    local_table: dict[Place, tuple[int, int]]
-    assumptions: tuple[str, ...] = QUARTIC_ASSUMPTIONS
+    _fields = (
+        "field_disc",
+        "sw2",
+        "sp2",
+        "w2_trace",
+        "lift_solvable",
+        "lift_delta_solvable",
+        "local_table",
+        "assumptions",
+    )
+
+    def __init__(
+        self,
+        field_disc: SquareClass,
+        sw2: CohClass2,
+        sp2: CohClass2,
+        w2_trace: CohClass2,
+        lift_solvable: bool,
+        lift_delta_solvable: bool,
+        local_table: dict[Place, tuple[int, int]],
+        assumptions: tuple[str, ...] = QUARTIC_ASSUMPTIONS,
+    ):
+        setfield(self, "field_disc", field_disc)
+        setfield(self, "sw2", sw2)
+        setfield(self, "sp2", sp2)
+        setfield(self, "w2_trace", w2_trace)
+        setfield(self, "lift_solvable", lift_solvable)
+        setfield(self, "lift_delta_solvable", lift_delta_solvable)
+        setfield(self, "local_table", local_table)
+        setfield(self, "assumptions", assumptions)
 
     def to_json(self) -> dict:
         return {
@@ -199,18 +220,17 @@ def lifting_decisions(algebra: EtaleAlgebra) -> LiftReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharacterSum:
+class CharacterSum(Value):
     """A sum of quadratic characters, each given by its square class; the
     class of 1 is the trivial character."""
 
-    chars: tuple[SquareClass, ...]
+    _fields = ("chars",)
 
     def __init__(self, chars: Iterable[Union[int, SquareClass]]):
         cs = tuple(SquareClass(c) for c in chars)
         if not cs:
             raise DomainError("character sum must be nonempty")
-        object.__setattr__(self, "chars", cs)
+        setfield(self, "chars", cs)
 
 
 def sw2_character_sum(cs: CharacterSum) -> CohClass2:
@@ -241,12 +261,14 @@ def real_place_sp2() -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaPair:
+class DeltaPair(Value):
     """Degree-1 and degree-2 comparison classes of an ordered pair of forms."""
 
-    delta1: SquareClass
-    delta2: CohClass2
+    _fields = ("delta1", "delta2")
+
+    def __init__(self, delta1: SquareClass, delta2: CohClass2):
+        setfield(self, "delta1", delta1)
+        setfield(self, "delta2", delta2)
 
     def to_json(self) -> dict:
         return {"delta1": self.delta1.to_json(), "delta2": self.delta2.to_json()}

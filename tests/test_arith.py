@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -275,24 +275,48 @@ def test_pm1_exponent_is_lcm_up_to_b1():
     assert arith._PM1_EXPONENT == lcm(*range(1, arith._PM1_B1 + 1))
 
 
-# primes with P - 1 = 2**11 * 3**2 * 1999, 2 * 3**3 * 7**3 * 1999 and
-# 2**2 * 3**5 * 49999 (B1 = 2,000, B2 = 50,000), and a safe prime whose
+# primes with P - 1 = 2**11 * 3**2 * 1999, 2 * 3**3 * 7**3 * 1999,
+# 2**3 * 3**2 * 5 * 7 * 11 * 13 * 197, 2**2 * 3**5 * 49999 and
+# 2 * 11 * 31 * 49993 (B1 = 2,000, B2 = 50,000), and a safe prime whose
 # Q - 1 = 2 * 268435631 is past B2
 STAGE1_P = 36_845_569
 STAGE1_OTHER = 37_025_479
+STAGE1_EARLY = 70_990_921
 STAGE2_P = 48_599_029
+STAGE2_OTHER = 34_095_227
 SAFE_Q = 536_871_263
 
 
+def _stage2_batch(q: int) -> int:
+    """Index of the stage-2 batch that steps through the prime q."""
+    primes = [arith._PM1_FIRST]
+    for d in arith._PM1_GAPS:
+        primes.append(primes[-1] + d)
+    return primes.index(q) // arith._PM1_BATCH
+
+
 def test_pm1_test_primes_have_the_stated_p_minus_1():
-    for p in (STAGE1_P, STAGE1_OTHER, STAGE2_P, SAFE_Q):
+    for p in (STAGE1_P, STAGE1_OTHER, STAGE1_EARLY, STAGE2_P, STAGE2_OTHER, SAFE_Q):
         assert naive_is_prime(p), p
     assert naive_factor(STAGE1_P - 1) == {2: 11, 3: 2, 1999: 1}
     assert naive_factor(STAGE1_OTHER - 1) == {2: 1, 3: 3, 7: 3, 1999: 1}
+    assert naive_factor(STAGE1_EARLY - 1) == {2: 3, 3: 2, 5: 1, 7: 1, 11: 1, 13: 1, 197: 1}
     assert naive_factor(STAGE2_P - 1) == {2: 2, 3: 5, 49999: 1}
+    assert naive_factor(STAGE2_OTHER - 1) == {2: 1, 11: 1, 31: 1, 49993: 1}
     assert naive_factor(SAFE_Q - 1) == {2: 1, 268435631: 1}
-    # 2 has order divisible by 49999 mod STAGE2_P, so stage 1 misses it
-    assert pow(2, arith._PM1_EXPONENT, STAGE2_P) != 1
+    # 1999, the last prime power of stage 1, divides the order of 2 mod
+    # STAGE1_P and STAGE1_OTHER but not mod STAGE1_EARLY
+    exponent = arith._PM1_EXPONENT
+    assert arith._PM1_POWERS[-1] == 1999
+    for p in (STAGE1_P, STAGE1_OTHER, STAGE1_EARLY):
+        assert pow(2, exponent, p) == 1
+        assert (pow(2, exponent // 1999, p) == 1) == (p == STAGE1_EARLY)
+    # the order of 2 is divisible by 49999 mod STAGE2_P and by 49993 mod
+    # STAGE2_OTHER, so stage 1 misses both; both primes share one batch
+    for p, q in ((STAGE2_P, 49999), (STAGE2_OTHER, 49993)):
+        assert pow(2, exponent, p) != 1
+        assert pow(2, exponent * q, p) == 1
+    assert _stage2_batch(49993) == _stage2_batch(49999)
 
 
 def test_pm1_stage_1_splits_a_smooth_semiprime():
@@ -304,10 +328,37 @@ def test_pm1_stage_2_splits_past_b1():
 
 
 def test_pm1_finding_every_prime_falls_back_to_rho():
-    m = STAGE1_P * STAGE1_OTHER  # both P - 1 divide lcm(1..B1): the gcd is m
+    # both orders of 2 need 1999, so even the replay takes in both at once
+    m = STAGE1_P * STAGE1_OTHER
     assert arith._pollard_pm1(m) == 1
     arith._factor_positive.cache_clear()
     assert factor(m).as_dict() == {STAGE1_P: 1, STAGE1_OTHER: 1}
+
+
+def _no_rho(monkeypatch):
+    def refuse(n, budget):
+        raise AssertionError(f"rho ran on {n}")
+
+    monkeypatch.setattr(arith, "_brent_rho", refuse)
+    arith._factor_positive.cache_clear()
+
+
+def test_pm1_stage_1_replay_splits_when_both_primes_are_found(monkeypatch):
+    # the stage-1 gcd is m; one prime power at a time, STAGE1_EARLY comes
+    # out at 197 and STAGE1_P only at 1999
+    m = STAGE1_P * STAGE1_EARLY
+    assert gcd(pow(2, arith._PM1_EXPONENT, m) - 1, m) == m
+    assert arith._pollard_pm1(m) == STAGE1_EARLY
+    _no_rho(monkeypatch)
+    assert factor(-5 * m).as_dict() == {5: 1, STAGE1_P: 1, STAGE1_EARLY: 1}
+
+
+def test_pm1_stage_2_replay_splits_a_batch_that_finds_both_primes(monkeypatch):
+    # both primes fall in the last 256-prime batch, at 49993 and at 49999
+    m = STAGE2_P * STAGE2_OTHER
+    assert arith._pollard_pm1(m) == STAGE2_OTHER
+    _no_rho(monkeypatch)
+    assert factor(3 * m).as_dict() == {3: 1, STAGE2_OTHER: 1, STAGE2_P: 1}
 
 
 def test_pm1_runs_only_on_cofactors_of_at_least_2_to_the_40(monkeypatch):
