@@ -13,10 +13,14 @@ A composite cofactor of at least 2**40 then meets Pollard's p - 1 method:
 stage 1 is one modular power 2**lcm(1..2,000), and stage 2 steps through
 the primes up to 50,000 by their gaps, one multiplication each.  A gcd
 that takes in every prime at once is replayed, stage 1 one prime power at
-a time and a stage-2 batch one prime at a time.  Whatever p - 1 leaves
-composite, Brent-cycle Pollard rho, reducing once per eight steps,
-splits.  Primality is decided by the Baillie-PSW test (a strong base-2
-test plus a strong Lucas test with Selfridge's parameters) at every size:
+a time and a stage-2 batch one prime at a time.  What p - 1 leaves meets
+Lenstra's elliptic curve method: 40 Suyama curves, sigma = 6, 7, ..., the
+same on every call, each with an x-only Montgomery ladder by lcm(1..150)
+and a baby-step giant-step stage 2 (giant step 210) over the primes up to
+10**4.  Whatever is still composite, and every composite below 2**40,
+Brent-cycle Pollard rho, reducing once per eight steps, splits.
+Primality is decided by the Baillie-PSW test (a strong base-2 test plus a
+strong Lucas test with Selfridge's parameters) at every size:
 it is exact below 2**64 and no composite passing it is known above.
 Exceeding the rho budget raises :class:`EffortExceededError` rather than
 returning a wrong answer.
@@ -32,7 +36,7 @@ from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .errors import DomainError, EffortExceededError, InternalError
 from .values import Value, setfield
@@ -47,13 +51,22 @@ _PM1_B2 = 50_000  # stage 2 finds P when P - 1 is that times one prime in (B1, B
 # steps (<= 0.4 ms): less than a p - 1 run that finds nothing (~1.3 ms)
 _PM1_FLOOR = 1 << 40
 _PM1_BATCH = 256  # stage-2 primes per gcd
+_ECM_B1 = 150  # ECM stage 1 multiplies the point by lcm(1..B1)
+# stage 2 finds P when the order of that multiple is a prime in (B1, B2];
+# its primes come from the sieve to _PM1_B2, so B2 <= _PM1_B2
+_ECM_B2 = 10_000
+_ECM_W = 210  # stage-2 giant step; the baby steps are the odd u < W/2 prime to W
+_ECM_CURVES = 40  # Suyama sigma = 6, 7, ..., 45, then rho
 
 
-def _prime_tables() -> tuple[tuple[int, ...], tuple[int, ...], int, bytes]:
+def _prime_tables() -> tuple[tuple[int, ...], tuple[int, ...], int, bytes, tuple[bytes, ...]]:
     """From one sieve of Eratosthenes to _PM1_B2: the odd primes below
     _TRIAL_BOUND, the largest power of each prime up to _PM1_B1 (their
-    product is lcm(1.._PM1_B1)), and the primes in (_PM1_B1, _PM1_B2] as
-    the first of them and the gaps between consecutive ones (all below 256)."""
+    product is lcm(1.._PM1_B1)), the primes in (_PM1_B1, _PM1_B2] as the
+    first of them and the gaps between consecutive ones (all below 256),
+    and the ECM stage-2 pairs: for each giant step v = 1, 2, ..., the
+    indices into _ECM_BABIES of the u with v*W + u or v*W - u a prime in
+    (_ECM_B1, _ECM_B2]."""
     sieve = bytearray([1]) * (_PM1_B2 + 1)
     for p in range(3, isqrt(_PM1_B2) + 1, 2):
         if sieve[p]:
@@ -68,11 +81,22 @@ def _prime_tables() -> tuple[tuple[int, ...], tuple[int, ...], int, bytes]:
         powers.append(power)
     stage2 = primes[split:]
     trial = tuple(primes[1:bisect(primes, _TRIAL_BOUND)])
-    return trial, tuple(powers), stage2[0], bytes(map(int.__sub__, stage2[1:], stage2))
+    # a prime p > W/2 is v*W + u or v*W - u for one v >= 1 and one baby u
+    index = {u: i for i, u in enumerate(_ECM_BABIES)}
+    pairs: dict[int, set[int]] = {}
+    for p in primes[bisect(primes, _ECM_B1):bisect(primes, _ECM_B2)]:
+        v, u = divmod(p, _ECM_W)
+        if u > _ECM_W // 2:
+            v, u = v + 1, _ECM_W - u
+        pairs.setdefault(v, set()).add(index[u])
+    ecm = tuple(bytes(sorted(pairs.get(v, ()))) for v in range(1, max(pairs) + 1))
+    return trial, tuple(powers), stage2[0], bytes(map(int.__sub__, stage2[1:], stage2)), ecm
 
 
-_TRIAL_PRIMES, _PM1_POWERS, _PM1_FIRST, _PM1_GAPS = _prime_tables()
+_ECM_BABIES = tuple(u for u in range(1, _ECM_W // 2, 2) if gcd(u, _ECM_W) == 1)
+_TRIAL_PRIMES, _PM1_POWERS, _PM1_FIRST, _PM1_GAPS, _ECM_PAIRS = _prime_tables()
 _PM1_EXPONENT = prod(_PM1_POWERS)
+_ECM_EXPONENT = lcm(*range(1, _ECM_B1 + 1))
 _PRIMORIAL = prod(_TRIAL_PRIMES)
 _SMALL_TRIAL = tuple(p for p in _TRIAL_PRIMES if p < _SMALL_BOUND)
 _LARGE_TRIAL = _TRIAL_PRIMES[len(_SMALL_TRIAL):]
@@ -204,6 +228,114 @@ def _pollard_pm1(m: int) -> int:
     return g if g < m else 1
 
 
+def _ecm_double(X: int, Z: int, a24: int, m: int) -> tuple[int, int]:
+    """x-only doubling on the Montgomery curve with (A + 2)/4 = a24."""
+    s, d = (X + Z) ** 2 % m, (X - Z) ** 2 % m
+    t = s - d
+    return s * d % m, t * (d + a24 * t) % m
+
+
+def _ecm_add(X: int, Z: int, X1: int, Z1: int, Xd: int, Zd: int, m: int) -> tuple[int, int]:
+    """x-only P + P1 from P, P1 and their difference (Xd:Zd)."""
+    a, b = (X - Z) * (X1 + Z1) % m, (X + Z) * (X1 - Z1) % m
+    return Zd * (a + b) ** 2 % m, Xd * (a - b) ** 2 % m
+
+
+def _ecm_ladder(x: int, a24: int, k: int, m: int) -> tuple[int, int]:
+    """(X:Z) = k * (x:1) for k >= 1 by the Montgomery ladder, which keeps
+    (X:Z) and (X1:Z1) = (X:Z) + (x:1) and adds with difference (x:1)."""
+    X, Z = x, 1
+    X1, Z1 = _ecm_double(x, 1, a24, m)
+    for bit in bin(k)[3:]:
+        # _ecm_add with difference (x:1) and _ecm_double of the point the
+        # bit names, inlined and sharing the sums and differences
+        s, d, s1, d1 = X + Z, X - Z, X1 + Z1, X1 - Z1
+        a, b = d * s1 % m, s * d1 % m
+        XA, ZA = (a + b) ** 2 % m, x * (a - b) ** 2 % m
+        if bit == "1":
+            s, d = s1 * s1 % m, d1 * d1 % m
+        else:
+            s, d = s * s % m, d * d % m
+        t = s - d
+        XD, ZD = s * d % m, t * (d + a24 * t) % m
+        if bit == "1":
+            X, Z, X1, Z1 = XA, ZA, XD, ZD
+        else:
+            X, Z, X1, Z1 = XD, ZD, XA, ZA
+    return X, Z
+
+
+def _suyama(sigma: int, m: int) -> tuple[int, int]:
+    """(x, a24) of Suyama's curve for sigma mod m: u = sigma**2 - 5,
+    v = 4 sigma, x = u**3 / v**3 and (A + 2)/4 = (v - u)**3 (3u + v) / (16 u**3 v).
+    The group that holds the point has order divisible by 12.  Both
+    denominators have only primes below _TRIAL_BOUND for sigma < 100, so
+    they are units mod m."""
+    u, v = sigma * sigma - 5, 4 * sigma
+    inverse = pow(16 * u ** 3 * v ** 4, -1, m)
+    return 16 * u ** 6 * v * inverse % m, (v - u) ** 3 * (3 * u + v) * v ** 3 * inverse % m
+
+
+def _ecm(m: int) -> int:
+    """A nontrivial factor of odd composite m by Lenstra's elliptic curve
+    method, or 1.  m has no prime below _TRIAL_BOUND.
+
+    Curve sigma = 6, 7, ... (_ECM_CURVES of them, the same on every call) is
+    Suyama's.  Stage 1 takes Q = lcm(1.._ECM_B1) * P by the x-only ladder,
+    and finds the primes P of m where Q is the identity.  Stage 2 finds
+    those where the order of Q is a prime q in (_ECM_B1, _ECM_B2]: with
+    q = v*W + u or v*W - u, x(vW Q) = x(u Q) mod P, so P divides one
+    x(vW Q) - x(u Q) of the product over the pairs of _ECM_PAIRS, after one
+    batch inversion has made every Z one.  The first gcd strictly between
+    1 and m is the answer; a gcd equal to m goes on to the next curve, and
+    1 after the last curve means that rho splits m.
+    """
+    for sigma in range(6, 6 + _ECM_CURVES):
+        x, a24 = _suyama(sigma, m)
+        X, Z = _ecm_ladder(x, a24, _ECM_EXPONENT, m)
+        g = gcd(Z, m)
+        if g != 1:
+            if g < m:
+                return g
+            continue
+        # the odd multiples u Q, u = 1, 3, ..., W/2, by (u + 2)Q = uQ + 2Q
+        X2, Z2 = _ecm_double(X, Z, a24, m)
+        odd = [(X, Z), _ecm_add(X2, Z2, X, Z, X, Z, m)]
+        for _ in range(5, _ECM_W // 2 + 1, 2):
+            odd.append(_ecm_add(*odd[-1], X2, Z2, *odd[-2], m))
+        # the giant steps v W Q, v = 1, 2, ..., by (v + 1)G = vG + G
+        G = _ecm_double(*odd[-1], a24, m)
+        giants = [G, _ecm_double(*G, a24, m)]
+        for _ in range(len(_ECM_PAIRS) - 2):
+            giants.append(_ecm_add(*giants[-1], *G, *giants[-2], m))
+        points = [odd[u // 2] for u in _ECM_BABIES] + giants
+        # batch inversion: prefix[i] is the product of the first i Z
+        prefix = [1]
+        for _, z in points:
+            prefix.append(prefix[-1] * z % m)
+        g = gcd(prefix[-1], m)
+        if g != 1:
+            if g < m:
+                return g
+            continue
+        inverse = pow(prefix[-1], -1, m)
+        xs = [0] * len(points)
+        for i in range(len(points) - 1, -1, -1):
+            X, Z = points[i]
+            xs[i] = X * prefix[i] * inverse % m
+            inverse = inverse * Z % m
+        babies = xs[:len(_ECM_BABIES)]
+        acc = 1
+        for xv, us in zip(xs[len(_ECM_BABIES):], _ECM_PAIRS):
+            for i in us:
+                acc *= xv - babies[i]
+            acc %= m  # once per giant step, after at most len(_ECM_BABIES) factors
+        g = gcd(acc, m)
+        if 1 < g < m:
+            return g
+    return 1
+
+
 def _brent_rho(n: int, budget: int) -> int:
     """One nontrivial factor of odd composite n, or raise on exhausted budget."""
     if n % 2 == 0:
@@ -323,7 +455,7 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     if n >= _SMALL_BOUND * _SMALL_BOUND:
         n = _divide_out(n, _LARGE_TRIAL, _PRIMORIAL, out)
     # every prime left is above _TRIAL_BOUND, so a composite left is above
-    # its square; p - 1, rho and recursion finish the rest
+    # its square; p - 1, ECM, rho and recursion finish the rest
     stack = [n] if n > 1 else []
     budget = 1 << 22
     while stack:
@@ -334,7 +466,13 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
         if isqrt(m) ** 2 == m:
             stack.extend((isqrt(m), isqrt(m)))
             continue
-        g = _pollard_pm1(m) if m >= _PM1_FLOOR else 1
+        # from _PM1_FLOOR up: p - 1, then ECM's fixed curves (a third of
+        # rho's time on 26-30 bit primes); rho below it and after them
+        g = 1
+        if m >= _PM1_FLOOR:
+            g = _pollard_pm1(m)
+            if g == 1:
+                g = _ecm(m)
         if g == 1:
             g = _brent_rho(m, budget)
         stack.extend((g, m // g))

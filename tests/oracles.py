@@ -5,7 +5,8 @@ implementation: naive trial division instead of rho, Sylvester
 determinants instead of remainder sequences, a Fraction Sturm chain
 instead of the signs carried by the integer subresultant sequence,
 companion matrix powers instead of Newton recursions, exhaustive squaring
-instead of Euler's criterion, full series convolution instead of the
+instead of Euler's criterion, Montgomery curve group orders counted point
+by point for the ECM ladder, full series convolution instead of the
 division recurrence, a fresh x**(p**i) mod g per degree instead of the
 Frobenius matrix, x**e mod f by right-to-left schoolbook products on
 coefficient lists instead of the packed ring, Fraction pivots and a Hilbert symbol per pair of
@@ -118,6 +119,19 @@ def naive_euler_characteristic(n: int, degrees: list[int]) -> int:
 
 def squares_mod(p: int) -> set[int]:
     return {x * x % p for x in range(1, p)}
+
+
+def montgomery_group_orders(A: int, p: int) -> tuple[int, int]:
+    """(#E(F_p), order of the quadratic twist) for E: y**2 = x**3 + A x**2 + x
+    over an odd prime p, by counting the y over every x: each x gives
+    1 + chi(x**3 + A x**2 + x) points of E and 1 - chi of the twist, plus
+    the point at infinity on each, with chi from exhaustive squaring."""
+    squares = squares_mod(p)
+    total = 0
+    for x in range(p):
+        f = (x * x * x + A * x * x + x) % p
+        total += 0 if f == 0 else 1 if f in squares else -1
+    return p + 1 + total, p + 1 - total
 
 
 def sylvester_resultant(f: Poly, g: Poly) -> Fraction:

@@ -12,7 +12,8 @@ from hassewitt.arith import Factorization, factor, is_prime, legendre, squarefre
 from hassewitt.cli import run_batch
 from hassewitt.errors import DomainError
 
-from oracles import naive_factor, naive_is_prime, reference_brent_rho, squares_mod
+from oracles import (montgomery_group_orders, naive_factor, naive_is_prime, reference_brent_rho,
+                     squares_mod)
 
 
 def test_factor_basic():
@@ -329,6 +330,7 @@ def test_pm1_stage_2_splits_past_b1():
 
 def test_pm1_finding_every_prime_falls_back_to_rho():
     # both orders of 2 need 1999, so even the replay takes in both at once
+    # and p - 1 gives up; ECM, which runs before rho, then splits m
     m = STAGE1_P * STAGE1_OTHER
     assert arith._pollard_pm1(m) == 1
     arith._factor_positive.cache_clear()
@@ -379,7 +381,10 @@ def test_pm1_runs_only_on_cofactors_of_at_least_2_to_the_40(monkeypatch):
     assert calls == [STAGE1_P * SAFE_Q]
 
 
-def test_factor_splits_seeded_semiprime_cofactors():
+def test_factor_splits_seeded_semiprime_cofactors(monkeypatch):
+    # p - 1 or ECM splits every one, so rho never runs; ECM's curves are
+    # the same on every call, and so is the factor it returns
+    _no_rho(monkeypatch)
     rng = random.Random(23)
     small = [p for p in range(2, 10**4) if naive_is_prime(p)]
     for _ in range(200):
@@ -389,3 +394,84 @@ def test_factor_splits_seeded_semiprime_cofactors():
             P, Q = (_next_prime(rng.getrandbits(bits) | 1 << (bits - 1))
                     for bits in (rng.randint(25, 30), rng.randint(25, 30)))
         assert factor(s * P * Q).as_dict() == {s: 1, P: 1, Q: 1}, (s, P, Q)
+        g = arith._ecm(P * Q)
+        assert g in (P, Q) and arith._ecm(P * Q) == g, (P, Q)
+
+
+def test_factor_splits_a_pm1_replay_collision_without_rho(monkeypatch):
+    # the orders of 2 mod both primes have 389 as their largest prime
+    # power, so the stage-1 replay takes in both at the same step
+    P, Q = 751_510_657, 949_996_351
+    assert naive_is_prime(P) and naive_is_prime(Q)
+    assert arith._pollard_pm1(P * Q) == 1
+    _no_rho(monkeypatch)
+    assert factor(7 * P * Q).as_dict() == {7: 1, P: 1, Q: 1}
+
+
+# primes between 1,000 and 5,000 for the curve-order oracle
+CURVE_PRIMES = (1009, 1499, 1997, 2503, 2999, 3511, 3989, 4507, 4903, 4999)
+
+
+def _suyama_point_order(sigma: int, p: int) -> tuple[int, int, int | None]:
+    """(x, a24, N) for Suyama's curve sigma mod p, with N the order of the
+    group that holds its point (x : 1), or None if the curve is singular."""
+    x, a24 = arith._suyama(sigma, p)
+    A = (4 * a24 - 2) % p
+    if A * A % p == 4:
+        return x, a24, None
+    on_curve, on_twist = montgomery_group_orders(A, p)
+    # the point is on E or on its twist, by the Legendre symbol of
+    # x**3 + A x**2 + x; a 2-torsion point, with 0, is on both
+    f = (x ** 3 + A * x * x + x) % p
+    return x, a24, on_twist if f and f not in squares_mod(p) else on_curve
+
+
+def test_ecm_ladder_by_the_group_order_reaches_the_identity():
+    for p in CURVE_PRIMES:
+        assert naive_is_prime(p), p
+        for sigma in range(6, 12):
+            x, a24, order = _suyama_point_order(sigma, p)
+            if order is None:
+                continue
+            assert order % 12 == 0, (p, sigma)  # Suyama's torsion
+            assert arith._ecm_ladder(x, a24, order, p)[1] % p == 0, (p, sigma)
+            # (order - 1) * P = -P, an affine point, has Z prime to p
+            assert arith._ecm_ladder(x, a24, order - 1, p)[1] % p != 0, (p, sigma)
+
+
+def test_ecm_stage_2_finds_an_order_one_prime_past_stage_1(monkeypatch):
+    # mod P the group of curve sigma = 6 (on the twist, then on the curve)
+    # has order N = q * (a divisor of lcm(1..B1)), q a prime in (B1, B2]
+    # with 2q > B2: stage 1 leaves a point of order q, and only the pair
+    # listed for q itself can find P; curve 6 finds nothing mod 2**61 - 1
+    monkeypatch.setattr(arith, "_ECM_CURVES", 1)
+    for P, q in ((60017, 5023), (60617, 5021)):
+        x, a24, order = _suyama_point_order(6, P)
+        assert order % q == 0 and arith._ECM_EXPONENT % (order // q) == 0, (P, order)
+        assert arith._ECM_B1 < q <= arith._ECM_B2 < 2 * q and naive_is_prime(q)
+        assert arith._ecm_ladder(x, a24, arith._ECM_EXPONENT, P)[1] % P != 0
+        assert arith._ecm(P * (2**61 - 1)) == P
+
+
+def test_ecm_curves_are_defined_mod_every_cofactor():
+    # the denominators of x and (A + 2)/4 have no prime above the trial
+    # bound, so they are units mod any m that trial division leaves
+    for sigma in range(6, 6 + arith._ECM_CURVES):
+        u, v = sigma * sigma - 5, 4 * sigma
+        assert max(naive_factor(16 * u**3 * v**4)) < arith._TRIAL_BOUND, sigma
+
+
+def test_ecm_stage_2_pairs_cover_every_prime_once():
+    w, babies = arith._ECM_W, arith._ECM_BABIES
+    assert babies == tuple(u for u in range(1, w // 2) if gcd(u, w) == 1)
+    assert arith._ECM_EXPONENT == lcm(*range(1, arith._ECM_B1 + 1))
+    covered: dict[int, int] = {}
+    for v, indices in enumerate(arith._ECM_PAIRS, start=1):
+        for i in indices:
+            hits = [q for q in (v * w + babies[i], v * w - babies[i])
+                    if arith._ECM_B1 < q <= arith._ECM_B2 and naive_is_prime(q)]
+            assert hits, (v, babies[i])  # no pair without a prime
+            for q in hits:
+                covered[q] = covered.get(q, 0) + 1
+    primes = [q for q in range(arith._ECM_B1 + 1, arith._ECM_B2 + 1) if naive_is_prime(q)]
+    assert covered == dict.fromkeys(primes, 1)
