@@ -10,14 +10,15 @@ Factorization strategy: a gcd with the product of the odd primes below
 100 finds the small primes, and a second gcd with the product of the odd
 primes below 10**4 runs only when the cofactor left is at least 100**2.
 A composite cofactor of at least 2**40 then meets Pollard's p - 1 method:
-stage 1 is one modular power 2**lcm(1..2,000), and stage 2 steps through
-the primes up to 50,000 by their gaps, one multiplication each.  A gcd
-that takes in every prime at once is replayed, stage 1 one prime power at
-a time and a stage-2 batch one prime at a time.  What p - 1 leaves meets
-Lenstra's elliptic curve method: 40 Suyama curves, sigma = 6, 7, ..., the
-same on every call, each with an x-only Montgomery ladder by lcm(1..150)
-and a baby-step giant-step stage 2 (giant step 210) over the primes up to
-10**4.  Whatever is still composite, and every composite below 2**40,
+stage 1 is one modular power x = 2**lcm(1..2,000), replayed one prime
+power at a time when its gcd takes in every prime at once.  What p - 1
+leaves meets Lenstra's elliptic curve method: 40 Suyama curves, sigma =
+6, 7, ..., the same on every call, each with an x-only Montgomery ladder
+by lcm(1..150).  Both end in one baby-step giant-step stage 2, giant step
+210, on one table of pairs read off the sieve: p - 1 on V_k = x**k + x**-k
+up to 50,000, ECM on x-coordinates of multiples of its point up to 10**4,
+with a gcd per giant step, and a pair-by-pair replay of one that takes in
+every prime.  Whatever is still composite, and every composite below 2**40,
 Brent-cycle Pollard rho, reducing once per eight steps, splits.
 Primality is decided by the Baillie-PSW test (a strong base-2 test plus a
 strong Lucas test with Selfridge's parameters) at every size:
@@ -37,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
+from operator import or_
 
 from .errors import DomainError, EffortExceededError, InternalError
 from .values import Value, setfield
@@ -48,53 +50,43 @@ _SMALL_BOUND = 100  # the first trial gcd takes out the odd primes below this bo
 _PM1_B1 = 2_000  # p - 1 stage 1 finds P when P - 1 divides lcm(1..B1)
 _PM1_B2 = 50_000  # stage 2 finds P when P - 1 is that times one prime in (B1, B2]
 # below 2**40 a composite has a prime under 2**20, which rho finds in ~2.5k
-# steps (<= 0.4 ms): less than a p - 1 run that finds nothing (~1.3 ms)
+# steps (<= 0.4 ms): less than a p - 1 run that finds nothing (~2 ms)
 _PM1_FLOOR = 1 << 40
-_PM1_BATCH = 256  # stage-2 primes per gcd
 _ECM_B1 = 150  # ECM stage 1 multiplies the point by lcm(1..B1)
 # stage 2 finds P when the order of that multiple is a prime in (B1, B2];
-# its primes come from the sieve to _PM1_B2, so B2 <= _PM1_B2
+# its pairs come from the sieve to _PM1_B2, so B2 <= _PM1_B2
 _ECM_B2 = 10_000
-_ECM_W = 210  # stage-2 giant step; the baby steps are the odd u < W/2 prime to W
 _ECM_CURVES = 40  # Suyama sigma = 6, 7, ..., 45, then rho
+_W = 210  # stage-2 giant step; the baby steps are the odd u < W/2 prime to W
 
 
-def _prime_tables() -> tuple[tuple[int, ...], tuple[int, ...], int, bytes, tuple[bytes, ...]]:
+def _prime_tables() -> tuple[tuple[int, ...], tuple[int, ...], tuple[bytes, ...]]:
     """From one sieve of Eratosthenes to _PM1_B2: the odd primes below
     _TRIAL_BOUND, the largest power of each prime up to _PM1_B1 (their
-    product is lcm(1.._PM1_B1)), the primes in (_PM1_B1, _PM1_B2] as the
-    first of them and the gaps between consecutive ones (all below 256),
-    and the ECM stage-2 pairs: for each giant step v = 1, 2, ..., the
-    indices into _ECM_BABIES of the u with v*W + u or v*W - u a prime in
-    (_ECM_B1, _ECM_B2]."""
+    product is lcm(1.._PM1_B1)), and the stage-2 pairs: row v - 1, for
+    v = 1, 2, ..., (_PM1_B2 + W/2) // W, holds for each baby u of _BABIES
+    1 if v*W + u or v*W - u is a prime up to _PM1_B2, else 0."""
     sieve = bytearray([1]) * (_PM1_B2 + 1)
     for p in range(3, isqrt(_PM1_B2) + 1, 2):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, _PM1_B2 + 1, p)))
-    primes = [2, *compress(range(3, _PM1_B2 + 1, 2), sieve[3::2])]
-    split = bisect(primes, _PM1_B1)
+    primes = [2, *compress(range(3, _TRIAL_BOUND, 2), sieve[3:_TRIAL_BOUND:2])]
     powers = []
-    for p in primes[:split]:
+    for p in primes[:bisect(primes, _PM1_B1)]:
         power = p
         while power * p <= _PM1_B1:
             power *= p
         powers.append(power)
-    stage2 = primes[split:]
-    trial = tuple(primes[1:bisect(primes, _TRIAL_BOUND)])
-    # a prime p > W/2 is v*W + u or v*W - u for one v >= 1 and one baby u
-    index = {u: i for i, u in enumerate(_ECM_BABIES)}
-    pairs: dict[int, set[int]] = {}
-    for p in primes[bisect(primes, _ECM_B1):bisect(primes, _ECM_B2)]:
-        v, u = divmod(p, _ECM_W)
-        if u > _ECM_W // 2:
-            v, u = v + 1, _ECM_W - u
-        pairs.setdefault(v, set()).add(index[u])
-    ecm = tuple(bytes(sorted(pairs.get(v, ()))) for v in range(1, max(pairs) + 1))
-    return trial, tuple(powers), stage2[0], bytes(map(int.__sub__, stage2[1:], stage2)), ecm
+    # a prime q > W/2 is v*W + u or v*W - u for one v >= 1 and one baby u:
+    # each baby's two columns are sieve slices of stride W
+    rows = (_PM1_B2 + _W // 2) // _W
+    columns = [map(or_, sieve[_W + u::_W].ljust(rows, b"\0"), sieve[_W - u::_W].ljust(rows, b"\0"))
+               for u in _BABIES]
+    return tuple(primes[1:]), tuple(powers), tuple(map(bytes, zip(*columns)))
 
 
-_ECM_BABIES = tuple(u for u in range(1, _ECM_W // 2, 2) if gcd(u, _ECM_W) == 1)
-_TRIAL_PRIMES, _PM1_POWERS, _PM1_FIRST, _PM1_GAPS, _ECM_PAIRS = _prime_tables()
+_BABIES = tuple(u for u in range(1, _W // 2, 2) if gcd(u, _W) == 1)
+_TRIAL_PRIMES, _PM1_POWERS, _PAIRS = _prime_tables()
 _PM1_EXPONENT = prod(_PM1_POWERS)
 _ECM_EXPONENT = lcm(*range(1, _ECM_B1 + 1))
 _PRIMORIAL = prod(_TRIAL_PRIMES)
@@ -180,16 +172,53 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+def _stage2(babies: list[int], giants: list[int], v: int, m: int) -> int:
+    """Stage 2 of p - 1 and ECM on the giant rows v, v + 1, ... of _PAIRS,
+    with giants[j] the value at row v + j and babies[i] at _BABIES[i]: a
+    prime P of m is found at the first listed pair where P | giant - baby.
+    A gcd per row, in place of a reduction, stops at the first row that
+    finds a prime; a row whose gcd is m is replayed pair by pair.  A
+    nontrivial factor of m, or 1: none found, or all at the same pair."""
+    for xv, row in zip(giants, _PAIRS[v - 1:]):
+        acc = 1
+        for b in compress(babies, row):
+            acc *= xv - b
+        g = gcd(acc, m)
+        if g != 1:
+            if g == m:
+                g = next(d for b in compress(babies, row) if (d := gcd(xv - b, m)) != 1)
+            return g if g < m else 1
+    return 1
+
+
+def _pm1_stage2(x: int, m: int) -> int:
+    """p - 1 stage 2 from the stage-1 power x, a unit mod m: _stage2 on
+    V_k = x**k + x**-k over the rows of the primes in (_PM1_B1, _PM1_B2].
+    P | V_vW - V_u = x**-vW (x**(vW + u) - 1)(x**(vW - u) - 1) when the
+    order of x mod P divides vW + u or vW - u (Montgomery 1987, section 4)."""
+    v1 = (x + pow(x, -1, m)) % m
+    v2 = (v1 * v1 - 2) % m
+    # V_1, V_3, ..., V_(W/2) by V_(u+2) = V_u V_2 - V_(u-2), with V_-1 = V_1
+    odd = [v1, v1 * (v2 - 1) % m]
+    for _ in range(5, _W // 2 + 1, 2):
+        odd.append((odd[-1] * v2 - odd[-2]) % m)
+    # V_vW for v = 0, 1, ... by V_((v+1)W) = V_vW V_W - V_((v-1)W)
+    vw = (odd[-1] * odd[-1] - 2) % m
+    giants = [2, vw]
+    for _ in range((_PM1_B2 + _W // 2) // _W - 1):
+        giants.append((giants[-1] * vw - giants[-2]) % m)
+    first = (_PM1_B1 + _W // 2) // _W
+    return _stage2([odd[u // 2] for u in _BABIES], giants[first:], first, m)
+
+
 def _pollard_pm1(m: int) -> int:
     """A nontrivial factor of odd composite m by Pollard's p - 1 method, or 1.
 
     Stage 1 finds the primes P of m for which the order of 2 mod P divides
-    lcm(1.._PM1_B1); stage 2 those for which it is such a divisor times one
-    prime in (_PM1_B1, _PM1_B2].  A gcd that takes in every prime of m at
-    once is replayed: stage 1 one prime power at a time from 2, ascending,
-    a stage-2 batch one prime at a time.  1 means that no prime was found,
-    or that every prime came in at the same prime power or stage-2 prime:
-    rho then splits m.
+    lcm(1.._PM1_B1), replaying one prime power at a time from 2 a gcd that
+    takes in every prime; stage 2 those where it is such a divisor times
+    one prime in (_PM1_B1, _PM1_B2].  1: no prime was found, or all came in
+    at one prime power or stage-2 pair, and ECM and rho split m.
     """
     x = pow(2, _PM1_EXPONENT, m)
     g = gcd(x - 1, m)
@@ -201,30 +230,7 @@ def _pollard_pm1(m: int) -> int:
             if g != 1:
                 break
     elif g == 1:
-        # y runs through x**q for the primes q in (B1, B2], one product by a
-        # power of x per prime gap; the (y - 1) collect in acc between gcds
-        powers = [1]
-        for _ in range(max(_PM1_GAPS)):
-            powers.append(powers[-1] * x % m)
-        y = pow(x, _PM1_FIRST, m)
-        acc = y - 1
-        for start in range(0, len(_PM1_GAPS), _PM1_BATCH):
-            batch, base = _PM1_GAPS[start:start + _PM1_BATCH], y
-            for d in batch:
-                y = y * powers[d] % m
-                acc = acc * (y - 1) % m
-            g = gcd(acc, m)
-            if g == m:
-                # every prime of m divides a y - 1 of this batch; base - 1
-                # is the first prime's in the first batch, prime to m later
-                y, g = base, gcd(base - 1, m)
-                for d in batch:
-                    if g != 1:
-                        break
-                    y = y * powers[d] % m
-                    g = gcd(y - 1, m)
-            if g != 1:
-                break
+        return _pm1_stage2(x, m)
     return g if g < m else 1
 
 
@@ -284,11 +290,11 @@ def _ecm(m: int) -> int:
     Suyama's.  Stage 1 takes Q = lcm(1.._ECM_B1) * P by the x-only ladder,
     and finds the primes P of m where Q is the identity.  Stage 2 finds
     those where the order of Q is a prime q in (_ECM_B1, _ECM_B2]: with
-    q = v*W + u or v*W - u, x(vW Q) = x(u Q) mod P, so P divides one
-    x(vW Q) - x(u Q) of the product over the pairs of _ECM_PAIRS, after one
-    batch inversion has made every Z one.  The first gcd strictly between
-    1 and m is the answer; a gcd equal to m goes on to the next curve, and
-    1 after the last curve means that rho splits m.
+    q = v*W + u or v*W - u, x(vW Q) = x(u Q) mod P, and _stage2 finds P
+    on the x-coordinates, after one batch inversion has made every Z one.
+    The first gcd strictly between 1 and m is the answer; a gcd equal to m
+    goes on to the next curve, and 1 after the last curve means that rho
+    splits m.
     """
     for sigma in range(6, 6 + _ECM_CURVES):
         x, a24 = _suyama(sigma, m)
@@ -301,14 +307,14 @@ def _ecm(m: int) -> int:
         # the odd multiples u Q, u = 1, 3, ..., W/2, by (u + 2)Q = uQ + 2Q
         X2, Z2 = _ecm_double(X, Z, a24, m)
         odd = [(X, Z), _ecm_add(X2, Z2, X, Z, X, Z, m)]
-        for _ in range(5, _ECM_W // 2 + 1, 2):
+        for _ in range(5, _W // 2 + 1, 2):
             odd.append(_ecm_add(*odd[-1], X2, Z2, *odd[-2], m))
         # the giant steps v W Q, v = 1, 2, ..., by (v + 1)G = vG + G
         G = _ecm_double(*odd[-1], a24, m)
         giants = [G, _ecm_double(*G, a24, m)]
-        for _ in range(len(_ECM_PAIRS) - 2):
+        for _ in range((_ECM_B2 + _W // 2) // _W - 2):
             giants.append(_ecm_add(*giants[-1], *G, *giants[-2], m))
-        points = [odd[u // 2] for u in _ECM_BABIES] + giants
+        points = [odd[u // 2] for u in _BABIES] + giants
         # batch inversion: prefix[i] is the product of the first i Z
         prefix = [1]
         for _, z in points:
@@ -324,14 +330,8 @@ def _ecm(m: int) -> int:
             X, Z = points[i]
             xs[i] = X * prefix[i] * inverse % m
             inverse = inverse * Z % m
-        babies = xs[:len(_ECM_BABIES)]
-        acc = 1
-        for xv, us in zip(xs[len(_ECM_BABIES):], _ECM_PAIRS):
-            for i in us:
-                acc *= xv - babies[i]
-            acc %= m  # once per giant step, after at most len(_ECM_BABIES) factors
-        g = gcd(acc, m)
-        if 1 < g < m:
+        g = _stage2(xs[:len(_BABIES)], xs[len(_BABIES):], 1, m)
+        if g != 1:
             return g
     return 1
 

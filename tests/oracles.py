@@ -99,6 +99,14 @@ def naive_is_prime(n: int) -> bool:
     return True
 
 
+def naive_order(x: int, p: int) -> int:
+    """The multiplicative order of x mod the prime p, by repeated multiplication."""
+    y, k = x % p, 1
+    while y != 1:
+        y, k = y * x % p, k + 1
+    return k
+
+
 def naive_euler_characteristic(n: int, degrees: list[int]) -> int:
     """d1...dc times the coefficient of h**n in (1+h)**(n+c+1) / prod(1 + d_i h),
     each division done as a full O(n**2) convolution with sum (-d)**k h**k."""

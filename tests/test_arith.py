@@ -12,8 +12,8 @@ from hassewitt.arith import Factorization, factor, is_prime, legendre, squarefre
 from hassewitt.cli import run_batch
 from hassewitt.errors import DomainError
 
-from oracles import (montgomery_group_orders, naive_factor, naive_is_prime, reference_brent_rho,
-                     squares_mod)
+from oracles import (montgomery_group_orders, naive_factor, naive_is_prime, naive_order,
+                     reference_brent_rho, squares_mod)
 
 
 def test_factor_basic():
@@ -288,14 +288,6 @@ STAGE2_OTHER = 34_095_227
 SAFE_Q = 536_871_263
 
 
-def _stage2_batch(q: int) -> int:
-    """Index of the stage-2 batch that steps through the prime q."""
-    primes = [arith._PM1_FIRST]
-    for d in arith._PM1_GAPS:
-        primes.append(primes[-1] + d)
-    return primes.index(q) // arith._PM1_BATCH
-
-
 def test_pm1_test_primes_have_the_stated_p_minus_1():
     for p in (STAGE1_P, STAGE1_OTHER, STAGE1_EARLY, STAGE2_P, STAGE2_OTHER, SAFE_Q):
         assert naive_is_prime(p), p
@@ -313,11 +305,12 @@ def test_pm1_test_primes_have_the_stated_p_minus_1():
         assert pow(2, exponent, p) == 1
         assert (pow(2, exponent // 1999, p) == 1) == (p == STAGE1_EARLY)
     # the order of 2 is divisible by 49999 mod STAGE2_P and by 49993 mod
-    # STAGE2_OTHER, so stage 1 misses both; both primes share one batch
-    for p, q in ((STAGE2_P, 49999), (STAGE2_OTHER, 49993)):
+    # STAGE2_OTHER, so stage 1 misses both; both primes share giant row
+    # 238, at babies 13 and 19
+    for p, q, u in ((STAGE2_P, 49999, 19), (STAGE2_OTHER, 49993, 13)):
         assert pow(2, exponent, p) != 1
         assert pow(2, exponent * q, p) == 1
-    assert _stage2_batch(49993) == _stage2_batch(49999)
+        assert q == 238 * arith._W + u and arith._PAIRS[238 - 1][arith._BABIES.index(u)]
 
 
 def test_pm1_stage_1_splits_a_smooth_semiprime():
@@ -356,7 +349,8 @@ def test_pm1_stage_1_replay_splits_when_both_primes_are_found(monkeypatch):
 
 
 def test_pm1_stage_2_replay_splits_a_batch_that_finds_both_primes(monkeypatch):
-    # both primes fall in the last 256-prime batch, at 49993 and at 49999
+    # both primes come in on giant row 238, whose gcd is m; pair by pair,
+    # baby 13 (49993) comes before baby 19 (49999)
     m = STAGE2_P * STAGE2_OTHER
     assert arith._pollard_pm1(m) == STAGE2_OTHER
     _no_rho(monkeypatch)
@@ -382,8 +376,8 @@ def test_pm1_runs_only_on_cofactors_of_at_least_2_to_the_40(monkeypatch):
 
 
 def test_factor_splits_seeded_semiprime_cofactors(monkeypatch):
-    # p - 1 or ECM splits every one, so rho never runs; ECM's curves are
-    # the same on every call, and so is the factor it returns
+    # p - 1 or ECM splits every one, so rho never runs; both do the same
+    # work on every call, and so return the same factor
     _no_rho(monkeypatch)
     rng = random.Random(23)
     small = [p for p in range(2, 10**4) if naive_is_prime(p)]
@@ -396,6 +390,8 @@ def test_factor_splits_seeded_semiprime_cofactors(monkeypatch):
         assert factor(s * P * Q).as_dict() == {s: 1, P: 1, Q: 1}, (s, P, Q)
         g = arith._ecm(P * Q)
         assert g in (P, Q) and arith._ecm(P * Q) == g, (P, Q)
+        g = arith._pollard_pm1(P * Q)
+        assert g in (1, P, Q) and arith._pollard_pm1(P * Q) == g, (P, Q)
 
 
 def test_factor_splits_a_pm1_replay_collision_without_rho(monkeypatch):
@@ -461,17 +457,56 @@ def test_ecm_curves_are_defined_mod_every_cofactor():
         assert max(naive_factor(16 * u**3 * v**4)) < arith._TRIAL_BOUND, sigma
 
 
-def test_ecm_stage_2_pairs_cover_every_prime_once():
-    w, babies = arith._ECM_W, arith._ECM_BABIES
+def _stage2_calls(monkeypatch) -> list[tuple]:
+    """Record the (babies, giants, v, m) of every _stage2 call, which finds nothing."""
+    calls = []
+
+    def record(babies, giants, v, m):
+        calls.append((babies, giants, v, m))
+        return 1
+
+    monkeypatch.setattr(arith, "_stage2", record)
+    return calls
+
+
+def test_ecm_stage_2_pairs_cover_every_prime_once(monkeypatch):
+    # the rows that ECM and p - 1 read cover every prime in (B1, B2] of
+    # their own stage 2 once; a listed pair is one with a prime to _PM1_B2
+    w, babies = arith._W, arith._BABIES
     assert babies == tuple(u for u in range(1, w // 2) if gcd(u, w) == 1)
     assert arith._ECM_EXPONENT == lcm(*range(1, arith._ECM_B1 + 1))
-    covered: dict[int, int] = {}
-    for v, indices in enumerate(arith._ECM_PAIRS, start=1):
-        for i in indices:
-            hits = [q for q in (v * w + babies[i], v * w - babies[i])
-                    if arith._ECM_B1 < q <= arith._ECM_B2 and naive_is_prime(q)]
-            assert hits, (v, babies[i])  # no pair without a prime
-            for q in hits:
-                covered[q] = covered.get(q, 0) + 1
-    primes = [q for q in range(arith._ECM_B1 + 1, arith._ECM_B2 + 1) if naive_is_prime(q)]
-    assert covered == dict.fromkeys(primes, 1)
+    calls = _stage2_calls(monkeypatch)
+    monkeypatch.setattr(arith, "_ECM_CURVES", 1)
+    assert arith._ecm(STAGE2_P * SAFE_Q) == 1
+    assert arith._pollard_pm1(STAGE2_P * SAFE_Q) == 1
+    (_, ecm, ecm_v, _), (_, pm1, pm1_v, _) = calls
+    for first, count, b1, b2 in ((ecm_v, len(ecm), arith._ECM_B1, arith._ECM_B2),
+                                 (pm1_v, len(pm1), arith._PM1_B1, arith._PM1_B2)):
+        assert 1 <= first and first - 1 + count <= len(arith._PAIRS)
+        covered: dict[int, int] = {}
+        for v in range(first, first + count):
+            for listed, u in zip(arith._PAIRS[v - 1], babies):
+                hits = [q for q in (v * w + u, v * w - u) if q <= arith._PM1_B2 and naive_is_prime(q)]
+                assert bool(listed) == bool(hits), (v, u)
+                for q in hits:
+                    if b1 < q <= b2:
+                        covered[q] = covered.get(q, 0) + 1
+        primes = [q for q in range(b1 + 1, b2 + 1) if naive_is_prime(q)]
+        assert covered == dict.fromkeys(primes, 1), (b1, b2)
+
+
+def test_pm1_stage_2_pairs_meet_the_order_of_x(monkeypatch):
+    # V_vW - V_u = x**-vW (x**(vW + u) - 1)(x**(vW - u) - 1): a prime P
+    # divides it exactly when the order of x mod P divides vW + u or vW - u
+    calls = _stage2_calls(monkeypatch)
+    w = arith._W
+    primes = [p for p in range(11, 5000) if naive_is_prime(p)][::10] + [4007]  # 4007 = 2 * 2003 + 1
+    for P in primes:
+        for x in (2, 3, 5, 9, P - 1):
+            assert arith._pm1_stage2(x, P * SAFE_Q) == 1
+            babies, giants, first, _ = calls.pop()
+            order = naive_order(x, P)
+            for v, xv in enumerate(giants, start=first):
+                for u, baby in zip(arith._BABIES, babies):
+                    found = (xv - baby) % P == 0
+                    assert found == ((v * w + u) % order == 0 or (v * w - u) % order == 0), (P, x, v, u)
