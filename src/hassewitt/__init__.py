@@ -65,7 +65,6 @@ from .obstructions import (
     delta_comparison,
     jehanne_local,
     lifting_decisions,
-    real_place_sp2,
     real_place_sw2,
     sp2_permutation,
     sw2_character_sum,

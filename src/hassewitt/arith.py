@@ -19,7 +19,7 @@ by lcm(1..150).  Both end in one baby-step giant-step stage 2, giant step
 up to 50,000, ECM on x-coordinates of multiples of its point up to 10**4,
 with a gcd per giant step, and a pair-by-pair replay of one that takes in
 every prime.  Whatever is still composite, and every composite below 2**40,
-Brent-cycle Pollard rho, reducing once per eight steps, splits.
+Brent-cycle Pollard rho splits.
 Primality is decided by the Baillie-PSW test (a strong base-2 test plus a
 strong Lucas test with Selfridge's parameters) at every size:
 it is exact below 2**64 and no composite passing it is known above.
@@ -49,8 +49,8 @@ _TRIAL_BOUND = 10_000  # trial division finds every prime below this bound
 _SMALL_BOUND = 100  # the first trial gcd takes out the odd primes below this bound
 _PM1_B1 = 2_000  # p - 1 stage 1 finds P when P - 1 divides lcm(1..B1)
 _PM1_B2 = 50_000  # stage 2 finds P when P - 1 is that times one prime in (B1, B2]
-# below 2**40 a composite has a prime under 2**20, which rho finds in ~2.5k
-# steps (<= 0.4 ms): less than a p - 1 run that finds nothing (~2 ms)
+# below 2**40 a composite has a prime under 2**20, which rho finds in ~1.7k
+# steps (~0.6 ms): less than a p - 1 run that finds nothing (~2 ms)
 _PM1_FLOOR = 1 << 40
 _ECM_B1 = 150  # ECM stage 1 multiplies the point by lcm(1..B1)
 # stage 2 finds P when the order of that multiple is a prime in (B1, B2];
@@ -351,27 +351,7 @@ def _brent_rho(n: int, budget: int) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                # eight differences per reduction of q: at every gcd q is,
-                # up to sign, the product reduced once per step
-                steps = min(m, r - k)
-                for _ in range(steps >> 3):
-                    y = (y * y + c) % n
-                    d = x - y
-                    y = (y * y + c) % n
-                    d *= x - y
-                    y = (y * y + c) % n
-                    d *= x - y
-                    y = (y * y + c) % n
-                    d *= x - y
-                    y = (y * y + c) % n
-                    d *= x - y
-                    y = (y * y + c) % n
-                    d *= x - y
-                    y = (y * y + c) % n
-                    d *= x - y
-                    y = (y * y + c) % n
-                    q = q * d * (x - y) % n
-                for _ in range(steps & 7):
+                for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = gcd(q, n)

@@ -113,14 +113,6 @@ def betti_middle(spec: CompleteIntersectionSpec) -> int:
     return euler_characteristic(spec) - spec.n
 
 
-def hypersurface_chi_closed_form(n: int, d: int) -> int:
-    """n + 2 + ((1-d)**(n+2) - 1)/d, the codimension-1 closed form."""
-    value = Fraction((1 - d) ** (n + 2) - 1, d)
-    if value.denominator != 1:
-        raise InternalError("closed form is not an integer")
-    return n + 2 + int(value)
-
-
 def _binomial_is_even(spec: CompleteIntersectionSpec) -> bool:
     t = sum(1 for d in spec.degrees if d % 2 == 0)
     return comb(spec.n // 2 + t, t) % 2 == 0

@@ -100,7 +100,7 @@ def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
     """Local pair (w_{2,p} of the trace form, (2, d_F)_p) for a quartic
     field in which the odd prime p decomposes as t.
 
-    d_f is the field discriminant.  The table excludes p = 2.
+    d_f is the field discriminant, never 0.  The table excludes p = 2.
     """
     if p == 2:
         raise DomainError("the local table excludes the prime 2")
@@ -110,6 +110,8 @@ def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
         place = Place.finite(p)  # the constructor proves p prime
     except DomainError:
         raise DomainError(f"{p} must be an odd prime") from None
+    if d_f == 0:
+        raise DomainError("the field discriminant must be nonzero")
     eight = -1 if ((p * p - 1) // 8) % 2 else 1  # (-1)**((p^2-1)/8)
     four = -1 if ((p - 1) // 2) % 2 else 1       # (-1)**((p-1)/2)
     name = t.name
@@ -248,12 +250,6 @@ def real_place_sw2(b_minus: int) -> int:
     if b_minus < 0:
         raise DomainError("dimension must be nonnegative")
     return (b_minus * (b_minus - 1) // 2) % 2
-
-
-def real_place_sp2() -> int:
-    """The spinor class at the real place vanishes for diagonalizable
-    involutions."""
-    return 0
 
 
 # ---------------------------------------------------------------------------

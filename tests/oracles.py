@@ -6,11 +6,12 @@ determinants instead of remainder sequences, a Fraction Sturm chain
 instead of the signs carried by the integer subresultant sequence,
 companion matrix powers instead of Newton recursions, exhaustive squaring
 instead of Euler's criterion, Montgomery curve group orders counted point
-by point for the ECM ladder, full series convolution instead of the
-division recurrence, a fresh x**(p**i) mod g per degree instead of the
-Frobenius matrix, x**e mod f by right-to-left schoolbook products on
-coefficient lists instead of the packed ring, Fraction pivots and a Hilbert symbol per pair of
-diagonal entries instead of leading minors and the closed-form exponent
+by point for the ECM ladder, full series convolution and, for one degree,
+the closed form instead of the division recurrence, a fresh x**(p**i)
+mod g per degree instead of the Frobenius matrix, x**e mod f by
+right-to-left schoolbook products on coefficient lists instead of the
+packed ring, Fraction pivots and a Hilbert symbol per pair of diagonal
+entries instead of leading minors and the closed-form exponent
 over all pairs, a Fraction p-adic split with Euler's criterion instead of
 the valuation parities and units of integer representatives.  Products,
 remainders and gcds of polynomials, used to build test inputs and by the
@@ -18,8 +19,8 @@ Sturm chain, run on Fraction coefficient lists here; the distinct-degree
 oracle divides and takes gcds over F_p with its own long division.
 
 One entry is a reference rather than an independent route:
-reference_brent_rho is Brent's rho reducing once per step, which the
-library's eight-step loop must match factor for factor.
+reference_brent_rho is Brent's rho on |x - y| reducing once per step,
+which the library's loop on x - y must match factor for factor.
 """
 
 from fractions import Fraction
@@ -30,6 +31,7 @@ from hassewitt.cohomology import INF, Place, SquareClass
 from hassewitt.errors import DomainError, EffortExceededError
 from hassewitt.forms import QuadraticForm
 from hassewitt.numberfield import Poly
+from hassewitt.obstructions import _RAMIFIED_TYPES
 
 
 def naive_factor(n: int) -> dict[int, int]:
@@ -123,6 +125,17 @@ def naive_euler_characteristic(n: int, degrees: list[int]) -> int:
             out[k] = acc
         series = out
     return prod(degrees) * series[n]
+
+
+def hypersurface_chi_closed_form(n: int, d: int) -> int:
+    """n + 2 + ((1-d)**(n+2) - 1)/d, the codimension-1 closed form for chi."""
+    value = Fraction((1 - d) ** (n + 2) - 1, d)
+    assert value.denominator == 1, "closed form is not an integer"
+    return n + 2 + int(value)
+
+
+# every decomposition type of the quartic local table
+JEHANNE_TYPES = ("unramified", *_RAMIFIED_TYPES)
 
 
 def squares_mod(p: int) -> set[int]:

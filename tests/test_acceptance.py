@@ -25,7 +25,6 @@ from hassewitt.motives import (
     betti_w_invariants,
     cubic_surface_refinement,
     euler_characteristic,
-    hypersurface_chi_closed_form,
     hypersurface_w,
     tau_mod8,
 )
@@ -43,6 +42,7 @@ from hassewitt.obstructions import (
 from oracles import (
     companion_power_traces,
     congruent_form,
+    hypersurface_chi_closed_form,
     poly_mul,
     random_nondegenerate_symmetric,
     random_unimodular,

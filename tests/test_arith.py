@@ -321,21 +321,21 @@ def test_pm1_stage_2_splits_past_b1():
     assert arith._pollard_pm1(STAGE2_P * SAFE_Q) == STAGE2_P
 
 
-def test_pm1_finding_every_prime_falls_back_to_rho():
-    # both orders of 2 need 1999, so even the replay takes in both at once
-    # and p - 1 gives up; ECM, which runs before rho, then splits m
-    m = STAGE1_P * STAGE1_OTHER
-    assert arith._pollard_pm1(m) == 1
-    arith._factor_positive.cache_clear()
-    assert factor(m).as_dict() == {STAGE1_P: 1, STAGE1_OTHER: 1}
-
-
 def _no_rho(monkeypatch):
     def refuse(n, budget):
         raise AssertionError(f"rho ran on {n}")
 
     monkeypatch.setattr(arith, "_brent_rho", refuse)
     arith._factor_positive.cache_clear()
+
+
+def test_pm1_finding_every_prime_falls_back_to_ecm(monkeypatch):
+    # both orders of 2 need 1999, so even the replay takes in both at once
+    # and p - 1 gives up; ECM, which runs before rho, then splits m
+    m = STAGE1_P * STAGE1_OTHER
+    assert arith._pollard_pm1(m) == 1
+    _no_rho(monkeypatch)
+    assert factor(m).as_dict() == {STAGE1_P: 1, STAGE1_OTHER: 1}
 
 
 def test_pm1_stage_1_replay_splits_when_both_primes_are_found(monkeypatch):
@@ -346,6 +346,23 @@ def test_pm1_stage_1_replay_splits_when_both_primes_are_found(monkeypatch):
     assert arith._pollard_pm1(m) == STAGE1_EARLY
     _no_rho(monkeypatch)
     assert factor(-5 * m).as_dict() == {5: 1, STAGE1_P: 1, STAGE1_EARLY: 1}
+
+
+def test_pm1_stage_1_replay_splits_primes_past_ecm_and_rho(monkeypatch):
+    # 50- and 51-bit primes whose P - 1 are 2000-smooth: the stage-1 gcd is
+    # m, and the replay finds LARGE_EARLY at 983, before LARGE_P's 1999.
+    # ECM's curves (B1 = 150, B2 = 10**4) find neither prime, and rho
+    # would need about 2**25 steps, past its budget of 2**22
+    LARGE_EARLY, LARGE_P = 960_204_910_910_339, 1_284_523_314_775_139
+    assert naive_factor(LARGE_EARLY - 1) == {2: 1, 29: 1, 173: 1, 331: 1, 491: 1, 599: 1, 983: 1}
+    assert naive_factor(LARGE_P - 1) == {2: 1, 37: 1, 79: 1, 229: 1, 677: 1, 709: 1, 1999: 1}
+    assert is_prime(LARGE_EARLY) and is_prime(LARGE_P)
+    m = LARGE_EARLY * LARGE_P
+    assert gcd(pow(2, arith._PM1_EXPONENT, m) - 1, m) == m
+    assert arith._pollard_pm1(m) == LARGE_EARLY
+    assert arith._ecm(m) == 1
+    _no_rho(monkeypatch)
+    assert factor(m).as_dict() == {LARGE_EARLY: 1, LARGE_P: 1}
 
 
 def test_pm1_stage_2_replay_splits_a_batch_that_finds_both_primes(monkeypatch):

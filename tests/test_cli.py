@@ -24,6 +24,8 @@ from hassewitt.cohomology import Place, hilbert_symbol
 from hassewitt.errors import DomainError
 from hassewitt.forms import QuadraticForm, invariants
 
+from oracles import JEHANNE_TYPES
+
 
 def run_capture(capsys, argv):
     code = run(argv)
@@ -186,6 +188,22 @@ def test_jehanne(capsys):
     code, out, _ = run_capture(capsys, ["jehanne", "--p", "283", "--type", "1^2,1,1", "--disc", "-283", "--json"])
     assert code == 0
     assert json.loads(out)["outputs"] == {"symbol_p": -1, "w2_p": -1}
+
+
+@pytest.mark.parametrize("type_name", JEHANNE_TYPES)
+def test_jehanne_zero_discriminant_is_input_error(tmp_path, capsys, type_name):
+    error = "the field discriminant must be nonzero"
+    code, out, err = run_capture(capsys, ["jehanne", "--p", "7", "--type", type_name, "--disc", "0", "--json"])
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+    infile, outfile = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    infile.write_text(
+        json.dumps({"id": 1, "command": "jehanne", "parameters": {"p": 7, "type": type_name, "disc": 0}}) + "\n"
+        + json.dumps({"id": 2, "command": "jehanne", "parameters": {"p": 7, "type": type_name, "disc": -283}}) + "\n")
+    code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert code == 0
+    bad, good = [json.loads(line) for line in outfile.read_text().splitlines()]
+    assert bad["status"] == "input_error" and bad["error"] == error
+    assert good["status"] == "ok" and good["id"] == 2
 
 
 def test_delta(capsys):

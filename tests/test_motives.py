@@ -24,14 +24,13 @@ from hassewitt.motives import (
     delta_expressions,
     epsilon_prime,
     euler_characteristic,
-    hypersurface_chi_closed_form,
     hypersurface_w,
     motive_report,
     tau_mod8,
 )
 from hassewitt.numberfield import Poly, discriminant
 
-from oracles import naive_euler_characteristic
+from oracles import hypersurface_chi_closed_form, naive_euler_characteristic
 
 
 def test_spec_validation():

@@ -21,14 +21,13 @@ from hassewitt.obstructions import (
     delta_comparison,
     jehanne_local,
     lifting_decisions,
-    real_place_sp2,
     real_place_sw2,
     sp2_permutation,
     sw2_character_sum,
     sw2_permutation,
 )
 
-from oracles import poly_mul, random_nondegenerate_symmetric
+from oracles import JEHANNE_TYPES, poly_mul, random_nondegenerate_symmetric
 
 F1 = EtaleAlgebra(Poly([-1, 1, 0, 0, 1]))          # x^4 + x - 1, disc -283
 F2 = EtaleAlgebra(Poly([-1, -2, 0, 1, 1]))         # x^4 + x^3 - 2x - 1, disc -275
@@ -178,6 +177,14 @@ def test_jehanne_rejects_two_and_composites():
         DecompositionType("1^5")
 
 
+def test_jehanne_rejects_a_zero_discriminant():
+    # a field discriminant is never 0; before, only 1^2,1^2 refused it, and
+    # with the Hilbert symbol's text
+    for name in JEHANNE_TYPES:
+        with pytest.raises(DomainError, match="^the field discriminant must be nonzero$"):
+            jehanne_local(7, DecompositionType(name), 0)
+
+
 def test_jehanne_consistent_with_direct_computation():
     # known decomposition types for the golden quartics
     cases = [
@@ -238,7 +245,6 @@ def test_real_place():
     assert real_place_sw2(0) == 0
     assert real_place_sw2(2) == 1
     assert real_place_sw2(4) == 0
-    assert real_place_sp2() == 0
     for b in range(13):
         copies = CharacterSum([-1] * b) if b else None
         expected = (b * (b - 1) // 2) % 2
