@@ -265,8 +265,12 @@ def make_report(req_id, command, inputs, outputs=None, assumptions=(), status="o
     return report
 
 
+# json.dumps with these options would build a new encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dump_report(report: dict) -> str:
-    return _render_exact(json.dumps, report, sort_keys=True, separators=(",", ":"))
+    return _render_exact(_ENCODER.encode, report)
 
 
 def _render_exact(render, *args, **kwargs) -> str:

@@ -8,11 +8,11 @@ store degree 2 classes as even place sets, with addition as symmetric
 difference and cup products of square classes computed place by place
 through Hilbert symbols.
 
-There is one local-symbol formula, in integers, shared with ``forms``: a
-rational is replaced by num * den, which :func:`_split` reduces at p to its
-valuation parity and its unit mod p (mod 8 at 2), and
-:func:`_hasse_exponent` gives the product of the symbols over all pairs of
-a diagonal form in closed form, with at most one residue symbol.
+There is one local-symbol kernel, in integers, shared with ``forms``: a
+rational is replaced by num * den, and :func:`_hasse_exponent` reads the
+integers themselves, splits each at p into its valuation parity and its
+unit mod p (mod 8 at 2), and gives the product of the symbols over all
+pairs of a diagonal form in closed form, with at most one residue symbol.
 
 Conventions: a place is either a finite prime or the real place ``inf``;
 the Hilbert symbol (a, b)_v is +1 exactly when z**2 = a x**2 + b y**2 has a
@@ -220,43 +220,40 @@ def _integer_rep(x: "Rat | SquareClass") -> int:
     return q.numerator * q.denominator
 
 
-def _split(x: int, p: int) -> tuple[int, int]:
-    """(v mod 2, u mod p) for the nonzero integer x = p**v * u with p not
-    dividing u, or (v mod 2, u mod 8) at p = 2: all a symbol at p reads."""
-    if p == 2:
-        v = (x & -x).bit_length() - 1
-        return v & 1, (x >> v) % 8
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v & 1, x % p
+def _hasse_exponent(xs: Sequence[int], p: int) -> tuple[int, int]:
+    """(e, k) for the nonzero integers xs: prod over i < j of
+    (x_i, x_j)_p = (-1)**e, and k of the x_i have odd valuation at p.
 
-
-def _hasse_exponent(entries: Sequence[tuple[int, int]], p: int) -> int:
-    """e with prod over i < j of (a_i, a_j)_p = (-1)**e, each a_i given as
-    (v_i mod 2, an integer congruent to its unit mod p, or mod 8 at 2), as
-    :func:`_split` returns it.
-
-    Serre's formula (A Course in Arithmetic, Ch. III, Thm. 1) summed over
-    the pairs: with k entries of odd valuation, the unit of a_i is paired
-    with the k - v_i odd-valuation entries other than a_i, so only U counts,
-    the product of the units of the odd-valuation entries when k is even
-    and of the even-valuation ones when k is odd.  At odd p,
+    Each x_i = p**v_i * u_i is split at p in the loop: v_i mod 2 and u_i mod
+    p, or mod 8 at 2.  Serre's formula (A Course in Arithmetic, Ch. III,
+    Thm. 1) summed over the pairs: the unit of x_i is paired with the
+    k - v_i odd-valuation entries other than x_i, so only U counts, the
+    product of the units of the odd-valuation entries when k is even and
+    of the even-valuation ones when k is odd.  At odd p,
     e = eps(p) C(k, 2) + [U is a non-residue]; at p = 2, e = C(E, 2) + omega(U)
     with E the number of units = 3 mod 4.
     """
-    modulus = 8 if p == 2 else p
     k = 0
     units = [1, 1]  # the unit products of the even- and the odd-valuation entries
-    for v, u in entries:
-        k += v
-        units[v] = units[v] * u % modulus
-    unit = units[1 - k % 2]
     if p == 2:
-        threes = sum(u % 4 == 3 for _, u in entries)
-        return (threes * (threes - 1) // 2 + (unit in (3, 5))) & 1
-    return (k * (k - 1) // 2 * (p >> 1) + (unit != 1 and _jacobi(unit, p) == -1)) & 1
+        threes = 0
+        for x in xs:
+            v = (x & -x).bit_length() - 1
+            u = (x >> v) & 7
+            k += v & 1
+            units[v & 1] = units[v & 1] * u & 7
+            threes += u & 3 == 3
+        unit = units[1 - (k & 1)]
+        return (threes * (threes - 1) // 2 + (unit in (3, 5))) & 1, k
+    for x in xs:
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        k += v & 1
+        units[v & 1] = units[v & 1] * x % p
+    unit = units[1 - (k & 1)]
+    return (k * (k - 1) // 2 * (p >> 1) + (unit != 1 and _jacobi(unit, p) == -1)) & 1, k
 
 
 def hilbert_symbol(a: "Rat | SquareClass", b: "Rat | SquareClass", v: Place) -> int:
@@ -267,7 +264,7 @@ def hilbert_symbol(a: "Rat | SquareClass", b: "Rat | SquareClass", v: Place) -> 
     if v.is_infinite:
         return -1 if (x < 0 and y < 0) else 1
     p = v.prime
-    return -1 if _hasse_exponent((_split(x, p), _split(y, p)), p) else 1
+    return -1 if _hasse_exponent((x, y), p)[0] else 1
 
 
 def _places_of(reps: Sequence[int]) -> list[Place]:
@@ -310,7 +307,7 @@ def cup_sum(values: Iterable["Rat | SquareClass"]) -> CohClass2:
     reps = [_integer_rep(x) for x in values]
     if 0 in reps:
         raise DomainError("0 has no squarefree part")
-    support = [v for v in _places_of(reps) if _hasse_exponent([_split(x, v.prime) for x in reps], v.prime)]
+    support = [v for v in _places_of(reps) if _hasse_exponent(reps, v.prime)[0]]
     neg = sum(1 for x in reps if x < 0)
     if neg * (neg - 1) // 2 % 2:
         support.append(INF)
@@ -329,8 +326,10 @@ def localize(x: "SquareClass | CohClass2", v: Place) -> int:
     if v.is_infinite:
         return 1 if rep < 0 else 0
     p = v.prime
-    odd, unit = _split(rep, p)
-    return 1 if odd or (unit != 1 if p == 2 else _jacobi(unit, p) == -1) else 0
+    # rep is squarefree: p divides it once, or it is a unit at p
+    if rep % p == 0:
+        return 1
+    return 1 if (rep % 8 != 1 if p == 2 else _jacobi(rep % p, p) == -1) else 0
 
 
 class TotalWittClass(Value):

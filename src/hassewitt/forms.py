@@ -8,10 +8,10 @@ leading principal minors D_1, ..., D_n of a congruent copy.  By Jacobi,
 the form is congruent to <D_1/L, D_2/(L D_1), ..., D_n/(L D_(n-1))>, so
 every classifying datum (rank, signature, determinant class, degree-1 and
 degree-2 classes, local Hasse units) is read off the integers L and D_i:
-at each place they are split once into valuation parity and unit, and the
-Hasse unit is the closed form of ``cohomology`` on the pivots they give,
-with no rational arithmetic.  Two forms over Q are isometric iff all of
-it matches, which is what :func:`isometric` decides.
+the pivot integers L D_(i-1) D_i are formed once per form, and at each
+place the one kernel of ``cohomology`` gives the Hasse unit and v_p(det)
+mod 2 from them, with no rational arithmetic.  Two forms over Q are
+isometric iff all of it matches, which is what :func:`isometric` decides.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .arith import factor
-from .cohomology import INF, TWO, CohClass2, Place, SquareClass, _hasse_exponent, _split
+from .cohomology import INF, CohClass2, Place, SquareClass, _hasse_exponent
 from .errors import DomainError
 from .values import Value, setfield
 
@@ -230,32 +230,31 @@ def invariants(q: QuadraticForm) -> FormInvariants:
     an odd p has trivial Hasse unit at p (Serre, A Course in Arithmetic,
     Ch. IV).  So local symbols are needed only at 2, inf and the primes of
     L*|numerator(det q)|.  The pivot D_i / (L D_(i-1)) is negative when
-    D_(i-1) and D_i differ in sign, and at p it is L D_(i-1) D_i up to
-    squares: its valuation parity is a sum and its unit a product of the
-    splits of L and the D_i.  v_p(det) mod 2 is the sum of the pivot parities.
+    D_(i-1) and D_i differ in sign, and it is L D_(i-1) D_i up to squares;
+    those integers are formed once, and one kernel call per place gives
+    the Hasse exponent e and k, the number of odd-valuation pivots, whose
+    parity is that of v_p(det).
     """
     scale, minors = q._scale, q._minors
     n = len(minors)
-    neg = sum(1 for prev, d in zip((1,) + minors, minors) if (prev < 0) != (d < 0))
+    prevs = (1,) + minors  # D_0 = 1
+    neg = sum(1 for prev, d in zip(prevs, minors) if (prev < 0) != (d < 0))
     det_num = minors[-1] // gcd(minors[-1], scale ** n)
-    # factor() has proved these primes, so their places take no second test
-    places = [TWO] + [Place.from_prime(p) for p, _ in factor(scale * abs(det_num)).factors if p != 2]
+    pivots = [scale * prev * d for prev, d in zip(prevs, minors)]
     disc_rep = -1 if det_num < 0 else 1
-    units = {}
-    for v in places:
-        p = v.prime
-        odd_l, unit_l = _split(scale, p)
-        splits = [(0, 1)] + [_split(d, p) for d in minors]  # D_0 = 1
-        pivots = [(odd_l ^ a ^ b, unit_l * u * w) for (a, u), (b, w) in zip(splits, splits[1:])]
-        units[v] = -1 if _hasse_exponent(pivots, p) else 1
-        if (odd_l & n) ^ splits[-1][0]:  # the pivot parities sum to n v_p(L) + v_p(D_n)
+    w2 = [INF] if neg * (neg - 1) // 2 % 2 else []
+    hasse = {}
+    for p in [2] + [p for p, _ in factor(scale * abs(det_num)).factors if p != 2]:
+        e, k = _hasse_exponent(pivots, p)
+        v = Place.from_prime(p)  # factor() has proved p prime: no second test
+        if e:
+            w2.append(v)
+        if k & 1:
             disc_rep *= p
-    units[INF] = -1 if neg * (neg - 1) // 2 % 2 else 1
-    w2 = CohClass2(v for v, s in units.items() if s == -1)
-    del units[INF]
-    hasse = {v: s for v, s in units.items() if v == TWO or s == -1 or disc_rep % v.prime == 0}
+        if p == 2 or e or k & 1:
+            hasse[v] = -1 if e else 1
     disc = SquareClass.from_squarefree(disc_rep)
-    return FormInvariants(rank=n, signature=(n - neg, neg), disc=disc, w1=disc, w2=w2, hasse_local=hasse)
+    return FormInvariants(rank=n, signature=(n - neg, neg), disc=disc, w1=disc, w2=CohClass2(w2), hasse_local=hasse)
 
 
 def isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:

@@ -3,7 +3,9 @@ oracle naive_hilbert_symbol.
 
 Entries carry a forced power p**k of the place's prime (2, small odd
 primes, 101, 10007 and the 61-bit prime 2**61 - 1) times a random
-rational, and are passed as Fractions, ints or SquareClasses.
+rational, and are passed as Fractions, ints or SquareClasses.  The kernel
+_hasse_exponent itself is checked on lists of integers built as
++-p**k * u with u prime to p, so their valuations are known.
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hassewitt.cohomology import INF, CohClass2, Place, SquareClass, cup_sum, hilbert_symbol, localize
+from hassewitt.cohomology import INF, CohClass2, Place, SquareClass, _hasse_exponent, cup_sum, hilbert_symbol, localize
 from hassewitt.errors import DomainError
 
 from oracles import naive_factor, naive_hilbert_symbol
@@ -98,6 +100,30 @@ def test_cup_sum_matches_fraction_oracle(drawn, with_zero):
                 for i in range(len(values)) for j in range(i + 1, len(values))) == -1
     )
     assert cup_sum(values) == want
+
+
+@st.composite
+def kernel_case(draw):
+    """(p, xs, vs): 1-8 nonzero integers xs = +-p**v * u with p not dividing
+    u, and their valuations vs at p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 101, P61)))
+    xs, vs = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        v = draw(st.integers(0, 2 if p == P61 else 5))
+        # u = t*p + r with 0 < r < p runs over every unit residue mod p (mod 8 at 2)
+        u = draw(st.integers(0, 10**6)) * p + draw(st.integers(1, min(p - 1, 10**6)))
+        xs.append(draw(st.sampled_from((1, -1))) * p**v * u)
+        vs.append(v)
+    return p, xs, vs
+
+
+@SETTINGS
+@given(kernel_case())
+def test_hasse_exponent_matches_pairwise_oracle(case):
+    p, xs, vs = case
+    place = Place.finite(p)
+    minus = sum(naive_hilbert_symbol(xs[i], xs[j], place) == -1 for i in range(len(xs)) for j in range(i + 1, len(xs)))
+    assert _hasse_exponent(xs, p) == (minus % 2, sum(v % 2 for v in vs))
 
 
 def test_localize_and_cup_sum_refuse_zero_as_before():

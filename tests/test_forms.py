@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -267,6 +268,29 @@ def test_unchecked_places_come_from_factor(monkeypatch):
     for q in qs:
         cup_sum([invariants(q).w1, -3, Fraction(10, 7)])
     assert tests == []
+
+
+def test_invariants_call_the_symbol_kernel_once_per_place():
+    # L = 6 and det = 11/2, so the places are 2, 3 (a denominator prime) and 11
+    q = parse_gram("1/3,0,0;0,5,1;0,1,7/2")
+    kernel_calls, names = [], set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            names.add(frame.f_code.co_name)
+            if frame.f_code.co_name == "_hasse_exponent":
+                kernel_calls.append((frame.f_locals["p"], id(frame.f_locals["xs"])))
+
+    saved = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        inv = invariants(q)
+    finally:
+        sys.setprofile(saved)
+    assert [p for p, _ in kernel_calls] == [2, 3, 11]
+    assert len({xs for _, xs in kernel_calls}) == 1  # the pivot integers are formed once
+    assert "_split" not in names
+    assert inv.to_json() == invariants(diagonal_form([Fraction(1, 3), 5, Fraction(33, 10)])).to_json()
 
 
 def test_invariants_take_at_most_one_residue_symbol_per_odd_place(monkeypatch):
