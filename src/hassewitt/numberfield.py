@@ -18,7 +18,15 @@ factorization patterns come from one distinct-degree factorization of f
 over F_p, which gives the degree and count of the factors and peels off
 their multiplicities by repeated gcds: x**p mod f is computed once per
 polynomial, with each residue mod (f, p) packed into one int, and the
-higher Frobenius powers x**(p**i) come from the Frobenius matrix.
+higher Frobenius powers x**(p**i) come from the Frobenius matrix.  A
+packed coefficient is kept partly reduced, below A = 3p: a product's slots
+(at most n(A-1)**2) go below A by one packed Barrett step, the high half
+folds onto the low half by the packed rows x**(n+k) mod f, themselves
+residues (to at most (A-1)(1 + n(A-1))), and a second Barrett step brings
+the low slots below A again.  The slots are about 2 bitlen(p) +
+2 bitlen(n) + 8 bits wide, room for the widest of these values and for the
+Barrett products, so no slot carries into the next, and no coefficient is
+taken mod p until it is unpacked.
 """
 
 from __future__ import annotations
@@ -439,21 +447,42 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 class _FpQuotient:
     """F_p[x]/(f) for monic f of degree n >= 1.  A residue is one int whose
-    w-bit slot i holds its coefficient of x**i, reduced mod p.
+    w-bit slot i holds its coefficient of x**i, partly reduced: congruent
+    to it mod p and below the bound A = 3p.
 
-    A product of two residues has slots of at most n(p-1)**2, and
-    multiplying it by x is a shift by one slot.  ``reduce`` folds slot
-    n + k back onto the low n slots by adding it times the packed row
-    x**(n+k) mod f, which adds at most n * n(p-1)**2 * (p-1) per slot; so
-    w = bitlen(n(p-1)**2 (1 + n(p-1))) leaves no carry between slots, and
-    each coefficient is taken mod p once, when it is unpacked.
+    ``reduce`` takes a packed polynomial of degree < 2n whose slots are at
+    most n(A-1)**2, which bounds a product of two residues (times x is a
+    shift by one slot) and the Frobenius sum h(x**p) for h reduced mod p.
+    It runs one packed Barrett step on all 2n slots, which leaves each
+    below A; folds slot n + k onto the low n slots by adding it times the
+    packed row x**(n+k) mod f, itself a residue, so a low slot reaches at
+    most S = (A-1)(1 + n(A-1)); and runs a second Barrett step on the n
+    low slots, which leaves each below A again.
+
+    A Barrett step (Barrett, CRYPTO '86), with 2**t <= p < 2**(t+1),
+    2**K > S and m = 2**K // p, estimates the quotient by p of every slot s
+    at once, q = (s >> t) * m >> (K - t), and subtracts q*p.  On the packed
+    int, the mask m1 keeps the w - t bits of each slot that s >> t leaves
+    in it, and m2 keeps the w - K + t bits of q below what the next slot's
+    product shifts in.  The estimate is q <= s // p, so no slot borrows,
+    and s - q*p < 2**t + 2p - 2 < A.  The widest value a slot ever holds
+    is S or the product (s >> t) * m, so w = bitlen(max(S, (S >> t) * m)),
+    about 2 bitlen(p) + 2 bitlen(n) + 8 bits once p has a few bits, leaves
+    no carry between slots at any stage.
     """
 
     def __init__(self, f: list[int], p: int):
         n = len(f) - 1
         self.f, self.p, self.n = f, p, n
-        self.w = w = (n * (p - 1) ** 2 * (1 + n * (p - 1))).bit_length()
+        self.bound = bound = 3 * p
+        top = (bound - 1) * (1 + n * (bound - 1))  # S
+        self.t = t = p.bit_length() - 1
+        self.k = k = top.bit_length()
+        self.m = m = (1 << k) // p
+        self.w = w = max(top, (top >> t) * m).bit_length()
         self.mask, self.low = (1 << w) - 1, (1 << n * w) - 1
+        ones = ((1 << 2 * n * w) - 1) // self.mask  # 1 in each of 2n slots
+        self.m1, self.m2 = ((1 << w - t) - 1) * ones, ((1 << w - k + t) - 1) * ones
         self.rows = [sum(-c % p << i * w for i, c in enumerate(f[:n]))]  # x**n mod f
         while len(self.rows) < n:  # x * x**(n+k-1): only its slot n folds, by x**n
             self.rows.append(self.reduce(self.rows[-1] << w))
@@ -465,16 +494,15 @@ class _FpQuotient:
 
     def reduce(self, s: int) -> int:
         """The residue of s, a packed polynomial of degree < 2n whose slots
-        are at most n(p-1)**2."""
-        n, w, mask, p = self.n, self.w, self.mask, self.p
+        are at most n(A-1)**2, with every slot below A."""
+        n, w, mask, t, p = self.n, self.w, self.mask, self.t, self.p
+        m, m1, m2, shift = self.m, self.m1, self.m2, self.k - t
+        s -= ((s >> t & m1) * m >> shift & m2) * p
         hi, acc = s >> n * w, s & self.low
         for row in self.rows:
             acc += (hi & mask) * row
             hi >>= w
-        out = 0
-        for i in range(n - 1, -1, -1):
-            out = out << w | (acc >> i * w & mask) % p
-        return out
+        return acc - ((acc >> t & m1) * m >> shift & m2) * p
 
     def xpow(self, e: int) -> int:
         """x**e for e >= 1, left to right: a set bit of e shifts the square
@@ -493,15 +521,20 @@ def _fp_pattern(f: list[int], p: int) -> list[tuple[int, int]]:
     by one distinct-degree pass over f itself.
 
     x**p mod f is computed once, in the packed ring :class:`_FpQuotient`,
-    where each squaring is one bigint product and one packed reduction.
+    where each squaring is one bigint product and one packed reduction:
+    two Barrett steps of a fixed number of bigint operations on all slots
+    at once, around a fold of n row products, with no per-coefficient loop.
     Row j of the Frobenius matrix is x**(j*p) mod f, a product in the same
-    ring, so h -> h(x**p) mod f, which takes x**(p**i) to x**(p**(i+1)), is
-    the sum of the packed rows scaled by the coefficients of h, unpacked
-    once.  g is what is left of f, and at step i it has no factor of
-    degree below i, so d = gcd(g, h - x) is the product of its distinct
-    degree-i factors (h stays reduced mod f: g divides f).  Dividing d out
-    of g and taking gcd(g, d) again leaves the factors of higher
-    multiplicity, one multiplicity at a time.
+    ring with slots below A, so h -> h(x**p) mod f, which takes x**(p**i)
+    to x**(p**(i+1)), is the sum of the packed rows scaled by the
+    coefficients of h, each below p: its slots are at most
+    n(p-1)(A-1) < n(A-1)**2, which the slot width holds, and the sum is
+    unpacked once, each coefficient taken mod p there.  g is what is left
+    of f, and at step i it has no factor of degree below i, so
+    d = gcd(g, h - x) is the product of its distinct degree-i factors (h
+    stays reduced mod f: g divides f).  Dividing d out of g and taking
+    gcd(g, d) again leaves the factors of higher multiplicity, one
+    multiplicity at a time.
     """
     out = []
     n = len(f) - 1

@@ -431,20 +431,44 @@ def test_fp_pattern_matches_oracles():
 
 
 def test_packed_ring_worst_case_slots():
-    """Every coefficient of f and of the residues at p - 1, which gives the
-    largest slot sums the width has to hold, for p from 2 to 256 bits."""
+    """Residues with every slot at A - 1, the largest the ring holds, and f
+    with every coefficient at p - 1: the slot sums the width has to hold,
+    for p from 2 to 521 bits; 17 and 65537 sit just above a power of two,
+    where 2**t is closest to p and Barrett's estimate errs most.  The
+    square, the square times x and the Frobenius sum h(x**p) with h
+    reduced mod p each match the oracle, and ``reduce`` leaves every slot
+    below A."""
     rng = random.Random(96)
-    for p in (2, 3, 2**61 - 1, 2**127 - 1, 2**256 - 189):
-        for n in range(1, 11):
+    for p in (2, 3, 5, 17, 65537, 2**61 - 1, 2**127 - 1, 2**256 - 189, 2**521 - 1):
+        for n in range(1, 13):
             f = [p - 1] * n + [1]
             ring = numberfield._FpQuotient(f, p)
-            top = [p - 1] * n
-            packed = sum(c << i * ring.w for i, c in enumerate(top))
-            square = [int(c) for c in poly_mul(top, top)]
-            assert ring.unpack(ring.reduce(packed * packed)) == fp_divmod(square, f, p)[1]
-            assert ring.unpack(ring.reduce(packed * packed << ring.w)) == fp_divmod([0] + square, f, p)[1]
-            # h -> h(x**p) with every coefficient of h and of the rows at p - 1
-            assert ring.unpack((p - 1) * packed * n) == fp_divmod([n * (p - 1) ** 2 % p] * n, f, p)[1]
+            w, top = ring.w, ring.bound - 1
+
+            def slots(a, count):
+                return [a >> i * w & ring.mask for i in range(count)]
+
+            packed = sum(top << i * w for i in range(n))
+            square = [int(c) for c in poly_mul([top] * n, [top] * n)]
+            for s, want in ((packed * packed, square), (packed * packed << w, [0] + square)):
+                out = ring.reduce(s)
+                assert out >> n * w == 0 and max(slots(out, n)) < ring.bound, (p, n)
+                assert ring.unpack(out) == fp_divmod(want, f, p)[1], (p, n)
+            # slots up to n(A - 1)**2, all of them when there are few, so that
+            # Barrett's estimate meets each remainder it can err on
+            limit = n * top**2
+            values = range(limit + 1) if limit < 10**4 else [rng.randint(0, limit) for _ in range(16 * n)]
+            for start in range(0, len(values), 2 * n):
+                coeffs = list(values[start : start + 2 * n])
+                out = ring.reduce(sum(c << i * w for i, c in enumerate(coeffs)))
+                assert out >> n * w == 0 and max(slots(out, n)) < ring.bound, (p, n, coeffs)
+                assert ring.unpack(out) == fp_divmod(coeffs, f, p)[1], (p, n, coeffs)
+            # h -> h(x**p): n coefficients of h at p - 1 times n rows at A - 1
+            total = (p - 1) * n * packed
+            assert slots(total, n + 1) == [n * (p - 1) * top] * n + [0], (p, n)
+            assert ring.unpack(total) == fp_divmod([n * (p - 1) * top] * n, f, p)[1], (p, n)
+            if n > 10 or p.bit_length() > 256:
+                continue  # the oracle's Fraction products are slow past here
             for e in (1, 2, p, rng.randrange(3, 2**80)):
                 assert ring.unpack(ring.xpow(e)) == fp_xpow(e, f, p), (p, n, e)
 

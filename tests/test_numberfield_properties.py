@@ -3,18 +3,25 @@
 Monic polynomials of degree 1-8 with rational coefficients whose
 denominators run up to 12, so that c, the lcm of the denominators, and the
 powers c**k that scale the integer Newton sums are far from 1.  A quarter
-of them carry a squared factor.  No invariants are computed here: degree-8
-discriminants can need factorizations past the rho budget.
+of them carry a squared factor.  No invariants are computed on those:
+degree-8 discriminants can need factorizations past the rho budget.
+
+The trace form is also checked against forms known in closed form, on
+squarefree polynomials of degree at most 4 (Conner-Perlis, A Survey of
+Trace Forms of Algebraic Number Fields, 1984; Serre, Comment. Math. Helv.
+59, 1984): Tr_E is <2, 2d> for quadratic E and <1, 2, 2d> for cubic E,
+field or not, where d = disc E; and f and its reciprocal x**n f(1/x) / f(0)
+present the same algebra, so their trace forms have equal invariants.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hassewitt.errors import DomainError
-from hassewitt.forms import QuadraticForm
+from hassewitt.forms import QuadraticForm, diagonal_form, invariants, isometric
 from hassewitt.numberfield import EtaleAlgebra, Poly, discriminant, power_sums, trace_gram
 
 from oracles import companion_power_traces, naive_count_real_roots, poly_mul, sylvester_resultant
@@ -56,3 +63,33 @@ def test_etale_kernel_matches_fraction_oracles(f):
     assert gram.gram == tuple(map(tuple, hankel))
     assert gram == QuadraticForm(hankel)  # the same L and L*Gram
     assert gram.det == disc
+
+
+@st.composite
+def squarefree_polys(draw, degrees) -> Poly:
+    f = Poly([draw(COEFF) for _ in range(draw(degrees))] + [1])
+    assume(discriminant(f) != 0)
+    return f
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(squarefree_polys(st.just(2)))
+def test_quadratic_trace_form_is_2_2d(f):
+    algebra = EtaleAlgebra(f)
+    assert isometric(trace_gram(algebra), diagonal_form([2, 2 * algebra.disc]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(squarefree_polys(st.just(3)))
+def test_cubic_trace_form_is_1_2_2d(f):
+    algebra = EtaleAlgebra(f)
+    assert isometric(trace_gram(algebra), diagonal_form([1, 2, 2 * algebra.disc]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(squarefree_polys(st.integers(1, 4)))
+def test_reciprocal_polynomial_gives_equal_invariants(f):
+    coeffs = f.coeffs
+    assume(coeffs[0] != 0)
+    reciprocal = Poly([c / coeffs[0] for c in reversed(coeffs)])
+    assert invariants(trace_gram(EtaleAlgebra(f))) == invariants(trace_gram(EtaleAlgebra(reciprocal)))
