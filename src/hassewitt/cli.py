@@ -265,8 +265,10 @@ def make_report(req_id, command, inputs, outputs=None, assumptions=(), status="o
     return report
 
 
-# json.dumps with these options would build a new encoder on every call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# json.dumps with these options would build a new encoder on every call.
+# A report is a fresh tree of parsed JSON and to_json output, so it holds no
+# cycle, and the per-call markers dict of check_circular is skipped.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def dump_report(report: dict) -> str:

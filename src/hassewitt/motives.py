@@ -2,13 +2,15 @@
 intersections.
 
 Everything is driven by integer data (the dimension n and the multidegree):
-the Euler characteristic comes out of a truncated power series with integer
-coefficients, the middle Betti number is chi - n, and the index of the
-intersection lattice is pinned mod 8 by the parity of one binomial
-coefficient.  That is enough to evaluate the degree-1 and degree-2 classes
-of the Betti form exactly; the de Rham side stays symbolic, as a fixed
-token vocabulary (``disc_d(f)``, ``w2(q_dR)``, ``(-1,disc_d(f))``) with
-numeric prefactors evaluated in the place-set model.
+the Euler characteristic is one coefficient of a rational series with
+integer coefficients, read off after the substitution h = t/(1-t), where
+it needs no binomials and no divisions; the middle Betti number is chi - n,
+and the index of the intersection lattice is pinned mod 8 by the parity of
+one binomial coefficient.  That is enough to evaluate the degree-1 and
+degree-2 classes of the Betti form exactly; the de Rham side stays
+symbolic, as a fixed token vocabulary (``disc_d(f)``, ``w2(q_dR)``,
+``(-1,disc_d(f))``) with numeric prefactors evaluated in the place-set
+model.
 """
 
 from __future__ import annotations
@@ -39,12 +41,15 @@ MAX_DEGREE = 10**4
 class CompleteIntersectionSpec(Value):
     """Even dimension 2 <= n <= MAX_DIMENSION and the multidegree
     (d_1, ..., d_c), with 1 <= c <= MAX_CODIMENSION and
-    1 <= d_i <= MAX_DEGREE."""
+    1 <= d_i <= MAX_DEGREE.  n and every d_i must be ``int`` (not
+    ``bool``); nothing is coerced, so 2.5 or "3" is a DomainError."""
 
     _fields = ("n", "degrees")
 
     def __init__(self, n: int, degrees):
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(degrees)
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, *degrees)):
+            raise DomainError("dimension and degrees must be integers")
         if n < 2 or n % 2:
             raise DomainError("dimension must be even and >= 2")
         if not degrees or any(d < 1 for d in degrees):
@@ -88,22 +93,31 @@ class SymbolicClass(Value):
 
 
 def euler_characteristic(spec: CompleteIntersectionSpec) -> int:
-    """Coefficient of h**(n+c) in (1+h)**(n+c+1) d1...dc h**c / prod(1 + d_i h).
+    """chi = d1...dc [h**n] (1+h)**(n+c+1) / prod(1 + d_i h)  (Hirzebruch).
 
-    Extracted from the truncated integer power series, so exact.  The
-    binomial row comes from C(N, k) = C(N, k-1) (N-k+1)/k, and each division
-    by (1 + d h) is the recurrence out[k] = series[k] - d out[k-1], so the
-    cost is O(n c) big-integer steps."""
-    n, c = spec.n, spec.codimension
-    big_n = n + c + 1
-    # series of (1+h)**(n+c+1) / prod(1 + d_i h) up to degree n
-    series = [1] * (n + 1)
-    for k in range(1, n + 1):
-        series[k] = series[k - 1] * (big_n - k + 1) // k
+    The substitution h = t/(1-t) takes the binomial row out.  Since
+
+        1 + h = 1/(1-t),   1 + d h = (1 + (d-1) t)/(1-t),   dh = dt/(1-t)**2,
+
+    the residue of A(h) dh / h**(n+1) gives [h**n] A(h) =
+    [t**n] A(t/(1-t)) (1-t)**(n-1), and the powers of 1 - t add up to
+    -(n+c+1) + c + (n-1) = -2:
+
+        chi = d1...dc [t**n] 1 / ((1-t)**2 prod(1 + (d_i - 1) t)).
+
+    The series starts as k + 1, the coefficients of 1/(1-t)**2, and each
+    division by 1 + (d-1) t is the pass out[k] = series[k] - (d-1) out[k-1];
+    a degree-1 equation divides by 1 and gets no pass.  Exact, with O(n c)
+    big-integer steps and no divisions."""
+    n = spec.n
+    series = list(range(1, n + 2))
     for d in spec.degrees:
+        if d == 1:
+            continue
+        e = d - 1
         prev = 0
         for k in range(n + 1):
-            prev = series[k] - d * prev
+            prev = series[k] - e * prev
             series[k] = prev
     return spec.total_degree * series[n]
 
@@ -118,12 +132,16 @@ def _binomial_is_even(spec: CompleteIntersectionSpec) -> bool:
     return comb(spec.n // 2 + t, t) % 2 == 0
 
 
+def _index_shift(spec: CompleteIntersectionSpec) -> int:
+    """0 when the controlling binomial is even, the total degree otherwise:
+    the index is this mod 8, and m = chi - n - this."""
+    return 0 if _binomial_is_even(spec) else spec.total_degree
+
+
 def tau_mod8(spec: CompleteIntersectionSpec) -> int:
     """Index of the middle lattice mod 8: 0 when the controlling binomial
     is even, the total degree otherwise."""
-    if _binomial_is_even(spec):
-        return 0
-    return spec.total_degree % 8
+    return _index_shift(spec) % 8
 
 
 def betti_w_invariants(spec: CompleteIntersectionSpec) -> tuple[int, int, SquareClass, CohClass2]:
@@ -134,13 +152,10 @@ def betti_w_invariants(spec: CompleteIntersectionSpec) -> tuple[int, int, Square
 
         w1 = m'(-1),    w2 = C(m', 2)(-1,-1).
     """
-    return _betti_w_from_chi(spec, euler_characteristic(spec))
+    return _betti_w(euler_characteristic(spec) - spec.n - _index_shift(spec))
 
 
-def _betti_w_from_chi(spec: CompleteIntersectionSpec, chi: int) -> tuple[int, int, SquareClass, CohClass2]:
-    m = chi - spec.n
-    if not _binomial_is_even(spec):
-        m -= spec.total_degree
+def _betti_w(m: int) -> tuple[int, int, SquareClass, CohClass2]:
     if m % 2:
         raise InternalError("middle lattice shift is odd")
     m_prime = m // 2
@@ -178,6 +193,10 @@ def delta_expressions(n: int, d: int) -> tuple[SymbolicClass, SymbolicClass]:
     extra (-1, disc_d(f)) token when d is even and n = 2 mod 4.
     """
     CompleteIntersectionSpec(n, [d])  # validate
+    return _delta_classes(n, d)
+
+
+def _delta_classes(n: int, d: int) -> tuple[SymbolicClass, SymbolicClass]:
     if d % 2:
         sign = MINUS_ONE if ((d - 1) // 2) % 2 else ONE
         coeff = (d - 1) // 2
@@ -280,15 +299,16 @@ class MotiveReport(Value):
 
 def motive_report(spec: CompleteIntersectionSpec) -> MotiveReport:
     chi = euler_characteristic(spec)
-    m, m_prime, w1, w2 = _betti_w_from_chi(spec, chi)
+    shift = _index_shift(spec)
+    m, m_prime, w1, w2 = _betti_w(chi - spec.n - shift)
     if spec.codimension == 1:
-        delta1, delta2 = delta_expressions(spec.n, spec.degrees[0])
+        delta1, delta2 = _delta_classes(spec.n, spec.degrees[0])
     else:
         delta1 = delta2 = None
     return MotiveReport(
         chi=chi,
         b_n=chi - spec.n,
-        tau_mod8=tau_mod8(spec),
+        tau_mod8=shift % 8,
         m=m,
         m_prime=m_prime,
         w1_qB=w1,

@@ -42,6 +42,30 @@ def test_spec_validation():
         CompleteIntersectionSpec(2, [0])
 
 
+def test_spec_takes_only_ints():
+    # nothing is coerced: int(2.5) == 2, int(True) == 1 and int(7/2) == 3
+    # would each be a wrong answer with no error, and n = 4.0 used to fail
+    # later, inside euler_characteristic, with a TypeError
+    for n, degrees in [
+        (4, [2.5]),
+        (4, [True, 3]),
+        (4, [Fraction(7, 2)]),
+        (4, ["3"]),
+        (4, [3.0]),
+        (4.0, [3]),
+        ("4", [3]),
+        (True, [3]),
+        (Fraction(4), [3]),
+    ]:
+        with pytest.raises(DomainError, match="^dimension and degrees must be integers$"):
+            CompleteIntersectionSpec(n, degrees)
+    with pytest.raises(DomainError):
+        hypersurface_w(4, 2.5)
+    with pytest.raises(DomainError):
+        delta_expressions(4.0, 3)
+    assert CompleteIntersectionSpec(4, (3, 2)).degrees == (3, 2)
+
+
 # one step past each input limit, next to the largest accepted value
 _AT_LIMITS = [
     (MAX_DIMENSION, [2]),
@@ -305,6 +329,18 @@ def test_motive_report_evaluates_chi_once(monkeypatch):
         assert calls == [spec]
         assert report.chi == kernel(spec)
         assert (report.m, report.m_prime, report.w1_qB, report.w2_qB) == betti_w_invariants(spec)
+
+
+def test_motive_report_reads_the_binomial_parity_once(monkeypatch):
+    calls = []
+    parity = motives._binomial_is_even
+    monkeypatch.setattr(motives, "_binomial_is_even", lambda spec: calls.append(spec) or parity(spec))
+    for n, degrees in [(2, [3]), (4, [2]), (6, [2, 5]), (12, [4, 4, 7]), (8, [1, 2, 2])]:
+        spec = CompleteIntersectionSpec(n, degrees)
+        calls.clear()
+        report = motive_report(spec)
+        assert calls == [spec]
+        assert report.tau_mod8 == (0 if parity(spec) else spec.total_degree % 8)
 
 
 def test_binary_divided_disc_runs_one_remainder_sequence(monkeypatch):

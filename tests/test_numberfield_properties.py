@@ -10,8 +10,10 @@ The trace form is also checked against forms known in closed form, on
 squarefree polynomials of degree at most 4 (Conner-Perlis, A Survey of
 Trace Forms of Algebraic Number Fields, 1984; Serre, Comment. Math. Helv.
 59, 1984): Tr_E is <2, 2d> for quadratic E and <1, 2, 2d> for cubic E,
-field or not, where d = disc E; and f and its reciprocal x**n f(1/x) / f(0)
-present the same algebra, so their trace forms have equal invariants.
+field or not, where d = disc E; f and its reciprocal x**n f(1/x) / f(0)
+present the same algebra, so their trace forms have equal invariants; and
+for coprime f and g, Q[x]/(fg) = Q[x]/(f) x Q[x]/(g), so Tr of fg is the
+orthogonal sum of the two trace forms.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hassewitt.errors import DomainError
-from hassewitt.forms import QuadraticForm, diagonal_form, invariants, isometric
+from hassewitt.forms import QuadraticForm, diagonal_form, invariants, isometric, orthogonal_sum
 from hassewitt.numberfield import EtaleAlgebra, Poly, discriminant, power_sums, trace_gram
 
 from oracles import companion_power_traces, naive_count_real_roots, poly_mul, sylvester_resultant
@@ -93,3 +95,12 @@ def test_reciprocal_polynomial_gives_equal_invariants(f):
     assume(coeffs[0] != 0)
     reciprocal = Poly([c / coeffs[0] for c in reversed(coeffs)])
     assert invariants(trace_gram(EtaleAlgebra(f))) == invariants(trace_gram(EtaleAlgebra(reciprocal)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(squarefree_polys(st.integers(1, 3)), squarefree_polys(st.integers(1, 3)))
+def test_trace_form_of_a_product_is_the_orthogonal_sum(f, g):
+    fg = Poly(poly_mul(f.coeffs, g.coeffs))
+    assume(discriminant(fg) != 0)  # f and g coprime
+    split = orthogonal_sum(trace_gram(EtaleAlgebra(f)), trace_gram(EtaleAlgebra(g)))
+    assert isometric(trace_gram(EtaleAlgebra(fg)), split)
