@@ -41,7 +41,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import or_
 
 from .errors import DomainError, EffortExceededError, InternalError
-from .values import Value, setfield
+from .values import Value
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _CACHE_SIZE = 8192  # entries in each per-process memo: primality and factorization
@@ -376,21 +376,11 @@ def _brent_rho(n: int, budget: int) -> int:
 
 
 class Factorization(Value):
-    """Signed prime factorization: sign * prod(p**e) reconstructs the input."""
+    """Signed prime factorization: sign * prod(p**e) reconstructs the input.
+
+    factors holds the (prime, exponent) pairs, primes ascending."""
 
     _fields = ("sign", "factors")
-
-    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
-        setfield(self, "sign", sign)
-        setfield(self, "factors", factors)  # (prime, exponent), primes ascending
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.sign == other.sign and self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.sign, self.factors))
 
     def value(self) -> int:
         n = self.sign

@@ -341,10 +341,6 @@ class TotalWittClass(Value):
 
     _fields = ("w1", "w2")
 
-    def __init__(self, w1: SquareClass, w2: CohClass2):
-        setfield(self, "w1", w1)
-        setfield(self, "w2", w2)
-
     @property
     def w0(self) -> int:
         return 1

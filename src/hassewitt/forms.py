@@ -180,34 +180,6 @@ class FormInvariants(Value):
 
     _fields = ("rank", "signature", "disc", "w1", "w2", "hasse_local")
 
-    def __init__(
-        self,
-        rank: int,
-        signature: tuple[int, int],
-        disc: SquareClass,
-        w1: SquareClass,
-        w2: CohClass2,
-        hasse_local: dict[Place, int],
-    ):
-        setfield(self, "rank", rank)
-        setfield(self, "signature", signature)
-        setfield(self, "disc", disc)
-        setfield(self, "w1", w1)
-        setfield(self, "w2", w2)
-        setfield(self, "hasse_local", hasse_local)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rank, self.signature, self.disc, self.w1, self.w2, self.hasse_local) == (
-                other.rank,
-                other.signature,
-                other.disc,
-                other.w1,
-                other.w2,
-                other.hasse_local,
-            )
-        return NotImplemented
-
     def __hash__(self) -> int:
         # hasse_local, a dict, is left out
         return hash((self.rank, self.signature, self.disc, self.w2))
@@ -254,7 +226,7 @@ def invariants(q: QuadraticForm) -> FormInvariants:
         if p == 2 or e or k & 1:
             hasse[v] = -1 if e else 1
     disc = SquareClass.from_squarefree(disc_rep)
-    return FormInvariants(rank=n, signature=(n - neg, neg), disc=disc, w1=disc, w2=CohClass2(w2), hasse_local=hasse)
+    return FormInvariants(n, (n - neg, neg), disc, disc, CohClass2(w2), hasse)
 
 
 def isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, prod
-from typing import Optional, Union
+from typing import Union
 
 from .cohomology import INF, MINUS_ONE, ONE, CohClass2, Place, SquareClass
 from .errors import DomainError, InternalError
@@ -260,28 +260,6 @@ class MotiveReport(Value):
     where the divided-discriminant vocabulary applies."""
 
     _fields = ("chi", "b_n", "tau_mod8", "m", "m_prime", "w1_qB", "w2_qB", "delta1", "delta2")
-
-    def __init__(
-        self,
-        chi: int,
-        b_n: int,
-        tau_mod8: int,
-        m: int,
-        m_prime: int,
-        w1_qB: SquareClass,
-        w2_qB: CohClass2,
-        delta1: Optional[SymbolicClass],
-        delta2: Optional[SymbolicClass],
-    ):
-        setfield(self, "chi", chi)
-        setfield(self, "b_n", b_n)
-        setfield(self, "tau_mod8", tau_mod8)
-        setfield(self, "m", m)
-        setfield(self, "m_prime", m_prime)
-        setfield(self, "w1_qB", w1_qB)
-        setfield(self, "w2_qB", w2_qB)
-        setfield(self, "delta1", delta1)
-        setfield(self, "delta2", delta2)
 
     def to_json(self) -> dict:
         return {

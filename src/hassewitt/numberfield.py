@@ -38,8 +38,7 @@ from typing import Iterable, Sequence
 
 from .arith import is_prime
 from .errors import DomainError, InternalError
-from .forms import FormInvariants, QuadraticForm, _rat_json, invariants
-from .cohomology import SquareClass
+from .forms import QuadraticForm, _rat_json, invariants
 from .values import Value, setfield
 
 
@@ -210,10 +209,6 @@ def resultant(f: Poly, g: Poly) -> Fraction:
     """Res(f, g), exact, with the Sylvester determinant sign convention."""
     if f.is_zero or g.is_zero:
         raise DomainError("resultant of the zero polynomial")
-    if f.degree == 0:
-        return f.coeffs[0] ** g.degree
-    if g.degree == 0:
-        return g.coeffs[0] ** f.degree
     df, fi = f.integer_coeffs()
     dg, gi = g.integer_coeffs()
     res, _ = _subresultant_res(fi, gi)
@@ -339,18 +334,6 @@ class TraceFormReport(Value):
 
     _fields = ("gram", "disc_field", "signature", "form_invariants")
 
-    def __init__(
-        self,
-        gram: QuadraticForm,
-        disc_field: SquareClass,
-        signature: tuple[int, int],
-        form_invariants: FormInvariants,
-    ):
-        setfield(self, "gram", gram)
-        setfield(self, "disc_field", disc_field)
-        setfield(self, "signature", signature)
-        setfield(self, "form_invariants", form_invariants)
-
     def to_json(self) -> dict:
         return {
             "gram": self.gram.to_json(),
@@ -370,12 +353,7 @@ def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
     det_num, det_den = gram.det_pair
     if det_num * den != num * det_den:
         raise InternalError("trace form discriminant mismatch")
-    report = TraceFormReport(
-        gram=gram,
-        disc_field=inv.w1,
-        signature=(r1 + r2, r2),
-        form_invariants=inv,
-    )
+    report = TraceFormReport(gram, inv.w1, (r1 + r2, r2), inv)
     if report.signature != inv.signature:
         raise InternalError("trace form signature mismatch")
     return report
@@ -555,7 +533,9 @@ def _fp_pattern(f: list[int], p: int) -> list[tuple[int, int]]:
             d = _fp_gcd(g, probe, p) if probe else g[:]
             m = 1
             while len(d) - 1 > 0:
-                g = _fp_divmod(g, d, p)[0]
+                g, r = _fp_divmod(g, d, p)
+                if r:
+                    raise InternalError(f"inexact division in the distinct-degree pass mod {p}")
                 rest = _fp_gcd(g, d, p)
                 out.extend([(i, m)] * ((len(d) - len(rest)) // i))
                 d = rest

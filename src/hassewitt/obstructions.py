@@ -157,26 +157,7 @@ class LiftReport(Value):
         "local_table",
         "assumptions",
     )
-
-    def __init__(
-        self,
-        field_disc: SquareClass,
-        sw2: CohClass2,
-        sp2: CohClass2,
-        w2_trace: CohClass2,
-        lift_solvable: bool,
-        lift_delta_solvable: bool,
-        local_table: dict[Place, tuple[int, int]],
-        assumptions: tuple[str, ...] = QUARTIC_ASSUMPTIONS,
-    ):
-        setfield(self, "field_disc", field_disc)
-        setfield(self, "sw2", sw2)
-        setfield(self, "sp2", sp2)
-        setfield(self, "w2_trace", w2_trace)
-        setfield(self, "lift_solvable", lift_solvable)
-        setfield(self, "lift_delta_solvable", lift_delta_solvable)
-        setfield(self, "local_table", local_table)
-        setfield(self, "assumptions", assumptions)
+    _defaults = {"assumptions": QUARTIC_ASSUMPTIONS}
 
     def to_json(self) -> dict:
         return {
@@ -261,10 +242,6 @@ class DeltaPair(Value):
     """Degree-1 and degree-2 comparison classes of an ordered pair of forms."""
 
     _fields = ("delta1", "delta2")
-
-    def __init__(self, delta1: SquareClass, delta2: CohClass2):
-        setfield(self, "delta1", delta1)
-        setfield(self, "delta2", delta2)
 
     def to_json(self) -> dict:
         return {"delta1": self.delta1.to_json(), "delta2": self.delta2.to_json()}

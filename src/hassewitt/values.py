@@ -1,12 +1,16 @@
 """The frozen base class of the package's value types.
 
-A value type lists its compared fields in ``_fields``; its constructor
-stores them with :data:`setfield`, past the frozen ``__setattr__``.
-Equality holds only between instances of the same class and compares
-those fields, the hash is the hash of their tuple, and the repr is
-``Name(field=value, ...)``.  Types on the request path write their own
-``__eq__`` and ``__hash__`` with the same meaning, without the generic
-loop over ``_fields``.
+A value type lists its compared fields in ``_fields``, and optionally
+defaults for trailing fields in ``_defaults``.  Its constructor takes the
+fields by position or by name, as a signature over ``_fields`` would, and
+stores them with :data:`setfield`, past the frozen ``__setattr__``.  A call
+with every field by position binds nothing, so the request path calls
+that way.  A type that validates or normalises its input writes its own
+constructor, which stores its fields the same way.  Equality holds only between instances of
+the same class and compares those fields, the hash is the hash of their
+tuple, and the repr is ``Name(field=value, ...)``.  Types on the request
+path write their own ``__eq__`` and ``__hash__`` with the same meaning,
+without the generic loop over ``_fields``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,35 @@ class Value:
     """Immutable value: setting or deleting any attribute raises AttributeError."""
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            setfield(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """One value per field, from args and kwargs as a signature over
+        ``_fields`` with the ``_defaults`` would bind them."""
+        fields, cls = self._fields, self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{cls}() takes {len(fields)} fields but {len(args)} were given")
+        values = list(args)
+        for name in fields[len(args) :]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in self._defaults:
+                values.append(self._defaults[name])
+            else:
+                raise TypeError(f"{cls}() missing field {name!r}")
+        for name in kwargs:  # what is left was given by position too, or is no field
+            if name in fields:
+                raise TypeError(f"{cls}() got multiple values for field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls}() got unknown fields {sorted(kwargs)}")
+        return values
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

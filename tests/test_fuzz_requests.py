@@ -1,0 +1,111 @@
+"""Request fuzzer over the command table.
+
+Each example is one batch line built from a command in ``cli.COMMANDS``,
+a subset of its parameter keys and values drawn over small atoms, so a new
+command is fuzzed with no edit here.  Every request must end in ``ok`` or
+``input_error``, never ``internal_error``; its batch report must be the
+same bytes when the line runs again; and the single-shot ``--json`` run of
+the same parameters must print those bytes (an error exits 1).
+
+The atoms are small on purpose: every integer has at most a few digits,
+polynomials have degree at most 4 and Gram matrices rank at most 3, so no
+discriminant or determinant reaches the sizes where factoring has no
+bound.  Only strings are drawn, because a flag only carries strings.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hassewitt import cli
+from hassewitt.cli import COMMANDS, _process_request_line, dump_report
+
+from oracles import JEHANNE_TYPES
+
+# the last four are spellings that the parsers accept: padding, a sign, a
+# decimal and a non-ASCII digit
+NUMBERS = ["0", "1", "-1", "2", "-2", "3", "-3", "4", "5", "6", "-7", "12", "-15", "283", "10007",
+           "1/2", "-3/4", "2/3", "4/6", " 5 ", "+3", "1.5", "٣"]
+PLACES = ["2", "3", "5", "7", "283", "10007", "inf", "Inf"]
+BAD = ["", " ", "x", "1/0", "1e3", "1_0", "-inf", "4", "1^2,1,1", "bogus"]
+
+
+def atoms(good):
+    """One of good or, when a draw from 0..15 hits 5, an atom that is
+    malformed or out of range for some key."""
+    return st.integers(0, 15).flatmap(lambda k: st.sampled_from(BAD if k == 5 else good))
+
+
+@st.composite
+def grams(draw):
+    n = draw(st.integers(1, 3))
+    cells = {(i, j): draw(atoms(NUMBERS[:19])) for i in range(n) for j in range(i, n)}
+    rows = [[cells[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    if draw(st.integers(0, 15)) == 5:  # a ragged or asymmetric matrix
+        rows[-1] = rows[-1][:-1] if draw(st.booleans()) else ["9"] + rows[-1][1:]
+    return ";".join(",".join(row) for row in rows)
+
+
+@st.composite
+def polys(draw):
+    coeffs = [draw(atoms(NUMBERS[:19])) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.integers(0, 7)):  # mostly monic, as tracefield and embedding need
+        coeffs.append("1")
+    return ",".join(coeffs)
+
+
+def values_for(key: str):
+    """A strategy for one parameter, chosen by its key; any other key draws
+    numbers."""
+    if key.startswith("gram"):
+        return grams()
+    if key == "poly":
+        return polys()
+    if key == "degrees":
+        return st.lists(atoms(["1", "2", "3", "4"]), min_size=1, max_size=3).map(",".join)
+    if key in ("n", "d"):
+        return atoms(["2", "3", "4", "6", "100"])
+    if key in ("p", "place"):
+        return atoms(PLACES)
+    if key == "type":
+        return atoms(list(JEHANNE_TYPES))
+    return atoms(NUMBERS)
+
+
+@st.composite
+def requests(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    spec = COMMANDS[name]
+    # every required key and one optional key are given, and the other
+    # optional keys left out, except where a draw from 0..15 hits 5
+    one = draw(st.sampled_from(spec.optional or (None,)))
+    keys = [key for key in spec.params
+            if (draw(st.integers(0, 15)) == 5) != (key == one or key not in spec.optional)]
+    return name, {key: draw(values_for(key)) for key in keys}
+
+
+def single_shot(name: str, params: dict) -> tuple[int, str, str]:
+    argv = name.split("-", 1) + [f"--{key.replace('_', '-')}={value}" for key, value in params.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv + ["--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(requests())
+def test_batch_and_single_shot_agree_and_never_fail_internally(request):
+    name, params = request
+    line = json.dumps({"command": name, "parameters": params})
+    report = _process_request_line(line)
+    assert report["status"] in ("ok", "input_error"), report
+    text = dump_report(report)
+    assert dump_report(_process_request_line(line)) == text
+    code, out, err = single_shot(name, params)
+    if report["status"] == "ok":
+        assert (code, out, err) == (0, text + "\n", ""), (line, err)
+    else:
+        assert code == 1 and out == "" and err.startswith("error: "), (line, report, code, err)

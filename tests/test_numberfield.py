@@ -59,6 +59,13 @@ def test_resultant_examples():
     assert resultant(X4_X_1, Poly([1])) == 1
     assert resultant(Poly([1, 0, 1]), Poly([0, 2])) == 4
     assert sylvester_resultant(Poly([1, 0, 1]), Poly([0, 2])) == 4
+    # a rational constant on either side gives c**deg of the other operand,
+    # and two constants give 1
+    c, e = Poly([Fraction(-3, 2)]), Poly([Fraction(7, 4)])
+    for f, g, want in ((c, X4_X_1, Fraction(81, 16)), (X4_X_1, c, Fraction(81, 16)),
+                       (c, Poly([0, Fraction(5, 3), 2]), Fraction(9, 4)), (Poly([0, 1]), e, Fraction(7, 4)),
+                       (c, e, 1), (e, c, 1)):
+        assert resultant(f, g) == sylvester_resultant(f, g) == want, (f, g)
 
 
 def test_resultant_matches_sylvester():
@@ -428,6 +435,14 @@ def test_fp_pattern_matches_oracles():
             expected = sorted((d, 1) for block, d in naive_distinct_degree(f, p)
                               for _ in range((len(block) - 1) // d))
             assert sorted(numberfield._fp_pattern(f, p)) == expected, (f, p)
+
+
+def test_fp_pattern_checks_each_division_is_exact(monkeypatch):
+    # x + 1 does not divide x^2 + 1 mod 5, so a gcd that returned it would
+    # leave a remainder that the distinct-degree pass must not drop
+    monkeypatch.setattr(numberfield, "_fp_gcd", lambda a, b, p: [1, 1])
+    with pytest.raises(InternalError, match="inexact division"):
+        numberfield._fp_pattern([1, 0, 1], 5)
 
 
 def test_packed_ring_worst_case_slots():

@@ -42,6 +42,7 @@ from hassewitt.forms import FormInvariants
 from hassewitt.motives import TOKEN_W2_DR, MotiveReport
 from hassewitt.numberfield import TraceFormReport
 from hassewitt.obstructions import QUARTIC_ASSUMPTIONS, DeltaPair, LiftReport
+from hassewitt.values import Value
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -257,6 +258,37 @@ def test_constructors_take_fields_by_name_and_keep_defaults():
     pair = DeltaPair(delta1=SquareClass(3), delta2=CohClass2())
     assert (pair.delta1, pair.delta2) == (SquareClass(3), CohClass2())
     assert TotalWittClass(w1=ONE, w2=CohClass2()) == TotalWittClass.identity()
+
+
+# the pure-data types, whose constructor is the generic one over _fields
+PLAIN = ("factorization", "total_witt", "form_invariants", "trace_form_report",
+         "motive_report_hyp", "lift_report", "delta_pair")
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_plain_constructor_takes_fields_by_position_or_name(name):
+    x = _samples()[name]
+    cls, fields = type(x), type(x)._fields
+    assert cls.__init__ is Value.__init__
+    values = [getattr(x, f) for f in fields]
+    by_name = dict(zip(fields, values))
+    for y in (cls(*values), cls(**by_name), cls(*values[:1], **dict(zip(fields[1:], values[1:])))):
+        assert y == x and repr(y) == GOLDEN[name][0]
+    first, *rest = fields
+    with pytest.raises(TypeError, match=f"missing field {first!r}"):
+        cls(**{f: by_name[f] for f in rest})
+    with pytest.raises(TypeError, match=r"unknown fields \['bogus'\]"):
+        cls(*values, bogus=0)
+    with pytest.raises(TypeError, match=f"multiple values for field {first!r}"):
+        cls(*values[:1], **by_name)
+    with pytest.raises(TypeError, match="fields but"):
+        cls(*values, None)
+    if cls is not LiftReport:
+        with pytest.raises(TypeError, match=f"missing field {fields[-1]!r}"):
+            cls(*values[:-1])
+    else:
+        assert cls(*values[:-1]).assumptions == QUARTIC_ASSUMPTIONS == x.assumptions
+        assert cls(*values[:-1], assumptions=()).assumptions == ()
 
 
 def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
