@@ -22,6 +22,7 @@ nontrivial solution over the completion at v.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd
 from typing import Iterable, Sequence, Union
 
@@ -33,11 +34,13 @@ from .values import Value, setfield
 Rat = Union[int, Fraction]
 
 
+@total_ordering
 class Place(Value):
     """A place of Q: Finite(p) for a prime p, or the infinite (real) place.
 
     Ordering sorts finite places by the prime and puts ``inf`` last, which
-    is also the serialization order.
+    is also the serialization order.  ``<=``, ``>`` and ``>=`` are derived
+    from ``<`` and ``==``.
     """
 
     _fields = ("_key",)
@@ -56,21 +59,6 @@ class Place(Value):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._key < other._key
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key <= other._key
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key > other._key
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key >= other._key
         return NotImplemented
 
     @staticmethod
@@ -140,14 +128,6 @@ class SquareClass(Value):
         setfield(out, "rep", rep)
         return out
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rep == other.rep
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rep,))
-
     @property
     def is_trivial(self) -> bool:
         return self.rep == 1
@@ -178,14 +158,6 @@ class CohClass2(Value):
         if len(sup) % 2:
             raise InternalError(f"odd local support {sorted(sup)}: product formula violated")
         setfield(self, "support", sup)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.support == other.support
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.support,))
 
     @staticmethod
     def zero() -> "CohClass2":

@@ -16,7 +16,7 @@ model.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 from typing import Union
 
 from .cohomology import INF, MINUS_ONE, ONE, CohClass2, Place, SquareClass
@@ -128,8 +128,10 @@ def betti_middle(spec: CompleteIntersectionSpec) -> int:
 
 
 def _binomial_is_even(spec: CompleteIntersectionSpec) -> bool:
+    """Whether C(n/2 + t, t) is even, t the number of even degrees.  By
+    Kummer's theorem C(a + b, b) is odd exactly when a & b == 0."""
     t = sum(1 for d in spec.degrees if d % 2 == 0)
-    return comb(spec.n // 2 + t, t) % 2 == 0
+    return (spec.n // 2) & t != 0
 
 
 def _index_shift(spec: CompleteIntersectionSpec) -> int:
@@ -283,14 +285,4 @@ def motive_report(spec: CompleteIntersectionSpec) -> MotiveReport:
         delta1, delta2 = _delta_classes(spec.n, spec.degrees[0])
     else:
         delta1 = delta2 = None
-    return MotiveReport(
-        chi=chi,
-        b_n=chi - spec.n,
-        tau_mod8=shift % 8,
-        m=m,
-        m_prime=m_prime,
-        w1_qB=w1,
-        w2_qB=w2,
-        delta1=delta1,
-        delta2=delta2,
-    )
+    return MotiveReport(chi, chi - spec.n, shift % 8, m, m_prime, w1, w2, delta1, delta2)

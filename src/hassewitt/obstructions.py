@@ -82,12 +82,8 @@ class DecompositionType(Value):
         if name == "unramified":
             if pattern is not None and sum(pattern) != 4:
                 raise DomainError("unramified residue degrees must sum to 4")
-        else:
-            shape = _RAMIFIED_TYPES.get(name)
-            if shape is None:
-                raise DomainError(f"unknown decomposition type {name!r}")
-            if sum(e * f for e, f in shape) != 4:
-                raise DomainError("decomposition type does not sum to degree 4")
+        elif name not in _RAMIFIED_TYPES:
+            raise DomainError(f"unknown decomposition type {name!r}")
         setfield(self, "name", name)
         setfield(self, "pattern", pattern)
 
@@ -104,8 +100,6 @@ def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
     """
     if p == 2:
         raise DomainError("the local table excludes the prime 2")
-    if p < 3 or p % 2 == 0:
-        raise DomainError(f"{p} must be an odd prime")
     try:
         place = Place.finite(p)  # the constructor proves p prime
     except DomainError:
@@ -186,16 +180,7 @@ def lifting_decisions(algebra: EtaleAlgebra) -> LiftReport:
         table[v] = (-1 if v in w2_trace else 1, hilbert_symbol(2, disc_class, v))
     sp2 = CohClass2(v for v, (_, sym) in table.items() if sym == -1)
     sw2 = w2_trace + sp2
-
-    return LiftReport(
-        field_disc=disc_class,
-        sw2=sw2,
-        sp2=sp2,
-        w2_trace=w2_trace,
-        lift_solvable=w2_trace.is_zero,
-        lift_delta_solvable=sw2.is_zero,
-        local_table=table,
-    )
+    return LiftReport(disc_class, sw2, sp2, w2_trace, w2_trace.is_zero, sw2.is_zero, table, QUARTIC_ASSUMPTIONS)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ a subset of its parameter keys and values drawn over small atoms, so a new
 command is fuzzed with no edit here.  Every request must end in ``ok`` or
 ``input_error``, never ``internal_error``; its batch report must be the
 same bytes when the line runs again; and the single-shot ``--json`` run of
-the same parameters must print those bytes (an error exits 1).
+the same parameters must print those bytes (an error exits 1).  A Gram matrix
+with an empty row is an input error, never a matrix with the row dropped.
+Two congruence checks need no oracle: a Gram matrix G and U^T G U, for a
+small unimodular U, give the same ``form-invariants`` report, and f(x) and
+f(x + t), for a small rational t, the same ``tracefield`` invariants.
 
 The atoms are small on purpose: every integer has at most a few digits,
 polynomials have degree at most 4 and Gram matrices rank at most 3, so no
@@ -16,6 +20,7 @@ bound.  Only strings are drawn, because a flag only carries strings.
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +28,7 @@ from hypothesis import strategies as st
 from hassewitt import cli
 from hassewitt.cli import COMMANDS, _process_request_line, dump_report
 
-from oracles import JEHANNE_TYPES
+from oracles import JEHANNE_TYPES, random_unimodular
 
 # the last four are spellings that the parsers accept: padding, a sign, a
 # decimal and a non-ASCII digit
@@ -46,7 +51,10 @@ def grams(draw):
     rows = [[cells[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
     if draw(st.integers(0, 15)) == 5:  # a ragged or asymmetric matrix
         rows[-1] = rows[-1][:-1] if draw(st.booleans()) else ["9"] + rows[-1][1:]
-    return ";".join(",".join(row) for row in rows)
+    text = [",".join(row) for row in rows]
+    if n > 1 and draw(st.integers(0, 7)) == 5:  # an empty row between two others
+        text.insert(draw(st.integers(1, n - 1)), "")
+    return ";".join(text)
 
 
 @st.composite
@@ -102,6 +110,8 @@ def test_batch_and_single_shot_agree_and_never_fail_internally(request):
     line = json.dumps({"command": name, "parameters": params})
     report = _process_request_line(line)
     assert report["status"] in ("ok", "input_error"), report
+    if any(";;" in value for key, value in params.items() if key.startswith("gram")):
+        assert report["status"] == "input_error", report
     text = dump_report(report)
     assert dump_report(_process_request_line(line)) == text
     code, out, err = single_shot(name, params)
@@ -109,3 +119,56 @@ def test_batch_and_single_shot_agree_and_never_fail_internally(request):
         assert (code, out, err) == (0, text + "\n", ""), (line, err)
     else:
         assert code == 1 and out == "" and err.startswith("error: "), (line, report, code, err)
+
+
+def run_ok_or_error(name: str, params: dict) -> tuple:
+    report = _process_request_line(json.dumps({"command": name, "parameters": params}))
+    assert report["status"] in ("ok", "input_error"), report
+    return report["status"], report.get("outputs"), report.get("error")
+
+
+RATIONALS = [Fraction(x) for x in NUMBERS[:18]]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 3))
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.sampled_from(RATIONALS))
+    return g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(symmetric_matrices(), st.randoms(use_true_random=False))
+def test_congruent_gram_matrices_give_the_same_form_invariants(g, rng):
+    n = len(g)
+    u = random_unimodular(rng, n, steps=4)
+    gu = [[sum(g[i][k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    ugu = [[sum(u[k][i] * gu[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    texts = [";".join(",".join(str(x) for x in row) for row in m) for m in (g, ugu)]
+    first, second = (run_ok_or_error("form-invariants", {"gram": text}) for text in texts)
+    assert first == second, texts
+
+
+def shifted(coeffs: list, t: Fraction) -> list:
+    """The ascending coefficients of f(x + t), by Horner's rule."""
+    out = []
+    for c in reversed(coeffs):
+        # out * (x + t) + c
+        out = [a + t * b for a, b in zip([Fraction(0)] + out, out + [Fraction(0)])]
+        out[0] += c
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(RATIONALS), min_size=1, max_size=4),
+       st.sampled_from([Fraction(x) for x in ("1", "-1", "2", "-3", "1/2", "-2/3", "3/4")]))
+def test_shifted_polynomials_give_the_same_trace_form_invariants(coeffs, t):
+    coeffs = coeffs + [Fraction(1)]
+    texts = [",".join(str(c) for c in f) for f in (coeffs, shifted(coeffs, t))]
+    first, second = (run_ok_or_error("tracefield", {"poly": text}) for text in texts)
+    assert first[0] == second[0] and first[2] == second[2], texts
+    if first[0] == "ok":
+        assert first[1]["invariants"] == second[1]["invariants"], texts

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -341,6 +342,15 @@ def test_motive_report_reads_the_binomial_parity_once(monkeypatch):
         report = motive_report(spec)
         assert calls == [spec]
         assert report.tau_mod8 == (0 if parity(spec) else spec.total_degree % 8)
+
+
+def test_binomial_parity_matches_comb():
+    # Kummer: C(n/2 + t, t) is odd exactly when (n/2) & t == 0
+    for t in range(MAX_CODIMENSION + 1):
+        degrees = [2] * t or [3]
+        for n in range(2, MAX_DIMENSION + 1, 2):
+            spec = CompleteIntersectionSpec(n, degrees)
+            assert motives._binomial_is_even(spec) == (comb(n // 2 + t, t) % 2 == 0), (n, t)
 
 
 def test_binary_divided_disc_runs_one_remainder_sequence(monkeypatch):

@@ -16,6 +16,7 @@ from hassewitt.numberfield import (
     trace_gram,
 )
 from hassewitt.obstructions import (
+    _RAMIFIED_TYPES,
     CharacterSum,
     DecompositionType,
     delta_comparison,
@@ -167,14 +168,26 @@ def _symbol(a, p):
 
 
 def test_jehanne_rejects_two_and_composites():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^the local table excludes the prime 2$"):
         jehanne_local(2, DecompositionType("1^4"), -283)
-    with pytest.raises(DomainError, match="9 must be an odd prime"):
-        jehanne_local(9, DecompositionType("1^4"), -283)
-    with pytest.raises(DomainError, match="1000009 must be an odd prime"):
+    # Place.finite's primality test is the only check for the other p
+    for p in (1, 0, -3, 4, 9, 10**40):
+        with pytest.raises(DomainError, match=rf"^{p} must be an odd prime$"):
+            jehanne_local(p, DecompositionType("1^4"), -283)
+    with pytest.raises(DomainError, match=r"^1000009 must be an odd prime$"):
         jehanne_local(1000009, DecompositionType("1^2,1^2"), 5)  # 293 * 3413
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^unknown decomposition type '1\^5'$"):
         DecompositionType("1^5")
+
+
+def test_ramified_shapes_are_the_six_of_degree_4():
+    # (e, f) per prime above p; the table is constant, so e*f sums to 4 is checked
+    # here and not on every DecompositionType
+    assert len(_RAMIFIED_TYPES) == 6
+    for name, shape in _RAMIFIED_TYPES.items():
+        assert sum(e * f for e, f in shape) == 4, name
+        assert any(e > 1 for e, _ in shape), name
+        assert DecompositionType(name).name == name
 
 
 def test_jehanne_rejects_a_zero_discriminant():

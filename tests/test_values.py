@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hassewitt
+from hassewitt import cli
 from hassewitt import (
     INF,
     CharacterSum,
@@ -40,7 +41,7 @@ from hassewitt.cohomology import ONE, TWO
 from hassewitt.errors import DomainError, InternalError
 from hassewitt.forms import FormInvariants
 from hassewitt.motives import TOKEN_W2_DR, MotiveReport
-from hassewitt.numberfield import TraceFormReport
+from hassewitt.numberfield import TraceFormReport, factor_pattern_mod_p
 from hassewitt.obstructions import QUARTIC_ASSUMPTIONS, DeltaPair, LiftReport
 from hassewitt.values import Value
 
@@ -289,6 +290,46 @@ def test_plain_constructor_takes_fields_by_position_or_name(name):
     else:
         assert cls(*values[:-1]).assumptions == QUARTIC_ASSUMPTIONS == x.assumptions
         assert cls(*values[:-1], assumptions=()).assumptions == ()
+
+
+def test_only_place_writes_its_own_equality_hash_and_ordering():
+    # a hand-written copy of a generic method stays only where a workload
+    # reaches it; FormInvariants' __hash__ is no copy: it leaves out its dict
+    own = {cls.__name__: sorted({"__eq__", "__hash__"} & vars(cls).keys()) for cls in VALUE_TYPES}
+    assert {name: methods for name, methods in own.items() if methods} == {
+        "Place": ["__eq__", "__hash__"],
+        "FormInvariants": ["__hash__"],
+    }
+    assert vars(Place)["__lt__"].__module__ == "hassewitt.cohomology"
+    for name in ("__le__", "__gt__", "__ge__"):
+        assert vars(Place)[name].__module__ == "functools"  # total_ordering
+    for cls in VALUE_TYPES - {Place}:
+        assert not {"__lt__", "__le__", "__gt__", "__ge__"} & vars(cls).keys()
+
+
+# one ok request per command; factor_pattern_mod_p is reached by the bench
+OK_PARAMS = {
+    "hilbert": {"a": "-1", "b": "-1", "place": "inf"},
+    "form-invariants": {"gram": "1,1;1,2"},
+    "form-isometric": {"gram1": "1,0;0,1", "gram2": "1,0;0,2"},
+    "tracefield": {"poly": "-1,1,0,0,1"},
+    "embedding": {"poly": "-1,1,0,0,1"},
+    "jehanne": {"p": "7", "type": "1^2,1^2", "disc": "-283"},
+    "hypersurface": {"n": "2", "d": "3"},
+    "delta": {"gram_omega": "1,0;0,1", "gram_eta": "-1,0;0,3"},
+}
+
+
+def test_no_request_binds_fields_by_name(monkeypatch):
+    def refuse(self, args, kwargs):
+        raise AssertionError(f"{type(self).__name__} built by name")
+
+    monkeypatch.setattr(Value, "_bind", refuse)
+    assert OK_PARAMS.keys() == cli.COMMANDS.keys()
+    for command, params in OK_PARAMS.items():
+        cli.execute(command, params)
+    cli.execute("hypersurface", {"n": "6", "degrees": "1,2,2"})
+    assert factor_pattern_mod_p(EtaleAlgebra(Poly([1, 0, 0, 0, 1])), 2**61 - 1) == ((2, 1), (2, 1))
 
 
 def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
