@@ -9,26 +9,30 @@ are exact.
 Factorization strategy: a gcd with the product of the odd primes below
 100 finds the small primes, and a second gcd with the product of the odd
 primes below 10**4 runs only when the cofactor left is at least 100**2.
-A composite cofactor of at least 2**40 then meets Pollard's p - 1 method:
+Each composite cofactor then meets one method, chosen by its size, that
+does a bounded amount of work.  Below 10**12 it is p*q with both primes
+above 10**4, and Lehman's method splits it in at most 1.5 n**(1/3) + 2
+square tests.  From 10**12 up to 2**256 it meets Pollard's p - 1 method:
 stage 1 is one modular power x = 2**lcm(1..2,000), replayed one prime
 power at a time when its gcd takes in every prime at once.  What p - 1
-leaves meets Lenstra's elliptic curve method: 40 Suyama curves, sigma =
-6, 7, ..., the same on every call, each with an x-only Montgomery ladder
-by lcm(1..150).  Both end in one baby-step giant-step stage 2, giant step
-210, on one table of pairs read off the sieve: p - 1 on V_k = x**k + x**-k
-up to 50,000, ECM on x-coordinates of multiples of its point up to 10**4,
-with a gcd per giant step, and a pair-by-pair replay of one that takes in
-every prime.  Whatever is still composite, and every composite below 2**40,
-Brent-cycle Pollard rho splits.
+leaves meets Lenstra's elliptic curve method on a fixed ladder of rungs,
+180 Suyama curves, sigma = 6, 7, ..., the same on every call: 40 curves
+with an x-only Montgomery ladder by lcm(1..150), 40 by lcm(1..500) and
+100 by lcm(1..2,000).  All end in one baby-step giant-step stage 2, giant
+step 210, on one table of pairs read off the sieve: p - 1 on
+V_k = x**k + x**-k up to 50,000, ECM on x-coordinates of multiples of its
+point up to 10**4 on the first rung and 50,000 on the others, with a gcd
+per giant step, and a pair-by-pair replay of one that takes in every
+prime.  A composite cofactor past 2**256, or one that the last rung does
+not split, raises :class:`EffortExceededError` rather than running on.
 Primality is decided by the Baillie-PSW test (a strong base-2 test plus a
-strong Lucas test with Selfridge's parameters) at every size:
-it is exact below 2**64 and no composite passing it is known above.
-Exceeding the rho budget raises :class:`EffortExceededError` rather than
-returning a wrong answer.
+strong Lucas test with Selfridge's parameters) at every size up to 2,048
+bits, and a larger operand raises :class:`EffortExceededError`: the test
+is exact below 2**64 and no composite passing it is known above.
 
 Factorizations and primality answers are memoized per process, up to
-8,192 of each; the memo only holds what the tests returned, so no answer
-depends on it.
+8,192 of each; the memo only holds what the tests returned, never an
+error, so no answer depends on it and a call that raises always does.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from math import gcd, isqrt, lcm, prod
+from itertools import compress, count, islice
+from math import gcd, isqrt, prod
 from operator import or_
 
 from .errors import DomainError, EffortExceededError, InternalError
@@ -49,46 +53,51 @@ _TRIAL_BOUND = 10_000  # trial division finds every prime below this bound
 _SMALL_BOUND = 100  # the first trial gcd takes out the odd primes below this bound
 _PM1_B1 = 2_000  # p - 1 stage 1 finds P when P - 1 divides lcm(1..B1)
 _PM1_B2 = 50_000  # stage 2 finds P when P - 1 is that times one prime in (B1, B2]
-# below 2**40 a composite has a prime under 2**20, which rho finds in ~1.7k
-# steps (~0.6 ms): less than a p - 1 run that finds nothing (~2 ms)
-_PM1_FLOOR = 1 << 40
-_ECM_B1 = 150  # ECM stage 1 multiplies the point by lcm(1..B1)
-# stage 2 finds P when the order of that multiple is a prime in (B1, B2];
-# its pairs come from the sieve to _PM1_B2, so B2 <= _PM1_B2
-_ECM_B2 = 10_000
-_ECM_CURVES = 40  # Suyama sigma = 6, 7, ..., 45, then rho
+# below 10**12 a composite that trial division leaves is p*q with
+# 10**4 < p <= 10**6, and Lehman's method splits it; p - 1 and ECM from here up
+_PM1_FLOOR = 10**12
+# ECM rungs (curves, B1, B2), sigma running on from rung to rung: stage 1 takes
+# lcm(1..B1) times the point, stage 2 the primes in (B1, B2], B2 <= _PM1_B2
+_ECM_RUNGS = ((40, 150, 10_000), (40, 500, 50_000), (100, 2_000, 50_000))
+_PRIME_BITS = 2_048  # is_prime refuses a larger n: BPSW takes ~0.1 s at this size
+_FACTOR_BITS = 256  # a composite cofactor past this size is refused before p - 1
 _W = 210  # stage-2 giant step; the baby steps are the odd u < W/2 prime to W
 
 
-def _prime_tables() -> tuple[tuple[int, ...], tuple[int, ...], tuple[bytes, ...]]:
+def _prime_tables() -> tuple[tuple[int, ...], tuple[bytes, ...]]:
     """From one sieve of Eratosthenes to _PM1_B2: the odd primes below
-    _TRIAL_BOUND, the largest power of each prime up to _PM1_B1 (their
-    product is lcm(1.._PM1_B1)), and the stage-2 pairs: row v - 1, for
-    v = 1, 2, ..., (_PM1_B2 + W/2) // W, holds for each baby u of _BABIES
-    1 if v*W + u or v*W - u is a prime up to _PM1_B2, else 0."""
+    _TRIAL_BOUND and the stage-2 pairs: row v - 1, for v = 1, 2, ...,
+    (_PM1_B2 + W/2) // W, holds for each baby u of _BABIES 1 if v*W + u or
+    v*W - u is a prime up to _PM1_B2, else 0."""
     sieve = bytearray([1]) * (_PM1_B2 + 1)
     for p in range(3, isqrt(_PM1_B2) + 1, 2):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, _PM1_B2 + 1, p)))
-    primes = [2, *compress(range(3, _TRIAL_BOUND, 2), sieve[3:_TRIAL_BOUND:2])]
-    powers = []
-    for p in primes[:bisect(primes, _PM1_B1)]:
-        power = p
-        while power * p <= _PM1_B1:
-            power *= p
-        powers.append(power)
     # a prime q > W/2 is v*W + u or v*W - u for one v >= 1 and one baby u:
     # each baby's two columns are sieve slices of stride W
     rows = (_PM1_B2 + _W // 2) // _W
     columns = [map(or_, sieve[_W + u::_W].ljust(rows, b"\0"), sieve[_W - u::_W].ljust(rows, b"\0"))
                for u in _BABIES]
-    return tuple(primes[1:]), tuple(powers), tuple(map(bytes, zip(*columns)))
+    return tuple(compress(range(3, _TRIAL_BOUND, 2), sieve[3:_TRIAL_BOUND:2])), tuple(map(bytes, zip(*columns)))
+
+
+def _prime_powers(bound: int) -> tuple[int, ...]:
+    """The largest power of each prime up to bound < _TRIAL_BOUND; their
+    product is lcm(1..bound)."""
+    powers = []
+    for p in (2, *_TRIAL_PRIMES[:bisect(_TRIAL_PRIMES, bound)]):
+        power = p
+        while power * p <= bound:
+            power *= p
+        powers.append(power)
+    return tuple(powers)
 
 
 _BABIES = tuple(u for u in range(1, _W // 2, 2) if gcd(u, _W) == 1)
-_TRIAL_PRIMES, _PM1_POWERS, _PAIRS = _prime_tables()
+_TRIAL_PRIMES, _PAIRS = _prime_tables()
+_PM1_POWERS = _prime_powers(_PM1_B1)
 _PM1_EXPONENT = prod(_PM1_POWERS)
-_ECM_EXPONENT = lcm(*range(1, _ECM_B1 + 1))
+_ECM_EXPONENTS = {b1: prod(_prime_powers(b1)) for _, b1, _ in _ECM_RUNGS}  # lcm(1..B1) by B1
 _PRIMORIAL = prod(_TRIAL_PRIMES)
 _SMALL_TRIAL = tuple(p for p in _TRIAL_PRIMES if p < _SMALL_BOUND)
 _LARGE_TRIAL = _TRIAL_PRIMES[len(_SMALL_TRIAL):]
@@ -99,9 +108,12 @@ _SMALL_PRIMORIAL = prod(_SMALL_TRIAL)
 # returned for this n; typed, so is_prime(7.0) and is_prime(True) keep theirs
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def is_prime(n: int) -> bool:
-    """Baillie-PSW: small-prime trial division, then strong base-2 and strong Lucas tests."""
+    """Baillie-PSW: small-prime trial division, then strong base-2 and strong
+    Lucas tests.  EffortExceededError for n of more than _PRIME_BITS bits."""
     if n < 2:
         return False
+    if n >> _PRIME_BITS:
+        raise EffortExceededError(f"a {n.bit_length()}-bit integer is past the {_PRIME_BITS}-bit primality limit")
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -218,7 +230,7 @@ def _pollard_pm1(m: int) -> int:
     lcm(1.._PM1_B1), replaying one prime power at a time from 2 a gcd that
     takes in every prime; stage 2 those where it is such a divisor times
     one prime in (_PM1_B1, _PM1_B2].  1: no prime was found, or all came in
-    at one prime power or stage-2 pair, and ECM and rho split m.
+    at one prime power or stage-2 pair, and m goes on to ECM.
     """
     x = pow(2, _PM1_EXPONENT, m)
     g = gcd(x - 1, m)
@@ -275,8 +287,8 @@ def _suyama(sigma: int, m: int) -> tuple[int, int]:
     """(x, a24) of Suyama's curve for sigma mod m: u = sigma**2 - 5,
     v = 4 sigma, x = u**3 / v**3 and (A + 2)/4 = (v - u)**3 (3u + v) / (16 u**3 v).
     The group that holds the point has order divisible by 12.  Both
-    denominators have only primes below _TRIAL_BOUND for sigma < 100, so
-    they are units mod m."""
+    denominators are units mod m when u is: m has no prime below
+    _TRIAL_BOUND, and v has none above it (sigma < _TRIAL_BOUND)."""
     u, v = sigma * sigma - 5, 4 * sigma
     inverse = pow(16 * u ** 3 * v ** 4, -1, m)
     return 16 * u ** 6 * v * inverse % m, (v - u) ** 3 * (3 * u + v) * v ** 3 * inverse % m
@@ -286,93 +298,84 @@ def _ecm(m: int) -> int:
     """A nontrivial factor of odd composite m by Lenstra's elliptic curve
     method, or 1.  m has no prime below _TRIAL_BOUND.
 
-    Curve sigma = 6, 7, ... (_ECM_CURVES of them, the same on every call) is
-    Suyama's.  Stage 1 takes Q = lcm(1.._ECM_B1) * P by the x-only ladder,
-    and finds the primes P of m where Q is the identity.  Stage 2 finds
-    those where the order of Q is a prime q in (_ECM_B1, _ECM_B2]: with
+    The curves are Suyama's, sigma = 6, 7, ..., rung by rung of _ECM_RUNGS,
+    the same on every call.  Stage 1 takes Q = lcm(1..B1) * P by the x-only
+    ladder, and finds the primes P of m where Q is the identity.  Stage 2
+    finds those where the order of Q is a prime q in (B1, B2]: with
     q = v*W + u or v*W - u, x(vW Q) = x(u Q) mod P, and _stage2 finds P
     on the x-coordinates, after one batch inversion has made every Z one.
     The first gcd strictly between 1 and m is the answer; a gcd equal to m
-    goes on to the next curve, and 1 after the last curve means that rho
-    splits m.
+    goes on to the next curve, and 1 after the last curve of the last rung
+    means that m is refused.
     """
-    for sigma in range(6, 6 + _ECM_CURVES):
-        x, a24 = _suyama(sigma, m)
-        X, Z = _ecm_ladder(x, a24, _ECM_EXPONENT, m)
-        g = gcd(Z, m)
-        if g != 1:
-            if g < m:
+    sigmas = count(6)
+    for curves, b1, b2 in _ECM_RUNGS:
+        exponent = _ECM_EXPONENTS[b1]
+        for sigma in islice(sigmas, curves):
+            g = gcd(sigma * sigma - 5, m)  # a prime of u in m is a factor, found at once
+            if g != 1:
                 return g
-            continue
-        # the odd multiples u Q, u = 1, 3, ..., W/2, by (u + 2)Q = uQ + 2Q
-        X2, Z2 = _ecm_double(X, Z, a24, m)
-        odd = [(X, Z), _ecm_add(X2, Z2, X, Z, X, Z, m)]
-        for _ in range(5, _W // 2 + 1, 2):
-            odd.append(_ecm_add(*odd[-1], X2, Z2, *odd[-2], m))
-        # the giant steps v W Q, v = 1, 2, ..., by (v + 1)G = vG + G
-        G = _ecm_double(*odd[-1], a24, m)
-        giants = [G, _ecm_double(*G, a24, m)]
-        for _ in range((_ECM_B2 + _W // 2) // _W - 2):
-            giants.append(_ecm_add(*giants[-1], *G, *giants[-2], m))
-        points = [odd[u // 2] for u in _BABIES] + giants
-        # batch inversion: prefix[i] is the product of the first i Z
-        prefix = [1]
-        for _, z in points:
-            prefix.append(prefix[-1] * z % m)
-        g = gcd(prefix[-1], m)
-        if g != 1:
-            if g < m:
+            x, a24 = _suyama(sigma, m)
+            X, Z = _ecm_ladder(x, a24, exponent, m)
+            g = gcd(Z, m)
+            if g != 1:
+                if g < m:
+                    return g
+                continue
+            # the odd multiples u Q, u = 1, 3, ..., W/2, by (u + 2)Q = uQ + 2Q
+            X2, Z2 = _ecm_double(X, Z, a24, m)
+            odd = [(X, Z), _ecm_add(X2, Z2, X, Z, X, Z, m)]
+            for _ in range(5, _W // 2 + 1, 2):
+                odd.append(_ecm_add(*odd[-1], X2, Z2, *odd[-2], m))
+            # the giant steps v W Q, v = 1, 2, ..., by (v + 1)G = vG + G
+            G = _ecm_double(*odd[-1], a24, m)
+            giants = [G, _ecm_double(*G, a24, m)]
+            for _ in range((b2 + _W // 2) // _W - 2):
+                giants.append(_ecm_add(*giants[-1], *G, *giants[-2], m))
+            points = [odd[u // 2] for u in _BABIES] + giants
+            # batch inversion: prefix[i] is the product of the first i Z
+            prefix = [1]
+            for _, z in points:
+                prefix.append(prefix[-1] * z % m)
+            g = gcd(prefix[-1], m)
+            if g != 1:
+                if g < m:
+                    return g
+                continue
+            inverse = pow(prefix[-1], -1, m)
+            xs = [0] * len(points)
+            for i in range(len(points) - 1, -1, -1):
+                X, Z = points[i]
+                xs[i] = X * prefix[i] * inverse % m
+                inverse = inverse * Z % m
+            g = _stage2(xs[:len(_BABIES)], xs[len(_BABIES):], 1, m)
+            if g != 1:
                 return g
-            continue
-        inverse = pow(prefix[-1], -1, m)
-        xs = [0] * len(points)
-        for i in range(len(points) - 1, -1, -1):
-            X, Z = points[i]
-            xs[i] = X * prefix[i] * inverse % m
-            inverse = inverse * Z % m
-        g = _stage2(xs[:len(_BABIES)], xs[len(_BABIES):], 1, m)
-        if g != 1:
-            return g
     return 1
 
 
-def _brent_rho(n: int, budget: int) -> int:
-    """One nontrivial factor of odd composite n, or raise on exhausted budget."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        count = 0
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = gcd(q, n)
-                k += m
-                count += m
-                if count > budget:
-                    break
-            r *= 2
-            if count > budget:
-                break
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(x - ys, n)
-                count += 1
-                if count > budget:
-                    break
-        if 1 < g < n:
-            return g
-    raise EffortExceededError(f"factorization effort exhausted on {n}")
+def _lehman(n: int) -> int:
+    """A nontrivial factor of composite n > 21 with no prime at most
+    n**(1/3), by Lehman's method (Math. Comp. 28, 1974): for some k in
+    1..n**(1/3), some a with 0 <= a - sqrt(4kn) <= n**(1/6)/(4 sqrt k)
+    makes a**2 - 4kn a square b**2, and gcd(a + b, n) splits n.  Squared,
+    that range is b**2 <= n**(2/3) + n**(1/3)/(16k); with r the ceiling of
+    n**(1/3), the ranges hold at most 1.5 r + 2 square tests in all (5,033
+    on the prime 999,999,999,989, where r = 10**4)."""
+    r = 1 << -(-n.bit_length() // 3)  # Newton from above to the floor of n**(1/3)
+    while (s := (2 * r + n // (r * r)) // 3) < r:
+        r = s
+    r += r ** 3 < n
+    for k in range(1, r + 1):
+        four_kn = 4 * k * n
+        a = isqrt(four_kn - 1) + 1  # the ceiling of sqrt(4kn)
+        top = r * r + r // (16 * k) + 1
+        while (b2 := a * a - four_kn) <= top:
+            b = isqrt(b2)
+            if b * b == b2:
+                return gcd(a + b, n)
+            a += 1
+    raise InternalError(f"Lehman's method found no factor of {n}")
 
 
 class Factorization(Value):
@@ -424,10 +427,9 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     # every prime left is above _SMALL_BOUND, so below its square n is 1 or a prime
     if n >= _SMALL_BOUND * _SMALL_BOUND:
         n = _divide_out(n, _LARGE_TRIAL, _PRIMORIAL, out)
-    # every prime left is above _TRIAL_BOUND, so a composite left is above
-    # its square; p - 1, ECM, rho and recursion finish the rest
+    # every prime left is above _TRIAL_BOUND, so a composite left is above its
+    # square; Lehman's method, or p - 1 and ECM, and recursion finish the rest
     stack = [n] if n > 1 else []
-    budget = 1 << 22
     while stack:
         m = stack.pop()
         if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
@@ -436,15 +438,12 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
         if isqrt(m) ** 2 == m:
             stack.extend((isqrt(m), isqrt(m)))
             continue
-        # from _PM1_FLOOR up: p - 1, then ECM's fixed curves (a third of
-        # rho's time on 26-30 bit primes); rho below it and after them
-        g = 1
-        if m >= _PM1_FLOOR:
-            g = _pollard_pm1(m)
-            if g == 1:
-                g = _ecm(m)
-        if g == 1:
-            g = _brent_rho(m, budget)
+        if m < _PM1_FLOOR:
+            g = _lehman(m)
+        elif m >> _FACTOR_BITS:
+            raise EffortExceededError(f"a {m.bit_length()}-bit composite is past the {_FACTOR_BITS}-bit factoring limit")
+        elif (g := _pollard_pm1(m)) == 1 and (g := _ecm(m)) == 1:
+            raise EffortExceededError(f"p - 1 and ECM found no factor of the {m.bit_length()}-bit cofactor {m}")
         stack.extend((g, m // g))
     return tuple(sorted(out.items()))
 

@@ -7,7 +7,9 @@ with sorted keys and compact separators, so identical requests produce
 byte-identical output.
 
 Exit codes: 0 on success, 1 on input validation failure, 2 on an internal
-invariant violation.
+invariant violation, 3 when a factoring or primality operand is past its
+size limit or factoring gives up after its fixed work (batch status
+``effort_exceeded``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .cohomology import Place, hilbert_symbol
-from .errors import DomainError
+from .errors import DomainError, EffortExceededError
 from .forms import QuadraticForm, invariants, isometric
 from .motives import CompleteIntersectionSpec, motive_report
 from .numberfield import EtaleAlgebra, Poly, trace_form_report
@@ -239,7 +241,8 @@ COMMANDS = {
 
 def execute(command: str, params: dict):
     """Run one command; returns (outputs, assumptions).  Raises
-    CLIInputError / DomainError on bad input."""
+    CLIInputError / DomainError on bad input, EffortExceededError past an
+    arithmetic effort limit."""
     spec = COMMANDS.get(command)
     if spec is None:
         raise CLIInputError(f"unknown command {command!r}")
@@ -417,7 +420,8 @@ def _process_request_line(line: str) -> dict:
         outputs, assumptions = execute(command, params)
         return make_report(req_id, command, inputs, outputs, assumptions)
     except DomainError as exc:
-        return make_report(req_id, command, inputs, status="input_error", error=_error_text(exc))
+        status = "effort_exceeded" if isinstance(exc, EffortExceededError) else "input_error"
+        return make_report(req_id, command, inputs, status=status, error=_error_text(exc))
     except Exception as exc:  # noqa: BLE001 - keep the stream alive
         return make_report(req_id, command, inputs, status="internal_error", error=_error_text(exc))
 
@@ -443,7 +447,7 @@ def run(argv=None) -> int:
         return 0
     except DomainError as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, EffortExceededError) else 1
     except Exception as exc:  # noqa: BLE001 - invariant violations exit distinctly
         print(f"internal error: {_error_text(exc)}", file=sys.stderr)
         return 2

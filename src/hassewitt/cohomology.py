@@ -28,7 +28,7 @@ from typing import Iterable, Sequence, Union
 
 from . import arith
 from .arith import _jacobi
-from .errors import DomainError, InternalError
+from .errors import DomainError, EffortExceededError, InternalError
 from .values import Value, setfield
 
 Rat = Union[int, Fraction]
@@ -85,6 +85,8 @@ class Place(Value):
             return Place.infinite()
         try:
             return Place.finite(int(text))
+        except EffortExceededError:
+            raise  # a prime too large to test is not bad input
         except ValueError:
             raise DomainError(f"cannot parse place {token!r}")
 

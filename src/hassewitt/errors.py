@@ -7,7 +7,10 @@ class DomainError(ValueError):
 
 
 class EffortExceededError(DomainError):
-    """Factorization gave up within the configured effort budget."""
+    """A factoring or primality operand is past its size limit, or the
+    fixed p - 1 and ECM work found no factor; a DomainError, so callers
+    that catch that see no change.  The CLI reports it as
+    ``effort_exceeded`` (exit 3), not as bad input."""
 
 
 class InternalError(RuntimeError):

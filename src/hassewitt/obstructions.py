@@ -32,7 +32,7 @@ from .cohomology import (
     cup_sum,
     hilbert_symbol,
 )
-from .errors import DomainError
+from .errors import DomainError, EffortExceededError
 from .forms import QuadraticForm, invariants
 from .numberfield import EtaleAlgebra, trace_gram
 from .values import Value, setfield
@@ -102,6 +102,8 @@ def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
         raise DomainError("the local table excludes the prime 2")
     try:
         place = Place.finite(p)  # the constructor proves p prime
+    except EffortExceededError:
+        raise  # a prime too large to test is not bad input
     except DomainError:
         raise DomainError(f"{p} must be an odd prime") from None
     if d_f == 0:

@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
 Each of these recomputes a quantity by a route disjoint from the library
-implementation: naive trial division instead of rho, Sylvester
-determinants instead of remainder sequences, a Fraction Sturm chain
+implementation: naive trial division instead of Lehman, p - 1 and ECM,
+Sylvester determinants instead of remainder sequences, a Fraction Sturm chain
 instead of the signs carried by the integer subresultant sequence,
 companion matrix powers instead of Newton recursions, exhaustive squaring
 instead of Euler's criterion, Montgomery curve group orders counted point
@@ -17,10 +17,6 @@ the valuation parities and units of integer representatives.  Products,
 remainders and gcds of polynomials, used to build test inputs and by the
 Sturm chain, run on Fraction coefficient lists here; the distinct-degree
 oracle divides and takes gcds over F_p with its own long division.
-
-One entry is a reference rather than an independent route:
-reference_brent_rho is Brent's rho on |x - y| reducing once per step,
-which the library's loop on x - y must match factor for factor.
 """
 
 from fractions import Fraction
@@ -28,7 +24,7 @@ from math import comb, gcd, lcm, prod
 import random
 
 from hassewitt.cohomology import INF, Place, SquareClass
-from hassewitt.errors import DomainError, EffortExceededError
+from hassewitt.errors import DomainError
 from hassewitt.forms import QuadraticForm
 from hassewitt.numberfield import Poly
 from hassewitt.obstructions import _RAMIFIED_TYPES
@@ -47,47 +43,6 @@ def naive_factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def reference_brent_rho(n: int, budget: int) -> int:
-    """Brent's rho with one difference |x - y| multiplied into q and one
-    reduction mod n per step; the same polynomials, rounds and budget as
-    arith._brent_rho."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        count = 0
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-                count += m
-                if count > budget:
-                    break
-            r *= 2
-            if count > budget:
-                break
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-                count += 1
-                if count > budget:
-                    break
-        if 1 < g < n:
-            return g
-    raise EffortExceededError(f"factorization effort exhausted on {n}")
 
 
 def naive_is_prime(n: int) -> bool:

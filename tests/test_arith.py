@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from hassewitt import arith
 from hassewitt.arith import Factorization, factor, is_prime, legendre, squarefree_part
 from hassewitt.cli import run_batch
-from hassewitt.errors import DomainError
+from hassewitt.errors import DomainError, InternalError
 
-from oracles import (montgomery_group_orders, naive_factor, naive_is_prime, naive_order,
-                     reference_brent_rho, squares_mod)
+from oracles import montgomery_group_orders, naive_factor, naive_is_prime, naive_order, squares_mod
 
 
 def test_factor_basic():
@@ -144,7 +143,7 @@ def test_legendre_rejects_bad_modulus():
 
 
 def test_factor_splits_a_cofactor_past_trial_division():
-    n = 104729 * 1299709  # both prime and above 10**4, so rho splits n
+    n = 104729 * 1299709  # both prime and above 10**4, so Lehman's method splits n
     assert factor(n).as_dict() == {104729: 1, 1299709: 1}
     assert factor(2**4 * 104729).as_dict() == {2: 4, 104729: 1}
 
@@ -207,23 +206,57 @@ def test_factor_recovers_products_of_drawn_primes(parts):
     assert factor(prod(p**e for p, e in parts)).as_dict() == want
 
 
-def test_brent_rho_finds_the_one_step_factor():
+def _count_square_tests(monkeypatch, n: int) -> list[int]:
+    """Record the isqrt calls of a _lehman(n) that are square tests: their
+    argument is below n, while the ceilings of sqrt(4kn) are past it."""
+    tests = []
+    real = arith.isqrt
+
+    def counted(x):
+        if x < n:
+            tests.append(x)
+        return real(x)
+
+    monkeypatch.setattr(arith, "isqrt", counted)
+    return tests
+
+
+def _lehman_bound(n: int) -> float:
+    r = next(r for r in range(1, 10**4 + 2) if r**3 >= n)  # the ceiling of n**(1/3)
+    return 1.5 * r + 2
+
+
+def test_lehman_splits_semiprimes_below_the_pm1_floor(monkeypatch):
+    # every composite that trial division leaves below 10**12 is p * q with
+    # 10**4 < p <= 10**6: p just above 10**4 is Lehman's slowest case, and
+    # balanced products near 10**12 have the most square tests to make
     rng = random.Random(13)
+    low = [p for p in range(10**4, 10**4 + 400) if naive_is_prime(p)]
+    cases = [(p, _next_prime(rng.randrange(10**7, 10**12 // p))) for p in rng.sample(low, 30)]
+    for _ in range(10):
+        p = _next_prime(rng.randrange(990_000, 999_000))
+        q = 10**12 // p  # then the largest prime q with p * q < 10**12
+        while not naive_is_prime(q):
+            q -= 1
+        cases.append((p, q))
+    for p, q in cases:
+        n = p * q
+        assert n < arith._PM1_FLOOR and naive_factor(n) == {p: 1, q: 1}, (p, q)
+        tests = _count_square_tests(monkeypatch, n)
+        assert arith._lehman(n) in (p, q), (p, q)
+        assert 0 < len(tests) <= _lehman_bound(n), (p, q, len(tests))
+        monkeypatch.undo()
 
-    def product(count: int, low: int, high: int) -> int:
-        n = 1
-        for _ in range(count):
-            bits = rng.randint(low, high)
-            n *= _next_prime(rng.getrandbits(bits) | 1 << (bits - 1))
-        return n
 
-    # the small semiprimes and the three-prime products often close cycles
-    # mod two primes in one block, so the fallback walk and the block
-    # boundaries decide which factor comes back
-    for count, low, high in ((2, 20, 30), (2, 5, 12), (3, 8, 16)):
-        for _ in range(200):
-            n = product(count, low, high)
-            assert arith._brent_rho(n, 1 << 22) == reference_brent_rho(n, 1 << 22), n
+def test_lehman_scans_its_whole_range_on_a_prime_and_raises(monkeypatch):
+    # on a prime no a**2 - 4kn is a square: every square test runs, within
+    # the stated bound, and the method raises rather than loop
+    n = 999_999_999_989  # the largest prime below 10**12
+    assert naive_is_prime(n)
+    tests = _count_square_tests(monkeypatch, n)
+    with pytest.raises(InternalError):
+        arith._lehman(n)
+    assert len(tests) <= _lehman_bound(n) == 15_002
 
 
 P100 = 2**100 - 15  # prime
@@ -321,20 +354,30 @@ def test_pm1_stage_2_splits_past_b1():
     assert arith._pollard_pm1(STAGE2_P * SAFE_Q) == STAGE2_P
 
 
-def _no_rho(monkeypatch):
-    def refuse(n, budget):
-        raise AssertionError(f"rho ran on {n}")
+ECM_CURVES, ECM_B1, ECM_B2 = arith._ECM_RUNGS[0]
+ECM_EXPONENT = arith._ECM_EXPONENTS[ECM_B1]
 
-    monkeypatch.setattr(arith, "_brent_rho", refuse)
+
+def _first_rung_only(monkeypatch):
+    """Make every ECM ladder past the first rung's fail the test, so that
+    p - 1 or the first rung is shown to split what factor() is given."""
+    real = arith._ecm_ladder
+
+    def guarded(x, a24, k, m):
+        if k != ECM_EXPONENT:
+            raise AssertionError(f"an ECM rung past the first ran on {m}")
+        return real(x, a24, k, m)
+
+    monkeypatch.setattr(arith, "_ecm_ladder", guarded)
     arith._factor_positive.cache_clear()
 
 
 def test_pm1_finding_every_prime_falls_back_to_ecm(monkeypatch):
     # both orders of 2 need 1999, so even the replay takes in both at once
-    # and p - 1 gives up; ECM, which runs before rho, then splits m
+    # and p - 1 gives up; the first ECM rung then splits m
     m = STAGE1_P * STAGE1_OTHER
     assert arith._pollard_pm1(m) == 1
-    _no_rho(monkeypatch)
+    _first_rung_only(monkeypatch)
     assert factor(m).as_dict() == {STAGE1_P: 1, STAGE1_OTHER: 1}
 
 
@@ -344,15 +387,14 @@ def test_pm1_stage_1_replay_splits_when_both_primes_are_found(monkeypatch):
     m = STAGE1_P * STAGE1_EARLY
     assert gcd(pow(2, arith._PM1_EXPONENT, m) - 1, m) == m
     assert arith._pollard_pm1(m) == STAGE1_EARLY
-    _no_rho(monkeypatch)
+    _first_rung_only(monkeypatch)
     assert factor(-5 * m).as_dict() == {5: 1, STAGE1_P: 1, STAGE1_EARLY: 1}
 
 
 def test_pm1_stage_1_replay_splits_primes_past_ecm_and_rho(monkeypatch):
     # 50- and 51-bit primes whose P - 1 are 2000-smooth: the stage-1 gcd is
     # m, and the replay finds LARGE_EARLY at 983, before LARGE_P's 1999.
-    # ECM's curves (B1 = 150, B2 = 10**4) find neither prime, and rho
-    # would need about 2**25 steps, past its budget of 2**22
+    # The first ECM rung (B1 = 150, B2 = 10**4) finds neither prime
     LARGE_EARLY, LARGE_P = 960_204_910_910_339, 1_284_523_314_775_139
     assert naive_factor(LARGE_EARLY - 1) == {2: 1, 29: 1, 173: 1, 331: 1, 491: 1, 599: 1, 983: 1}
     assert naive_factor(LARGE_P - 1) == {2: 1, 37: 1, 79: 1, 229: 1, 677: 1, 709: 1, 1999: 1}
@@ -360,8 +402,10 @@ def test_pm1_stage_1_replay_splits_primes_past_ecm_and_rho(monkeypatch):
     m = LARGE_EARLY * LARGE_P
     assert gcd(pow(2, arith._PM1_EXPONENT, m) - 1, m) == m
     assert arith._pollard_pm1(m) == LARGE_EARLY
+    monkeypatch.setattr(arith, "_ECM_RUNGS", arith._ECM_RUNGS[:1])
     assert arith._ecm(m) == 1
-    _no_rho(monkeypatch)
+    monkeypatch.undo()
+    _first_rung_only(monkeypatch)
     assert factor(m).as_dict() == {LARGE_EARLY: 1, LARGE_P: 1}
 
 
@@ -370,11 +414,11 @@ def test_pm1_stage_2_replay_splits_a_batch_that_finds_both_primes(monkeypatch):
     # baby 13 (49993) comes before baby 19 (49999)
     m = STAGE2_P * STAGE2_OTHER
     assert arith._pollard_pm1(m) == STAGE2_OTHER
-    _no_rho(monkeypatch)
+    _first_rung_only(monkeypatch)
     assert factor(3 * m).as_dict() == {3: 1, STAGE2_OTHER: 1, STAGE2_P: 1}
 
 
-def test_pm1_runs_only_on_cofactors_of_at_least_2_to_the_40(monkeypatch):
+def test_pm1_runs_only_on_cofactors_of_at_least_10_to_the_12(monkeypatch):
     calls = []
     real = arith._pollard_pm1
 
@@ -384,18 +428,24 @@ def test_pm1_runs_only_on_cofactors_of_at_least_2_to_the_40(monkeypatch):
 
     monkeypatch.setattr(arith, "_pollard_pm1", counted)
     arith._factor_positive.cache_clear()
-    below = 1_048_573 * 1_048_571  # two primes below 2**20, product below 2**40
-    assert below < 1 << 40
-    assert factor(3 * below).as_dict() == {3: 1, 1_048_571: 1, 1_048_573: 1}
+    # Lehman's method splits the largest semiprimes below the floor; p - 1
+    # runs on the product of the two primes below 2**20, which is past it
+    below = 999_983 * 1_000_003
+    above = 1_048_573 * 1_048_571
+    assert below < arith._PM1_FLOOR == 10**12 < above
+    assert factor(3 * below).as_dict() == {3: 1, 999_983: 1, 1_000_003: 1}
     assert calls == []
+    assert factor(3 * above).as_dict() == {3: 1, 1_048_571: 1, 1_048_573: 1}
+    assert calls == [above]
+    calls.clear()
     assert factor(7 * STAGE1_P * SAFE_Q).as_dict() == {7: 1, STAGE1_P: 1, SAFE_Q: 1}
     assert calls == [STAGE1_P * SAFE_Q]
 
 
 def test_factor_splits_seeded_semiprime_cofactors(monkeypatch):
-    # p - 1 or ECM splits every one, so rho never runs; both do the same
-    # work on every call, and so return the same factor
-    _no_rho(monkeypatch)
+    # p - 1 or the first ECM rung splits every one; both do the same work
+    # on every call, and so return the same factor
+    _first_rung_only(monkeypatch)
     rng = random.Random(23)
     small = [p for p in range(2, 10**4) if naive_is_prime(p)]
     for _ in range(200):
@@ -417,7 +467,7 @@ def test_factor_splits_a_pm1_replay_collision_without_rho(monkeypatch):
     P, Q = 751_510_657, 949_996_351
     assert naive_is_prime(P) and naive_is_prime(Q)
     assert arith._pollard_pm1(P * Q) == 1
-    _no_rho(monkeypatch)
+    _first_rung_only(monkeypatch)
     assert factor(7 * P * Q).as_dict() == {7: 1, P: 1, Q: 1}
 
 
@@ -457,21 +507,28 @@ def test_ecm_stage_2_finds_an_order_one_prime_past_stage_1(monkeypatch):
     # has order N = q * (a divisor of lcm(1..B1)), q a prime in (B1, B2]
     # with 2q > B2: stage 1 leaves a point of order q, and only the pair
     # listed for q itself can find P; curve 6 finds nothing mod 2**61 - 1
-    monkeypatch.setattr(arith, "_ECM_CURVES", 1)
+    monkeypatch.setattr(arith, "_ECM_RUNGS", ((1, ECM_B1, ECM_B2),))
     for P, q in ((60017, 5023), (60617, 5021)):
         x, a24, order = _suyama_point_order(6, P)
-        assert order % q == 0 and arith._ECM_EXPONENT % (order // q) == 0, (P, order)
-        assert arith._ECM_B1 < q <= arith._ECM_B2 < 2 * q and naive_is_prime(q)
-        assert arith._ecm_ladder(x, a24, arith._ECM_EXPONENT, P)[1] % P != 0
+        assert order % q == 0 and ECM_EXPONENT % (order // q) == 0, (P, order)
+        assert ECM_B1 < q <= ECM_B2 < 2 * q and naive_is_prime(q)
+        assert arith._ecm_ladder(x, a24, ECM_EXPONENT, P)[1] % P != 0
         assert arith._ecm(P * (2**61 - 1)) == P
 
 
 def test_ecm_curves_are_defined_mod_every_cofactor():
-    # the denominators of x and (A + 2)/4 have no prime above the trial
-    # bound, so they are units mod any m that trial division leaves
-    for sigma in range(6, 6 + arith._ECM_CURVES):
+    # the denominators of x and (A + 2)/4 divide a power of 16 u v: v has
+    # no prime above the trial bound on any rung, and u none on the first,
+    # so they are units mod any m that trial division leaves and that has
+    # no prime of u (_ecm returns such a prime's gcd at once)
+    curves = sum(count for count, _, _ in arith._ECM_RUNGS)
+    for sigma in range(6, 6 + curves):
         u, v = sigma * sigma - 5, 4 * sigma
-        assert max(naive_factor(16 * u**3 * v**4)) < arith._TRIAL_BOUND, sigma
+        assert max(naive_factor(16 * v)) < arith._TRIAL_BOUND, sigma
+        if sigma < 6 + ECM_CURVES:
+            assert max(naive_factor(u)) < arith._TRIAL_BOUND, sigma
+    # sigma = 102 is on a later rung, and its u = 10399 is a prime past the bound
+    assert 6 + ECM_CURVES <= 102 < 6 + curves and naive_is_prime(102**2 - 5)
 
 
 def _stage2_calls(monkeypatch) -> list[tuple]:
@@ -487,18 +544,23 @@ def _stage2_calls(monkeypatch) -> list[tuple]:
 
 
 def test_ecm_stage_2_pairs_cover_every_prime_once(monkeypatch):
-    # the rows that ECM and p - 1 read cover every prime in (B1, B2] of
-    # their own stage 2 once; a listed pair is one with a prime to _PM1_B2
+    # the rows that each ECM rung and p - 1 read cover every prime in
+    # (B1, B2] of their own stage 2 once; a listed pair is one with a prime
+    # to _PM1_B2
     w, babies = arith._W, arith._BABIES
     assert babies == tuple(u for u in range(1, w // 2) if gcd(u, w) == 1)
-    assert arith._ECM_EXPONENT == lcm(*range(1, arith._ECM_B1 + 1))
     calls = _stage2_calls(monkeypatch)
-    monkeypatch.setattr(arith, "_ECM_CURVES", 1)
-    assert arith._ecm(STAGE2_P * SAFE_Q) == 1
+    bounds = []
+    for _, b1, b2 in arith._ECM_RUNGS:
+        assert arith._ECM_EXPONENTS[b1] == lcm(*range(1, b1 + 1))
+        monkeypatch.setattr(arith, "_ECM_RUNGS", ((1, b1, b2),))
+        assert arith._ecm(STAGE2_P * SAFE_Q) == 1
+        bounds.append((b1, b2))
     assert arith._pollard_pm1(STAGE2_P * SAFE_Q) == 1
-    (_, ecm, ecm_v, _), (_, pm1, pm1_v, _) = calls
-    for first, count, b1, b2 in ((ecm_v, len(ecm), arith._ECM_B1, arith._ECM_B2),
-                                 (pm1_v, len(pm1), arith._PM1_B1, arith._PM1_B2)):
+    bounds.append((arith._PM1_B1, arith._PM1_B2))
+    assert len(calls) == len(bounds)
+    for (_, giants, first, _), (b1, b2) in zip(calls, bounds):
+        count = len(giants)
         assert 1 <= first and first - 1 + count <= len(arith._PAIRS)
         covered: dict[int, int] = {}
         for v in range(first, first + count):

@@ -173,8 +173,9 @@ def test_tracefield(capsys):
     assert outputs["gram"][0] == [4, 0, 0, -3]
 
 
-def test_tracefield_discriminant_split_by_rho(capsys):
-    # x^2 - 3*134217757*536883271: the 57-bit semiprime has no factor below 10**4
+def test_tracefield_discriminant_split_by_ecm(capsys):
+    # x^2 - 3*134217757*536883271: the 57-bit semiprime has no factor below
+    # 10**4, p - 1 finds neither prime, and the first ECM rung splits it
     code, out, _ = run_capture(capsys, ["tracefield", "--poly", "-216177805213329441,0,1", "--json"])
     assert code == 0
     assert out.strip() == (

@@ -28,8 +28,8 @@ SETTINGS = settings(max_examples=600, deadline=None, derandomize=True, database=
 def entries(draw, p: int):
     """(value, places): a nonzero rational with a forced power of p, in one
     of its accepted spellings, and the primes that may divide it.  Powers
-    of the 61-bit prime stay within +-2, so that factoring a representative
-    never needs rho on a cube."""
+    of the 61-bit prime stay within +-2: no representative carries its
+    cube, which p - 1 and the ECM ladder are not sized to split."""
     bound = 2 if p == P61 else 3
     k = draw(st.integers(-bound, bound))
     num = draw(st.integers(1, 10**6))

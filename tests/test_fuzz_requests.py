@@ -2,19 +2,24 @@
 
 Each example is one batch line built from a command in ``cli.COMMANDS``,
 a subset of its parameter keys and values drawn over small atoms, so a new
-command is fuzzed with no edit here.  Every request must end in ``ok`` or
-``input_error``, never ``internal_error``; its batch report must be the
-same bytes when the line runs again; and the single-shot ``--json`` run of
-the same parameters must print those bytes (an error exits 1).  A Gram matrix
-with an empty row is an input error, never a matrix with the row dropped.
+command is fuzzed with no edit here.  Every request must end in ``ok``,
+``input_error`` or ``effort_exceeded``, never ``internal_error``; its batch
+report must be the same bytes run alone, with empty memos, and again after
+a warm-up line; and the single-shot ``--json`` run of the same parameters
+must print those bytes (an input error exits 1, effort_exceeded 3).  A Gram
+matrix with an empty row is an input error, never a matrix with the row
+dropped.
 Two congruence checks need no oracle: a Gram matrix G and U^T G U, for a
 small unimodular U, give the same ``form-invariants`` report, and f(x) and
 f(x + t), for a small rational t, the same ``tracefield`` invariants.
 
-The atoms are small on purpose: every integer has at most a few digits,
-polynomials have degree at most 4 and Gram matrices rank at most 3, so no
-discriminant or determinant reaches the sizes where factoring has no
-bound.  Only strings are drawn, because a flag only carries strings.
+The atoms are small, so that a run takes seconds: every integer has at
+most a few digits, polynomials have degree at most 4 and Gram matrices rank
+at most 3.  The exceptions are integers at each operand cap and one bit
+past it, drawn as places and as rank-1 Gram matrices: a 2,048-bit prime
+and a 2,049-bit integer for the primality cap, and 256- and 257-bit
+products of a prime that p - 1 finds at once for the factoring cap.  Only
+strings are drawn, because a flag only carries strings.
 """
 
 import contextlib
@@ -22,13 +27,14 @@ import io
 import json
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hassewitt import cli
+from hassewitt import arith, cli
 from hassewitt.cli import COMMANDS, _process_request_line, dump_report
 
 from oracles import JEHANNE_TYPES, random_unimodular
+from test_effort import AT_FACTOR_CAP, P2048, PAST_FACTOR_CAP
 
 # the last four are spellings that the parsers accept: padding, a sign, a
 # decimal and a non-ASCII digit
@@ -36,16 +42,22 @@ NUMBERS = ["0", "1", "-1", "2", "-2", "3", "-3", "4", "5", "6", "-7", "12", "-15
            "1/2", "-3/4", "2/3", "4/6", " 5 ", "+3", "1.5", "٣"]
 PLACES = ["2", "3", "5", "7", "283", "10007", "inf", "Inf"]
 BAD = ["", " ", "x", "1/0", "1e3", "1_0", "-inf", "4", "1^2,1,1", "bogus"]
+CAPS = [str(n) for n in (P2048, 2**2048 + 1, AT_FACTOR_CAP, PAST_FACTOR_CAP)]
+STATUS_EXIT = {"ok": 0, "input_error": 1, "effort_exceeded": 3}
 
 
-def atoms(good):
+def atoms(good, caps=()):
     """One of good or, when a draw from 0..15 hits 5, an atom that is
-    malformed or out of range for some key."""
-    return st.integers(0, 15).flatmap(lambda k: st.sampled_from(BAD if k == 5 else good))
+    malformed or out of range for some key; when it hits 6 or 7, one of
+    caps, if given."""
+    return st.integers(0, 15).flatmap(
+        lambda k: st.sampled_from(BAD if k == 5 else caps if k in (6, 7) and caps else good))
 
 
 @st.composite
 def grams(draw):
+    if draw(st.integers(0, 7)) == 6:  # one entry at or past a cap
+        return draw(st.sampled_from(CAPS))
     n = draw(st.integers(1, 3))
     cells = {(i, j): draw(atoms(NUMBERS[:19])) for i in range(n) for j in range(i, n)}
     rows = [[cells[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
@@ -77,7 +89,7 @@ def values_for(key: str):
     if key in ("n", "d"):
         return atoms(["2", "3", "4", "6", "100"])
     if key in ("p", "place"):
-        return atoms(PLACES)
+        return atoms(PLACES, CAPS)
     if key == "type":
         return atoms(list(JEHANNE_TYPES))
     return atoms(NUMBERS)
@@ -103,27 +115,41 @@ def single_shot(name: str, params: dict) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def cap_examples(test):
+    """Every cap atom as a place and as a rank-1 Gram matrix, after a warm-up
+    line that names the same integer."""
+    for cap in CAPS:
+        for request in (("hilbert", {"a": "2", "b": "3", "place": cap}), ("form-invariants", {"gram": cap})):
+            test = example(request, ("jehanne", {"p": cap, "type": "1^4", "disc": "5"}))(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(requests())
-def test_batch_and_single_shot_agree_and_never_fail_internally(request):
+@given(requests(), requests())
+@cap_examples
+def test_batch_and_single_shot_agree_and_never_fail_internally(request, warm_up):
     name, params = request
     line = json.dumps({"command": name, "parameters": params})
+    arith.is_prime.cache_clear()
+    arith._factor_positive.cache_clear()
     report = _process_request_line(line)
-    assert report["status"] in ("ok", "input_error"), report
+    assert report["status"] in STATUS_EXIT, report
     if any(";;" in value for key, value in params.items() if key.startswith("gram")):
         assert report["status"] == "input_error", report
     text = dump_report(report)
+    _process_request_line(json.dumps({"command": warm_up[0], "parameters": warm_up[1]}))
     assert dump_report(_process_request_line(line)) == text
     code, out, err = single_shot(name, params)
     if report["status"] == "ok":
         assert (code, out, err) == (0, text + "\n", ""), (line, err)
     else:
-        assert code == 1 and out == "" and err.startswith("error: "), (line, report, code, err)
+        assert code == STATUS_EXIT[report["status"]], (line, report, code, err)
+        assert out == "" and err.startswith("error: "), (line, report, err)
 
 
 def run_ok_or_error(name: str, params: dict) -> tuple:
     report = _process_request_line(json.dumps({"command": name, "parameters": params}))
-    assert report["status"] in ("ok", "input_error"), report
+    assert report["status"] in STATUS_EXIT, report
     return report["status"], report.get("outputs"), report.get("error")
 
 

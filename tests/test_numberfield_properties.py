@@ -4,7 +4,8 @@ Monic polynomials of degree 1-8 with rational coefficients whose
 denominators run up to 12, so that c, the lcm of the denominators, and the
 powers c**k that scale the integer Newton sums are far from 1.  A quarter
 of them carry a squared factor.  No invariants are computed on those:
-degree-8 discriminants can need factorizations past the rho budget.
+degree-8 discriminants can carry cofactors that the ECM ladder does not
+split, and a request on one ends in effort_exceeded after seconds.
 
 The trace form is also checked against forms known in closed form, on
 squarefree polynomials of degree at most 4 (Conner-Perlis, A Survey of
