@@ -28,7 +28,7 @@ from typing import Iterable, Sequence, Union
 
 from . import arith
 from .arith import _jacobi
-from .errors import DomainError, EffortExceededError, InternalError
+from .errors import DomainError, InternalError
 from .values import Value, setfield
 
 Rat = Union[int, Fraction]
@@ -84,11 +84,10 @@ class Place(Value):
         if text in ("inf", "infinity", "oo"):
             return Place.infinite()
         try:
-            return Place.finite(int(text))
-        except EffortExceededError:
-            raise  # a prime too large to test is not bad input
+            p = int(text)
         except ValueError:
             raise DomainError(f"cannot parse place {token!r}")
+        return Place.finite(p)
 
     @property
     def is_infinite(self) -> bool:

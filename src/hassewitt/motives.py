@@ -2,21 +2,20 @@
 intersections.
 
 Everything is driven by integer data (the dimension n and the multidegree):
-the Euler characteristic is one coefficient of a rational series with
-integer coefficients, read off after the substitution h = t/(1-t), where
-it needs no binomials and no divisions; the middle Betti number is chi - n,
-and the index of the intersection lattice is pinned mod 8 by the parity of
-one binomial coefficient.  That is enough to evaluate the degree-1 and
-degree-2 classes of the Betti form exactly; the de Rham side stays
-symbolic, as a fixed token vocabulary (``disc_d(f)``, ``w2(q_dR)``,
-``(-1,disc_d(f))``) with numeric prefactors evaluated in the place-set
-model.
+the Euler characteristic is one divided difference of a power of x on the
+integer nodes 1, 1 and 1 - d_i, in which every division is exact; the
+middle Betti number is chi - n, and the index of the intersection lattice
+is pinned mod 8 by the parity of one binomial coefficient.  That is enough
+to evaluate the degree-1 and degree-2 classes of the Betti form exactly;
+the de Rham side stays symbolic, as a fixed token vocabulary
+(``disc_d(f)``, ``w2(q_dR)``, ``(-1,disc_d(f))``) with numeric prefactors
+evaluated in the place-set model.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from typing import Union
 
 from .cohomology import INF, MINUS_ONE, ONE, CohClass2, Place, SquareClass
@@ -95,31 +94,20 @@ class SymbolicClass(Value):
 def euler_characteristic(spec: CompleteIntersectionSpec) -> int:
     """chi = d1...dc [h**n] (1+h)**(n+c+1) / prod(1 + d_i h)  (Hirzebruch).
 
-    The substitution h = t/(1-t) takes the binomial row out.  Since
-
-        1 + h = 1/(1-t),   1 + d h = (1 + (d-1) t)/(1-t),   dh = dt/(1-t)**2,
-
-    the residue of A(h) dh / h**(n+1) gives [h**n] A(h) =
-    [t**n] A(t/(1-t)) (1-t)**(n-1), and the powers of 1 - t add up to
-    -(n+c+1) + c + (n-1) = -2:
-
-        chi = d1...dc [t**n] 1 / ((1-t)**2 prod(1 + (d_i - 1) t)).
-
-    The series starts as k + 1, the coefficients of 1/(1-t)**2, and each
-    division by 1 + (d-1) t is the pass out[k] = series[k] - (d-1) out[k-1];
-    a degree-1 equation divides by 1 and gets no pass.  Exact, with O(n c)
-    big-integer steps and no divisions."""
-    n = spec.n
-    series = list(range(1, n + 2))
-    for d in spec.degrees:
-        if d == 1:
-            continue
-        e = d - 1
-        prev = 0
-        for k in range(n + 1):
-            prev = series[k] - e * prev
-            series[k] = prev
-    return spec.total_degree * series[n]
+    After h = t/(1-t) this is d1...dc [t**n] 1/((1-t)**2 prod(1 + (d_i-1) t)),
+    the complete homogeneous polynomial h_n at the nodes 1, 1 and 1 - d_i
+    (a node 1 - 1 = 0 adds nothing, so a degree-1 equation has none).  With
+    N nodes, h_n is the divided difference of x**(n+N-1) on them (de Boor,
+    "Divided differences", 2005).  Every entry of the table is h_j of
+    integer nodes, so each division is exact; where the k+1 nodes of an
+    entry coincide it is the derivative term C(n+N-1, k) x**(n+N-1-k)."""
+    nodes = sorted([1, 1] + [1 - d for d in spec.degrees if d != 1])
+    m = spec.n + len(nodes) - 1
+    column = [x**m for x in nodes]
+    for k in range(1, len(nodes)):
+        column = [comb(m, k) * x ** (m - k) if x == y else (b - a) // (y - x)
+                  for x, y, a, b in zip(nodes, nodes[k:], column, column[1:])]
+    return spec.total_degree * column[0]
 
 
 def betti_middle(spec: CompleteIntersectionSpec) -> int:

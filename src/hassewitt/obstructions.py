@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
+from . import arith
 from .cohomology import (
     CohClass2,
     INF,
@@ -32,7 +33,7 @@ from .cohomology import (
     cup_sum,
     hilbert_symbol,
 )
-from .errors import DomainError, EffortExceededError
+from .errors import DomainError
 from .forms import QuadraticForm, invariants
 from .numberfield import EtaleAlgebra, trace_gram
 from .values import Value, setfield
@@ -100,12 +101,8 @@ def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
     """
     if p == 2:
         raise DomainError("the local table excludes the prime 2")
-    try:
-        place = Place.finite(p)  # the constructor proves p prime
-    except EffortExceededError:
-        raise  # a prime too large to test is not bad input
-    except DomainError:
-        raise DomainError(f"{p} must be an odd prime") from None
+    if not arith.is_prime(p):
+        raise DomainError(f"{p} must be an odd prime")
     if d_f == 0:
         raise DomainError("the field discriminant must be nonzero")
     eight = -1 if ((p * p - 1) // 8) % 2 else 1  # (-1)**((p^2-1)/8)
@@ -124,7 +121,7 @@ def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
     if name == "2^2":
         return (-four, 1)
     if name == "1^2,1^2":
-        sym = hilbert_symbol(d_f, p, place)
+        sym = hilbert_symbol(d_f, p, Place.from_prime(p))
         return (four * sym, 1)
     raise DomainError(f"unknown decomposition type {name!r}")
 

@@ -6,11 +6,11 @@ Sylvester determinants instead of remainder sequences, a Fraction Sturm chain
 instead of the signs carried by the integer subresultant sequence,
 companion matrix powers instead of Newton recursions, exhaustive squaring
 instead of Euler's criterion, Montgomery curve group orders counted point
-by point for the ECM ladder, full series convolution and, for one degree,
-the closed form instead of the division recurrence, a fresh x**(p**i)
-mod g per degree instead of the Frobenius matrix, x**e mod f by
-right-to-left schoolbook products on coefficient lists instead of the
-packed ring, Fraction pivots and a Hilbert symbol per pair of diagonal
+by point for the ECM ladder, full series convolution, the O(c n) series
+recurrence and, for one degree, the closed form instead of one divided
+difference on integer nodes, a fresh x**(p**i) mod g per degree instead
+of the Frobenius matrix, x**e mod f by right-to-left schoolbook products
+on coefficient lists instead of the packed ring, Fraction pivots and a Hilbert symbol per pair of diagonal
 entries instead of leading minors and the closed-form exponent
 over all pairs, a Fraction p-adic split with Euler's criterion instead of
 the valuation parities and units of integer representatives.  Products,
@@ -79,6 +79,19 @@ def naive_euler_characteristic(n: int, degrees: list[int]) -> int:
                 power *= -d
             out[k] = acc
         series = out
+    return prod(degrees) * series[n]
+
+
+def series_euler_characteristic(n: int, degrees: list[int]) -> int:
+    """d1...dc [t**n] 1/((1-t)**2 prod(1 + (d_i-1) t)), the O(c n) series
+    recurrence: the coefficients of 1/(1-t)**2 are k + 1, and dividing by
+    1 + (d-1) t is the pass out[k] = series[k] - (d-1) out[k-1]."""
+    series = list(range(1, n + 2))
+    for d in degrees:
+        prev = 0
+        for k in range(n + 1):
+            prev = series[k] - (d - 1) * prev
+            series[k] = prev
     return prod(degrees) * series[n]
 
 

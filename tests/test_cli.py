@@ -112,6 +112,25 @@ def test_internal_error_names_the_exception_type_single_shot(monkeypatch, capsys
     assert (code, out, err) == (2, "", f"internal error: {CUT_INTERNAL_ERROR}\n")
 
 
+def test_composite_place_reads_not_prime_and_a_bad_token_reads_cannot_parse(tmp_path, capsys):
+    psi12 = "318665857834031151167461"  # 399165290221 * 798330580441, a strong pseudoprime to 2..37
+    cases = [("15", "15 is not prime"), (" 15 ", "15 is not prime"), (psi12, f"{psi12} is not prime"),
+             ("1", "1 is not prime"), ("x", "cannot parse place 'x'"), ("1.5", "cannot parse place '1.5'")]
+    for token, error in cases:
+        with pytest.raises(DomainError) as info:
+            Place.parse(token)
+        assert str(info.value) == error, token
+        code, out, err = run_capture(capsys, ["hilbert", "--a", "2", "--b", "3", "--place", token])
+        assert (code, out, err) == (1, "", f"error: {error}\n"), token
+    infile, outfile = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    infile.write_text("".join(json.dumps({"id": i, "command": "hilbert", "parameters": {"a": 2, "b": 3, "place": token}})
+                              + "\n" for i, (token, _) in enumerate(cases)))
+    code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert code == 0
+    reports = [json.loads(line) for line in outfile.read_text().splitlines()]
+    assert [(r["status"], r["error"]) for r in reports] == [("input_error", error) for _, error in cases]
+
+
 def test_embedding_golden(capsys):
     code, out, _ = run_capture(capsys, ["embedding", "--poly", "-1,1,0,0,1", "--json"])
     assert code == 0

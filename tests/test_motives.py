@@ -31,7 +31,7 @@ from hassewitt.motives import (
 )
 from hassewitt.numberfield import Poly, discriminant
 
-from oracles import hypersurface_chi_closed_form, naive_euler_characteristic
+from oracles import hypersurface_chi_closed_form, naive_euler_characteristic, series_euler_characteristic
 
 
 def test_spec_validation():
@@ -152,6 +152,40 @@ def test_euler_characteristic_matches_convolution():
         degrees = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
         spec = CompleteIntersectionSpec(n, degrees)
         assert euler_characteristic(spec) == naive_euler_characteristic(n, degrees), (n, degrees)
+    # a repeated degree repeats a node, which runs the equal-node entries of the table
+    for _ in range(100):
+        n = 2 * rng.randint(1, 40)
+        degrees = [rng.randint(1, 9) for _ in range(rng.randint(1, 3))]
+        degrees += [degrees[0]] * rng.randint(1, 2)
+        spec = CompleteIntersectionSpec(n, degrees)
+        assert euler_characteristic(spec) == naive_euler_characteristic(n, degrees), (n, degrees)
+
+
+@pytest.mark.parametrize("degrees", [
+    [MAX_DEGREE] * MAX_CODIMENSION,
+    list(range(MAX_DEGREE - MAX_CODIMENSION + 1, MAX_DEGREE + 1)),
+    [MAX_DEGREE, MAX_DEGREE - 1] * (MAX_CODIMENSION // 2),
+    [1, MAX_DEGREE] * (MAX_CODIMENSION // 2),
+    [MAX_DEGREE],
+    [2] * MAX_CODIMENSION,
+    [1] * MAX_CODIMENSION,
+    [1],
+])
+def test_euler_characteristic_matches_series_at_the_limits(degrees):
+    for n in (2, MAX_DIMENSION):
+        spec = CompleteIntersectionSpec(n, degrees)
+        assert euler_characteristic(spec) == series_euler_characteristic(n, degrees), (n, degrees)
+
+
+def test_euler_characteristic_matches_series_with_repeated_degrees():
+    rng = random.Random(4096)
+    for _ in range(300):
+        n = 2 * rng.randint(1, 200)
+        pool = [1, 2] + [rng.randint(1, MAX_DEGREE) for _ in range(rng.randint(1, 3))]
+        degrees = [rng.choice(pool) for _ in range(rng.randint(1, MAX_CODIMENSION - 1))]
+        degrees.append(rng.choice(degrees))
+        spec = CompleteIntersectionSpec(n, degrees)
+        assert euler_characteristic(spec) == series_euler_characteristic(n, degrees), (n, degrees)
 
 
 def test_betti_middle():
