@@ -485,6 +485,8 @@ def legendre(a: int, p: int) -> int:
 
 def padic_split(q: Fraction, p: int) -> tuple[int, Fraction]:
     """Write q = p**v * u with u a p-adic unit; returns (v, u)."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     if q == 0:
         raise DomainError("0 has no p-adic valuation")
     v = 0

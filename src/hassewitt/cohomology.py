@@ -69,7 +69,9 @@ class Place(Value):
 
     @staticmethod
     def from_prime(p: int) -> "Place":
-        """The place of p, which the caller has already proved prime."""
+        """The place of p, which the caller has already proved prime (only p < 2 is checked)."""
+        if p < 2:
+            raise DomainError(f"{p} is not prime")
         return Place((0, p))
 
     @staticmethod
@@ -313,10 +315,6 @@ class TotalWittClass(Value):
     """
 
     _fields = ("w1", "w2")
-
-    @property
-    def w0(self) -> int:
-        return 1
 
     @staticmethod
     def identity() -> "TotalWittClass":

@@ -6,10 +6,13 @@ the Euler characteristic is one divided difference of a power of x on the
 integer nodes 1, 1 and 1 - d_i, in which every division is exact; the
 middle Betti number is chi - n, and the index of the intersection lattice
 is pinned mod 8 by the parity of one binomial coefficient.  That is enough
-to evaluate the degree-1 and degree-2 classes of the Betti form exactly;
-the de Rham side stays symbolic, as a fixed token vocabulary
-(``disc_d(f)``, ``w2(q_dR)``, ``(-1,disc_d(f))``) with numeric prefactors
-evaluated in the place-set model.
+to evaluate the degree-1 and degree-2 classes of the Betti form exactly.
+For a hypersurface the comparison classes follow from the comparison
+formula delta1 = w1(q_B) w1(q_dR), delta2 = w2(q_B) + w1(q_B).w1(q_B) +
+w1(q_B).w1(q_dR) + w2(q_dR) with w1(q_dR) = epsilon'(n, d) disc_d(f): the
+Betti classes are evaluated in the place-set model, and the de Rham side
+stays symbolic, as a fixed token vocabulary (``disc_d(f)``, ``w2(q_dR)``,
+``(-1,disc_d(f))``).
 """
 
 from __future__ import annotations
@@ -172,37 +175,26 @@ def hypersurface_w(n: int, d: int) -> tuple[SquareClass, CohClass2]:
 
 
 def delta_expressions(n: int, d: int) -> tuple[SymbolicClass, SymbolicClass]:
-    """Symbolic comparison classes of the degree-d hypersurface motive.
+    """Symbolic comparison classes of the degree-d hypersurface motive, from
+    the comparison formula on the Betti form q_B and the de Rham form q_dR:
 
-    delta1 is a sign times the divided discriminant token:
+        delta1 = w1(q_B) w1(q_dR)
+        delta2 = w2(q_B) + w1(q_B).w1(q_B) + w1(q_B).w1(q_dR) + w2(q_dR)
 
-        d odd:   (-1)**((d-1)/2) disc_d(f)
-        d even:  (-1)**((d/2)((n+2)/2)) disc_d(f)
-
-    delta2 is w2(q_dR) plus an evaluated multiple of (-1,-1), picking up an
-    extra (-1, disc_d(f)) token when d is even and n = 2 mod 4.
+    with w1(q_dR) = epsilon'(n, d) disc_d(f) and (w1, w2) of q_B from
+    :func:`hypersurface_w`, which also validates (n, d).
     """
-    CompleteIntersectionSpec(n, [d])  # validate
-    return _delta_classes(n, d)
+    return _delta_classes(n, d, *hypersurface_w(n, d))
 
 
-def _delta_classes(n: int, d: int) -> tuple[SymbolicClass, SymbolicClass]:
-    if d % 2:
-        sign = MINUS_ONE if ((d - 1) // 2) % 2 else ONE
-        coeff = (d - 1) // 2
-        extra_tokens: tuple[str, ...] = ()
-    else:
-        sign = MINUS_ONE if ((d // 2) * ((n + 2) // 2)) % 2 else ONE
-        if n % 4 == 0:
-            coeff = (n // 4) * (1 + d // 2)
-            extra_tokens = ()
-        else:
-            coeff = ((n + 2) // 4) * (1 + d // 2)
-            extra_tokens = (TOKEN_MINUS_ONE_DISC,)
-    delta1 = SymbolicClass(sign, (TOKEN_DISC,))
-    numeric2 = _CLASS_MINUS_ONE_MINUS_ONE if coeff % 2 else CohClass2.zero()
-    delta2 = SymbolicClass(numeric2, (TOKEN_W2_DR,) + extra_tokens)
-    return delta1, delta2
+def _delta_classes(n: int, d: int, w1: SquareClass, w2: CohClass2) -> tuple[SymbolicClass, SymbolicClass]:
+    """The comparison formula on the Betti classes (w1, w2).  The cups vanish
+    unless w1 = (-1), which forces d even, n = 2 mod 4 and epsilon' = -1:
+    then (-1,-1) + (-1, -disc_d(f)) = (-1, disc_d(f))."""
+    sign = w1.rep * epsilon_prime(n, d)  # w1 of the Betti form is (1) or (-1)
+    delta1 = SymbolicClass(MINUS_ONE if sign < 0 else ONE, (TOKEN_DISC,))
+    extra = () if w1.is_trivial else (TOKEN_MINUS_ONE_DISC,)
+    return delta1, SymbolicClass(w2, (TOKEN_W2_DR,) + extra)
 
 
 def epsilon_prime(n: int, d: int) -> int:
@@ -270,7 +262,7 @@ def motive_report(spec: CompleteIntersectionSpec) -> MotiveReport:
     shift = _index_shift(spec)
     m, m_prime, w1, w2 = _betti_w(chi - spec.n - shift)
     if spec.codimension == 1:
-        delta1, delta2 = _delta_classes(spec.n, spec.degrees[0])
+        delta1, delta2 = _delta_classes(spec.n, spec.degrees[0], w1, w2)
     else:
         delta1 = delta2 = None
     return MotiveReport(chi, chi - spec.n, shift % 8, m, m_prime, w1, w2, delta1, delta2)

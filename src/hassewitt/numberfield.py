@@ -4,7 +4,7 @@ A polynomial f is held as c, the lcm of the reduced denominators of its
 coefficients, and the integral coefficients of c*f; the CLI parses
 coefficients straight into that pair, and the request path builds no
 rational number.  :class:`Poly` is a value type with no arithmetic (coeffs,
-degree, leading, is_monic, derivative, is_squarefree, integer_coeffs,
+degree, is_monic, derivative, is_squarefree, integer_coeffs,
 to_json).  The algebra Q[x]/(f) carries the symmetric pairing
 (u, v) -> trace(u*v); its Gram matrix in the power basis is the Hankel
 matrix of power sums of the roots.  Newton's identities give them without
@@ -49,8 +49,8 @@ class Poly(Value):
     coefficients, and the integral coefficients of c*f with trailing zeros
     trimmed; that pair is canonical, so equality and hashing compare it.
     A value type with no arithmetic, it offers ``coeffs`` (rebuilt from the
-    pair on demand), ``is_zero``, ``degree``, ``leading``, ``is_monic``,
-    ``derivative``, ``is_squarefree``, ``integer_coeffs`` and ``to_json``.
+    pair on demand), ``is_zero``, ``degree``, ``is_monic``, ``derivative``,
+    ``is_squarefree``, ``integer_coeffs`` and ``to_json``.
     """
 
     _fields = ("_scale", "_scaled")
@@ -86,12 +86,6 @@ class Poly(Value):
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return len(self._scaled) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise DomainError("zero polynomial has no leading coefficient")
-        return Fraction(self._scaled[-1], self._scale)
 
     @property
     def is_monic(self) -> bool:

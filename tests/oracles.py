@@ -8,8 +8,9 @@ companion matrix powers instead of Newton recursions, exhaustive squaring
 instead of Euler's criterion, Montgomery curve group orders counted point
 by point for the ECM ladder, full series convolution, the O(c n) series
 recurrence and, for one degree, the closed form instead of one divided
-difference on integer nodes, a fresh x**(p**i) mod g per degree instead
-of the Frobenius matrix, x**e mod f by right-to-left schoolbook products
+difference on integer nodes, the parity table of delta1 and delta2
+instead of the comparison formula on the Betti classes, a fresh
+x**(p**i) mod g per degree instead of the Frobenius matrix, x**e mod f by right-to-left schoolbook products
 on coefficient lists instead of the packed ring, Fraction pivots and a Hilbert symbol per pair of diagonal
 entries instead of leading minors and the closed-form exponent
 over all pairs, a Fraction p-adic split with Euler's criterion instead of
@@ -27,7 +28,6 @@ from hassewitt.cohomology import INF, Place, SquareClass
 from hassewitt.errors import DomainError
 from hassewitt.forms import QuadraticForm
 from hassewitt.numberfield import Poly
-from hassewitt.obstructions import _RAMIFIED_TYPES
 
 
 def naive_factor(n: int) -> dict[int, int]:
@@ -102,8 +102,35 @@ def hypersurface_chi_closed_form(n: int, d: int) -> int:
     return n + 2 + int(value)
 
 
-# every decomposition type of the quartic local table
-JEHANNE_TYPES = ("unramified", *_RAMIFIED_TYPES)
+def parity_delta_classes(n: int, d: int) -> tuple[dict, dict]:
+    """The JSON of (delta1, delta2) for the degree-d hypersurface from the
+    parity table, without the Betti classes or epsilon':
+
+        delta1 = (-1)**((d-1)/2) disc_d(f)                          d odd
+        delta1 = (-1)**((d/2)((n+2)/2)) disc_d(f)                   d even
+        delta2 = ((d-1)/2) (-1,-1) + w2(q_dR)                       d odd
+        delta2 = (n/4)(1 + d/2) (-1,-1) + w2(q_dR)                  d even, n = 0 mod 4
+        delta2 = ((n+2)/4)(1 + d/2) (-1,-1) + w2(q_dR) + (-1,disc_d(f))   d even, n = 2 mod 4
+    """
+    extra = []
+    if d % 2:
+        sign = (d - 1) // 2
+        coeff = (d - 1) // 2
+    else:
+        sign = (d // 2) * ((n + 2) // 2)
+        if n % 4 == 0:
+            coeff = (n // 4) * (1 + d // 2)
+        else:
+            coeff = ((n + 2) // 4) * (1 + d // 2)
+            extra = ["(-1,disc_d(f))"]
+    delta1 = {"numeric": -1 if sign % 2 else 1, "tokens": ["disc_d(f)"]}
+    delta2 = {"numeric": [2, "inf"] if coeff % 2 else [], "tokens": ["w2(q_dR)", *extra]}
+    return delta1, delta2
+
+
+# every decomposition type of the quartic local table, written out so that a
+# type dropped or renamed in the library fails the tests that draw from it
+JEHANNE_TYPES = ("unramified", "1^2,1,1", "1^3,1", "1^2,2", "1^4", "2^2", "1^2,1^2")
 
 
 def squares_mod(p: int) -> set[int]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hassewitt import arith
-from hassewitt.arith import Factorization, factor, is_prime, legendre, squarefree_part
+from hassewitt.arith import Factorization, factor, is_prime, legendre, padic_split, squarefree_part
 from hassewitt.cli import run_batch
 from hassewitt.errors import DomainError, InternalError
 
@@ -140,6 +140,22 @@ def test_legendre_rejects_bad_modulus():
     for p in (2, 9, 15, 1, 0, -7, 2048):
         with pytest.raises(DomainError):
             legendre(3, p)
+
+
+def test_padic_split_matches_naive_valuations():
+    for q in (Fraction(12, 5), Fraction(-8), Fraction(1, 27)):
+        for p in (2, 3, 5):
+            v = naive_factor(q.numerator).get(p, 0) - naive_factor(q.denominator).get(p, 0)
+            assert padic_split(q, p) == (v, q / Fraction(p) ** v), (q, p)
+
+
+def test_padic_split_rejects_zero_and_non_primes():
+    # p = 1 and p = -1 used to divide forever, and p = 0 by zero
+    with pytest.raises(DomainError, match="^0 has no p-adic valuation$"):
+        padic_split(Fraction(0), 3)
+    for p in (-1, 0, 1, 4):
+        with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+            padic_split(Fraction(5), p)
 
 
 def test_factor_splits_a_cofactor_past_trial_division():

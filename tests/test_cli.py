@@ -3,6 +3,7 @@ import io
 import json
 import shlex
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -190,18 +191,6 @@ def test_tracefield(capsys):
     assert outputs["disc_field"] == -283
     assert outputs["signature"] == [3, 1]
     assert outputs["gram"][0] == [4, 0, 0, -3]
-
-
-def test_tracefield_discriminant_split_by_ecm(capsys):
-    # x^2 - 3*134217757*536883271: the 57-bit semiprime has no factor below
-    # 10**4, p - 1 finds neither prime, and the first ECM rung splits it
-    code, out, _ = run_capture(capsys, ["tracefield", "--poly", "-216177805213329441,0,1", "--json"])
-    assert code == 0
-    assert out.strip() == (
-        '{"assumptions":[],"command":"tracefield","id":null,"inputs":{"poly":"-216177805213329441,0,1"},'
-        '"outputs":{"disc_field":216177805213329441,"gram":[[2,0],[0,432355610426658882]],'
-        '"invariants":{"disc":216177805213329441,"hasse_local":{"134217757":-1,"2":1,"3":-1,"536883271":1},'
-        '"rank":2,"signature":[2,0],"w1":216177805213329441,"w2":[3,134217757]},"signature":[2,0]},"status":"ok"}')
 
 
 def test_jehanne(capsys):
@@ -505,6 +494,140 @@ def test_human_output_golden(capsys, line, expected):
     report = json.loads(out)
     # the --json report and the batch path read the same table entry
     assert report["outputs"] == execute(report["command"], report["inputs"])[0]
+
+
+# Every byte, exit code and time bound the console script is held to, run
+# in-process: (command line, exit code, stdout, stderr, seconds), with None
+# for a stream or a time that is not checked.  The installed entry point is
+# checked once more in CI, on one --json line and one exit code of this table.
+CONSOLE_PINS = [
+    # the human output of the entry point
+    ("hilbert --a -1 --b -1 --place inf", 0, "-1\n", "", None),
+    ("tracefield --poly -1,1,0,0,1 --json", 0,
+     '{"assumptions":[],"command":"tracefield","id":null,"inputs":{"poly":"-1,1,0,0,1"},'
+     '"outputs":{"disc_field":-283,"gram":[[4,0,0,-3],[0,0,-3,4],[0,-3,4,0],[-3,4,0,3]],'
+     '"invariants":{"disc":-283,"hasse_local":{"2":-1,"283":-1},"rank":4,"signature":[3,1],"w1":-283,'
+     '"w2":[2,283]},"signature":[3,1]},"status":"ok"}\n', "", None),
+    # x^2 - 3*134217757*536883271: the 57-bit semiprime has no factor below 10**4,
+    # p - 1 finds neither prime, and the first ECM rung splits it
+    ("tracefield --poly -216177805213329441,0,1 --json", 0,
+     '{"assumptions":[],"command":"tracefield","id":null,"inputs":{"poly":"-216177805213329441,0,1"},'
+     '"outputs":{"disc_field":216177805213329441,"gram":[[2,0],[0,432355610426658882]],'
+     '"invariants":{"disc":216177805213329441,"hasse_local":{"134217757":-1,"2":1,"3":-1,"536883271":1},'
+     '"rank":2,"signature":[2,0],"w1":216177805213329441,"w2":[3,134217757]},"signature":[2,0]},'
+     '"status":"ok"}\n', "", None),
+    # x^2 - 3*48599029*536871263: p - 1 stage 2 splits the 55-bit semiprime
+    # (48599029 - 1 = 2^2 * 3^5 * 49999)
+    ("tracefield --poly -78274266239410881,0,1 --json", 0,
+     '{"assumptions":[],"command":"tracefield","id":null,"inputs":{"poly":"-78274266239410881,0,1"},'
+     '"outputs":{"disc_field":78274266239410881,"gram":[[2,0],[0,156548532478821762]],'
+     '"invariants":{"disc":78274266239410881,"hasse_local":{"2":1,"3":-1,"48599029":-1,"536871263":1},'
+     '"rank":2,"signature":[2,0],"w1":78274266239410881,"w2":[3,48599029]},"signature":[2,0]},'
+     '"status":"ok"}\n', "", None),
+    # x^2 - 3*48599029*34095227: both primes come in on p - 1's giant row 238 (at
+    # 49999 and 49993), so the per-pair replay splits the 51-bit semiprime
+    ("tracefield --poly -4970984777203749,0,1 --json", 0,
+     '{"assumptions":[],"command":"tracefield","id":null,"inputs":{"poly":"-4970984777203749,0,1"},'
+     '"outputs":{"disc_field":4970984777203749,"gram":[[2,0],[0,9941969554407498]],'
+     '"invariants":{"disc":4970984777203749,"hasse_local":{"2":-1,"3":-1,"34095227":-1,"48599029":-1},'
+     '"rank":2,"signature":[2,0],"w1":4970984777203749,"w2":[2,3,34095227,48599029]},"signature":[2,0]},'
+     '"status":"ok"}\n', "", None),
+    # x^2 - 3*36845569*70990921: p - 1's stage-1 gcd takes in both primes at once,
+    # so the prime-power replay splits the 52-bit semiprime
+    ("tracefield --poly -7847102634237147,0,1 --json", 0,
+     '{"assumptions":[],"command":"tracefield","id":null,"inputs":{"poly":"-7847102634237147,0,1"},'
+     '"outputs":{"disc_field":7847102634237147,"gram":[[2,0],[0,15694205268474294]],'
+     '"invariants":{"disc":7847102634237147,"hasse_local":{"2":-1,"3":-1,"36845569":1,"70990921":1},'
+     '"rank":2,"signature":[2,0],"w1":7847102634237147,"w2":[2,3]},"signature":[2,0]},"status":"ok"}\n', "", None),
+    # x^2 - P*Q with P = 2^100 - 15 and Q = 2^100 + 277 prime: p - 1 and the whole
+    # ECM ladder find neither, so the request ends in effort_exceeded (exit 3)
+    ("tracefield --poly -1606938044258990275541962092673287059781999096974929075105733,0,1",
+     3, None, None, 60),
+    # a degree-8 field whose 98-bit discriminant cofactor (45 and 53 bits) the ECM
+    # ladder splits past its first rung
+    ("tracefield --poly -11/9,8,0,9/10,-14/12,-6,-7,-23,1 --json", 0,
+     '{"assumptions":[],"command":"tracefield","id":null,'
+     '"inputs":{"poly":"-11/9,8,0,9/10,-14/12,-6,-7,-23,1"},'
+     '"outputs":{"disc_field":884681185825494969579890275070085,"gram":[[8,23,543,12668,"885923/3",'
+     '"20652098/3","802382629/5","37409344027/10"],[23,543,12668,"885923/3","20652098/3","802382629/5",'
+     '"37409344027/10","784858176800/9"],[543,12668,"885923/3","20652098/3","802382629/5",'
+     '"37409344027/10","784858176800/9","10164529176484/5"],[12668,"885923/3","20652098/3","802382629/5",'
+     '"37409344027/10","784858176800/9","10164529176484/5","4265091539385167/90"],["885923/3",'
+     '"20652098/3","802382629/5","37409344027/10","784858176800/9","10164529176484/5",'
+     '"4265091539385167/90","994253071609894787/900"],["20652098/3","802382629/5","37409344027/10",'
+     '"784858176800/9","10164529176484/5","4265091539385167/90","994253071609894787/900",'
+     '"17383082425264031168/675"],["802382629/5","37409344027/10","784858176800/9","10164529176484/5",'
+     '"4265091539385167/90","994253071609894787/900","17383082425264031168/675",'
+     '"1620896802403285787483/2700"],["37409344027/10","784858176800/9","10164529176484/5",'
+     '"4265091539385167/90","994253071609894787/900","17383082425264031168/675",'
+     '"1620896802403285787483/2700","1889269678822001611871/135"]],'
+     '"invariants":{"disc":884681185825494969579890275070085,"hasse_local":{"2":1,"23893821829637":1,'
+     '"3":1,"349":1,"5":-1,"7072687741407803":1},"rank":8,"signature":[6,2],'
+     '"w1":884681185825494969579890275070085,"w2":[5,"inf"]},"signature":[6,2]},"status":"ok"}\n', "", 60),
+    # a zero leading entry: the elimination repairs the pivot before the local symbols
+    ("form invariants --gram '0,1,2;1,0,3;2,3,0' --json", 0,
+     '{"assumptions":[],"command":"form-invariants","id":null,"inputs":{"gram":"0,1,2;1,0,3;2,3,0"},'
+     '"outputs":{"disc":3,"hasse_local":{"2":1,"3":-1},"rank":3,"signature":[1,2],"w1":3,"w2":[3,"inf"]},'
+     '"status":"ok"}\n', "", None),
+    # the denominator prime 3 is a place, and the Hasse unit at 2 is -1
+    ("form invariants --gram '1/3,0;0,3' --json", 0,
+     '{"assumptions":[],"command":"form-invariants","id":null,"inputs":{"gram":"1/3,0;0,3"},'
+     '"outputs":{"disc":1,"hasse_local":{"2":-1,"3":-1},"rank":2,"signature":[2,0],"w1":1,"w2":[2,3]},'
+     '"status":"ok"}\n', "", None),
+    # isometry compares the invariant records: <1,1> ~ the form with rows (1,1), (1,2)
+    # ~ <2,2>, but <3,3> differs at 2 and 3
+    ("form isometric --gram1 '1,1;1,2' --gram2 '2,0;0,2' --json", 0,
+     '{"assumptions":[],"command":"form-isometric","id":null,"inputs":{"gram1":"1,1;1,2",'
+     '"gram2":"2,0;0,2"},"outputs":{"isometric":true},"status":"ok"}\n', "", None),
+    ("form isometric --gram1 '1,0;0,1' --gram2 '3,0;0,3' --json", 0,
+     '{"assumptions":[],"command":"form-isometric","id":null,"inputs":{"gram1":"1,0;0,1",'
+     '"gram2":"3,0;0,3"},"outputs":{"isometric":false},"status":"ok"}\n', "", None),
+    # <1,1> and <1,2> differ only in the determinant class
+    ("form isometric --gram1 '1,0;0,1' --gram2 '1,0;0,2' --json", 0,
+     '{"assumptions":[],"command":"form-isometric","id":null,"inputs":{"gram1":"1,0;0,1",'
+     '"gram2":"1,0;0,2"},"outputs":{"isometric":false},"status":"ok"}\n', "", None),
+    ("delta --gram-omega '1,0;0,1' --gram-eta '-1,0;0,3' --json", 0,
+     '{"assumptions":[],"command":"delta","id":null,"inputs":{"gram_eta":"-1,0;0,3",'
+     '"gram_omega":"1,0;0,1"},"outputs":{"delta1":-3,"delta2":[2,3]},"status":"ok"}\n', "", None),
+    # the quartic of disc -283, with the default S4 assumptions of its lift report
+    ("embedding --poly -1,1,0,0,1 --json", 0,
+     '{"assumptions":["defining quartic is irreducible over Q with Galois closure of group S4",'
+     '"stated local decomposition types are valid only under that hypothesis"],"command":"embedding",'
+     '"id":null,"inputs":{"poly":"-1,1,0,0,1"},"outputs":{"field_disc":-283,"lift_delta_solvable":true,'
+     '"lift_solvable":false,"local_table":{"2":[-1,-1],"283":[-1,-1],"inf":[1,1]},"sp2":[2,283],"sw2":[],'
+     '"w2_trace":[2,283]},"status":"ok"}\n', "", None),
+    # the cubic surface: chi = 3 h_2(1, 1, -2) = 9, one divided difference of x^4 on
+    # the nodes -2, 1, 1
+    ("hypersurface --n 2 --d 3 --json", 0,
+     '{"assumptions":[],"command":"hypersurface","id":null,"inputs":{"d":"3","n":"2"},"outputs":{"b_n":7,'
+     '"chi":9,"delta1":{"numeric":-1,"tokens":["disc_d(f)"]},"delta2":{"numeric":[2,"inf"],'
+     '"tokens":["w2(q_dR)"]},"m":4,"m_prime":2,"tau_mod8":3,"w1_qB":1,"w2_qB":[2,"inf"]},"status":"ok"}\n', "", None),
+    # a degree-1 equation adds no node to the chi divided difference
+    ("hypersurface --n 6 --degrees 1,2,2 --json", 0,
+     '{"assumptions":[],"command":"hypersurface","id":null,"inputs":{"degrees":"1,2,2","n":"6"},'
+     '"outputs":{"b_n":10,"chi":16,"delta1":null,"delta2":null,"m":10,"m_prime":5,"tau_mod8":0,"w1_qB":-1,'
+     '"w2_qB":[]},"status":"ok"}\n', "", None),
+    # chi at the limits, n = 4096 and eight degrees of 10^4, is one divided
+    # difference on ten nodes
+    ("hypersurface --n 4096 --degrees 10000,10000,10000,10000,10000,10000,10000,10000", 0, None, "", 10),
+    # a well-formed composite place is not prime (exit 1), not a parse error
+    ("hilbert --a 2 --b 3 --place 15", 1, None, "error: 15 is not prime\n", None),
+    # an empty Gram row or degree, or both d and degrees, is an input error (exit 1)
+    ("form invariants --gram '1,0;;0,1'", 1, None, None, None),
+    ("hypersurface --n 2 --degrees 2,,3", 1, None, None, None),
+    ("hypersurface --n 2 --d 3 --degrees 2,3", 1, None, None, None),
+]
+
+
+@pytest.mark.parametrize("line, code, out, err, seconds", CONSOLE_PINS, ids=[row[0] for row in CONSOLE_PINS])
+def test_console_pins(capsys, line, code, out, err, seconds):
+    start = time.perf_counter()
+    got_code, got_out, got_err = run_capture(capsys, shlex.split(line))
+    elapsed = time.perf_counter() - start
+    assert got_code == code
+    assert out is None or got_out == out
+    assert err is None or got_err == err
+    assert seconds is None or elapsed < seconds
 
 
 def test_readme_examples_run(capsys):

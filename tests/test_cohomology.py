@@ -52,6 +52,13 @@ def test_place_finite_still_proves_primality():
     assert Place.from_prime(283) == Place.finite(283) == Place.parse("283")
 
 
+def test_place_from_prime_rejects_integers_below_two():
+    # hilbert_symbol(2, 3, Place.from_prime(1)) used to loop forever
+    for n in (0, 1):
+        with pytest.raises(DomainError, match=f"^{n} is not prime$"):
+            Place.from_prime(n)
+
+
 def test_hilbert_symbol_takes_residue_symbols_only_against_odd_valuations(monkeypatch):
     taken = []
     real = cohomology._jacobi

@@ -15,7 +15,6 @@ MODULES = ("arith", "cohomology", "forms", "numberfield", "obstructions", "motiv
 ALLOWED = {
     "arith.padic_split": "a layer of the benchmark tracer (bench/tracing.py LAYERS)",
     "cohomology.relevant_places": "a layer of the benchmark tracer (bench/tracing.py LAYERS)",
-    "motives.epsilon_prime": "the paper's sign epsilon' relating w1 of the de Rham form to the divided discriminant",
 }
 
 

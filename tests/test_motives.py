@@ -31,7 +31,12 @@ from hassewitt.motives import (
 )
 from hassewitt.numberfield import Poly, discriminant
 
-from oracles import hypersurface_chi_closed_form, naive_euler_characteristic, series_euler_characteristic
+from oracles import (
+    hypersurface_chi_closed_form,
+    naive_euler_characteristic,
+    parity_delta_classes,
+    series_euler_characteristic,
+)
 
 
 def test_spec_validation():
@@ -304,12 +309,30 @@ def test_delta1_sign_branches():
 
 
 def test_epsilon_prime_consistency():
-    # w1(Betti) * epsilon_prime must reproduce the delta1 sign
+    # w1(Betti) * epsilon_prime must reproduce the delta1 sign of the parity table
     for n in (2, 4, 6, 8):
         for d in range(1, 9):
             w1, _ = hypersurface_w(n, d)
-            d1, _ = delta_expressions(n, d)
-            assert w1 * SquareClass(epsilon_prime(n, d)) == d1.numeric, (n, d)
+            sign = parity_delta_classes(n, d)[0]["numeric"]
+            assert w1 * SquareClass(epsilon_prime(n, d)) == SquareClass(sign), (n, d)
+
+
+# every even n <= 128 with d <= 64, and the corners of both input limits
+DELTA_PAIRS = ([(n, d) for n in range(2, 129, 2) for d in range(1, 65)]
+               + [(n, d) for n in (MAX_DIMENSION - 2, MAX_DIMENSION)
+                  for d in (1, 2, 3, MAX_DEGREE - 2, MAX_DEGREE - 1, MAX_DEGREE)])
+
+
+def test_delta_expressions_match_parity_table():
+    for n, d in DELTA_PAIRS:
+        got = tuple(x.to_json() for x in delta_expressions(n, d))
+        assert got == parity_delta_classes(n, d), (n, d)
+
+
+def test_motive_report_deltas_match_parity_table():
+    for n, d in DELTA_PAIRS:
+        report = motive_report(CompleteIntersectionSpec(n, [d]))
+        assert (report.delta1.to_json(), report.delta2.to_json()) == parity_delta_classes(n, d), (n, d)
 
 
 def test_symbolic_token_vocabulary():

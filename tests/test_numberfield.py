@@ -327,6 +327,18 @@ def test_factor_pattern_examples():
     assert sum(d * m for d, m in pattern) == 4
 
 
+def test_factor_pattern_at_both_ends_of_p():
+    # the packed F_p[x]/(f) kernel on x^4 + 1 mod 2^127 - 1, mod 3 and mod 2,
+    # and at the bench's degree and prime size: (x - 1)(x - 2)...(x - 8) mod
+    # 2^61 - 1 splits into eight linear factors
+    x4_1 = EtaleAlgebra(Poly([1, 0, 0, 0, 1]))
+    assert factor_pattern_mod_p(x4_1, 2**127 - 1) == ((2, 1), (2, 1))
+    assert factor_pattern_mod_p(x4_1, 3) == ((2, 1), (2, 1))
+    assert factor_pattern_mod_p(x4_1, 2) == ((1, 4),)
+    eight = EtaleAlgebra(Poly([40320, -109584, 118124, -67284, 22449, -4536, 546, -36, 1]))
+    assert factor_pattern_mod_p(eight, 2**61 - 1) == ((1, 1),) * 8
+
+
 def test_factor_pattern_ramified():
     assert factor_pattern_mod_p(EtaleAlgebra(X4_X_1), 283) == ((1, 1), (1, 1), (1, 2))
     assert factor_pattern_mod_p(EtaleAlgebra(X4_X3_2X_1), 5) == ((2, 2),)
