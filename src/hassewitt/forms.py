@@ -10,13 +10,15 @@ every classifying datum (rank, signature, determinant class, degree-1 and
 degree-2 classes, local Hasse units) is read off the integers L and D_i:
 the pivot integers L D_(i-1) D_i are formed once per form, and at each
 place the one kernel of ``cohomology`` gives the Hasse unit and v_p(det)
-mod 2 from them, with no rational arithmetic.  Two forms over Q are
+mod 2 from them, with no rational arithmetic; trace forms bring their
+own diagonal to that reading (:func:`_invariants`).  Two forms over Q are
 isometric iff all of it matches, which is what :func:`isometric` decides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -33,7 +35,8 @@ class QuadraticForm(Value):
     and the integral matrix L*gram; that pair is canonical, so equality and
     hashing compare it, and ``gram`` is rebuilt from it on demand.  The
     constructor also keeps the leading principal minors D_1, ..., D_n of a
-    congruent copy of L*gram (see :func:`_leading_minors`).
+    congruent copy of L*gram (see :func:`_leading_minors`), rejecting a
+    degenerate one; a form known to be nondegenerate may defer them.
     """
 
     _fields = ("_scale", "_scaled")
@@ -43,13 +46,13 @@ class QuadraticForm(Value):
         self._set([[(x.numerator, x.denominator) for x in row] for row in rats])
 
     @classmethod
-    def _from_ratios(cls, rows: list[list[tuple[int, int]]]) -> "QuadraticForm":
+    def _from_ratios(cls, rows: list[list[tuple[int, int]]], eliminate: bool = True) -> "QuadraticForm":
         """The form with entries num/den, from (num, den) pairs in lowest terms."""
         q = object.__new__(cls)
-        q._set(rows)
+        q._set(rows, eliminate)
         return q
 
-    def _set(self, rows: list[list[tuple[int, int]]]) -> None:
+    def _set(self, rows: list[list[tuple[int, int]]], eliminate: bool = True) -> None:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DomainError("Gram matrix must be square and nonempty")
@@ -60,7 +63,12 @@ class QuadraticForm(Value):
             raise DomainError("Gram matrix must be symmetric")
         setfield(self, "_scale", scale)
         setfield(self, "_scaled", scaled)
-        setfield(self, "_minors", _leading_minors(m))
+        if eliminate:
+            setfield(self, "_minors", _leading_minors(m))
+
+    @cached_property
+    def _minors(self) -> tuple[int, ...]:
+        return _leading_minors([list(row) for row in self._scaled])
 
     @property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -72,14 +80,9 @@ class QuadraticForm(Value):
         return len(self._scaled)
 
     @property
-    def det_pair(self) -> tuple[int, int]:
-        """(D_n, L**n): the determinant as a pair of integers, not in lowest terms."""
-        return self._minors[-1], self._scale ** self.rank
-
-    @property
     def det(self) -> Fraction:
         """The determinant, D_n / L**n."""
-        return Fraction(*self.det_pair)
+        return Fraction(self._minors[-1], self._scale**self.rank)
 
     def to_json(self) -> list[list]:
         return [[_rat_json(x, self._scale) for x in row] for row in self._scaled]
@@ -201,22 +204,28 @@ def invariants(q: QuadraticForm) -> FormInvariants:
     L*q is integral, and an integral form whose determinant is a unit at
     an odd p has trivial Hasse unit at p (Serre, A Course in Arithmetic,
     Ch. IV).  So local symbols are needed only at 2, inf and the primes of
-    L*|numerator(det q)|.  The pivot D_i / (L D_(i-1)) is negative when
-    D_(i-1) and D_i differ in sign, and it is L D_(i-1) D_i up to squares;
-    those integers are formed once, and one kernel call per place gives
-    the Hasse exponent e and k, the number of odd-valuation pivots, whose
-    parity is that of v_p(det).
+    L*|numerator(det q)|.  The pivot D_i / (L D_(i-1)) is L D_(i-1) D_i up
+    to squares, and :func:`_invariants` reads everything off those integers.
     """
     scale, minors = q._scale, q._minors
-    n = len(minors)
-    prevs = (1,) + minors  # D_0 = 1
-    neg = sum(1 for prev, d in zip(prevs, minors) if (prev < 0) != (d < 0))
-    det_num = minors[-1] // gcd(minors[-1], scale ** n)
-    pivots = [scale * prev * d for prev, d in zip(prevs, minors)]
-    disc_rep = -1 if det_num < 0 else 1
+    det_num = minors[-1] // gcd(minors[-1], scale ** len(minors))
+    pivots = [scale * prev * d for prev, d in zip((1,) + minors, minors)]  # D_0 = 1
+    return _invariants(pivots, scale * abs(det_num))
+
+
+def _invariants(pivots: list[int], support: int) -> FormInvariants:
+    """The invariants of <x_1, ..., x_n>, pivots[i] in the square class of
+    x_i, where support holds every odd prime of a nontrivial Hasse unit or
+    of odd v_p(det).  One kernel call per place gives the Hasse exponent e
+    and k, the number of odd-valuation pivots, whose parity is that of
+    v_p(det).
+    """
+    n = len(pivots)
+    neg = sum(1 for x in pivots if x < 0)
+    disc_rep = -1 if neg % 2 else 1
     w2 = [INF] if neg * (neg - 1) // 2 % 2 else []
     hasse = {}
-    for p in [2] + [p for p, _ in factor(scale * abs(det_num)).factors if p != 2]:
+    for p in [2] + [p for p, _ in factor(support).factors if p != 2]:
         e, k = _hasse_exponent(pivots, p)
         v = Place.from_prime(p)  # factor() has proved p prime: no second test
         if e:

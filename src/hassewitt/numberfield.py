@@ -10,10 +10,13 @@ to_json).  The algebra Q[x]/(f) carries the symmetric pairing
 matrix of power sums of the roots.  Newton's identities give them without
 ever touching a root, run in integers on the monic integral
 g = c**d * f(x/c), whose roots are c times those of f, so that
-p_k(f) = p_k(g) / c**k.  Resultants run through the subresultant
-polynomial remainder sequence over the integers.  The discriminant and the
-real signature come from one such sequence of (f, f'), run once per
-algebra: its members are signed multiples of the Sturm sequence.  Residue
+p_k(f) = p_k(g) / c**k.  Resultants run through the subresultant polynomial
+remainder sequence over the integers, whose members are the subresultants
+themselves.  One such sequence of (g, g'), run once per algebra, gives the
+leading principal minors of the trace form (Hermite's form), whose last
+is disc g; Frobenius' rule turns them into a diagonal, zero minors
+included, that gives the form's invariants and, as pos - neg, the real
+root count.  Residue
 factorization patterns come from one distinct-degree factorization of f
 over F_p, which gives the degree and count of the factors and peels off
 their multiplicities by repeated gcds: x**p mod f is computed once per
@@ -34,11 +37,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as igcd
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .arith import is_prime
 from .errors import DomainError, InternalError
-from .forms import QuadraticForm, _rat_json, invariants
+from .forms import QuadraticForm, _invariants, _rat_json
 from .values import Value, setfield
 
 
@@ -98,7 +101,7 @@ class Poly(Value):
         # in characteristic 0, f is squarefree iff disc f != 0
         if self.is_zero:
             return False
-        return self.degree <= 0 or _disc_and_real_roots(self)[0] != 0
+        return self.degree <= 0 or _hankel_minors(self)[1][-1] != 0
 
     def integer_coeffs(self) -> tuple[int, list[int]]:
         """(d, coeffs) with d > 0 minimal such that d * self has integer coefficients."""
@@ -123,52 +126,30 @@ class Poly(Value):
 # ---------------------------------------------------------------------------
 
 
-def _int_content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = igcd(g, abs(c))
-    return g or 1
-
-
-def _subresultant_res(a: list[int], b: list[int]) -> tuple[int, int]:
-    """(Res(a, b), V(-inf) - V(+inf)) for nonzero integer polynomials by
-    one subresultant PRS; the count needs deg a >= deg b and Res != 0.
-
-    Member P_k is a multiple of sign eps_k of the Sturm member S_k (S_0 = a,
-    S_1 = b, S_(k+1) = -rem(S_(k-1), S_k)), and V counts sign changes of the
-    S_k.  P_(k+1) = prem(P_(k-1), P_k) / (g * h**delta) gives
-    eps_(k+1) = -eps_(k-1) * sign(lc P_k)**(delta + 1) * sign(g * h**delta).
-    For b = a' the count is the number of real roots of a (Sturm).
+def _subresultant_res(a: list[int], b: list[int]) -> list[int]:
+    """[psc_0, ..., psc_(deg b)], the principal subresultant coefficients
+    of integer polynomials with deg a >= deg b >= 0, by one PRS; psc_0 is
+    Res(a, b).  Dividing prem(a, b) by Brown's signed (-1)**(delta + 1) *
+    g * h**delta (g = lc a, h = psc at deg a) makes each member the
+    subresultant itself (Brown, J. ACM 18, 1971).  By the structure theorem
+    (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, Ch. 8) psc_j
+    is 0 unless j is the degree of a member b, where it is
+    lc(b)**e / h**(e - 1), e the degree drop to b.
     """
-    da, db = len(a) - 1, len(b) - 1
-    sign = 1
-    if da < db:
-        a, b = b, a
-        da, db = db, da
-        if (da * db) % 2:
-            sign = -1
-    # signs of the Sturm members at +inf (hi) and -inf (lo); count is V(-inf) - V(+inf) so far
-    hi_a, hi_b = (1 if a[-1] > 0 else -1), (1 if b[-1] > 0 else -1)
-    lo_a, lo_b = hi_a * (-1) ** da, hi_b * (-1) ** db
-    count = (lo_a != lo_b) - (hi_a != hi_b)
-    if db == 0:
-        return sign * b[0] ** da, count
-    ca, cb = _int_content(a), _int_content(b)
-    a = [c // ca for c in a]
-    b = [c // cb for c in b]
-    scale = ca**db * cb**da
+    psc = [0] * len(b)
     g = h = 1
-    eps_a = eps_b = 1
     while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if (da % 2) and (db % 2):
-            sign = -sign
+        delta = len(a) - len(b)
+        psc_b = b[-1] ** delta // h ** (delta - 1) if delta else h  # delta = 0 only at the start
+        psc[len(b) - 1] = psc_b
+        if len(b) == 1:
+            return psc
         # prem with the exact power lc(b)**(delta + 1)
+        db = len(b) - 1
         r = a[:]
         lb = b[-1]
         reductions = 0
-        while len(r) - 1 >= db and any(r):
+        while len(r) > db:  # members are trimmed, so r's top coefficient is nonzero
             dr = len(r) - 1
             coef = r[-1]
             r = [c * lb for c in r]
@@ -180,23 +161,11 @@ def _subresultant_res(a: list[int], b: list[int]) -> tuple[int, int]:
         missing = delta + 1 - reductions
         if missing:
             r = [c * lb**missing for c in r]
-        if not r:
-            return 0, count
-        denom = g * h**delta
-        eps_a, eps_b = eps_b, -eps_a * (1 if lb > 0 or delta % 2 else -1) * (1 if denom > 0 else -1)
-        a, b = b, [c // denom for c in r]
-        hi = eps_b * (1 if b[-1] > 0 else -1)
-        lo = hi if len(b) % 2 else -hi  # times (-1)**deg
-        count += (lo != lo_b) - (hi != hi_b)
-        lo_b, hi_b = lo, hi
-        g = a[-1]
-        if delta:
-            num = g**delta
-            h = num // h ** (delta - 1)
-        if len(b) - 1 == 0:
-            da = len(a) - 1
-            res = b[0] ** da // h ** (da - 1) if da >= 1 else b[0]
-            return sign * scale * res, count
+        if not r:  # b divides a: every lower psc is 0
+            return psc
+        beta = g * h**delta if delta % 2 else -g * h**delta
+        a, b = b, [c // beta for c in r]
+        g, h = a[-1], psc_b
 
 
 def resultant(f: Poly, g: Poly) -> Fraction:
@@ -205,33 +174,65 @@ def resultant(f: Poly, g: Poly) -> Fraction:
         raise DomainError("resultant of the zero polynomial")
     df, fi = f.integer_coeffs()
     dg, gi = g.integer_coeffs()
-    res, _ = _subresultant_res(fi, gi)
+    if f.degree >= g.degree:
+        res = _subresultant_res(fi, gi)[0]
+    else:  # Res(f, g) = (-1)**(deg f deg g) Res(g, f)
+        res = (-1) ** (f.degree * g.degree) * _subresultant_res(gi, fi)[0]
     return Fraction(res, df**g.degree * dg**f.degree)
 
 
-def _disc_and_real_roots(f: Poly) -> tuple[int, int, int]:
-    """(num, den, number of real roots of f) with disc f = num / den, for
-    deg f >= 1, from one PRS.  num = 0 exactly when f has a repeated root;
-    the count is then void."""
-    d, fi = f.integer_coeffs()
-    res, count = _subresultant_res(fi, [i * c for i, c in enumerate(fi)][1:])
-    n = f.degree
-    # disc f = (-1)**(n(n-1)/2) * Res(f, f') / lc f, where
-    # Res(d*f, d*f') = d**(2n - 1) * Res(f, f') and d * lc f = fi[-1]
-    return (-res if (n * (n - 1) // 2) % 2 else res), d ** (2 * n - 2) * fi[-1], count
+def _monic_integral(f: Poly) -> tuple[int, list[int]]:
+    """(L, g) for deg f = n >= 1: L is the leading coefficient of c*f, and
+    g = L**(n-1) * (c*f)(x/L) is monic and integral, with roots L times
+    those of f.  For monic f, L = c and g = c**n * f(x/c)."""
+    scaled = f._scaled
+    lead, n = scaled[-1], len(scaled) - 1
+    return lead, [x * lead ** (n - 1 - i) for i, x in enumerate(scaled[:-1])] + [1]
+
+
+def _hankel_minors(f: Poly) -> tuple[int, list[int]]:
+    """(L, [D_1, ..., D_n]) for deg f = n >= 1, L and g as in
+    :func:`_monic_integral`: D_k, the k-th leading principal minor of the
+    Hankel matrix (p_(i+j)) of g, is (-1)**(k(k-1)/2) psc_(n-k)(g, g')
+    (Basu-Pollack-Roy, Ch. 4), and D_n = disc g is 0 iff f has a repeated
+    root."""
+    lead, g = _monic_integral(f)
+    n = len(g) - 1
+    psc = _subresultant_res(g, [i * x for i, x in enumerate(g)][1:])
+    return lead, [-psc[n - k] if k * (k - 1) // 2 % 2 else psc[n - k] for k in range(1, n + 1)]
+
+
+def _frobenius_diagonal(minors: list[int]) -> list[int]:
+    """Integers in the square classes of a diagonal of the Hankel form with
+    leading principal minors D_1, ..., D_n != 0, by Frobenius' rule
+    (Gantmacher, The Theory of Matrices I, Ch. X): a run D_(k+1) = ... =
+    D_(k+m-1) = 0 between nonzero D_k and D_(k+m), D_0 = 1, is m // 2
+    hyperbolic planes <1, -1>, plus <(-1)**(m(m-1)/2) D_(k+m)/D_k> for odd
+    m (Jacobi's pivot for m = 1)."""
+    pivots = []
+    prev, m = 1, 0  # the last nonzero minor, and the steps since it
+    for d in minors:
+        m += 1
+        if d:
+            pivots += [1, -1] * (m // 2)
+            if m % 2:
+                pivots.append(prev * d if m % 4 == 1 else -prev * d)
+            prev, m = d, 0
+    return pivots
 
 
 def discriminant(f: Poly) -> Fraction:
     """(-1)**(d(d-1)/2) * Res(f, f') for a monic polynomial of degree d.
 
-    Equals the product of (x_i - x_j)**2 over the complex roots.
+    Equals the product of (x_i - x_j)**2 over the complex roots, so it is
+    disc g / c**(d(d-1)) for g = c**d * f(x/c).
     """
     if f.is_zero or not f.is_monic:
         raise DomainError("discriminant requires a monic polynomial")
     if f.degree < 1:
         raise DomainError("discriminant requires degree >= 1")
-    num, den, _ = _disc_and_real_roots(f)
-    return Fraction(num, den)
+    c, minors = _hankel_minors(f)
+    return Fraction(minors[-1], c ** (f.degree * (f.degree - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +243,11 @@ def discriminant(f: Poly) -> Fraction:
 class EtaleAlgebra(Value):
     """Q[x]/(f) for monic squarefree f; reducible f models a product of fields.
 
-    disc f, kept as an integer pair and built as a rational only when read,
-    and the real root count come from the constructor's one PRS; equality
-    and hashing compare poly alone."""
+    The constructor's one PRS gives the leading minors of the trace form
+    of g = c**d * f(x/c), congruent to that of f by diag(c**-i), and from
+    them disc f = disc g / c**(d(d-1)) as an integer pair, a diagonal of
+    the trace form and the real root count, pos - neg of that diagonal.
+    Equality and hashing compare poly alone."""
 
     _fields = ("poly",)
 
@@ -255,12 +258,14 @@ class EtaleAlgebra(Value):
             raise DomainError("defining polynomial must have degree >= 1")
         if not poly.is_monic:
             raise DomainError("defining polynomial must be monic")
-        num, den, real_roots = _disc_and_real_roots(poly)
-        if num == 0:
+        c, minors = _hankel_minors(poly)
+        if minors[-1] == 0:
             raise DomainError("defining polynomial must be squarefree")
+        pivots = _frobenius_diagonal(minors)
         setfield(self, "poly", poly)
-        setfield(self, "real_roots", real_roots)
-        setfield(self, "_disc", (num, den))
+        setfield(self, "real_roots", sum(1 if x > 0 else -1 for x in pivots))
+        setfield(self, "_disc", (minors[-1], c ** (poly.degree * (poly.degree - 1))))
+        setfield(self, "_pivots", pivots)
 
     @property
     def disc(self) -> Fraction:
@@ -274,19 +279,10 @@ class EtaleAlgebra(Value):
         return f"EtaleAlgebra(poly={self.poly!r}, disc={self.disc!r}, real_roots={self.real_roots!r})"
 
 
-def _newton_sums(f: Poly, upto: int) -> list[int]:
-    """p_0, ..., p_upto for the roots of g = c**d * f(x/c), where f is monic
-    of degree d and c*f is the integral polynomial f holds, by Newton's
-    identities in integers.
-
-    g is monic and integral: its coefficient at x**i < x**d is
-    (c*a_i) * c**(d-i-1).  Its roots are c times those of f, so
-    p_k(f) = p_k(g) / c**k.
-    """
-    c, scaled = f._scale, f._scaled
-    d = len(scaled) - 1
-    # top[i] is the coefficient of g at x**(d-i)
-    top = [1] + [scaled[d - i] * c ** (i - 1) for i in range(1, d + 1)]
+def _newton_sums(g: list[int], upto: int) -> list[int]:
+    """p_0, ..., p_upto for the roots of monic integral g, by Newton's identities."""
+    d = len(g) - 1
+    top = g[::-1]  # top[i] is the coefficient of g at x**(d-i)
     p = [d]
     for k in range(1, upto + 1):
         s = k * top[k] if k <= d else 0
@@ -297,30 +293,31 @@ def _newton_sums(f: Poly, upto: int) -> list[int]:
 
 
 def power_sums(f: Poly, upto: int) -> list[Fraction]:
-    """p_0, ..., p_upto for the roots of monic f, by Newton's identities."""
+    """p_0, ..., p_upto for the roots of monic f: p_k(f) = p_k(g) / c**k for
+    g = c**d * f(x/c), whose roots are c times those of f."""
     if not f.is_monic:
         raise DomainError("power sums require a monic polynomial")
-    c = f._scale
-    return [Fraction(pk, c**k) for k, pk in enumerate(_newton_sums(f, upto))]
+    c, g = _monic_integral(f)
+    return [Fraction(pk, c**k) for k, pk in enumerate(_newton_sums(g, upto))]
 
 
 def trace_gram(algebra: EtaleAlgebra) -> QuadraticForm:
     """Gram matrix of (u, v) -> trace(u*v) in the power basis 1, x, ..., x^(d-1).
 
-    Entry (i, j) is the power sum p_(i+j); squarefreeness of the defining
-    polynomial is exactly nondegeneracy of this matrix.  The entries go to
-    the form as the pairs (p_k(g), c**k) of :func:`_newton_sums` in lowest
-    terms.
+    Entry (i, j) is the power sum p_(i+j), given to the form as the pair
+    (p_(i+j)(g), c**(i+j)) of :func:`power_sums` in lowest terms.  The
+    matrix is nondegenerate, f being squarefree, so the form's own
+    elimination, independent of the algebra's PRS, waits for first use.
     """
-    f = algebra.poly
-    d, c = f.degree, f._scale
+    c, g = _monic_integral(algebra.poly)
+    d = len(g) - 1
     ratios = []
     power = 1  # c**k
-    for pk in _newton_sums(f, 2 * d - 2):
-        g = igcd(pk, power)
-        ratios.append((pk // g, power // g))
+    for pk in _newton_sums(g, 2 * d - 2):
+        r = igcd(pk, power)
+        ratios.append((pk // r, power // r))
         power *= c
-    return QuadraticForm._from_ratios([ratios[i : i + d] for i in range(d)])
+    return QuadraticForm._from_ratios([ratios[i : i + d] for i in range(d)], eliminate=False)
 
 
 class TraceFormReport(Value):
@@ -338,19 +335,14 @@ class TraceFormReport(Value):
 
 
 def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
+    """The trace form, printed as its Gram matrix, and its invariants, read
+    off the algebra's diagonal, so det = disc f and signature (r1 + r2, r2)
+    hold by construction.  As for any form (:func:`invariants`), symbols
+    are needed at 2 and the primes of L * |num det| only, L the Gram scale."""
     gram = trace_gram(algebra)
-    inv = invariants(gram)
-    r1, r2 = real_signature(algebra)
-    # for monic f, det of the trace Gram matrix is disc(f) exactly: with
-    # det = D_n / L**d and disc f = num / den, D_n * den = num * L**d
     num, den = algebra._disc
-    det_num, det_den = gram.det_pair
-    if det_num * den != num * det_den:
-        raise InternalError("trace form discriminant mismatch")
-    report = TraceFormReport(gram, inv.w1, (r1 + r2, r2), inv)
-    if report.signature != inv.signature:
-        raise InternalError("trace form signature mismatch")
-    return report
+    inv = _invariants(algebra._pivots, gram._scale * abs(num) // igcd(num, den))
+    return TraceFormReport(gram, inv.w1, inv.signature, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +351,20 @@ def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
 
 
 def count_real_roots(f: Poly) -> int:
-    """Number of real roots of a squarefree polynomial."""
+    """Number of real roots of a squarefree polynomial: pos - neg of a
+    diagonal of the trace form of g = _monic_integral(f) (Sylvester-Hermite)."""
     if f.is_zero or f.degree < 1:
         return 0
-    num, _, count = _disc_and_real_roots(f)
-    if num == 0:
+    _, minors = _hankel_minors(f)
+    if minors[-1] == 0:
         raise DomainError("real root count requires a squarefree polynomial")
-    return count
+    return sum(1 if x > 0 else -1 for x in _frobenius_diagonal(minors))
 
 
 def real_signature(algebra: EtaleAlgebra) -> tuple[int, int]:
     """(r1, r2): real roots and conjugate pairs of the defining polynomial."""
     r1 = algebra.real_roots
-    d = algebra.degree
-    if (d - r1) % 2:
-        raise InternalError("parity of complex roots broken")
-    return r1, (d - r1) // 2
+    return r1, (algebra.degree - r1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Each of these recomputes a quantity by a route disjoint from the library
 implementation: naive trial division instead of Lehman, p - 1 and ECM,
 Sylvester determinants instead of remainder sequences, a Fraction Sturm chain
-instead of the signs carried by the integer subresultant sequence,
+instead of the trace form's diagonal from the integer subresultant sequence,
+a Fraction determinant of each leading block of the Hankel matrix instead
+of the principal subresultant coefficients,
 companion matrix powers instead of Newton recursions, exhaustive squaring
 instead of Euler's criterion, Montgomery curve group orders counted point
 by point for the ECM ladder, full series convolution, the O(c n) series
@@ -246,6 +248,29 @@ def naive_count_real_roots(f: Poly) -> int:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     return variations(False) - variations(True)
+
+
+def naive_hankel_minors(sums, n: int) -> list[Fraction]:
+    """D_1, ..., D_n of the Hankel matrix (s_(i+j)), each by its own
+    Fraction Gaussian elimination with row swaps."""
+
+    def det(rows) -> Fraction:
+        m = [[Fraction(x) for x in row] for row in rows]
+        out = Fraction(1)
+        for k in range(len(m)):
+            pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+            if pivot is None:
+                return Fraction(0)
+            if pivot != k:
+                m[k], m[pivot] = m[pivot], m[k]
+                out = -out
+            out *= m[k][k]
+            for i in range(k + 1, len(m)):
+                t = m[i][k] / m[k][k]
+                m[i] = [a - t * b for a, b in zip(m[i], m[k])]
+        return out
+
+    return [det([[sums[i + j] for j in range(k)] for i in range(k)]) for k in range(1, n + 1)]
 
 
 def companion_power_traces(f: Poly, upto: int) -> list[Fraction]:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hassewitt import numberfield
 from hassewitt.arith import is_prime
 from hassewitt.cohomology import SquareClass
 from hassewitt.errors import DomainError, InternalError
-from hassewitt.forms import invariants, isometric, orthogonal_sum
+from hassewitt.forms import diagonal_form, invariants, isometric, orthogonal_sum
 from hassewitt.numberfield import (
     EtaleAlgebra,
     Poly,
@@ -269,6 +270,52 @@ def test_one_remainder_sequence_per_request(monkeypatch):
         counts.clear()
         cli.execute(command, {"poly": poly})
         assert counts == {"_subresultant_res": 1}, (command, poly, counts)
+
+
+def test_trace_requests_run_no_elimination(monkeypatch):
+    """tracefield and embedding reports, gap cases included, take the
+    trace form's invariants from the PRS: no Bareiss elimination runs,
+    while the invariants of trace_gram run their own."""
+    from hassewitt import cli, forms
+
+    calls = []
+    real = forms._leading_minors
+    monkeypatch.setattr(forms, "_leading_minors", lambda m: calls.append(m) or real(m))
+    for command, poly in (("tracefield", "-1,1,0,0,1"), ("tracefield", "1/2,0,-3,1"), ("tracefield", "-2,0,0,0,1"),
+                          ("tracefield", "1/2,0,0,0,0,1"), ("embedding", "-1,-2,0,1,1"), ("embedding", "-2,0,-10,0,1")):
+        outputs, assumptions = cli.execute(command, {"poly": poly})
+        cli.dump_report(cli.make_report(None, command, {"poly": poly}, outputs, assumptions))
+    assert calls == []
+    invariants(trace_gram(EtaleAlgebra(X4_X_1)))
+    assert len(calls) == 1
+
+
+def _binomial_closed_form(n, a):
+    """The trace form of Q[x]/(x^n - a): <n> + ((n-2)/2) H + <n a> for even
+    n and <n> + ((n-1)/2) H for odd n, H = <1, -1> the hyperbolic plane
+    (Conner-Perlis, A Survey of Trace Forms of Algebraic Number Fields)."""
+    if n % 2:
+        return [n] + [1, -1] * ((n - 1) // 2)
+    return [n] + [1, -1] * ((n - 2) // 2) + [n * a]
+
+
+@pytest.mark.parametrize("n", list(range(1, 33)) + [64, 127, 128, 255, 400])
+def test_binomial_trace_form_is_the_closed_form(n):
+    for a in (2, -3):
+        got = trace_form_report(EtaleAlgebra(Poly([-a] + [0] * (n - 1) + [1]))).form_invariants
+        assert got == invariants(diagonal_form(_binomial_closed_form(n, a))), (n, a)
+
+
+def test_tracefield_on_x400_minus_2_is_quick():
+    from hassewitt import cli
+
+    params = {"poly": ",".join(["-2"] + ["0"] * 399 + ["1"])}
+    start = time.perf_counter()
+    outputs, assumptions = cli.execute("tracefield", params)
+    line = cli.dump_report(cli.make_report(None, "tracefield", params, outputs, assumptions))
+    elapsed = time.perf_counter() - start
+    assert '"status":"ok"' in line
+    assert elapsed < 1.0, elapsed
 
 
 def test_signature_matches_trace_form_diagonalization():
@@ -666,16 +713,26 @@ def test_request_path_builds_no_fraction(monkeypatch, command, poly):
     assert built == []
 
 
-def test_trace_form_report_checks_det_against_disc():
-    """The det(Gram) = disc f guard compares integer pairs by cross
-    multiplication: an unreduced pair for the same disc passes, another
-    disc raises."""
-    for poly in (X4_X_1, Poly(["1/2", "-3/4", 0, "5/6", 1])):
-        algebra = EtaleAlgebra(poly)
-        num, den = algebra._disc
-        want = trace_form_report(algebra)
-        object.__setattr__(algebra, "_disc", (-6 * num, -6 * den))
-        assert trace_form_report(algebra) == want
-        object.__setattr__(algebra, "_disc", (num + den, den))
-        with pytest.raises(InternalError, match="trace form discriminant mismatch"):
-            trace_form_report(algebra)
+def test_trace_form_report_det_and_signature_identities():
+    """det(Gram) = disc f and signature = (r1 + r2, r2) hold for the
+    report by construction; here they are checked against the independent
+    route, Bareiss on trace_gram and a Fraction Sturm chain, on dense,
+    rational and gap inputs."""
+    rng = random.Random(669)
+    cases = [X4_X_1, Poly(["1/2", "-3/4", 0, "5/6", 1]), Poly([-2, 0, 0, 0, 1]), Poly(["1/2", 0, 0, 0, 0, 1])]
+    while len(cases) < 60:
+        d = rng.randint(1, 7)
+        f = Poly([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)] + [1])
+        if f.is_squarefree():
+            cases.append(f)
+    for f in cases:
+        algebra = EtaleAlgebra(f)
+        gram = trace_gram(algebra)
+        report = trace_form_report(algebra)
+        r1, r2 = real_signature(algebra)
+        d = f.degree
+        res = sylvester_resultant(f, f.derivative())
+        assert gram.det == algebra.disc == (-res if d * (d - 1) // 2 % 2 else res), f
+        assert r1 == naive_count_real_roots(f), f
+        assert report.signature == invariants(gram).signature == (r1 + r2, r2), f
+        assert report.gram == gram and report.form_invariants == invariants(gram), f

@@ -15,19 +15,42 @@ field or not, where d = disc E; f and its reciprocal x**n f(1/x) / f(0)
 present the same algebra, so their trace forms have equal invariants; and
 for coprime f and g, Q[x]/(fg) = Q[x]/(f) x Q[x]/(g), so Tr of fg is the
 orthogonal sum of the two trace forms.
+
+The library reads the trace form's leading minors off the principal
+subresultant coefficients of one PRS and its diagonal off them by
+Frobenius' rule; that route is checked against Fraction determinants of
+the Hankel blocks and against the Bareiss route, invariants(trace_gram(.)),
+on dense, sparse, binomial, shifted and scaled polynomials, and on gap runs
+of every length from 1 to 8, both right after D_1 and after D_2.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hassewitt import numberfield
 from hassewitt.errors import DomainError
 from hassewitt.forms import QuadraticForm, diagonal_form, invariants, isometric, orthogonal_sum
-from hassewitt.numberfield import EtaleAlgebra, Poly, discriminant, power_sums, trace_gram
+from hassewitt.numberfield import (
+    EtaleAlgebra,
+    Poly,
+    count_real_roots,
+    discriminant,
+    power_sums,
+    trace_form_report,
+    trace_gram,
+)
 
-from oracles import companion_power_traces, naive_count_real_roots, poly_mul, sylvester_resultant
+from oracles import (
+    companion_power_traces,
+    naive_count_real_roots,
+    naive_hankel_minors,
+    poly_mul,
+    sylvester_resultant,
+)
 
 COEFF = st.one_of(
     st.just(Fraction(0)),
@@ -105,3 +128,78 @@ def test_trace_form_of_a_product_is_the_orthogonal_sum(f, g):
     assume(discriminant(fg) != 0)  # f and g coprime
     split = orthogonal_sum(trace_gram(EtaleAlgebra(f)), trace_gram(EtaleAlgebra(g)))
     assert isometric(trace_gram(EtaleAlgebra(fg)), split)
+
+
+def _check_against_the_bareiss_route(f: Poly) -> None:
+    """The PRS minors against naive Hankel determinants, and disc, r1 and
+    the invariants against the Sturm chain and the Bareiss route."""
+    d = f.degree
+    lead, minors = numberfield._hankel_minors(f)
+    want = naive_hankel_minors(power_sums(f, 2 * d - 2), d)
+    # the Hankel matrix of g = c**d f(x/c) is diag(c**i) (p_(i+j)(f)) diag(c**j)
+    assert minors == [lead ** (k * (k - 1)) * x for k, x in enumerate(want, 1)], f
+    if want[-1] == 0:
+        return
+    algebra = EtaleAlgebra(f)
+    assert algebra.disc == discriminant(f) == want[-1], f
+    assert algebra.real_roots == count_real_roots(f) == naive_count_real_roots(f), f
+    assert trace_form_report(algebra).form_invariants == invariants(trace_gram(algebra)), f
+
+
+NONZERO = st.builds(Fraction, st.integers(1, 9).flatmap(lambda x: st.sampled_from((x, -x))), st.integers(1, 6))
+
+
+@st.composite
+def trace_polys(draw) -> Poly:
+    """Monic f: dense (degree <= 6, whose discriminants stay cheap to
+    factor), sparse, x**n - a for n <= 12 and either sign of a, or one of
+    those moved to f(s*x + t) / s**n with rational s and t."""
+    kind = draw(st.sampled_from(("dense", "sparse", "binomial")))
+    if kind == "dense":
+        n = draw(st.integers(1, 6))
+        coeffs = [draw(COEFF) for _ in range(n)]
+    elif kind == "sparse":
+        n = draw(st.integers(2, 12))
+        coeffs = [draw(NONZERO) if draw(st.integers(0, 3)) == 0 else Fraction(0) for _ in range(n)]
+    else:
+        n = draw(st.integers(1, 12))
+        coeffs = [-draw(NONZERO)] + [Fraction(0)] * (n - 1)
+    coeffs.append(Fraction(1))
+    if n <= 8 and draw(st.booleans()):
+        s, t = draw(NONZERO), draw(COEFF)
+        moved = [Fraction(0)] * (n + 1)
+        for i, c in enumerate(coeffs):
+            for j in range(i + 1):
+                moved[j] += c * comb(i, j) * s**j * t ** (i - j)
+        coeffs = [c / s**n for c in moved]
+    return Poly(coeffs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(trace_polys())
+def test_trace_route_matches_the_bareiss_route(f):
+    _check_against_the_bareiss_route(f)
+
+
+# x**(m+1) - 2 has a run of length m from D_1, and x**(m+3) + x**(m+2) - 1 one from D_2;
+# x**4 + 4x has f' = 4(x**3 + 1), whose content the PRS keeps
+GAP_CASES = [Poly([-2] + [0] * m + [1]) for m in range(1, 9)]
+GAP_CASES += [Poly([-1] + [0] * (m + 1) + [1, 1]) for m in range(1, 9)]
+GAP_CASES += [Poly([0, 4, 0, 0, 1]), Poly([Fraction(3, 2), 0, 0, 6, 0, 0, 1])]
+
+
+@pytest.mark.parametrize("f", GAP_CASES, ids=repr)
+def test_gap_runs_match_the_bareiss_route(f):
+    _check_against_the_bareiss_route(f)
+
+
+def test_gap_cases_hold_every_run_length():
+    runs = set()  # (k, m): a run from nonzero D_k, k = 1 or 2, to the next nonzero D_(k+m)
+    for f in GAP_CASES:
+        last = 0
+        for k, x in enumerate(naive_hankel_minors(power_sums(f, 2 * f.degree - 2), f.degree), 1):
+            if x:
+                if last in (1, 2):
+                    runs.add((last, k - last))
+                last = k
+    assert {(start, m) for start in (1, 2) for m in range(1, 9)} <= runs
