@@ -34,6 +34,12 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+def test_hilbert_single_shot(capsys):
+    code, out, err = run_capture(capsys, ["hilbert", "--a", "-1", "--b", "-1", "--place", "inf"])
+    assert code == 0
+    assert out.strip() == "-1"
+
+
 def test_hilbert_json(capsys):
     code, out, _ = run_capture(capsys, ["hilbert", "--a", "2", "--b", "-283", "--place", "283", "--json"])
     assert code == 0
@@ -126,6 +132,27 @@ def test_composite_place_reads_not_prime_and_a_bad_token_reads_cannot_parse(tmp_
     assert [(r["status"], r["error"]) for r in reports] == [("input_error", error) for _, error in cases]
 
 
+def test_embedding_golden(capsys):
+    code, out, _ = run_capture(capsys, ["embedding", "--poly", "-1,1,0,0,1", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "ok"
+    outputs = report["outputs"]
+    assert outputs["lift_solvable"] is False
+    assert outputs["lift_delta_solvable"] is True
+    assert outputs["w2_trace"] == [2, 283]
+    assert report["assumptions"]
+
+
+def test_hypersurface_golden(capsys):
+    code, out, _ = run_capture(capsys, ["hypersurface", "--n", "2", "--d", "3", "--json"])
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["chi"] == 9
+    assert outputs["b_n"] == 7
+    assert outputs["w2_qB"] == [2, "inf"]
+
+
 def test_hypersurface_degrees(capsys):
     code, out, _ = run_capture(capsys, ["hypersurface", "--n", "2", "--degrees", "2,3", "--json"])
     assert code == 0
@@ -155,6 +182,15 @@ def test_isometric_forms_give_identical_reports():
     out1 = dump_report(execute("form-invariants", {"gram": "5,0;0,5"})[0])
     out2 = dump_report(execute("form-invariants", {"gram": "1,0;0,1"})[0])
     assert out1 == out2
+
+
+def test_tracefield(capsys):
+    code, out, _ = run_capture(capsys, ["tracefield", "--poly", "-1,1,0,0,1", "--json"])
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["disc_field"] == -283
+    assert outputs["signature"] == [3, 1]
+    assert outputs["gram"][0] == [4, 0, 0, -3]
 
 
 def test_jehanne(capsys):
