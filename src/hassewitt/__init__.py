@@ -8,26 +8,19 @@ from .cohomology import (
     CohClass2,
     Place,
     SquareClass,
-    TotalWittClass,
-    add2,
     cup,
     cup_sum,
     hilbert_symbol,
     localize,
-    witt_mul,
 )
 from .errors import DomainError, EffortExceededError, InternalError
 from .forms import (
     DiagonalForm,
     FormInvariants,
     QuadraticForm,
-    diagonal_form,
     diagonalize,
     invariants,
     isometric,
-    orthogonal_sum,
-    scale,
-    standard_form,
 )
 from .motives import (
     CompleteIntersectionSpec,
@@ -35,10 +28,7 @@ from .motives import (
     SymbolicClass,
     betti_middle,
     betti_w_invariants,
-    binary_divided_disc,
-    cubic_surface_form,
     cubic_surface_refinement,
-    delta_expressions,
     euler_characteristic,
     hypersurface_w,
     motive_report,
@@ -52,7 +42,6 @@ from .numberfield import (
     discriminant,
     factor_pattern_mod_p,
     power_sums,
-    real_signature,
     resultant,
     trace_form_report,
     trace_gram,

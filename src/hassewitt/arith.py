@@ -489,12 +489,18 @@ def padic_split(q: Fraction, p: int) -> tuple[int, Fraction]:
         raise DomainError(f"{p} is not prime")
     if q == 0:
         raise DomainError("0 has no p-adic valuation")
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    num, v = _strip_powers(q.numerator, p)
+    den, w = _strip_powers(q.denominator, p)
+    return v - w, Fraction(num, den)
+
+
+def _strip_powers(x: int, q: int) -> tuple[int, int]:
+    """(x / q**w, w) for nonzero x and w = v_q(x), in O(log w) divisions:
+    past one q, x is stripped of q**2 by the same rule, and at most one q
+    is left."""
+    y, r = divmod(x, q)
+    if r:
+        return x, 0
+    y, w = _strip_powers(y, q * q)
+    z, r = divmod(y, q)
+    return (y, 2 * w + 1) if r else (z, 2 * w + 2)

@@ -27,11 +27,12 @@ from math import gcd
 from typing import Iterable, Sequence, Union
 
 from . import arith
-from .arith import _jacobi
+from .arith import _jacobi, _strip_powers
 from .errors import DomainError, InternalError
 from .values import Value, setfield
 
 Rat = Union[int, Fraction]
+_PLAIN_STEPS = range(1, 16)  # _hasse_exponent's divisions by p one at a time, after the first
 
 
 @total_ordering
@@ -200,18 +201,19 @@ def _hasse_exponent(xs: Sequence[int], p: int) -> tuple[int, int]:
     (x_i, x_j)_p = (-1)**e, and k of the x_i have odd valuation at p.
 
     Each x_i = p**v_i * u_i is split at p in the loop: v_i mod 2 and u_i mod
-    p, or mod 8 at 2.  Serre's formula (A Course in Arithmetic, Ch. III,
-    Thm. 1) summed over the pairs: the unit of x_i is paired with the
-    k - v_i odd-valuation entries other than x_i, so only U counts, the
+    p, or mod 8 at 2; at odd p, v_i > 15 takes O(log v_i) divisions
+    (:func:`_strip_powers`).  Serre's formula (A Course in Arithmetic,
+    Ch. III, Thm. 1) summed over the pairs: the unit of x_i is paired with
+    the k - v_i odd-valuation entries other than x_i, so only U counts, the
     product of the units of the odd-valuation entries when k is even and
     of the even-valuation ones when k is odd.  At odd p,
     e = eps(p) C(k, 2) + [U is a non-residue]; at p = 2, e = C(E, 2) + omega(U)
     with E the number of units = 3 mod 4.
     """
     k = 0
-    units = [1, 1]  # the unit products of the even- and the odd-valuation entries
     if p == 2:
         threes = 0
+        units = [1, 1]  # the unit products of the even- and the odd-valuation entries
         for x in xs:
             v = (x & -x).bit_length() - 1
             u = (x >> v) & 7
@@ -220,14 +222,23 @@ def _hasse_exponent(xs: Sequence[int], p: int) -> tuple[int, int]:
             threes += u & 3 == 3
         unit = units[1 - (k & 1)]
         return (threes * (threes - 1) // 2 + (unit in (3, 5))) & 1, k
+    even = odd = 1  # the same unit products, mod p
     for x in xs:
-        v = 0
-        while x % p == 0:
+        if x % p == 0:
             x //= p
-            v += 1
-        k += v & 1
-        units[v & 1] = units[v & 1] * x % p
-    unit = units[1 - (k & 1)]
+            for v in _PLAIN_STEPS:  # v divisions so far
+                if x % p:
+                    break
+                x //= p
+            else:
+                x, w = _strip_powers(x, p)
+                v = _PLAIN_STEPS.stop + w
+            if v & 1:
+                k += 1
+                odd = odd * x % p
+                continue
+        even = even * x % p
+    unit = even if k & 1 else odd
     return (k * (k - 1) // 2 * (p >> 1) + (unit != 1 and _jacobi(unit, p) == -1)) & 1, k
 
 
@@ -268,11 +279,6 @@ def cup(x: "Rat | SquareClass", y: "Rat | SquareClass") -> CohClass2:
     return cup_sum((x, y))
 
 
-def add2(x: CohClass2, y: CohClass2) -> CohClass2:
-    """Group law in degree 2: symmetric difference of supports."""
-    return x + y
-
-
 def cup_sum(values: Iterable["Rat | SquareClass"]) -> CohClass2:
     """Sum of cup(a_i, a_j) over all unordered pairs i < j.
 
@@ -306,30 +312,3 @@ def localize(x: "SquareClass | CohClass2", v: Place) -> int:
         return 1
     return 1 if (rep % 8 != 1 if p == 2 else _jacobi(rep % p, p) == -1) else 0
 
-
-class TotalWittClass(Value):
-    """A unit 1 + w1 + w2 of the truncated mod-2 cohomology ring.
-
-    Multiplication truncates in degree 3, so the degree-2 component of a
-    product picks up the cup of the degree-1 components.
-    """
-
-    _fields = ("w1", "w2")
-
-    @staticmethod
-    def identity() -> "TotalWittClass":
-        return TotalWittClass(ONE, CohClass2.zero())
-
-    def __mul__(self, other: "TotalWittClass") -> "TotalWittClass":
-        return TotalWittClass(
-            self.w1 * other.w1,
-            self.w2 + other.w2 + cup(self.w1, other.w1),
-        )
-
-    def inverse(self) -> "TotalWittClass":
-        return TotalWittClass(self.w1, self.w2 + cup(self.w1, self.w1))
-
-
-def witt_mul(x: TotalWittClass, y: TotalWittClass) -> TotalWittClass:
-    """Degree-truncated product of total classes."""
-    return x * y

@@ -107,22 +107,6 @@ class DiagonalForm(Value):
             raise DomainError("diagonal entries must be nonzero")
         setfield(self, "entries", ent)
 
-    def form(self) -> QuadraticForm:
-        n = len(self.entries)
-        return QuadraticForm([[x if i == j else 0 for j in range(n)] for i, x in enumerate(self.entries)])
-
-
-def diagonal_form(entries: Iterable) -> QuadraticForm:
-    """Shorthand for the form with the given diagonal Gram entries."""
-    return DiagonalForm(entries).form()
-
-
-def standard_form(n: int) -> QuadraticForm:
-    """Sum of n squares."""
-    if n < 1:
-        raise DomainError("rank must be positive")
-    return diagonal_form([1] * n)
-
 
 def _leading_minors(m: list[list[int]]) -> tuple[int, ...]:
     """Leading principal minors D_1, ..., D_n of an integral symmetric
@@ -243,16 +227,3 @@ def isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     determinant class and local Hasse unit at every place."""
     return q1.rank == q2.rank and invariants(q1) == invariants(q2)
 
-
-def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
-    """Block-diagonal sum."""
-    n1, n2 = q1.rank, q2.rank
-    return QuadraticForm([list(row) + [0] * n2 for row in q1.gram] + [[0] * n1 + list(row) for row in q2.gram])
-
-
-def scale(q: QuadraticForm, c) -> QuadraticForm:
-    """The form c * q."""
-    c = Fraction(c)
-    if c == 0:
-        raise DomainError("scaling factor must be nonzero")
-    return QuadraticForm([[c * x for x in row] for row in q.gram])

@@ -17,14 +17,11 @@ stays symbolic, as a fixed token vocabulary (``disc_d(f)``, ``w2(q_dR)``,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, prod
 from typing import Union
 
 from .cohomology import INF, MINUS_ONE, ONE, CohClass2, Place, SquareClass
 from .errors import DomainError, InternalError
-from .forms import QuadraticForm, diagonal_form
-from .numberfield import Poly, resultant
 from .values import Value, setfield
 
 TOKEN_DISC = "disc_d(f)"
@@ -174,19 +171,6 @@ def hypersurface_w(n: int, d: int) -> tuple[SquareClass, CohClass2]:
     return w1, w2
 
 
-def delta_expressions(n: int, d: int) -> tuple[SymbolicClass, SymbolicClass]:
-    """Symbolic comparison classes of the degree-d hypersurface motive, from
-    the comparison formula on the Betti form q_B and the de Rham form q_dR:
-
-        delta1 = w1(q_B) w1(q_dR)
-        delta2 = w2(q_B) + w1(q_B).w1(q_B) + w1(q_B).w1(q_dR) + w2(q_dR)
-
-    with w1(q_dR) = epsilon'(n, d) disc_d(f) and (w1, w2) of q_B from
-    :func:`hypersurface_w`, which also validates (n, d).
-    """
-    return _delta_classes(n, d, *hypersurface_w(n, d))
-
-
 def _delta_classes(n: int, d: int, w1: SquareClass, w2: CohClass2) -> tuple[SymbolicClass, SymbolicClass]:
     """The comparison formula on the Betti classes (w1, w2).  The cups vanish
     unless w1 = (-1), which forces d even, n = 2 mod 4 and epsilon' = -1:
@@ -207,21 +191,6 @@ def epsilon_prime(n: int, d: int) -> int:
     return -1 if e % 2 else 1
 
 
-def binary_divided_disc(g: Poly) -> Fraction:
-    """prod (x_i - x_j)**2 for the dehomogenized binary form g, computed as
-    (-1)**(d(d-1)/2) Res(g, g'); division by epsilon_prime(0, d) recovers
-    the divided discriminant in the dimension-0 case."""
-    if g.is_zero or g.degree < 1:
-        raise DomainError("binary form must dehomogenize to degree >= 1")
-    d = g.degree
-    if d == 1:
-        return Fraction(1)
-    res = resultant(g, g.derivative())
-    if res == 0:  # a repeated root
-        raise DomainError("binary form must be squarefree")
-    return -res if (d * (d - 1) // 2) % 2 else res
-
-
 def cubic_surface_refinement(n: int = 2, d: int = 3) -> int:
     """The mod-16 index refinement available for the cubic surface: the
     rank-7 lattice with index 3 mod 8 and d + 8 mod 16 has index exactly
@@ -229,11 +198,6 @@ def cubic_surface_refinement(n: int = 2, d: int = 3) -> int:
     if (n, d) != (2, 3):
         raise DomainError("index refinement is only supported for the cubic surface")
     return -5
-
-
-def cubic_surface_form() -> QuadraticForm:
-    """The middle form of the cubic surface: <1, -1, -1, -1, -1, -1, -1>."""
-    return diagonal_form([1] + [-1] * 6)
 
 
 class MotiveReport(Value):

@@ -4,10 +4,10 @@ A polynomial f is held as c, the lcm of the reduced denominators of its
 coefficients, and the integral coefficients of c*f; the CLI parses
 coefficients straight into that pair, and the request path builds no
 rational number.  :class:`Poly` is a value type with no arithmetic (coeffs,
-degree, is_monic, derivative, is_squarefree, integer_coeffs,
-to_json).  The algebra Q[x]/(f) carries the symmetric pairing
-(u, v) -> trace(u*v); its Gram matrix in the power basis is the Hankel
-matrix of power sums of the roots.  Newton's identities give them without
+degree, is_monic, is_squarefree, integer_coeffs, to_json).  The algebra
+Q[x]/(f) carries the symmetric pairing (u, v) -> trace(u*v); its Gram
+matrix in the power basis is the Hankel matrix of power sums of the
+roots.  Newton's identities give them without
 ever touching a root, run in integers on the monic integral
 g = c**d * f(x/c), whose roots are c times those of f, so that
 p_k(f) = p_k(g) / c**k.  Resultants run through the subresultant polynomial
@@ -52,7 +52,7 @@ class Poly(Value):
     coefficients, and the integral coefficients of c*f with trailing zeros
     trimmed; that pair is canonical, so equality and hashing compare it.
     A value type with no arithmetic, it offers ``coeffs`` (rebuilt from the
-    pair on demand), ``is_zero``, ``degree``, ``is_monic``, ``derivative``,
+    pair on demand), ``is_zero``, ``degree``, ``is_monic``,
     ``is_squarefree``, ``integer_coeffs`` and ``to_json``.
     """
 
@@ -94,9 +94,6 @@ class Poly(Value):
     def is_monic(self) -> bool:
         return not self.is_zero and self._scaled[-1] == self._scale
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def is_squarefree(self) -> bool:
         # in characteristic 0, f is squarefree iff disc f != 0
         if self.is_zero:
@@ -126,7 +123,7 @@ class Poly(Value):
 # ---------------------------------------------------------------------------
 
 
-def _subresultant_res(a: list[int], b: list[int]) -> list[int]:
+def _subresultant_psc(a: list[int], b: list[int]) -> list[int]:
     """[psc_0, ..., psc_(deg b)], the principal subresultant coefficients
     of integer polynomials with deg a >= deg b >= 0, by one PRS; psc_0 is
     Res(a, b).  Dividing prem(a, b) by Brown's signed (-1)**(delta + 1) *
@@ -175,9 +172,9 @@ def resultant(f: Poly, g: Poly) -> Fraction:
     df, fi = f.integer_coeffs()
     dg, gi = g.integer_coeffs()
     if f.degree >= g.degree:
-        res = _subresultant_res(fi, gi)[0]
+        res = _subresultant_psc(fi, gi)[0]
     else:  # Res(f, g) = (-1)**(deg f deg g) Res(g, f)
-        res = (-1) ** (f.degree * g.degree) * _subresultant_res(gi, fi)[0]
+        res = (-1) ** (f.degree * g.degree) * _subresultant_psc(gi, fi)[0]
     return Fraction(res, df**g.degree * dg**f.degree)
 
 
@@ -198,7 +195,7 @@ def _hankel_minors(f: Poly) -> tuple[int, list[int]]:
     root."""
     lead, g = _monic_integral(f)
     n = len(g) - 1
-    psc = _subresultant_res(g, [i * x for i, x in enumerate(g)][1:])
+    psc = _subresultant_psc(g, [i * x for i, x in enumerate(g)][1:])
     return lead, [-psc[n - k] if k * (k - 1) // 2 % 2 else psc[n - k] for k in range(1, n + 1)]
 
 
@@ -359,12 +356,6 @@ def count_real_roots(f: Poly) -> int:
     if minors[-1] == 0:
         raise DomainError("real root count requires a squarefree polynomial")
     return sum(1 if x > 0 else -1 for x in _frobenius_diagonal(minors))
-
-
-def real_signature(algebra: EtaleAlgebra) -> tuple[int, int]:
-    """(r1, r2): real roots and conjugate pairs of the defining polynomial."""
-    r1 = algebra.real_roots
-    return r1, (algebra.degree - r1) // 2
 
 
 # ---------------------------------------------------------------------------

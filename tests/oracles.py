@@ -19,7 +19,9 @@ over all pairs, a Fraction p-adic split with Euler's criterion instead of
 the valuation parities and units of integer representatives.  Products,
 remainders and gcds of polynomials, used to build test inputs and by the
 Sturm chain, run on Fraction coefficient lists here; the distinct-degree
-oracle divides and takes gcds over F_p with its own long division.
+oracle divides and takes gcds over F_p with its own long division.  Test
+inputs that the library has no builder for (derivatives, diagonal forms and
+orthogonal sums) are built here too.
 """
 
 from fractions import Fraction
@@ -224,6 +226,11 @@ def poly_gcd(a, b) -> list[Fraction]:
     return list(a)
 
 
+def derivative(f: Poly) -> Poly:
+    """f', term by term."""
+    return Poly([i * c for i, c in enumerate(f.coeffs)][1:])
+
+
 def naive_count_real_roots(f: Poly) -> int:
     """Real roots of a squarefree polynomial by a Fraction Sturm chain
     S_0 = f, S_1 = f', S_(k+1) = -(S_(k-1) mod S_k), each member rescaled
@@ -333,6 +340,16 @@ def naive_eliminate(rows) -> tuple[Fraction, ...]:
     return tuple(entries)
 
 
+def naive_valuation(x: int, p: int) -> tuple[int, int]:
+    """(v, u) with x = p**v * u and p not dividing u, for nonzero x: one
+    division by p at a time."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
 def naive_hilbert_symbol(a, b, v: Place) -> int:
     """(a, b)_v from the p-adic split a = p**alpha * u of each Fraction
     entry (Serre, A Course in Arithmetic, Ch. III, Thm. 1), with Legendre
@@ -433,6 +450,18 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> list[list[i
             for k in range(n):
                 m[i][k] = -m[i][k]
     return m
+
+
+def diagonal_form(entries) -> QuadraticForm:
+    """The form <a_1, ..., a_n>."""
+    entries = list(entries)
+    return QuadraticForm([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
+
+
+def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
+    """The block-diagonal sum of q1 and q2."""
+    n1, n2 = q1.rank, q2.rank
+    return QuadraticForm([list(row) + [0] * n2 for row in q1.gram] + [[0] * n1 + list(row) for row in q2.gram])
 
 
 def congruent_form(q: QuadraticForm, p: list[list[int]]) -> QuadraticForm:

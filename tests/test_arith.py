@@ -147,6 +147,10 @@ def test_padic_split_matches_naive_valuations():
         for p in (2, 3, 5):
             v = naive_factor(q.numerator).get(p, 0) - naive_factor(q.denominator).get(p, 0)
             assert padic_split(q, p) == (v, q / Fraction(p) ** v), (q, p)
+    # valuations known by construction, up to a thousand
+    for p in (2, 3, 5):
+        for v in (15, 16, 17, 1000, -1001):
+            assert padic_split(Fraction(-7, 11) * Fraction(p) ** v, p) == (v, Fraction(-7, 11)), (p, v)
 
 
 def test_padic_split_rejects_zero_and_non_primes():

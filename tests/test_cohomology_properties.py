@@ -5,9 +5,12 @@ Entries carry a forced power p**k of the place's prime (2, small odd
 primes, 101, 10007 and the 61-bit prime 2**61 - 1) times a random
 rational, and are passed as Fractions, ints or SquareClasses.  The kernel
 _hasse_exponent itself is checked on lists of integers built as
-+-p**k * u with u prime to p, so their valuations are known.
++-p**k * u with u prime to p, so their valuations are known, and on
+valuations up to 5,000, against a split one division at a time.
 """
 
+import random
+import time
 from fractions import Fraction
 from math import prod
 
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from hassewitt.cohomology import INF, CohClass2, Place, SquareClass, _hasse_exponent, cup_sum, hilbert_symbol, localize
 from hassewitt.errors import DomainError
 
-from oracles import naive_factor, naive_hilbert_symbol
+from oracles import naive_factor, naive_hilbert_symbol, naive_valuation
 
 P61 = 2**61 - 1
 PRIMES = (2, 3, 5, 7, 11, 13, 101, 10007, P61)
@@ -130,3 +133,36 @@ def test_localize_and_cup_sum_refuse_zero_as_before():
     assert outcome(localize, 0, Place.finite(3)) == ("DomainError", "0 has no squarefree part")
     assert outcome(cup_sum, [3, Fraction(0)]) == ("DomainError", "0 has no squarefree part")
     assert cup_sum([]) == CohClass2() == cup_sum([-7])
+
+
+# every valuation below 40, both sides of each power of two up to 4096, and 5000
+VALUATIONS = sorted(set(range(40)) | {2**j + s for j in range(5, 13) for s in (-1, 0, 1)} | {4999, 5000})
+
+
+def test_hasse_exponent_at_large_valuations_matches_a_naive_split():
+    rng = random.Random(5000)
+    for p in (3, 5, P61):
+        place = Place.finite(p)
+        for v in VALUATIONS:
+            u = rng.choice((1, -1)) * (rng.randrange(10**6) * p + rng.randrange(1, min(p, 10**6)))
+            x = p**v * u
+            assert naive_valuation(x, p) == (v, u)
+            # y of odd valuation pairs with the unit of x, a unit y with its valuation
+            for y in (u + p * rng.randrange(1, 10**3) if u % p else 1, p * (rng.randrange(10**3) * p + 1)):
+                want = naive_hilbert_symbol(p ** (v % 2) * u, y, place) == -1
+                assert _hasse_exponent([x, y], p) == (want, v % 2 + naive_valuation(y, p)[0] % 2), (p, v)
+
+
+def test_hasse_exponent_strips_a_large_valuation_in_logarithmic_time():
+    # 400 pivots of ~8,000 bits, each 5**v with v ~ 1,600 times a unit: one
+    # division per unit of valuation took ~1.8 s here
+    rng = random.Random(1600)
+    xs = []
+    for _ in range(400):
+        v = rng.randint(1500, 1700)
+        u = rng.getrandbits(8000 - 2322 * v // 1000) | 1
+        xs.append(rng.choice((1, -1)) * 5**v * (u if u % 5 else u + 2))
+    start = time.perf_counter()
+    e, k = _hasse_exponent(xs, 5)
+    assert time.perf_counter() - start < 0.2
+    assert k == sum(naive_valuation(x, 5)[0] % 2 for x in xs)

@@ -1,67 +1,155 @@
-"""Every public function of the library modules is used: exported from the
-package, called or passed on by another function in it, or listed below
-with the reason it stays."""
+"""The export ledger.  Every name that ``hassewitt`` exports, and every
+public function of its library modules, is in one of four classes:
+
+(a) reached by a command: one request per ``cli.COMMANDS`` entry runs
+    under ``sys.setprofile``, and a function counts when its code runs
+    (caches are cleared first), a class when a method runs on an
+    instance of it;
+(b) imported by ``tests/test_acceptance.py``, the paper's formulas;
+(c) a layer of the benchmark tracer, ``bench/tracing.py`` ``LAYERS``;
+(d) listed in ``LEDGER`` with the one-line reason it stays.
+
+A name in none of them is dead code, and a ``LEDGER`` reason for a name
+that another class already covers is stale; both fail.  ``bench/`` and
+the acceptance tests are read as text, so the ledger also holds for an
+installed package run from a checkout with ``PYTHONPATH`` unset.
+"""
 
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import hassewitt
+from hassewitt import cli
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("arith", "cohomology", "forms", "numberfield", "obstructions", "motives")
 
-# public functions that the package neither exports nor calls, and why each stays
-ALLOWED = {
-    "arith.padic_split": "a layer of the benchmark tracer (bench/tracing.py LAYERS)",
-    "cohomology.relevant_places": "a layer of the benchmark tracer (bench/tracing.py LAYERS)",
+# one request per command, ok status expected
+REQUESTS = {
+    "hilbert": {"a": "-5", "b": "3", "place": "3"},
+    "form-invariants": {"gram": [[2, 1], [1, 3]]},
+    "form-isometric": {"gram1": [[1, 0], [0, 1]], "gram2": [[2, 0], [0, 2]]},
+    "tracefield": {"poly": [-1, 1, 0, 0, 1]},
+    "embedding": {"poly": [-1, 1, 0, 0, 1]},
+    "jehanne": {"p": 11, "type": "1^3,1", "disc": 139469124983},
+    "hypersurface": {"n": 2, "d": 3},
+    "delta": {"gram_omega": [[1, 0], [0, 1]], "gram_eta": [[2, 0], [0, 6]]},
+}
+
+# names in none of classes (a)-(c), "module.name", and why each stays
+LEDGER = {
+    "errors.DomainError": "the documented error of bad input, which callers catch",
+    "errors.EffortExceededError": "the documented error past an effort limit (CLI exit 3)",
+    "errors.InternalError": "the documented error of a failed internal invariant",
+    "forms.DiagonalForm": "the value that diagonalize returns",
 }
 
 
-def _used_functions(package_dir: Path) -> set[str]:
-    """The functions, as "module.name", that the package's modules call or
-    pass on, a function's use of itself excepted.  Names are resolved
-    through each module's own definitions and relative imports, so a
-    method or attribute that shares a function's name does not count."""
-    used = set()
-    for path in package_dir.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        functions, modules = {}, {}
-        for top in tree.body:
-            if isinstance(top, ast.FunctionDef):
-                functions[top.name] = f"{path.stem}.{top.name}"
-            elif isinstance(top, ast.ImportFrom) and top.level == 1:
-                for alias in top.names:
-                    if top.module is None:
-                        modules[alias.asname or alias.name] = alias.name
-                    else:
-                        functions[alias.asname or alias.name] = f"{top.module}.{alias.name}"
-        for top in tree.body:
-            owner = functions.get(getattr(top, "name", None))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    target = functions.get(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                    module = modules.get(node.value.id)
-                    target = module and f"{module}.{node.attr}"
-                else:
-                    continue
-                if target and target != owner:
-                    used.add(target)
-    return used
-
-
-def _unused_public_functions() -> set[str]:
-    used = _used_functions(Path(hassewitt.__file__).parent)
-    unused = set()
+def ledger_names() -> dict[str, object]:
+    """"module.name" -> object, for the package's exports and the public
+    functions of MODULES."""
+    names = {}
+    for name, obj in vars(hassewitt).items():
+        if not name.startswith("_") and not inspect.ismodule(obj):
+            module = getattr(obj, "__module__", None) if callable(obj) else None
+            names[f"{(module or 'hassewitt').rsplit('.', 1)[-1]}.{name}"] = obj
     for module_name in MODULES:
         module = importlib.import_module(f"hassewitt.{module_name}")
         for name, obj in vars(module).items():
-            if (inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_")
-                    and getattr(hassewitt, name, None) is not obj and f"{module_name}.{name}" not in used):
-                unused.add(f"{module_name}.{name}")
-    return unused
+            if (inspect.isfunction(inspect.unwrap(obj)) and obj.__module__ == module.__name__
+                    and not name.startswith("_")):
+                names[f"{module_name}.{name}"] = obj
+    return names
 
 
-def test_every_public_function_is_exported_called_or_allowed():
-    assert _unused_public_functions() == set(ALLOWED)
+def tracer_layers() -> dict[str, tuple[str, ...]]:
+    """``LAYERS`` of ``bench/tracing.py``, read from its source, not imported."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no LAYERS")
+
+
+def acceptance_imports() -> set[str]:
+    """The names that ``tests/test_acceptance.py`` imports from the package."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hassewitt"
+            for alias in node.names}
+
+
+def _record_commands() -> tuple[set, set]:
+    """The code objects run, and the classes whose methods ran on an
+    instance, over one request per command.  A cache hit runs no code, so
+    the exported ``lru_cache`` functions start empty."""
+    codes, classes = set(), set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("hassewitt"):
+            codes.add(frame.f_code)
+            if frame.f_code.co_varnames[:1] == ("self",) and "self" in frame.f_locals:
+                classes.add(type(frame.f_locals["self"]))
+
+    for obj in ledger_names().values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for command, params in REQUESTS.items():
+            cli.execute(command, params)
+    finally:
+        sys.setprofile(saved)
+    return codes, classes
+
+
+def _reached(obj, codes: set, classes: set) -> bool:
+    if inspect.isclass(obj):
+        return any(issubclass(cls, obj) for cls in classes)
+    return getattr(inspect.unwrap(obj), "__code__", None) in codes
+
+
+def classify() -> dict[str, str]:
+    """"module.name" -> the first of "a", "b", "c", "d" that holds, "" if none."""
+    codes, classes = _record_commands()
+    imported = acceptance_imports()
+    layers = {f"{module}.{fn}" for module, fns in tracer_layers().items() for fn in fns}
+    out = {}
+    for qualified, obj in ledger_names().items():
+        name = qualified.split(".")[1]
+        if _reached(obj, codes, classes):
+            out[qualified] = "a"
+        elif name in imported:
+            out[qualified] = "b"
+        elif qualified in layers:
+            out[qualified] = "c"
+        else:
+            out[qualified] = "d" if qualified in LEDGER else ""
+    return out
+
+
+def test_one_request_per_command_and_each_succeeds():
+    assert REQUESTS.keys() == cli.COMMANDS.keys()
+    for command, params in REQUESTS.items():
+        outputs, _ = cli.execute(command, params)
+        assert outputs, command
+
+
+def test_every_export_and_public_function_is_in_the_ledger():
+    classes = classify()
+    assert sorted(name for name, cls in classes.items() if not cls) == []
+    stale = sorted(name for name in LEDGER if classes.get(name) != "d")
+    assert stale == []
+
+
+def test_every_tracer_layer_resolves_to_a_function_of_its_module():
+    layers = tracer_layers()
+    assert layers
+    for module_name, fns in layers.items():
+        module = importlib.import_module(f"hassewitt.{module_name}")
+        for fn in fns:
+            assert inspect.isfunction(inspect.unwrap(getattr(module, fn, None))), f"{module_name}.{fn}"

@@ -6,11 +6,11 @@ from math import comb
 
 import pytest
 
-from hassewitt import arith, motives, numberfield
+from hassewitt import arith, motives
 from hassewitt.cli import run
 from hassewitt.cohomology import SquareClass
 from hassewitt.errors import DomainError
-from hassewitt.forms import diagonal_form, invariants
+from hassewitt.forms import invariants
 from hassewitt.motives import (
     MAX_CODIMENSION,
     MAX_DEGREE,
@@ -19,19 +19,16 @@ from hassewitt.motives import (
     SymbolicClass,
     betti_middle,
     betti_w_invariants,
-    binary_divided_disc,
-    cubic_surface_form,
     cubic_surface_refinement,
-    delta_expressions,
     epsilon_prime,
     euler_characteristic,
     hypersurface_w,
     motive_report,
     tau_mod8,
 )
-from hassewitt.numberfield import Poly, discriminant
 
 from oracles import (
+    diagonal_form,
     hypersurface_chi_closed_form,
     naive_euler_characteristic,
     parity_delta_classes,
@@ -67,8 +64,6 @@ def test_spec_takes_only_ints():
             CompleteIntersectionSpec(n, degrees)
     with pytest.raises(DomainError):
         hypersurface_w(4, 2.5)
-    with pytest.raises(DomainError):
-        delta_expressions(4.0, 3)
     assert CompleteIntersectionSpec(4, (3, 2)).degrees == (3, 2)
 
 
@@ -272,7 +267,7 @@ def test_cubic_surface_refinement():
     assert cubic_surface_refinement() == -5
     with pytest.raises(DomainError):
         cubic_surface_refinement(2, 4)
-    form = cubic_surface_form()
+    form = diagonal_form([1] + [-1] * 6)  # the middle form of the cubic surface
     inv = invariants(form)
     assert inv.rank == 7
     assert inv.signature == (1, 6)  # index -5
@@ -282,8 +277,13 @@ def test_cubic_surface_refinement():
     assert (inv.w1, inv.w2) == (w1, w2)
 
 
+def _deltas(n: int, d: int):
+    report = motive_report(CompleteIntersectionSpec(n, [d]))
+    return report.delta1, report.delta2
+
+
 def test_delta_expressions_cubic_surface():
-    d1, d2 = delta_expressions(2, 3)
+    d1, d2 = _deltas(2, 3)
     assert d1.numeric == SquareClass(-1)
     assert d1.tokens == ("disc_d(f)",)
     assert d2.numeric.to_json() == [2, "inf"]
@@ -291,10 +291,10 @@ def test_delta_expressions_cubic_surface():
 
 
 def test_delta_expressions_quadrics():
-    d1, d2 = delta_expressions(4, 2)
+    d1, d2 = _deltas(4, 2)
     assert d2.numeric.is_zero
     assert d2.tokens == ("w2(q_dR)",)
-    d1, d2 = delta_expressions(2, 2)
+    d1, d2 = _deltas(2, 2)
     assert d2.numeric.is_zero
     assert d2.tokens == ("w2(q_dR)", "(-1,disc_d(f))")
     assert d1.numeric == SquareClass(1)  # (d/2)((n+2)/2) = 2, even
@@ -302,10 +302,10 @@ def test_delta_expressions_quadrics():
 
 def test_delta1_sign_branches():
     # odd d: sign (-1)^((d-1)/2)
-    assert delta_expressions(2, 3)[0].numeric == SquareClass(-1)
-    assert delta_expressions(2, 5)[0].numeric == SquareClass(1)
+    assert _deltas(2, 3)[0].numeric == SquareClass(-1)
+    assert _deltas(2, 5)[0].numeric == SquareClass(1)
     # even d: sign (-1)^((d/2)((n+2)/2)); for (4, 2) the exponent is 3
-    assert delta_expressions(4, 2)[0].numeric == SquareClass(-1)
+    assert _deltas(4, 2)[0].numeric == SquareClass(-1)
 
 
 def test_epsilon_prime_consistency():
@@ -323,12 +323,6 @@ DELTA_PAIRS = ([(n, d) for n in range(2, 129, 2) for d in range(1, 65)]
                   for d in (1, 2, 3, MAX_DEGREE - 2, MAX_DEGREE - 1, MAX_DEGREE)])
 
 
-def test_delta_expressions_match_parity_table():
-    for n, d in DELTA_PAIRS:
-        got = tuple(x.to_json() for x in delta_expressions(n, d))
-        assert got == parity_delta_classes(n, d), (n, d)
-
-
 def test_motive_report_deltas_match_parity_table():
     for n, d in DELTA_PAIRS:
         report = motive_report(CompleteIntersectionSpec(n, [d]))
@@ -338,19 +332,6 @@ def test_motive_report_deltas_match_parity_table():
 def test_symbolic_token_vocabulary():
     with pytest.raises(Exception):
         SymbolicClass(SquareClass(1), ("bogus",))
-
-
-def test_binary_divided_disc():
-    a = Fraction(5)
-    assert binary_divided_disc(Poly([-a, 0, 1])) == 4 * a
-    assert binary_divided_disc(Poly([-1, 1, 0, 0, 1])) == -283
-    assert binary_divided_disc(Poly([9, 1])) == 1
-    with pytest.raises(DomainError):
-        binary_divided_disc(Poly([0, 0, 1]))  # x^2 is not squarefree
-    # matches the monic discriminant on monic squarefree inputs
-    for coeffs in ([-2, 0, 1], [1, 1, 1], [-1, -4, -2, 0, 1]):
-        f = Poly(coeffs)
-        assert binary_divided_disc(f) == discriminant(f)
 
 
 def test_motive_report_hypersurface():
@@ -408,18 +389,6 @@ def test_binomial_parity_matches_comb():
         for n in range(2, MAX_DIMENSION + 1, 2):
             spec = CompleteIntersectionSpec(n, degrees)
             assert motives._binomial_is_even(spec) == (comb(n // 2 + t, t) % 2 == 0), (n, t)
-
-
-def test_binary_divided_disc_runs_one_remainder_sequence(monkeypatch):
-    runs = []
-    real = numberfield._subresultant_res
-    monkeypatch.setattr(numberfield, "_subresultant_res", lambda a, b: runs.append(a) or real(a, b))
-    assert binary_divided_disc(Poly([1, 0, 3, 1])) == -135  # x^3 + 3x^2 + 1
-    assert len(runs) == 1
-    runs.clear()
-    with pytest.raises(DomainError, match="^binary form must be squarefree$"):
-        binary_divided_disc(Poly([1, 2, 1]))  # (x + 1)^2
-    assert len(runs) == 1
 
 
 def test_motive_report_factors_nothing(monkeypatch):

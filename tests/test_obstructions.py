@@ -6,13 +6,12 @@ import pytest
 from hassewitt.arith import factor
 from hassewitt.cohomology import INF, CohClass2, Place, SquareClass, cup, localize
 from hassewitt.errors import DomainError
-from hassewitt.forms import diagonal_form, invariants, standard_form
+from hassewitt.forms import invariants
 from hassewitt.numberfield import (
     EtaleAlgebra,
     Poly,
     discriminant,
     factor_pattern_mod_p,
-    real_signature,
     trace_gram,
 )
 from hassewitt.obstructions import (
@@ -28,7 +27,7 @@ from hassewitt.obstructions import (
     sw2_permutation,
 )
 
-from oracles import JEHANNE_TYPES, poly_mul, random_nondegenerate_symmetric
+from oracles import JEHANNE_TYPES, diagonal_form, poly_mul, random_nondegenerate_symmetric
 
 F1 = EtaleAlgebra(Poly([-1, 1, 0, 0, 1]))          # x^4 + x - 1, disc -283
 F2 = EtaleAlgebra(Poly([-1, -2, 0, 1, 1]))         # x^4 + x^3 - 2x - 1, disc -275
@@ -82,7 +81,7 @@ def test_lifting_decisions_golden():
 
 def test_lifting_decisions_totally_real_2777():
     # all invariants vanish: both problems solvable
-    assert real_signature(F4) == (4, 0)
+    assert F4.real_roots == 4
     assert discriminant(F4.poly) == 2777
     assert factor_pattern_mod_p(F4, 2777) == ((1, 1), (1, 1), (1, 2))
     # Galois closure is S4: a 4-cycle mod 3 and a 3-cycle mod 11
@@ -272,10 +271,10 @@ def test_quartic_trace_form_real_place():
     # the trace form is locally nontrivial at the real place exactly for
     # totally imaginary quartics: C(r2, 2) odd iff r2 = 2
     for alg, r2, expect in ((F1, 1, 0), (F4, 0, 0)):
-        assert real_signature(alg)[1] == r2
+        assert (alg.degree - alg.real_roots) // 2 == r2
         assert localize(invariants(trace_gram(alg)).w2, INF) == expect
     imag = EtaleAlgebra(Poly([1, 0, 0, 0, 1]))  # x^4 + 1, totally imaginary
-    assert real_signature(imag) == (0, 2)
+    assert imag.real_roots == 0
     assert localize(invariants(trace_gram(imag)).w2, INF) == 1
 
 
@@ -287,21 +286,21 @@ def test_delta_comparison_degenerate():
 
 
 def test_delta_comparison_standard_vs_trace():
-    pair = delta_comparison(standard_form(4), trace_gram(F1))
+    pair = delta_comparison(diagonal_form([1] * 4), trace_gram(F1))
     assert pair.delta1 == SquareClass(-283)
     assert pair.delta2 == places(2, 283)
 
 
 def test_delta_comparison_twisted_plane():
     a = -5
-    pair = delta_comparison(standard_form(2), diagonal_form([2, 2 * a]))
+    pair = delta_comparison(diagonal_form([1] * 2), diagonal_form([2, 2 * a]))
     assert pair.delta1 == SquareClass(a)
     assert pair.delta2 == cup(2, a)
 
 
 def test_delta_comparison_rank_mismatch():
     with pytest.raises(DomainError):
-        delta_comparison(standard_form(2), standard_form(3))
+        delta_comparison(diagonal_form([1] * 2), diagonal_form([1] * 3))
 
 
 def test_delta_composition_identity():

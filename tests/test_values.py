@@ -28,9 +28,7 @@ from hassewitt import (
     QuadraticForm,
     SquareClass,
     SymbolicClass,
-    TotalWittClass,
     delta_comparison,
-    diagonal_form,
     factor,
     invariants,
     lifting_decisions,
@@ -60,7 +58,6 @@ def _samples() -> dict:
         "coh2": CohClass2([Place.finite(3), INF]),
         "coh2_zero": CohClass2(),
         "factorization": factor(-360),
-        "total_witt": TotalWittClass(SquareClass(-1), CohClass2([TWO, INF])),
         "quadratic_form": q,
         "diagonal_form": DiagonalForm([1, Fraction(-2, 3)]),
         "form_invariants": invariants(q),
@@ -75,7 +72,7 @@ def _samples() -> dict:
         "decomposition_type_unram": DecompositionType("unramified", (2, 2)),
         "lift_report": lifting_decisions(alg),
         "character_sum": CharacterSum([-1, 2, 3]),
-        "delta_pair": delta_comparison(diagonal_form([1, 1]), diagonal_form([-1, 3])),
+        "delta_pair": delta_comparison(QuadraticForm([[1, 0], [0, 1]]), QuadraticForm([[-1, 0], [0, 3]])),
     }
 
 
@@ -91,7 +88,6 @@ GOLDEN = {
     "coh2": ("{3, inf}", None),
     "coh2_zero": ("{}", None),
     "factorization": ("Factorization(sign=-1, factors=((2, 3), (3, 2), (5, 1)))", -5044661707261389336),
-    "total_witt": ("TotalWittClass(w1=(-1), w2={2, inf})", None),
     "quadratic_form": ("QuadraticForm([['1', '1/2'], ['1/2', '-3']])", -5012048146152096224),
     "diagonal_form": ("DiagonalForm(entries=(Fraction(1, 1), Fraction(-2, 3)))", 7666894397888712647),
     "form_invariants": (
@@ -141,7 +137,6 @@ HASHED = {
     SquareClass: ("rep",),
     CohClass2: ("support",),
     Factorization: ("sign", "factors"),
-    TotalWittClass: ("w1", "w2"),
     QuadraticForm: ("_scale", "_scaled"),
     DiagonalForm: ("entries",),
     FormInvariants: ("rank", "signature", "disc", "w2"),
@@ -160,7 +155,7 @@ VALUE_TYPES = set(HASHED) | {LiftReport}
 
 
 def test_samples_cover_every_exported_value_type():
-    assert len(VALUE_TYPES) == 18
+    assert len(VALUE_TYPES) == 17
     assert {type(x) for x in _samples().values()} == VALUE_TYPES
     exported = {x for x in vars(hassewitt).values() if isinstance(x, type) and not issubclass(x, Exception)}
     assert exported == VALUE_TYPES
@@ -258,11 +253,10 @@ def test_constructors_take_fields_by_name_and_keep_defaults():
     assert rebuilt == report
     pair = DeltaPair(delta1=SquareClass(3), delta2=CohClass2())
     assert (pair.delta1, pair.delta2) == (SquareClass(3), CohClass2())
-    assert TotalWittClass(w1=ONE, w2=CohClass2()) == TotalWittClass.identity()
 
 
 # the pure-data types, whose constructor is the generic one over _fields
-PLAIN = ("factorization", "total_witt", "form_invariants", "trace_form_report",
+PLAIN = ("factorization", "form_invariants", "trace_form_report",
          "motive_report_hyp", "lift_report", "delta_pair")
 
 
