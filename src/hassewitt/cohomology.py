@@ -32,7 +32,7 @@ from .errors import DomainError, InternalError
 from .values import Value, setfield
 
 Rat = Union[int, Fraction]
-_PLAIN_STEPS = range(1, 16)  # _hasse_exponent's divisions by p one at a time, after the first
+_PLAIN_STEPS = range(1, 16)  # _hasse_exponent's divisions by p one at a time: below v = 16 cheaper than a call
 
 
 @total_ordering

@@ -48,14 +48,24 @@ LEDGER = {
 }
 
 
+def qualified(name: str, obj, module: str) -> str:
+    """"module.name" for obj bound to name in the package module ``module``:
+    the module that defines it, by ``__module__`` for a function or a class,
+    and for a constant the first of MODULES that binds the same object."""
+    home = getattr(obj, "__module__", None) if callable(obj) else None
+    if home is None:
+        home = next((f"hassewitt.{m}" for m in MODULES
+                     if getattr(importlib.import_module(f"hassewitt.{m}"), name, None) is obj), module)
+    return f"{home.rsplit('.', 1)[-1]}.{name}"
+
+
 def ledger_names() -> dict[str, object]:
     """"module.name" -> object, for the package's exports and the public
     functions of MODULES."""
     names = {}
     for name, obj in vars(hassewitt).items():
         if not name.startswith("_") and not inspect.ismodule(obj):
-            module = getattr(obj, "__module__", None) if callable(obj) else None
-            names[f"{(module or 'hassewitt').rsplit('.', 1)[-1]}.{name}"] = obj
+            names[qualified(name, obj, "hassewitt")] = obj
     for module_name in MODULES:
         module = importlib.import_module(f"hassewitt.{module_name}")
         for name, obj in vars(module).items():
@@ -75,11 +85,15 @@ def tracer_layers() -> dict[str, tuple[str, ...]]:
 
 
 def acceptance_imports() -> set[str]:
-    """The names that ``tests/test_acceptance.py`` imports from the package."""
+    """"module.name" for each name that ``tests/test_acceptance.py`` imports
+    from the package, resolved to the module that defines it."""
     tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
-    return {alias.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hassewitt"
-            for alias in node.names}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hassewitt":
+            module = importlib.import_module(node.module)
+            out.update(qualified(alias.name, getattr(module, alias.name), node.module) for alias in node.names)
+    return out
 
 
 def _record_commands() -> tuple[set, set]:
@@ -119,16 +133,15 @@ def classify() -> dict[str, str]:
     imported = acceptance_imports()
     layers = {f"{module}.{fn}" for module, fns in tracer_layers().items() for fn in fns}
     out = {}
-    for qualified, obj in ledger_names().items():
-        name = qualified.split(".")[1]
+    for name, obj in ledger_names().items():
         if _reached(obj, codes, classes):
-            out[qualified] = "a"
+            out[name] = "a"
         elif name in imported:
-            out[qualified] = "b"
-        elif qualified in layers:
-            out[qualified] = "c"
+            out[name] = "b"
+        elif name in layers:
+            out[name] = "c"
         else:
-            out[qualified] = "d" if qualified in LEDGER else ""
+            out[name] = "d" if name in LEDGER else ""
     return out
 
 
@@ -153,3 +166,9 @@ def test_every_tracer_layer_resolves_to_a_function_of_its_module():
         module = importlib.import_module(f"hassewitt.{module_name}")
         for fn in fns:
             assert inspect.isfunction(inspect.unwrap(getattr(module, fn, None))), f"{module_name}.{fn}"
+
+
+def test_names_are_qualified_by_the_module_that_defines_them():
+    assert qualified("legendre", hassewitt.legendre, "hassewitt") == "arith.legendre"
+    assert qualified("INF", hassewitt.INF, "hassewitt") == "cohomology.INF"
+    assert {"cli.execute", "cohomology.INF", "arith.squarefree_part"} <= acceptance_imports()
