@@ -391,9 +391,6 @@ class Factorization(Value):
             n *= p ** e
         return n
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
 
 def _divide_out(n: int, primes: tuple[int, ...], product: int, out: dict[int, int]) -> int:
     """n without the primes of gcd(n, product), with their exponents put

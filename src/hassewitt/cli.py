@@ -74,10 +74,6 @@ def _parse_ratio(value) -> tuple[int, int]:
         raise CLIInputError(f"cannot parse rational {value!r}")
 
 
-def parse_rational(value) -> Fraction:
-    return Fraction(*_parse_ratio(value))
-
-
 def parse_int(value) -> int:
     if isinstance(value, bool):
         raise CLIInputError(f"expected an integer, got {value!r}")
@@ -179,14 +175,12 @@ def _run_jehanne(params: dict):
 
 def _run_hypersurface(params: dict):
     n = parse_int(_need(params, "n"))
-    if params.get("d") is not None and params.get("degrees") is not None:
+    d, degrees = params.get("d"), params.get("degrees")
+    if d is not None and degrees is not None:
         raise CLIInputError("give d or degrees, not both")
-    if "d" in params and params["d"] is not None:
-        degrees = [parse_int(params["d"])]
-    elif "degrees" in params and params["degrees"] is not None:
-        degrees = parse_degrees(params["degrees"])
-    else:
+    if d is None and degrees is None:
         raise CLIInputError("either d or degrees is required")
+    degrees = [parse_int(d)] if d is not None else parse_degrees(degrees)
     return motive_report(CompleteIntersectionSpec(n, degrees)).to_json(), ()
 
 

@@ -2,23 +2,20 @@
 
 A form is a symmetric rational Gram matrix, held as L, the lcm of its
 reduced denominators, and the integral matrix L*Gram; the CLI parses
-Gram entries straight into that pair.  The constructor runs one
-fraction-free (Bareiss) symmetric elimination on L*Gram, keeping the
-leading principal minors D_1, ..., D_n of a congruent copy.  By Jacobi,
-the form is congruent to <D_1/L, D_2/(L D_1), ..., D_n/(L D_(n-1))>, so
-every classifying datum (rank, signature, determinant class, degree-1 and
-degree-2 classes, local Hasse units) is read off the integers L and D_i:
-the pivot integers L D_(i-1) D_i are formed once per form, and at each
-place the one kernel of ``cohomology`` gives the Hasse unit and v_p(det)
-mod 2 from them, with no rational arithmetic; trace forms bring their
-own diagonal to that reading (:func:`_invariants`).  Two forms over Q are
-isometric iff all of it matches, which is what :func:`isometric` decides.
+Gram entries straight into that pair.  Each form is built with one exact
+diagonal of a congruent form.  A Gram matrix gets it from one
+fraction-free (Bareiss) symmetric elimination on L*Gram, whose leading
+principal minors D_i give, by Jacobi, <D_1/L, D_2/(L D_1), ...,
+D_n/(L D_(n-1))>; a trace form brings the diagonal of its algebra's one
+PRS (``numberfield.trace_gram``).  Every classifying datum (rank,
+signature, determinant class, degree-1 and degree-2 classes, local Hasse
+units) is read off that diagonal's integers the same way for every form,
+with no rational arithmetic, and :func:`isometric` compares all of it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -33,10 +30,10 @@ class QuadraticForm(Value):
 
     It is held as L, the lcm of the reduced denominators of its entries,
     and the integral matrix L*gram; that pair is canonical, so equality and
-    hashing compare it, and ``gram`` is rebuilt from it on demand.  The
-    constructor also keeps the leading principal minors D_1, ..., D_n of a
-    congruent copy of L*gram (see :func:`_leading_minors`), rejecting a
-    degenerate one; a form known to be nondegenerate may defer them.
+    hashing compare it, and ``gram`` is rebuilt from it on demand.
+    ``_diagonal`` and ``_det`` hold a congruent diagonal form's entries and
+    determinant as (num, den) pairs, from :func:`_leading_minors` (which
+    rejects a degenerate matrix) unless the builder passes them in.
     """
 
     _fields = ("_scale", "_scaled")
@@ -46,13 +43,14 @@ class QuadraticForm(Value):
         self._set([[(x.numerator, x.denominator) for x in row] for row in rats])
 
     @classmethod
-    def _from_ratios(cls, rows: list[list[tuple[int, int]]], eliminate: bool = True) -> "QuadraticForm":
-        """The form with entries num/den, from (num, den) pairs in lowest terms."""
+    def _from_ratios(cls, rows: list[list[tuple[int, int]]], diagonal: tuple | None = None) -> "QuadraticForm":
+        """The form with entries num/den, from (num, den) pairs in lowest
+        terms; diagonal, if known, is (``_diagonal``, ``_det``)."""
         q = object.__new__(cls)
-        q._set(rows, eliminate)
+        q._set(rows, diagonal)
         return q
 
-    def _set(self, rows: list[list[tuple[int, int]]], eliminate: bool = True) -> None:
+    def _set(self, rows: list[list[tuple[int, int]]], diagonal: tuple | None = None) -> None:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DomainError("Gram matrix must be square and nonempty")
@@ -61,14 +59,13 @@ class QuadraticForm(Value):
         scaled = tuple(map(tuple, m))
         if tuple(zip(*scaled)) != scaled:
             raise DomainError("Gram matrix must be symmetric")
+        if diagonal is None:  # Jacobi's pivots D_i / (L D_(i-1)), D_0 = 1
+            minors = _leading_minors(m)
+            diagonal = [(d, scale * prev) for prev, d in zip((1,) + minors, minors)], (minors[-1], scale**n)
         setfield(self, "_scale", scale)
         setfield(self, "_scaled", scaled)
-        if eliminate:
-            setfield(self, "_minors", _leading_minors(m))
-
-    @cached_property
-    def _minors(self) -> tuple[int, ...]:
-        return _leading_minors([list(row) for row in self._scaled])
+        setfield(self, "_diagonal", diagonal[0])
+        setfield(self, "_det", diagonal[1])
 
     @property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -81,8 +78,7 @@ class QuadraticForm(Value):
 
     @property
     def det(self) -> Fraction:
-        """The determinant, D_n / L**n."""
-        return Fraction(self._minors[-1], self._scale**self.rank)
+        return Fraction(*self._det)
 
     def to_json(self) -> list[list]:
         return [[_rat_json(x, self._scale) for x in row] for row in self._scaled]
@@ -148,10 +144,9 @@ def _leading_minors(m: list[list[int]]) -> tuple[int, ...]:
 
 
 def diagonalize(q: QuadraticForm) -> DiagonalForm:
-    """Entries of a diagonal form congruent to q over Q: the pivots
-    D_i / (L D_(i-1)) of the constructor's elimination, with D_0 = 1."""
-    scale, minors = q._scale, q._minors
-    return DiagonalForm(Fraction(d, scale * prev) for prev, d in zip((1,) + minors, minors))
+    """Entries of a diagonal form congruent to q over Q: the diagonal the
+    form was built with."""
+    return DiagonalForm(Fraction(num, den) for num, den in q._diagonal)
 
 
 class FormInvariants(Value):
@@ -188,28 +183,19 @@ def invariants(q: QuadraticForm) -> FormInvariants:
     L*q is integral, and an integral form whose determinant is a unit at
     an odd p has trivial Hasse unit at p (Serre, A Course in Arithmetic,
     Ch. IV).  So local symbols are needed only at 2, inf and the primes of
-    L*|numerator(det q)|.  The pivot D_i / (L D_(i-1)) is L D_(i-1) D_i up
-    to squares, and :func:`_invariants` reads everything off those integers.
+    L*|numerator(det q)|.  A diagonal entry num/den is num*den up to
+    squares; one kernel call per place gives, from those integers, the
+    Hasse exponent e and k, the number of odd-valuation entries, whose
+    parity is that of v_p(det).
     """
-    scale, minors = q._scale, q._minors
-    det_num = minors[-1] // gcd(minors[-1], scale ** len(minors))
-    pivots = [scale * prev * d for prev, d in zip((1,) + minors, minors)]  # D_0 = 1
-    return _invariants(pivots, scale * abs(det_num))
-
-
-def _invariants(pivots: list[int], support: int) -> FormInvariants:
-    """The invariants of <x_1, ..., x_n>, pivots[i] in the square class of
-    x_i, where support holds every odd prime of a nontrivial Hasse unit or
-    of odd v_p(det).  One kernel call per place gives the Hasse exponent e
-    and k, the number of odd-valuation pivots, whose parity is that of
-    v_p(det).
-    """
+    pivots = [num * den for num, den in q._diagonal]
+    num, den = q._det
     n = len(pivots)
     neg = sum(1 for x in pivots if x < 0)
     disc_rep = -1 if neg % 2 else 1
     w2 = [INF] if neg * (neg - 1) // 2 % 2 else []
     hasse = {}
-    for p in [2] + [p for p, _ in factor(support).factors if p != 2]:
+    for p in [2] + [p for p, _ in factor(q._scale * abs(num) // gcd(num, den)).factors if p != 2]:
         e, k = _hasse_exponent(pivots, p)
         v = Place.from_prime(p)  # factor() has proved p prime: no second test
         if e:

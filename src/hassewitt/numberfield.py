@@ -15,8 +15,8 @@ remainder sequence over the integers, whose members are the subresultants
 themselves.  One such sequence of (g, g'), run once per algebra, gives the
 leading principal minors of the trace form (Hermite's form), whose last
 is disc g; Frobenius' rule turns them into a diagonal, zero minors
-included, that gives the form's invariants and, as pos - neg, the real
-root count.  Residue
+included, that the trace form carries and that gives, as pos - neg, the
+real root count.  Residue
 factorization patterns come from one distinct-degree factorization of f
 over F_p, which gives the degree and count of the factors and peels off
 their multiplicities by repeated gcds: x**p mod f is computed once per
@@ -41,7 +41,7 @@ from typing import Iterable
 
 from .arith import is_prime
 from .errors import DomainError, InternalError
-from .forms import QuadraticForm, _invariants, _rat_json
+from .forms import QuadraticForm, _rat_json, invariants
 from .values import Value, setfield
 
 
@@ -199,23 +199,28 @@ def _hankel_minors(f: Poly) -> tuple[int, list[int]]:
     return lead, [-psc[n - k] if k * (k - 1) // 2 % 2 else psc[n - k] for k in range(1, n + 1)]
 
 
-def _frobenius_diagonal(minors: list[int]) -> list[int]:
-    """Integers in the square classes of a diagonal of the Hankel form with
-    leading principal minors D_1, ..., D_n != 0, by Frobenius' rule
-    (Gantmacher, The Theory of Matrices I, Ch. X): a run D_(k+1) = ... =
-    D_(k+m-1) = 0 between nonzero D_k and D_(k+m), D_0 = 1, is m // 2
+def _frobenius_diagonal(minors: list[int]) -> list[tuple[int, int]]:
+    """A diagonal, as (num, den) pairs, of a form congruent to the Hankel
+    form with leading principal minors D_1, ..., D_n != 0, by Frobenius'
+    rule (Gantmacher, The Theory of Matrices I, Ch. X): a run D_(k+1) =
+    ... = D_(k+m-1) = 0 between nonzero D_k and D_(k+m), D_0 = 1, is m // 2
     hyperbolic planes <1, -1>, plus <(-1)**(m(m-1)/2) D_(k+m)/D_k> for odd
     m (Jacobi's pivot for m = 1)."""
-    pivots = []
+    diagonal = []
     prev, m = 1, 0  # the last nonzero minor, and the steps since it
     for d in minors:
         m += 1
         if d:
-            pivots += [1, -1] * (m // 2)
+            diagonal += [(1, 1), (-1, 1)] * (m // 2)
             if m % 2:
-                pivots.append(prev * d if m % 4 == 1 else -prev * d)
+                diagonal.append((d, prev) if m % 4 == 1 else (-d, prev))
             prev, m = d, 0
-    return pivots
+    return diagonal
+
+
+def _sign_count(diagonal: list[tuple[int, int]]) -> int:
+    """pos - neg; of a trace form's diagonal, the real root count (Sylvester-Hermite)."""
+    return sum(1 if (num > 0) == (den > 0) else -1 for num, den in diagonal)
 
 
 def discriminant(f: Poly) -> Fraction:
@@ -242,8 +247,8 @@ class EtaleAlgebra(Value):
 
     The constructor's one PRS gives the leading minors of the trace form
     of g = c**d * f(x/c), congruent to that of f by diag(c**-i), and from
-    them disc f = disc g / c**(d(d-1)) as an integer pair, a diagonal of
-    the trace form and the real root count, pos - neg of that diagonal.
+    them disc f = disc g / c**(d(d-1)) and a diagonal of the trace form as
+    integer pairs, and the real root count, pos - neg of that diagonal.
     Equality and hashing compare poly alone."""
 
     _fields = ("poly",)
@@ -258,11 +263,11 @@ class EtaleAlgebra(Value):
         c, minors = _hankel_minors(poly)
         if minors[-1] == 0:
             raise DomainError("defining polynomial must be squarefree")
-        pivots = _frobenius_diagonal(minors)
+        diagonal = _frobenius_diagonal(minors)
         setfield(self, "poly", poly)
-        setfield(self, "real_roots", sum(1 if x > 0 else -1 for x in pivots))
+        setfield(self, "real_roots", _sign_count(diagonal))
         setfield(self, "_disc", (minors[-1], c ** (poly.degree * (poly.degree - 1))))
-        setfield(self, "_pivots", pivots)
+        setfield(self, "_diagonal", diagonal)
 
     @property
     def disc(self) -> Fraction:
@@ -302,9 +307,9 @@ def trace_gram(algebra: EtaleAlgebra) -> QuadraticForm:
     """Gram matrix of (u, v) -> trace(u*v) in the power basis 1, x, ..., x^(d-1).
 
     Entry (i, j) is the power sum p_(i+j), given to the form as the pair
-    (p_(i+j)(g), c**(i+j)) of :func:`power_sums` in lowest terms.  The
-    matrix is nondegenerate, f being squarefree, so the form's own
-    elimination, independent of the algebra's PRS, waits for first use.
+    (p_(i+j)(g), c**(i+j)) of :func:`power_sums` in lowest terms.  The form
+    is built with the algebra's diagonal and det = disc f, so no
+    elimination runs; ``QuadraticForm(trace_gram(A).gram)`` runs one.
     """
     c, g = _monic_integral(algebra.poly)
     d = len(g) - 1
@@ -314,7 +319,7 @@ def trace_gram(algebra: EtaleAlgebra) -> QuadraticForm:
         r = igcd(pk, power)
         ratios.append((pk // r, power // r))
         power *= c
-    return QuadraticForm._from_ratios([ratios[i : i + d] for i in range(d)], eliminate=False)
+    return QuadraticForm._from_ratios([ratios[i : i + d] for i in range(d)], (algebra._diagonal, algebra._disc))
 
 
 class TraceFormReport(Value):
@@ -333,12 +338,10 @@ class TraceFormReport(Value):
 
 def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
     """The trace form, printed as its Gram matrix, and its invariants, read
-    off the algebra's diagonal, so det = disc f and signature (r1 + r2, r2)
-    hold by construction.  As for any form (:func:`invariants`), symbols
-    are needed at 2 and the primes of L * |num det| only, L the Gram scale."""
+    off the algebra's diagonal that :func:`trace_gram` passes on, so det =
+    disc f and signature (r1 + r2, r2) hold by construction."""
     gram = trace_gram(algebra)
-    num, den = algebra._disc
-    inv = _invariants(algebra._pivots, gram._scale * abs(num) // igcd(num, den))
+    inv = invariants(gram)
     return TraceFormReport(gram, inv.w1, inv.signature, inv)
 
 
@@ -355,7 +358,7 @@ def count_real_roots(f: Poly) -> int:
     _, minors = _hankel_minors(f)
     if minors[-1] == 0:
         raise DomainError("real root count requires a squarefree polynomial")
-    return sum(1 if x > 0 else -1 for x in _frobenius_diagonal(minors))
+    return _sign_count(_frobenius_diagonal(minors))
 
 
 # ---------------------------------------------------------------------------

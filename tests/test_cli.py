@@ -18,7 +18,6 @@ from hassewitt.cli import (
     dump_report,
     execute,
     parse_gram,
-    parse_rational,
     run,
 )
 from hassewitt.cohomology import Place, hilbert_symbol
@@ -32,12 +31,6 @@ def run_capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_hilbert_single_shot(capsys):
-    code, out, err = run_capture(capsys, ["hilbert", "--a", "-1", "--b", "-1", "--place", "inf"])
-    assert code == 0
-    assert out.strip() == "-1"
 
 
 def test_hilbert_json(capsys):
@@ -69,14 +62,15 @@ def test_hilbert_proves_place_prime_once(monkeypatch):
 
 
 def test_hilbert_runner_builds_no_fraction(monkeypatch):
-    def refused(value):
-        raise AssertionError(f"parse_rational({value!r})")
+    def refused(*args):
+        raise AssertionError(f"Fraction{args!r}")
 
-    monkeypatch.setattr(cli, "parse_rational", refused)
+    monkeypatch.setattr(cli, "Fraction", refused)
     for a, b, place in (("3/4", -7, 7), ("-6/8", "5/3", 3), (2, "-1/2", 2), ("-1", -1, "inf"), (12, 18, 5)):
         outputs, _ = execute("hilbert", {"a": a, "b": b, "place": place})
         want = hilbert_symbol(Fraction(a), Fraction(b), Place.parse(place))
         assert outputs == {"symbol": want}, (a, b, place)
+    monkeypatch.undo()  # "x" and "y" below reach Fraction, which refuses them
     # errors keep their order: a, b, place, then the nonzero check
     for params, error in (({"a": "x", "b": "y", "place": 4}, "cannot parse rational 'x'"),
                           ({"a": 0, "b": "y", "place": 4}, "cannot parse rational 'y'"),
@@ -132,27 +126,6 @@ def test_composite_place_reads_not_prime_and_a_bad_token_reads_cannot_parse(tmp_
     assert [(r["status"], r["error"]) for r in reports] == [("input_error", error) for _, error in cases]
 
 
-def test_embedding_golden(capsys):
-    code, out, _ = run_capture(capsys, ["embedding", "--poly", "-1,1,0,0,1", "--json"])
-    assert code == 0
-    report = json.loads(out)
-    assert report["status"] == "ok"
-    outputs = report["outputs"]
-    assert outputs["lift_solvable"] is False
-    assert outputs["lift_delta_solvable"] is True
-    assert outputs["w2_trace"] == [2, 283]
-    assert report["assumptions"]
-
-
-def test_hypersurface_golden(capsys):
-    code, out, _ = run_capture(capsys, ["hypersurface", "--n", "2", "--d", "3", "--json"])
-    assert code == 0
-    outputs = json.loads(out)["outputs"]
-    assert outputs["chi"] == 9
-    assert outputs["b_n"] == 7
-    assert outputs["w2_qB"] == [2, "inf"]
-
-
 def test_hypersurface_degrees(capsys):
     code, out, _ = run_capture(capsys, ["hypersurface", "--n", "2", "--degrees", "2,3", "--json"])
     assert code == 0
@@ -182,15 +155,6 @@ def test_isometric_forms_give_identical_reports():
     out1 = dump_report(execute("form-invariants", {"gram": "5,0;0,5"})[0])
     out2 = dump_report(execute("form-invariants", {"gram": "1,0;0,1"})[0])
     assert out1 == out2
-
-
-def test_tracefield(capsys):
-    code, out, _ = run_capture(capsys, ["tracefield", "--poly", "-1,1,0,0,1", "--json"])
-    assert code == 0
-    outputs = json.loads(out)["outputs"]
-    assert outputs["disc_field"] == -283
-    assert outputs["signature"] == [3, 1]
-    assert outputs["gram"][0] == [4, 0, 0, -3]
 
 
 def test_jehanne(capsys):
@@ -675,9 +639,9 @@ def test_batch_long_input_echo_is_capped(tmp_path, capsys):
 
 
 # Gram entries on the integer parser's fast path and off it; each must give
-# what one Fraction per entry through parse_rational gave.  They sit in
-# [[x, 1], [1, 0]], whose determinant is -1 whatever x is, so that no
-# request factors a 4,300-digit number.
+# what one Fraction per entry, Fraction(*_parse_ratio(entry)), gives.  They
+# sit in [[x, 1], [1, 0]], whose determinant is -1 whatever x is, so that
+# no request factors a 4,300-digit number.
 BIG = "7" * 4300
 GRAM_STRINGS = ("+5", "-0", " 7 ", "1_000", "1.5", "٣", "3/0", "3/-4", " 3 / 4 ", "0x10", "1e5", "",
                 "4/6", "-12/8", "007", BIG, "-" + BIG + "/128", BIG + "7")
@@ -685,9 +649,9 @@ GRAM_JSON_ONLY = (True, 1.0, None, int(BIG), -int(BIG))
 
 
 def _fraction_route(entry):
-    """(form, None) or (None, error text) as parse_gram gave them through parse_rational."""
+    """(form, None) or (None, error text) as parse_gram gave them through one Fraction per entry."""
     try:
-        return QuadraticForm([[parse_rational(entry), 1], [1, 0]]), None
+        return QuadraticForm([[Fraction(*cli._parse_ratio(entry)), 1], [1, 0]]), None
     except DomainError as exc:
         return None, _error_text(exc)
 
@@ -784,3 +748,20 @@ def test_hypersurface_d_with_degrees_is_input_error(tmp_path, capsys):
     first, second = [json.loads(line) for line in outfile.read_text().splitlines()]
     assert (first["status"], first["error"]) == ("input_error", error)
     assert (second["id"], second["status"], second["outputs"]["chi"]) == (2, "ok", 24)
+
+
+def test_hypersurface_without_d_or_degrees_is_input_error(tmp_path, capsys):
+    """Both d and degrees are optional flags, but one of them is needed."""
+    error = "either d or degrees is required"
+    code, out, err = run_capture(capsys, ["hypersurface", "--n", "2", "--json"])
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+    infile, outfile = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    infile.write_text(
+        json.dumps({"id": 1, "command": "hypersurface", "parameters": {"n": 2}}) + "\n"
+        + json.dumps({"id": 2, "command": "hypersurface", "parameters": {"n": 2, "d": None, "degrees": None}}) + "\n"
+        + json.dumps({"id": 3, "command": "hypersurface", "parameters": {"n": 2, "d": 3}}) + "\n")
+    code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert code == 0
+    reports = [json.loads(line) for line in outfile.read_text().splitlines()]
+    assert [(r["status"], r.get("error")) for r in reports[:2]] == [("input_error", error)] * 2
+    assert (reports[2]["id"], reports[2]["status"], reports[2]["outputs"]["chi"]) == (3, "ok", 9)

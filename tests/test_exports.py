@@ -1,5 +1,6 @@
 """The export ledger.  Every name that ``hassewitt`` exports, and every
-public function of its library modules, is in one of four classes:
+public function of its library modules and of ``cli``, is in one of four
+classes:
 
 (a) reached by a command: one request per ``cli.COMMANDS`` entry runs
     under ``sys.setprofile``, and a function counts when its code runs
@@ -25,7 +26,7 @@ import hassewitt
 from hassewitt import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("arith", "cohomology", "forms", "numberfield", "obstructions", "motives")
+MODULES = ("arith", "cohomology", "forms", "numberfield", "obstructions", "motives", "cli")
 
 # one request per command, ok status expected
 REQUESTS = {
@@ -35,7 +36,7 @@ REQUESTS = {
     "tracefield": {"poly": [-1, 1, 0, 0, 1]},
     "embedding": {"poly": [-1, 1, 0, 0, 1]},
     "jehanne": {"p": 11, "type": "1^3,1", "disc": 139469124983},
-    "hypersurface": {"n": 2, "d": 3},
+    "hypersurface": {"n": 2, "degrees": "3"},
     "delta": {"gram_omega": [[1, 0], [0, 1]], "gram_eta": [[2, 0], [0, 6]]},
 }
 
@@ -45,6 +46,10 @@ LEDGER = {
     "errors.EffortExceededError": "the documented error past an effort limit (CLI exit 3)",
     "errors.InternalError": "the documented error of a failed internal invariant",
     "forms.DiagonalForm": "the value that diagonalize returns",
+    "cli.main": "the console script that pyproject.toml installs",
+    "cli.run": "what main runs on argv: one single-shot command or a batch",
+    "cli.run_batch": "the batch subcommand that run dispatches to",
+    "cli.make_report": "the report record of run, of batch mode and of the bench client",
 }
 
 

@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -10,7 +11,7 @@ from hassewitt import numberfield
 from hassewitt.arith import is_prime
 from hassewitt.cohomology import SquareClass
 from hassewitt.errors import DomainError, InternalError
-from hassewitt.forms import invariants, isometric
+from hassewitt.forms import QuadraticForm, diagonalize, invariants, isometric
 from hassewitt.numberfield import (
     EtaleAlgebra,
     Poly,
@@ -280,8 +281,9 @@ def test_one_remainder_sequence_per_request(monkeypatch):
 
 def test_trace_requests_run_no_elimination(monkeypatch):
     """tracefield and embedding reports, gap cases included, take the
-    trace form's invariants from the PRS: no Bareiss elimination runs,
-    while the invariants of trace_gram run their own."""
+    trace form's invariants from the PRS: no Bareiss elimination runs, and
+    none runs for the invariants of trace_gram, which carries the PRS
+    diagonal; a Gram matrix built from its entries runs one."""
     from hassewitt import cli, forms
 
     calls = []
@@ -292,7 +294,10 @@ def test_trace_requests_run_no_elimination(monkeypatch):
         outputs, assumptions = cli.execute(command, {"poly": poly})
         cli.dump_report(cli.make_report(None, command, {"poly": poly}, outputs, assumptions))
     assert calls == []
-    invariants(trace_gram(EtaleAlgebra(X4_X_1)))
+    gram = trace_gram(EtaleAlgebra(X4_X_1))
+    invariants(gram)
+    assert calls == []
+    invariants(QuadraticForm(gram.gram))
     assert len(calls) == 1
 
 
@@ -324,6 +329,25 @@ def test_tracefield_on_x400_minus_2_is_quick():
     assert elapsed < 1.0, elapsed
 
 
+def test_trace_gram_of_x400_minus_2_runs_no_elimination(monkeypatch):
+    """invariants, diagonalize and det of the trace form read the PRS
+    diagonal it was built with; none of them runs Bareiss on the
+    400 x 400 Gram matrix."""
+    from hassewitt import forms
+
+    calls = []
+    real = forms._leading_minors
+    monkeypatch.setattr(forms, "_leading_minors", lambda m: calls.append(m) or real(m))
+    algebra = EtaleAlgebra(Poly([-2] + [0] * 399 + [1]))
+    gram = trace_gram(algebra)
+    inv, diagonal, det = invariants(gram), diagonalize(gram), gram.det
+    assert calls == []
+    assert inv == trace_form_report(algebra).form_invariants
+    assert det == algebra.disc
+    # one odd gap run, D_2 = ... = D_399 = 0, so the entries multiply to det exactly
+    assert len(diagonal.entries) == 400 and prod(diagonal.entries) == det
+
+
 def test_signature_matches_trace_form_diagonalization():
     rng = random.Random(131)
     checked = 0
@@ -334,7 +358,7 @@ def test_signature_matches_trace_form_diagonalization():
         checked += 1
         alg = EtaleAlgebra(f)
         r1, r2 = _real_signature(alg)
-        assert invariants(trace_gram(alg)).signature == (r1 + r2, r2)
+        assert invariants(QuadraticForm(trace_gram(alg).gram)).signature == (r1 + r2, r2)
 
 
 def test_trace_form_report_fields():
@@ -354,7 +378,7 @@ def test_trace_form_disc_identity():
             continue
         checked += 1
         alg = EtaleAlgebra(f)
-        assert invariants(trace_gram(alg)).w1 == SquareClass(discriminant(f))
+        assert invariants(QuadraticForm(trace_gram(alg).gram)).w1 == SquareClass(discriminant(f))
 
 
 def test_trace_form_of_product_is_orthogonal_sum():
@@ -722,8 +746,8 @@ def test_request_path_builds_no_fraction(monkeypatch, command, poly):
 def test_trace_form_report_det_and_signature_identities():
     """det(Gram) = disc f and signature = (r1 + r2, r2) hold for the
     report by construction; here they are checked against the independent
-    route, Bareiss on trace_gram and a Fraction Sturm chain, on dense,
-    rational and gap inputs."""
+    route, Bareiss on the entries of trace_gram and a Fraction Sturm chain,
+    on dense, rational and gap inputs."""
     rng = random.Random(669)
     cases = [X4_X_1, Poly(["1/2", "-3/4", 0, "5/6", 1]), Poly([-2, 0, 0, 0, 1]), Poly(["1/2", 0, 0, 0, 0, 1])]
     while len(cases) < 60:
@@ -734,11 +758,12 @@ def test_trace_form_report_det_and_signature_identities():
     for f in cases:
         algebra = EtaleAlgebra(f)
         gram = trace_gram(algebra)
+        bareiss = QuadraticForm(gram.gram)
         report = trace_form_report(algebra)
         r1, r2 = _real_signature(algebra)
         d = f.degree
         res = sylvester_resultant(f, derivative(f))
-        assert gram.det == algebra.disc == (-res if d * (d - 1) // 2 % 2 else res), f
+        assert bareiss.det == gram.det == algebra.disc == (-res if d * (d - 1) // 2 % 2 else res), f
         assert r1 == naive_count_real_roots(f), f
-        assert report.signature == invariants(gram).signature == (r1 + r2, r2), f
-        assert report.gram == gram and report.form_invariants == invariants(gram), f
+        assert report.signature == invariants(bareiss).signature == (r1 + r2, r2), f
+        assert report.gram == gram and report.form_invariants == invariants(bareiss), f

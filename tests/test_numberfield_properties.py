@@ -19,9 +19,12 @@ orthogonal sum of the two trace forms.
 The library reads the trace form's leading minors off the principal
 subresultant coefficients of one PRS and its diagonal off them by
 Frobenius' rule; that route is checked against Fraction determinants of
-the Hankel blocks and against the Bareiss route, invariants(trace_gram(.)),
-on dense, sparse, binomial, shifted and scaled polynomials, and on gap runs
-of every length from 1 to 8, both right after D_1 and after D_2.
+the Hankel blocks and against the Bareiss route,
+invariants(QuadraticForm(trace_gram(.).gram)), on dense, sparse, binomial,
+shifted and scaled polynomials, and on gap runs of every length from 1 to
+8, both right after D_1 and after D_2.  The diagonal that trace_gram
+carries, which diagonalize returns, has other entries than the Bareiss
+route gives, but the two diagonal forms are isometric.
 """
 
 from fractions import Fraction
@@ -33,7 +36,7 @@ from hypothesis import strategies as st
 
 from hassewitt import numberfield
 from hassewitt.errors import DomainError
-from hassewitt.forms import QuadraticForm, invariants, isometric
+from hassewitt.forms import QuadraticForm, diagonalize, invariants, isometric
 from hassewitt.numberfield import (
     EtaleAlgebra,
     Poly,
@@ -146,7 +149,7 @@ def _check_against_the_bareiss_route(f: Poly) -> None:
     algebra = EtaleAlgebra(f)
     assert algebra.disc == discriminant(f) == want[-1], f
     assert algebra.real_roots == count_real_roots(f) == naive_count_real_roots(f), f
-    assert trace_form_report(algebra).form_invariants == invariants(trace_gram(algebra)), f
+    assert trace_form_report(algebra).form_invariants == invariants(QuadraticForm(trace_gram(algebra).gram)), f
 
 
 NONZERO = st.builds(Fraction, st.integers(1, 9).flatmap(lambda x: st.sampled_from((x, -x))), st.integers(1, 6))
@@ -194,6 +197,32 @@ GAP_CASES += [Poly([0, 4, 0, 0, 1]), Poly([Fraction(3, 2), 0, 0, 6, 0, 0, 1])]
 @pytest.mark.parametrize("f", GAP_CASES, ids=repr)
 def test_gap_runs_match_the_bareiss_route(f):
     _check_against_the_bareiss_route(f)
+
+
+def _check_diagonal_against_the_bareiss_route(f: Poly) -> None:
+    """diagonalize(trace_gram(.)), the PRS diagonal, against Bareiss on the
+    same Gram entries.  isometric factors the diagonal's own entries, built
+    from the Hankel minors, so the draws below stay where those factor:
+    dense f of degree <= 6, and x**n - a, whose minors are built from n and a."""
+    gram = trace_gram(EtaleAlgebra(f))
+    bareiss = QuadraticForm(gram.gram)
+    assert gram.det == bareiss.det, f
+    assert isometric(diagonal_form(diagonalize(gram).entries), bareiss), f
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(squarefree_polys(st.integers(1, 6)))
+def test_trace_diagonal_is_isometric_to_the_bareiss_route(f):
+    _check_diagonal_against_the_bareiss_route(f)
+
+
+# x**n - a up to n = 32, a integral or rational and of either sign, beside the gap cases
+BINOMIALS = [Poly([-a] + [0] * (n - 1) + [1]) for n in range(1, 33) for a in (2, -3, Fraction(1, 2), Fraction(-5, 3))]
+
+
+@pytest.mark.parametrize("f", GAP_CASES + BINOMIALS, ids=repr)
+def test_gap_and_binomial_diagonals_are_isometric_to_the_bareiss_route(f):
+    _check_diagonal_against_the_bareiss_route(f)
 
 
 def test_gap_cases_hold_every_run_length():
