@@ -11,18 +11,21 @@ PRS (``numberfield.trace_gram``).  Every classifying datum (rank,
 signature, determinant class, degree-1 and degree-2 classes, local Hasse
 units) is read off that diagonal's integers the same way for every form,
 with no rational arithmetic, and :func:`isometric` compares all of it.
-"""
+:func:`invariants` of an etale algebra reads its trace form's diagonal."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .arith import factor
 from .cohomology import INF, CohClass2, Place, SquareClass, _hasse_exponent
 from .errors import DomainError
 from .values import Value, setfield
+
+if TYPE_CHECKING:
+    from .numberfield import EtaleAlgebra
 
 
 class QuadraticForm(Value):
@@ -33,8 +36,8 @@ class QuadraticForm(Value):
     hashing compare it, and ``gram`` is rebuilt from it on demand.
     ``_diagonal`` and ``_det`` hold a congruent diagonal form's entries and
     determinant as (num, den) pairs, from :func:`_leading_minors` (which
-    rejects a degenerate matrix) unless the builder passes them in.
-    """
+    rejects a degenerate matrix) unless the builder passes them in, and
+    ``_support`` is L*|num|/gcd(num, den) of that determinant."""
 
     _fields = ("_scale", "_scaled")
 
@@ -66,6 +69,7 @@ class QuadraticForm(Value):
         setfield(self, "_scaled", scaled)
         setfield(self, "_diagonal", diagonal[0])
         setfield(self, "_det", diagonal[1])
+        setfield(self, "_support", scale * abs(diagonal[1][0]) // gcd(*diagonal[1]))
 
     @property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -177,25 +181,25 @@ class FormInvariants(Value):
         }
 
 
-def invariants(q: QuadraticForm) -> FormInvariants:
-    """rank, signature, determinant class, w1, w2 and local Hasse units.
+def invariants(q: QuadraticForm | EtaleAlgebra) -> FormInvariants:
+    """rank, signature, determinant class, w1, w2 and local Hasse units of
+    a form, or of the trace form of an etale algebra.
 
-    L*q is integral, and an integral form whose determinant is a unit at
-    an odd p has trivial Hasse unit at p (Serre, A Course in Arithmetic,
-    Ch. IV).  So local symbols are needed only at 2, inf and the primes of
-    L*|numerator(det q)|.  A diagonal entry num/den is num*den up to
-    squares; one kernel call per place gives, from those integers, the
-    Hasse exponent e and k, the number of odd-valuation entries, whose
-    parity is that of v_p(det).
+    An integral form whose determinant is a unit at an odd p has trivial
+    Hasse unit at p (Serre, A Course in Arithmetic, Ch. IV), so local
+    symbols are needed only at 2, inf and the primes of ``_support``:
+    L*|numerator(det q)| for L*q integral, and |disc g| for an algebra,
+    whose trace form is congruent to g's Hankel form by diag(c**-i).  A
+    diagonal entry num/den is num*den up to squares; per place, one kernel
+    call gives the Hasse exponent e and k, the odd-valuation entry count.
     """
     pivots = [num * den for num, den in q._diagonal]
-    num, den = q._det
     n = len(pivots)
     neg = sum(1 for x in pivots if x < 0)
     disc_rep = -1 if neg % 2 else 1
     w2 = [INF] if neg * (neg - 1) // 2 % 2 else []
     hasse = {}
-    for p in [2] + [p for p, _ in factor(q._scale * abs(num) // gcd(num, den)).factors if p != 2]:
+    for p in [2] + [p for p, _ in factor(q._support).factors if p != 2]:
         e, k = _hasse_exponent(pivots, p)
         v = Place.from_prime(p)  # factor() has proved p prime: no second test
         if e:

@@ -15,18 +15,18 @@ remainder sequence over the integers, whose members are the subresultants
 themselves.  One such sequence of (g, g'), run once per algebra, gives the
 leading principal minors of the trace form (Hermite's form), whose last
 is disc g; Frobenius' rule turns them into a diagonal, zero minors
-included, that the trace form carries and that gives, as pos - neg, the
-real root count.  Residue
-factorization patterns come from one distinct-degree factorization of f
-over F_p, which gives the degree and count of the factors and peels off
-their multiplicities by repeated gcds: x**p mod f is computed once per
-polynomial, with each residue mod (f, p) packed into one int, and the
-higher Frobenius powers x**(p**i) come from the Frobenius matrix.  A
-packed coefficient is kept partly reduced, below A = 3p: a product's slots
-(at most n(A-1)**2) go below A by one packed Barrett step, the high half
-folds onto the low half by the packed rows x**(n+k) mod f, themselves
-residues (to at most (A-1)(1 + n(A-1))), and a second Barrett step brings
-the low slots below A again.  The slots are about 2 bitlen(p) +
+included, that the algebra carries and that gives the trace form's
+invariants, with no Gram matrix built, and, as pos - neg, the real root
+count.  Residue factorization patterns come from one distinct-degree
+factorization of f over F_p, which gives the degree and count of the
+factors and peels off their multiplicities by repeated gcds: x**p mod f is
+computed once per polynomial, with each residue mod (f, p) packed into one
+int, and the higher Frobenius powers x**(p**i) come from the Frobenius
+matrix.  A packed coefficient is kept partly reduced, below A = 3p: a
+product's slots (at most n(A-1)**2) go below A by one packed Barrett step,
+the high half folds onto the low half by the packed rows x**(n+k) mod f,
+themselves residues (to at most (A-1)(1 + n(A-1))), and a second Barrett
+step brings the low slots below A again.  The slots are about 2 bitlen(p) +
 2 bitlen(n) + 8 bits wide, room for the widest of these values and for the
 Barrett products, so no slot carries into the next, and no coefficient is
 taken mod p until it is unpacked.
@@ -35,7 +35,6 @@ taken mod p until it is unpacked.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as igcd
 from math import lcm
 from typing import Iterable
 
@@ -268,6 +267,7 @@ class EtaleAlgebra(Value):
         setfield(self, "real_roots", _sign_count(diagonal))
         setfield(self, "_disc", (minors[-1], c ** (poly.degree * (poly.degree - 1))))
         setfield(self, "_diagonal", diagonal)
+        setfield(self, "_support", abs(minors[-1]))  # see forms.invariants
 
     @property
     def disc(self) -> Fraction:
@@ -285,11 +285,14 @@ def _newton_sums(g: list[int], upto: int) -> list[int]:
     """p_0, ..., p_upto for the roots of monic integral g, by Newton's identities."""
     d = len(g) - 1
     top = g[::-1]  # top[i] is the coefficient of g at x**(d-i)
+    terms = [(i, t) for i, t in enumerate(top) if i and t]  # each sum runs over these alone
     p = [d]
     for k in range(1, upto + 1):
         s = k * top[k] if k <= d else 0
-        for i in range(1, min(k, d + 1)):
-            s += top[i] * p[k - i]
+        for i, t in terms:
+            if i >= k:
+                break
+            s += t * p[k - i]
         p.append(-s)
     return p
 
@@ -306,30 +309,24 @@ def power_sums(f: Poly, upto: int) -> list[Fraction]:
 def trace_gram(algebra: EtaleAlgebra) -> QuadraticForm:
     """Gram matrix of (u, v) -> trace(u*v) in the power basis 1, x, ..., x^(d-1).
 
-    Entry (i, j) is the power sum p_(i+j), given to the form as the pair
-    (p_(i+j)(g), c**(i+j)) of :func:`power_sums` in lowest terms.  The form
+    Entry (i, j) is the power sum p_(i+j) of :func:`power_sums`.  The form
     is built with the algebra's diagonal and det = disc f, so no
-    elimination runs; ``QuadraticForm(trace_gram(A).gram)`` runs one.
-    """
-    c, g = _monic_integral(algebra.poly)
-    d = len(g) - 1
-    ratios = []
-    power = 1  # c**k
-    for pk in _newton_sums(g, 2 * d - 2):
-        r = igcd(pk, power)
-        ratios.append((pk // r, power // r))
-        power *= c
+    elimination runs; ``QuadraticForm(trace_gram(A).gram)`` runs one."""
+    d = algebra.degree
+    ratios = [(x.numerator, x.denominator) for x in power_sums(algebra.poly, 2 * d - 2)]
     return QuadraticForm._from_ratios([ratios[i : i + d] for i in range(d)], (algebra._diagonal, algebra._disc))
 
 
 class TraceFormReport(Value):
-    """Trace form of an etale algebra together with its classifying data."""
+    """Trace form of an etale algebra, held as its power sums p_0, ..., p_(2n-2),
+    each an int or "num/den" in lowest terms, and its classifying data."""
 
-    _fields = ("gram", "disc_field", "signature", "form_invariants")
+    _fields = ("power_sums", "disc_field", "signature", "form_invariants")
 
     def to_json(self) -> dict:
+        sums, n = self.power_sums, self.form_invariants.rank
         return {
-            "gram": self.gram.to_json(),
+            "gram": [list(sums[i : i + n]) for i in range(n)],
             "disc_field": self.disc_field.to_json(),
             "signature": list(self.signature),
             "invariants": self.form_invariants.to_json(),
@@ -337,12 +334,12 @@ class TraceFormReport(Value):
 
 
 def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
-    """The trace form, printed as its Gram matrix, and its invariants, read
-    off the algebra's diagonal that :func:`trace_gram` passes on, so det =
-    disc f and signature (r1 + r2, r2) hold by construction."""
-    gram = trace_gram(algebra)
-    inv = invariants(gram)
-    return TraceFormReport(gram, inv.w1, inv.signature, inv)
+    """The trace form, printed from its power sums p_k(f) = p_k(g) / c**k,
+    and ``invariants(algebra)``: det = disc f and signature (r1 + r2, r2)."""
+    c, g = _monic_integral(algebra.poly)
+    sums = tuple([_rat_json(pk, c**k) for k, pk in enumerate(_newton_sums(g, 2 * len(g) - 4))])
+    inv = invariants(algebra)
+    return TraceFormReport(sums, inv.w1, inv.signature, inv)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .cohomology import (
 )
 from .errors import DomainError
 from .forms import QuadraticForm, invariants
-from .numberfield import EtaleAlgebra, trace_form_report
+from .numberfield import EtaleAlgebra
 from .values import Value, setfield
 
 QUARTIC_ASSUMPTIONS = (
@@ -55,8 +55,7 @@ def sw2_permutation(algebra: EtaleAlgebra) -> CohClass2:
     Computed as w2 of the trace form plus the spinor class, which is the
     comparison formula solved for sw2.
     """
-    w2_trace = trace_form_report(algebra).form_invariants.w2
-    return w2_trace + sp2_permutation(algebra)
+    return invariants(algebra).w2 + sp2_permutation(algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,7 @@ def lifting_decisions(algebra: EtaleAlgebra) -> LiftReport:
     vanishing alone."""
     if algebra.degree != 4:
         raise DomainError("lifting decisions are defined for quartics only")
-    inv = trace_form_report(algebra).form_invariants
+    inv = invariants(algebra)
     disc_class, w2_trace = inv.w1, inv.w2  # det of the trace form is disc f
     # {inf} and the hasse_local keys cover 2, the finite places of w2 and
     # the odd primes of disc f, so they hold the supports of w2 and sp2

@@ -573,6 +573,20 @@ CONSOLE_PINS = [
      '"id":null,"inputs":{"poly":"-1,1,0,0,1"},"outputs":{"field_disc":-283,"lift_delta_solvable":true,'
      '"lift_solvable":false,"local_table":{"2":[-1,-1],"283":[-1,-1],"inf":[1,1]},"sp2":[2,283],"sw2":[],'
      '"w2_trace":[2,283]},"status":"ok"}\n', "", None),
+    # a rational quartic, c = 6: the prime 3 of c divides disc g and carries a Hasse unit of -1
+    ("embedding --poly 1/3,1/2,0,0,1 --json", 0,
+     '{"assumptions":["defining quartic is irreducible over Q with Galois closure of group S4",'
+     '"stated local decomposition types are valid only under that hypothesis"],"command":"embedding",'
+     '"id":null,"inputs":{"poly":"1/3,1/2,0,0,1"},"outputs":{"field_disc":10101,"lift_delta_solvable":false,'
+     '"lift_solvable":false,"local_table":{"13":[1,-1],"2":[-1,-1],"3":[-1,-1],"37":[1,-1],"7":[-1,1],'
+     '"inf":[-1,1]},"sp2":[2,3,13,37],"sw2":[7,13,37,"inf"],"w2_trace":[2,3,7,"inf"]},"status":"ok"}\n', "", None),
+    # x^4 - 2: the Hankel minors D_2 and D_3 are 0, a gap run that Frobenius' rule crosses
+    ("embedding --poly -2,0,0,0,1 --json", 0,
+     '{"assumptions":["defining quartic is irreducible over Q with Galois closure of group S4",'
+     '"stated local decomposition types are valid only under that hypothesis"],"command":"embedding",'
+     '"id":null,"inputs":{"poly":"-2,0,0,0,1"},"outputs":{"field_disc":-2,"lift_delta_solvable":true,'
+     '"lift_solvable":true,"local_table":{"2":[1,1],"inf":[1,1]},"sp2":[],"sw2":[],"w2_trace":[]},'
+     '"status":"ok"}\n', "", None),
     # the cubic surface: chi = 3 h_2(1, 1, -2) = 9, one divided difference of x^4 on
     # the nodes -2, 1, 1
     ("hypersurface --n 2 --d 3 --json", 0,

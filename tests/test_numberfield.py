@@ -301,6 +301,28 @@ def test_trace_requests_run_no_elimination(monkeypatch):
     assert len(calls) == 1
 
 
+def test_trace_requests_build_no_gram_matrix(monkeypatch):
+    """A tracefield request runs Newton's identities once and builds no
+    QuadraticForm: its report is written from the power sums.  An embedding
+    request runs neither: it reads the invariants off the algebra."""
+    from hassewitt import cli, forms
+
+    built, runs = [], []
+    real_set, real_sums = forms.QuadraticForm._set, numberfield._newton_sums
+    monkeypatch.setattr(forms.QuadraticForm, "_set", lambda q, *args: built.append(args) or real_set(q, *args))
+    monkeypatch.setattr(numberfield, "_newton_sums", lambda g, upto: runs.append(upto) or real_sums(g, upto))
+    for command, poly, want in (("tracefield", "-1,1,0,0,1", [6]), ("tracefield", "1/2,0,-3,1", [4]),
+                                ("tracefield", "-2,0,0,0,1", [6]), ("tracefield", "7,1", [0]),
+                                ("embedding", "-1,-2,0,1,1", []), ("embedding", "1/3,1/2,0,0,1", []),
+                                ("embedding", "-2,0,0,0,1", [])):
+        runs.clear()
+        outputs, assumptions = cli.execute(command, {"poly": poly})
+        cli.dump_report(cli.make_report(None, command, {"poly": poly}, outputs, assumptions))
+        assert (built, runs) == ([], want), (command, poly)
+    trace_gram(EtaleAlgebra(X4_X_1))  # the library's Gram builder passes both counters
+    assert len(built) == 1 and runs == [6]
+
+
 def _binomial_closed_form(n, a):
     """The trace form of Q[x]/(x^n - a): <n> + ((n-2)/2) H + <n a> for even
     n and <n> + ((n-1)/2) H for odd n, H = <1, -1> the hyperbolic plane
@@ -342,7 +364,7 @@ def test_trace_gram_of_x400_minus_2_runs_no_elimination(monkeypatch):
     gram = trace_gram(algebra)
     inv, diagonal, det = invariants(gram), diagonalize(gram), gram.det
     assert calls == []
-    assert inv == trace_form_report(algebra).form_invariants
+    assert inv == invariants(algebra) == trace_form_report(algebra).form_invariants
     assert det == algebra.disc
     # one odd gap run, D_2 = ... = D_399 = 0, so the entries multiply to det exactly
     assert len(diagonal.entries) == 400 and prod(diagonal.entries) == det
@@ -766,4 +788,4 @@ def test_trace_form_report_det_and_signature_identities():
         assert bareiss.det == gram.det == algebra.disc == (-res if d * (d - 1) // 2 % 2 else res), f
         assert r1 == naive_count_real_roots(f), f
         assert report.signature == invariants(bareiss).signature == (r1 + r2, r2), f
-        assert report.gram == gram and report.form_invariants == invariants(bareiss), f
+        assert report.to_json()["gram"] == gram.to_json() and report.form_invariants == invariants(bareiss), f

@@ -25,10 +25,16 @@ shifted and scaled polynomials, and on gap runs of every length from 1 to
 8, both right after D_1 and after D_2.  The diagonal that trace_gram
 carries, which diagonalize returns, has other entries than the Bareiss
 route gives, but the two diagonal forms are isometric.
+
+invariants of an algebra read its diagonal with no Gram matrix, at the
+primes of 2 |disc g|, and the trace report prints the Gram matrix from the
+power sums; both are checked against trace_gram and the Bareiss route on
+dense, sparse, x**n - a and rational algebras whose c shares a prime with
+disc g.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -235,3 +241,45 @@ def test_gap_cases_hold_every_run_length():
                     runs.add((last, k - last))
                 last = k
     assert {(start, m) for start in (1, 2) for m in range(1, 9)} <= runs
+
+
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def trace_algebras(draw) -> EtaleAlgebra:
+    """Squarefree monic f of degree 1-8: dense, sparse, x**n - a with a
+    integral or rational, or rational f(x) = g(c x) / c**n for integral g
+    = (x - a)**2 k + p r, so that the prime p of c divides disc g."""
+    kind = draw(st.sampled_from(("dense", "sparse", "gap", "rational")))
+    n = draw(st.integers(1, 8))
+    if kind == "dense":
+        coeffs = [draw(SMALL) for _ in range(n)]
+    elif kind == "sparse":
+        coeffs = [draw(NONZERO) if draw(st.integers(0, 3)) == 0 else 0 for _ in range(n)]
+    elif kind == "gap":
+        coeffs = [-draw(NONZERO)] + [0] * (n - 1)
+    else:
+        p = draw(st.sampled_from((2, 3, 5)))
+        c = p * draw(st.integers(1, 3))
+        a = draw(st.integers(1, p - 1))
+        k = [draw(SMALL) for _ in range(n - 2)] + [1] if n >= 2 else [1]
+        square = poly_mul([-a, 1], [-a, 1], k) if n >= 2 else [0, 1]
+        r = [draw(SMALL) for _ in range(n)]
+        g = [x + p * y for x, y in zip(square, r)] + square[n:]
+        coeffs = [Fraction(x * c**i, c**n) for i, x in enumerate(g[:n])]
+    f = Poly(coeffs + [1])
+    lead, minors = numberfield._hankel_minors(f)
+    assume(minors[-1] != 0)
+    if kind == "rational" and n >= 2:
+        assume(gcd(lead, minors[-1]) > 1)
+    return EtaleAlgebra(f)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(trace_algebras())
+def test_algebra_invariants_and_report_rows_match_the_gram_matrix(algebra):
+    gram = trace_gram(algebra)
+    report = trace_form_report(algebra)
+    assert invariants(algebra) == report.form_invariants == invariants(QuadraticForm(gram.gram)), algebra
+    assert report.to_json()["gram"] == gram.to_json(), algebra

@@ -100,8 +100,7 @@ GOLDEN = {
         -2075042570270469948,
     ),
     "trace_form_report": (
-        "TraceFormReport(gram=QuadraticForm([['4', '0', '0', '-3'], ['0', '0', '-3', '4'], "
-        "['0', '-3', '4', '0'], ['-3', '4', '0', '3']]), disc_field=(-283), signature=(3, 1), "
+        "TraceFormReport(power_sums=(4, 0, 0, -3, 4, 0, 3), disc_field=(-283), signature=(3, 1), "
         "form_invariants=FormInvariants(rank=4, signature=(3, 1), disc=(-283), w1=(-283), "
         "w2={2, 283}, hasse_local={2: -1, 283: -1}))",
         None,
@@ -142,7 +141,7 @@ HASHED = {
     FormInvariants: ("rank", "signature", "disc", "w2"),
     Poly: ("_scale", "_scaled"),
     EtaleAlgebra: ("poly",),
-    TraceFormReport: ("gram", "disc_field", "signature", "form_invariants"),
+    TraceFormReport: ("power_sums", "disc_field", "signature", "form_invariants"),
     CompleteIntersectionSpec: ("n", "degrees"),
     SymbolicClass: ("numeric", "tokens"),
     MotiveReport: ("chi", "b_n", "tau_mod8", "m", "m_prime", "w1_qB", "w2_qB", "delta1", "delta2"),
