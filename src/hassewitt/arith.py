@@ -9,10 +9,11 @@ are exact.
 Factorization strategy: a gcd with the product of the odd primes below
 100 finds the small primes, and a second gcd with the product of the odd
 primes below 10**4 runs only when the cofactor left is at least 100**2.
-Each composite cofactor then meets one method, chosen by its size, that
-does a bounded amount of work.  Below 10**12 it is p*q with both primes
-above 10**4, and Lehman's method splits it in at most 1.5 n**(1/3) + 2
-square tests.  From 10**12 up to 2**256 it meets Pollard's p - 1 method:
+A perfect k-th power, k prime, splits into its k roots; any other composite
+cofactor meets one method, chosen by its size, that does a bounded amount
+of work.  Below 10**12 it is p*q with both primes above 10**4, and
+Lehman's method splits it in at most 1.5 n**(1/3) + 2 square tests.
+From 10**12 up to 2**256 it meets Pollard's p - 1 method:
 stage 1 is one modular power x = 2**lcm(1..2,000), replayed one prime
 power at a time when its gcd takes in every prime at once.  What p - 1
 leaves meets Lenstra's elliptic curve method on a fixed ladder of rungs,
@@ -41,7 +42,7 @@ from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, islice
-from math import gcd, isqrt, prod
+from math import exp, gcd, isqrt, log, prod
 from operator import or_
 
 from .errors import DomainError, EffortExceededError, InternalError
@@ -415,6 +416,21 @@ def _divide_out(n: int, primes: tuple[int, ...], product: int, out: dict[int, in
     return n
 
 
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with m = r**k for the least prime k that has one, else (m, 1).
+    m, of at most _PRIME_BITS bits, has no prime below _TRIAL_BOUND: only k with
+    _TRIAL_BOUND**k < m are tried, r by Newton's method from above a float root."""
+    for k in (2, *_TRIAL_PRIMES):
+        if _TRIAL_BOUND**k >= m:
+            break
+        r = isqrt(m) if k == 2 else int(exp(log(m) / k) * (1 + 2.0**-40)) + 1
+        while k > 2 and (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == m:
+            return r, k
+    return m, 1
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n >= 1 into an ascending (prime, exponent) tuple."""
@@ -425,15 +441,16 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     if n >= _SMALL_BOUND * _SMALL_BOUND:
         n = _divide_out(n, _LARGE_TRIAL, _PRIMORIAL, out)
     # every prime left is above _TRIAL_BOUND, so a composite left is above its
-    # square; Lehman's method, or p - 1 and ECM, and recursion finish the rest
+    # square; k-th roots, Lehman, or p - 1 and ECM, and recursion finish the rest
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        if isqrt(m) ** 2 == m:
-            stack.extend((isqrt(m), isqrt(m)))
+        root, k = _perfect_power(m)
+        if k > 1:
+            stack.extend([root] * k)
             continue
         if m < _PM1_FLOOR:
             g = _lehman(m)

@@ -188,8 +188,9 @@ def invariants(q: QuadraticForm | EtaleAlgebra) -> FormInvariants:
     An integral form whose determinant is a unit at an odd p has trivial
     Hasse unit at p (Serre, A Course in Arithmetic, Ch. IV), so local
     symbols are needed only at 2, inf and the primes of ``_support``:
-    L*|numerator(det q)| for L*q integral, and |disc g| for an algebra,
-    whose trace form is congruent to g's Hankel form by diag(c**-i).  A
+    L*|numerator(det q)| for L*q integral; for an algebra, whose trace form
+    is congruent to g's Hankel form by diag(c**-i), |numerator(disc f)| *
+    gcd(disc g, c): the primes of disc g, none past its power in c.  A
     diagonal entry num/den is num*den up to squares; per place, one kernel
     call gives the Hasse exponent e and k, the odd-valuation entry count.
     """

@@ -35,7 +35,7 @@ taken mod p until it is unpacked.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .arith import is_prime
@@ -267,7 +267,7 @@ class EtaleAlgebra(Value):
         setfield(self, "real_roots", _sign_count(diagonal))
         setfield(self, "_disc", (minors[-1], c ** (poly.degree * (poly.degree - 1))))
         setfield(self, "_diagonal", diagonal)
-        setfield(self, "_support", abs(minors[-1]))  # see forms.invariants
+        setfield(self, "_support", abs(minors[-1]) // gcd(*self._disc) * gcd(minors[-1], c))  # see forms.invariants
 
     @property
     def disc(self) -> Fraction:
@@ -337,9 +337,12 @@ def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
     """The trace form, printed from its power sums p_k(f) = p_k(g) / c**k,
     and ``invariants(algebra)``: det = disc f and signature (r1 + r2, r2)."""
     c, g = _monic_integral(algebra.poly)
-    sums = tuple([_rat_json(pk, c**k) for k, pk in enumerate(_newton_sums(g, 2 * len(g) - 4))])
+    sums, power = [], 1
+    for pk in _newton_sums(g, 2 * algebra.degree - 2):
+        sums.append(_rat_json(pk, power))
+        power *= c
     inv = invariants(algebra)
-    return TraceFormReport(sums, inv.w1, inv.signature, inv)
+    return TraceFormReport(tuple(sums), inv.w1, inv.signature, inv)
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,22 @@ def test_pm1_runs_only_on_cofactors_of_at_least_10_to_the_12(monkeypatch):
     assert calls == [STAGE1_P * SAFE_Q]
 
 
+def test_prime_powers_split_into_roots_without_p_minus_1(monkeypatch):
+    # a cofactor r**k, k prime, splits into k roots before p - 1, ECM or the
+    # 256-bit cap: M89**3 has 267 bits and M107**19 has 2,033
+    def refuse(m):
+        raise AssertionError(f"p - 1 or ECM ran on {m}")
+
+    monkeypatch.setattr(arith, "_pollard_pm1", refuse)
+    monkeypatch.setattr(arith, "_ecm", refuse)
+    arith._factor_positive.cache_clear()
+    m31, m61, m89, m107 = (2**e - 1 for e in (31, 61, 89, 107))  # Mersenne primes
+    for n, want in ((m89**3, {m89: 3}), (m61**5, {m61: 5}), (m61**6, {m61: 6}), (m31**7, {m31: 7}),
+                    (12 * m107**3, {2: 2, 3: 1, m107: 3}), (m107**19, {m107: 19})):
+        assert dict(factor(n).factors) == want, want
+    arith._factor_positive.cache_clear()
+
+
 def test_factor_splits_seeded_semiprime_cofactors(monkeypatch):
     # p - 1 or the first ECM rung splits every one; both do the same work
     # on every call, and so return the same factor

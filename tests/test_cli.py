@@ -460,6 +460,8 @@ def test_human_output_golden(capsys, line, expected):
     assert report["outputs"] == execute(report["command"], report["inputs"])[0]
 
 
+M107 = 2**107 - 1  # a Mersenne prime
+
 # Every byte, exit code and time bound the console script is held to, run
 # in-process: (command line, exit code, stdout, stderr, seconds), with None
 # for a stream or a time that is not checked.  The installed entry point is
@@ -516,6 +518,21 @@ CONSOLE_PINS = [
      '"outputs":{"disc_field":7847102634237147,"gram":[[2,0],[0,15694205268474294]],'
      '"invariants":{"disc":7847102634237147,"hasse_local":{"2":-1,"3":-1,"36845569":1,"70990921":1},'
      '"rank":2,"signature":[2,0],"w1":7847102634237147,"w2":[2,3]},"signature":[2,0]},"status":"ok"}\n', "", None),
+    # x^3 + x/M with the prime M = 2^107 - 1: disc f = -4/M^3, and the trace form is
+    # checked at the primes of |num disc f| * gcd(disc g, c) = 4M, not of disc g = -4M^3
+    (f"tracefield --poly 0,1/{M107},0,1 --json", 0,
+     '{"assumptions":[],"command":"tracefield","id":null,"inputs":{"poly":"0,1/' f'{M107}' ',0,1"},'
+     f'"outputs":{{"disc_field":-{M107},"gram":[[3,0,"-2/{M107}"],[0,"-2/{M107}",0],'
+     f'["-2/{M107}",0,"2/{M107**2}"]],"invariants":{{"disc":-{M107},"hasse_local":{{"{M107}":1,"2":1}},'
+     f'"rank":3,"signature":[2,1],"w1":-{M107},"w2":[]}},"signature":[2,1]}},"status":"ok"}}\n', "", None),
+    # roots 1/M, 2/M, 3/M: c = M^3 and gcd(disc g, c) = M^3, which factoring splits
+    # as a cube
+    (f"tracefield --poly -6/{M107**3},11/{M107**2},-6/{M107},1 --json", 0,
+     f'{{"assumptions":[],"command":"tracefield","id":null,"inputs":{{"poly":"-6/{M107**3},11/{M107**2},'
+     f'-6/{M107},1"}},"outputs":{{"disc_field":1,"gram":[[3,"6/{M107}","14/{M107**2}"],'
+     f'["6/{M107}","14/{M107**2}","36/{M107**3}"],["14/{M107**2}","36/{M107**3}","98/{M107**4}"]],'
+     '"invariants":{"disc":1,"hasse_local":{"2":1},"rank":3,"signature":[3,0],"w1":1,"w2":[]},'
+     '"signature":[3,0]},"status":"ok"}\n', "", None),
     # x^2 - P*Q with P = 2^100 - 15 and Q = 2^100 + 277 prime: p - 1 and the whole
     # ECM ladder find neither, so the request ends in effort_exceeded (exit 3)
     ("tracefield --poly -1606938044258990275541962092673287059781999096974929075105733,0,1",
@@ -580,6 +597,13 @@ CONSOLE_PINS = [
      '"id":null,"inputs":{"poly":"1/3,1/2,0,0,1"},"outputs":{"field_disc":10101,"lift_delta_solvable":false,'
      '"lift_solvable":false,"local_table":{"13":[1,-1],"2":[-1,-1],"3":[-1,-1],"37":[1,-1],"7":[-1,1],'
      '"inf":[-1,1]},"sp2":[2,3,13,37],"sw2":[7,13,37,"inf"],"w2_trace":[2,3,7,"inf"]},"status":"ok"}\n', "", None),
+    # x^4 + 1/M, M = 2^107 - 1: disc f = 256/M^3 and c = M, so the support is 256M
+    (f"embedding --poly 1/{M107},0,0,0,1 --json", 0,
+     '{"assumptions":["defining quartic is irreducible over Q with Galois closure of group S4",'
+     '"stated local decomposition types are valid only under that hypothesis"],"command":"embedding",'
+     f'"id":null,"inputs":{{"poly":"1/{M107},0,0,0,1"}},"outputs":{{"field_disc":{M107},'
+     f'"lift_delta_solvable":false,"lift_solvable":false,"local_table":{{"{M107}":[-1,1],"2":[1,1],'
+     f'"inf":[-1,1]}},"sp2":[],"sw2":[{M107},"inf"],"w2_trace":[{M107},"inf"]}},"status":"ok"}}\n', "", None),
     # x^4 - 2: the Hankel minors D_2 and D_3 are 0, a gap run that Frobenius' rule crosses
     ("embedding --poly -2,0,0,0,1 --json", 0,
      '{"assumptions":["defining quartic is irreducible over Q with Galois closure of group S4",'

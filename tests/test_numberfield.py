@@ -323,6 +323,19 @@ def test_trace_requests_build_no_gram_matrix(monkeypatch):
     assert len(built) == 1 and runs == [6]
 
 
+def test_trace_invariants_with_a_large_prime_in_c():
+    """invariants(A) factors |num disc f| * gcd(disc g, c), whose primes are
+    those of disc g, while disc g carries c**(n(n-1)): with M = 2^107 - 1 in
+    the denominators, it agrees with the Bareiss route.  For x^8 + 1/M,
+    disc g = 8^8 M^49 is past the 2,048-bit primality cap; the support is 8^8 M."""
+    m = 2**107 - 1
+    for coeffs in ([0, Fraction(1, m), 0, 1], [Fraction(-6, m**3), Fraction(11, m**2), Fraction(-6, m), 1],
+                   [Fraction(1, m), 0, 0, 0, 1], [0, Fraction(1, m**3), 1], [Fraction(1, m**3), 1],
+                   [Fraction(1, m)] + [0] * 7 + [1]):
+        algebra = EtaleAlgebra(Poly(coeffs))
+        assert invariants(algebra) == invariants(QuadraticForm(trace_gram(algebra).gram)), coeffs
+
+
 def _binomial_closed_form(n, a):
     """The trace form of Q[x]/(x^n - a): <n> + ((n-2)/2) H + <n a> for even
     n and <n> + ((n-1)/2) H for odd n, H = <1, -1> the hyperbolic plane
