@@ -157,9 +157,7 @@ def _run_tracefield(params: dict):
 
 def _run_embedding(params: dict):
     algebra = EtaleAlgebra(parse_poly(_need(params, "poly")))
-    payload = lifting_decisions(algebra).to_json()
-    assumptions = tuple(payload.pop("assumptions"))
-    return payload, assumptions
+    return lifting_decisions(algebra).to_json(), QUARTIC_ASSUMPTIONS
 
 
 def _run_jehanne(params: dict):

@@ -97,7 +97,7 @@ class Poly(Value):
         # in characteristic 0, f is squarefree iff disc f != 0
         if self.is_zero:
             return False
-        return self.degree <= 0 or _hankel_minors(self)[1][-1] != 0
+        return self.degree <= 0 or _hankel_minors(_monic_integral(self)[1])[-1] != 0
 
     def integer_coeffs(self) -> tuple[int, list[int]]:
         """(d, coeffs) with d > 0 minimal such that d * self has integer coefficients."""
@@ -186,16 +186,14 @@ def _monic_integral(f: Poly) -> tuple[int, list[int]]:
     return lead, [x * lead ** (n - 1 - i) for i, x in enumerate(scaled[:-1])] + [1]
 
 
-def _hankel_minors(f: Poly) -> tuple[int, list[int]]:
-    """(L, [D_1, ..., D_n]) for deg f = n >= 1, L and g as in
-    :func:`_monic_integral`: D_k, the k-th leading principal minor of the
-    Hankel matrix (p_(i+j)) of g, is (-1)**(k(k-1)/2) psc_(n-k)(g, g')
-    (Basu-Pollack-Roy, Ch. 4), and D_n = disc g is 0 iff f has a repeated
-    root."""
-    lead, g = _monic_integral(f)
+def _hankel_minors(g: list[int]) -> list[int]:
+    """[D_1, ..., D_n] for g of degree n >= 1 from :func:`_monic_integral`:
+    D_k, the k-th leading principal minor of the Hankel matrix (p_(i+j)) of
+    g, is (-1)**(k(k-1)/2) psc_(n-k)(g, g') (Basu-Pollack-Roy, Ch. 4), and
+    D_n = disc g is 0 iff g has a repeated root."""
     n = len(g) - 1
     psc = _subresultant_psc(g, [i * x for i, x in enumerate(g)][1:])
-    return lead, [-psc[n - k] if k * (k - 1) // 2 % 2 else psc[n - k] for k in range(1, n + 1)]
+    return [-psc[n - k] if k * (k - 1) // 2 % 2 else psc[n - k] for k in range(1, n + 1)]
 
 
 def _frobenius_diagonal(minors: list[int]) -> list[tuple[int, int]]:
@@ -232,8 +230,8 @@ def discriminant(f: Poly) -> Fraction:
         raise DomainError("discriminant requires a monic polynomial")
     if f.degree < 1:
         raise DomainError("discriminant requires degree >= 1")
-    c, minors = _hankel_minors(f)
-    return Fraction(minors[-1], c ** (f.degree * (f.degree - 1)))
+    c, g = _monic_integral(f)
+    return Fraction(_hankel_minors(g)[-1], c ** (f.degree * (f.degree - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +246,7 @@ class EtaleAlgebra(Value):
     of g = c**d * f(x/c), congruent to that of f by diag(c**-i), and from
     them disc f = disc g / c**(d(d-1)) and a diagonal of the trace form as
     integer pairs, and the real root count, pos - neg of that diagonal.
+    It keeps (c, g) for the power sums of :func:`trace_form_report`.
     Equality and hashing compare poly alone."""
 
     _fields = ("poly",)
@@ -259,11 +258,13 @@ class EtaleAlgebra(Value):
             raise DomainError("defining polynomial must have degree >= 1")
         if not poly.is_monic:
             raise DomainError("defining polynomial must be monic")
-        c, minors = _hankel_minors(poly)
+        c, g = _monic_integral(poly)
+        minors = _hankel_minors(g)
         if minors[-1] == 0:
             raise DomainError("defining polynomial must be squarefree")
         diagonal = _frobenius_diagonal(minors)
         setfield(self, "poly", poly)
+        setfield(self, "_monic", (c, g))
         setfield(self, "real_roots", _sign_count(diagonal))
         setfield(self, "_disc", (minors[-1], c ** (poly.degree * (poly.degree - 1))))
         setfield(self, "_diagonal", diagonal)
@@ -336,7 +337,7 @@ class TraceFormReport(Value):
 def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
     """The trace form, printed from its power sums p_k(f) = p_k(g) / c**k,
     and ``invariants(algebra)``: det = disc f and signature (r1 + r2, r2)."""
-    c, g = _monic_integral(algebra.poly)
+    c, g = algebra._monic
     sums, power = [], 1
     for pk in _newton_sums(g, 2 * algebra.degree - 2):
         sums.append(_rat_json(pk, power))
@@ -355,7 +356,7 @@ def count_real_roots(f: Poly) -> int:
     diagonal of the trace form of g = _monic_integral(f) (Sylvester-Hermite)."""
     if f.is_zero or f.degree < 1:
         return 0
-    _, minors = _hankel_minors(f)
+    minors = _hankel_minors(_monic_integral(f)[1])
     if minors[-1] == 0:
         raise DomainError("real root count requires a squarefree polynomial")
     return _sign_count(_frobenius_diagonal(minors))

@@ -74,18 +74,14 @@ _RAMIFIED_TYPES = {
 
 class DecompositionType(Value):
     """How a prime decomposes in a quartic field: one of the six ramified
-    shapes, or unramified (with an optional residue-degree pattern)."""
+    shapes, or unramified."""
 
-    _fields = ("name", "pattern")  # pattern: residue degrees when unramified
+    _fields = ("name",)
 
-    def __init__(self, name: str, pattern: tuple[int, ...] | None = None):
-        if name == "unramified":
-            if pattern is not None and sum(pattern) != 4:
-                raise DomainError("unramified residue degrees must sum to 4")
-        elif name not in _RAMIFIED_TYPES:
+    def __init__(self, name: str):
+        if name != "unramified" and name not in _RAMIFIED_TYPES:
             raise DomainError(f"unknown decomposition type {name!r}")
         setfield(self, "name", name)
-        setfield(self, "pattern", pattern)
 
     @staticmethod
     def parse(text: str) -> "DecompositionType":
@@ -136,7 +132,8 @@ class LiftReport(Value):
     lift_solvable decides the twisted problem (w2 of the trace form must
     vanish), lift_delta_solvable the constant-group problem (sw2 must
     vanish).  local_table records, per place, the pair (localized w2 of the
-    trace form, local symbol (2, d_F)) in the +-1 convention.
+    trace form, local symbol (2, d_F)) in the +-1 convention.  The class
+    constant ``assumptions`` states the hypotheses that the report rests on.
     """
 
     _fields = (
@@ -147,9 +144,8 @@ class LiftReport(Value):
         "lift_solvable",
         "lift_delta_solvable",
         "local_table",
-        "assumptions",
     )
-    _defaults = {"assumptions": QUARTIC_ASSUMPTIONS}
+    assumptions = QUARTIC_ASSUMPTIONS
 
     def to_json(self) -> dict:
         return {
@@ -160,7 +156,6 @@ class LiftReport(Value):
             "lift_solvable": self.lift_solvable,
             "lift_delta_solvable": self.lift_delta_solvable,
             "local_table": {repr(v): list(pair) for v, pair in sorted(self.local_table.items())},
-            "assumptions": list(self.assumptions),
         }
 
 
@@ -178,7 +173,7 @@ def lifting_decisions(algebra: EtaleAlgebra) -> LiftReport:
         table[v] = (-1 if v in w2_trace else 1, hilbert_symbol(2, disc_class, v))
     sp2 = CohClass2(v for v, (_, sym) in table.items() if sym == -1)
     sw2 = w2_trace + sp2
-    return LiftReport(disc_class, sw2, sp2, w2_trace, w2_trace.is_zero, sw2.is_zero, table, QUARTIC_ASSUMPTIONS)
+    return LiftReport(disc_class, sw2, sp2, w2_trace, w2_trace.is_zero, sw2.is_zero, table)
 
 
 # ---------------------------------------------------------------------------

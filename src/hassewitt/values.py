@@ -1,15 +1,12 @@
 """The frozen base class of the package's value types.
 
-A value type lists its compared fields in ``_fields``, and optionally
-defaults for trailing fields in ``_defaults``.  Its constructor takes the
-fields by position or by name, as a signature over ``_fields`` would, and
-stores them with :data:`setfield`, past the frozen ``__setattr__``.  A call
-with every field by position binds nothing, so the request path calls
-that way and never reaches ``_bind``.  A type that validates or normalises
-its input writes its own constructor, which stores its fields the same
-way.  Equality holds only between instances of the same class and
-compares those fields, the hash is the hash of their tuple, and the repr
-is ``Name(field=value, ...)``.
+A value type lists its compared fields in ``_fields``.  Its constructor
+takes one value per field, by position, and stores them with
+:data:`setfield`, past the frozen ``__setattr__``.  A type that validates
+or normalises its input writes its own constructor, which stores its
+fields the same way.  Equality holds only between instances of the same
+class and compares those fields, the hash is the hash of their tuple, and
+the repr is ``Name(field=value, ...)``.
 
 A type keeps a hand-written copy of a generic method only where a
 workload reaches it often enough to matter.  Only ``Place`` writes its own
@@ -31,35 +28,13 @@ class Value:
     """Immutable value: setting or deleting any attribute raises AttributeError."""
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
+        if len(args) != len(fields):
+            raise TypeError(f"{self.__class__.__qualname__}() takes {len(fields)} fields but {len(args)} were given")
         for name, value in zip(fields, args):
             setfield(self, name, value)
-
-    def _bind(self, args: tuple, kwargs: dict) -> list:
-        """One value per field, from args and kwargs as a signature over
-        ``_fields`` with the ``_defaults`` would bind them."""
-        fields, cls = self._fields, self.__class__.__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{cls}() takes {len(fields)} fields but {len(args)} were given")
-        values = list(args)
-        for name in fields[len(args) :]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in self._defaults:
-                values.append(self._defaults[name])
-            else:
-                raise TypeError(f"{cls}() missing field {name!r}")
-        for name in kwargs:  # what is left was given by position too, or is no field
-            if name in fields:
-                raise TypeError(f"{cls}() got multiple values for field {name!r}")
-        if kwargs:
-            raise TypeError(f"{cls}() got unknown fields {sorted(kwargs)}")
-        return values
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -452,9 +452,16 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> list[list[i
     return m
 
 
-def diagonal_form(entries) -> QuadraticForm:
-    """The form <a_1, ..., a_n>."""
+def diagonal_form(entries, pivots: bool = False) -> QuadraticForm:
+    """The form <a_1, ..., a_n>.  With pivots, it is built with its entries
+    as its diagonal, since a diagonal matrix's Jacobi pivots are its
+    entries: O(n^2), where the Bareiss route costs seconds at n = 400."""
     entries = list(entries)
+    if pivots:
+        pairs = [(x.numerator, x.denominator) for x in map(Fraction, entries)]
+        det = prod(map(Fraction, entries))
+        rows = [[x if i == j else (0, 1) for j in range(len(pairs))] for i, x in enumerate(pairs)]
+        return QuadraticForm._from_ratios(rows, (pairs, (det.numerator, det.denominator)))
     return QuadraticForm([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
 
 

@@ -583,7 +583,7 @@ CONSOLE_PINS = [
     ("delta --gram-omega '1,0;0,1' --gram-eta '-1,0;0,3' --json", 0,
      '{"assumptions":[],"command":"delta","id":null,"inputs":{"gram_eta":"-1,0;0,3",'
      '"gram_omega":"1,0;0,1"},"outputs":{"delta1":-3,"delta2":[2,3]},"status":"ok"}\n', "", None),
-    # the quartic of disc -283, with the default S4 assumptions of its lift report
+    # the quartic of disc -283, with the S4 assumptions the embedding command adds
     ("embedding --poly -1,1,0,0,1 --json", 0,
      '{"assumptions":["defining quartic is irreducible over Q with Galois closure of group S4",'
      '"stated local decomposition types are valid only under that hypothesis"],"command":"embedding",'

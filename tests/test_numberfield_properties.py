@@ -146,7 +146,8 @@ def _check_against_the_bareiss_route(f: Poly) -> None:
     """The PRS minors against naive Hankel determinants, and disc, r1 and
     the invariants against the Sturm chain and the Bareiss route."""
     d = f.degree
-    lead, minors = numberfield._hankel_minors(f)
+    lead, g = numberfield._monic_integral(f)
+    minors = numberfield._hankel_minors(g)
     want = naive_hankel_minors(power_sums(f, 2 * d - 2), d)
     # the Hankel matrix of g = c**d f(x/c) is diag(c**i) (p_(i+j)(f)) diag(c**j)
     assert minors == [lead ** (k * (k - 1)) * x for k, x in enumerate(want, 1)], f
@@ -269,7 +270,8 @@ def trace_algebras(draw) -> EtaleAlgebra:
         g = [x + p * y for x, y in zip(square, r)] + square[n:]
         coeffs = [Fraction(x * c**i, c**n) for i, x in enumerate(g[:n])]
     f = Poly(coeffs + [1])
-    lead, minors = numberfield._hankel_minors(f)
+    lead, monic = numberfield._monic_integral(f)
+    minors = numberfield._hankel_minors(monic)
     assume(minors[-1] != 0)
     if kind == "rational" and n >= 2:
         assume(gcd(lead, minors[-1]) > 1)

@@ -189,6 +189,23 @@ def test_ramified_shapes_are_the_six_of_degree_4():
         assert DecompositionType(name).name == name
 
 
+def test_jehanne_symbol_column_is_two_over_p_to_the_valuation():
+    # at a tame odd p, (2, d_F)_p = (2/p)**v with v = v_p(d_F) = sum of (e - 1) f
+    # over the shape (0 unramified); (2/p) by Euler's criterion
+    checked = 0
+    for p in range(3, 2000, 2):
+        if any(p % q == 0 for q in range(3, int(p**0.5) + 1, 2)):
+            continue
+        two = 1 if pow(2, (p - 1) // 2, p) == 1 else -1
+        for name in JEHANNE_TYPES:
+            v = sum((e - 1) * f for e, f in _RAMIFIED_TYPES.get(name, ()))
+            for unit in (1, -1, 2, -4, 2003, -2 * 2011, 2017 * 2027):  # prime to p
+                d_f = unit * p**v
+                assert jehanne_local(p, DecompositionType(name), d_f)[1] == two**v, (p, name, d_f)
+                checked += 1
+    assert checked == 302 * 7 * 7
+
+
 def test_jehanne_rejects_a_zero_discriminant():
     # a field discriminant is never 0; before, only 1^2,1^2 refused it, and
     # with the Hilbert symbol's text

@@ -1,6 +1,8 @@
 """The value types are plain frozen classes, not dataclasses, and keep the
 contract they had as frozen dataclasses: reprs, hashes, equality,
-immutability, ordering and constructor validation."""
+immutability, ordering and constructor validation.  Two records have since
+lost a field (LiftReport's assumptions, DecompositionType's pattern), and a
+plain record takes its fields by position only."""
 
 import copy
 import os
@@ -13,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import hassewitt
-from hassewitt import cli
 from hassewitt import (
     INF,
     CharacterSum,
@@ -39,7 +40,7 @@ from hassewitt.cohomology import ONE, TWO
 from hassewitt.errors import DomainError, InternalError
 from hassewitt.forms import FormInvariants
 from hassewitt.motives import TOKEN_W2_DR, MotiveReport
-from hassewitt.numberfield import TraceFormReport, factor_pattern_mod_p
+from hassewitt.numberfield import TraceFormReport
 from hassewitt.obstructions import QUARTIC_ASSUMPTIONS, DeltaPair, LiftReport
 from hassewitt.values import Value
 
@@ -69,7 +70,7 @@ def _samples() -> dict:
         "motive_report_ci": motive_report(CompleteIntersectionSpec(4, (2, 2))),
         "motive_report_hyp": motive_report(CompleteIntersectionSpec(2, (3,))),
         "decomposition_type": DecompositionType("1^2,2"),
-        "decomposition_type_unram": DecompositionType("unramified", (2, 2)),
+        "decomposition_type_unram": DecompositionType("unramified"),
         "lift_report": lifting_decisions(alg),
         "character_sum": CharacterSum([-1, 2, 3]),
         "delta_pair": delta_comparison(QuadraticForm([[1, 0], [0, 1]]), QuadraticForm([[-1, 0], [0, 3]])),
@@ -78,7 +79,8 @@ def _samples() -> dict:
 
 # repr, and hash where it does not depend on str or None (whose hashes vary
 # between processes), as the frozen dataclasses gave them on 64-bit CPython
-# 3.11; the frozenset hashes are checked through the fields below
+# 3.11, less the fields since removed; the frozenset hashes are checked
+# through the fields below
 GOLDEN = {
     "place_2": ("2", 1503349363483613693),
     "place_7": ("7", 2189731453027491312),
@@ -116,13 +118,11 @@ GOLDEN = {
         "delta1=(-1) + disc_d(f), delta2={2, inf} + w2(q_dR))",
         None,
     ),
-    "decomposition_type": ("DecompositionType(name='1^2,2', pattern=None)", None),
-    "decomposition_type_unram": ("DecompositionType(name='unramified', pattern=(2, 2))", None),
+    "decomposition_type": ("DecompositionType(name='1^2,2')", None),
+    "decomposition_type_unram": ("DecompositionType(name='unramified')", None),
     "lift_report": (
         "LiftReport(field_disc=(-283), sw2={}, sp2={2, 283}, w2_trace={2, 283}, lift_solvable=False, "
-        "lift_delta_solvable=True, local_table={2: (-1, -1), 283: (-1, -1), inf: (1, 1)}, "
-        "assumptions=('defining quartic is irreducible over Q with Galois closure of group S4', "
-        "'stated local decomposition types are valid only under that hypothesis'))",
+        "lift_delta_solvable=True, local_table={2: (-1, -1), 283: (-1, -1), inf: (1, 1)})",
         None,
     ),
     "character_sum": ("CharacterSum(chars=((-1), (2), (3)))", 4191233041049155652),
@@ -145,7 +145,7 @@ HASHED = {
     CompleteIntersectionSpec: ("n", "degrees"),
     SymbolicClass: ("numeric", "tokens"),
     MotiveReport: ("chi", "b_n", "tau_mod8", "m", "m_prime", "w1_qB", "w2_qB", "delta1", "delta2"),
-    DecompositionType: ("name", "pattern"),
+    DecompositionType: ("name",),
     CharacterSum: ("chars",),
     DeltaPair: ("delta1", "delta2"),
 }
@@ -196,7 +196,7 @@ def test_equality_is_per_class():
             if type(other) is not type(x):
                 assert x != other
     assert Place.finite(2) != (0, 2) and SquareClass(2) != 2 and CohClass2() != frozenset()
-    assert Factorization(sign=1, factors=((3, 1),)) == factor(3)
+    assert Factorization(1, ((3, 1),)) == factor(3)
     assert Factorization(1, ((3, 1),)) != Factorization(-1, ((3, 1),))
     assert samples["form_invariants"] != samples["trace_form_report"].form_invariants
 
@@ -225,33 +225,14 @@ def test_etale_algebra_equality_ignores_real_roots_and_disc():
 def test_validation_errors_keep_their_texts():
     with pytest.raises(DomainError, match=r"^unknown decomposition type 'bogus'$"):
         DecompositionType("bogus")
-    with pytest.raises(DomainError, match=r"^unramified residue degrees must sum to 4$"):
-        DecompositionType("unramified", (1, 2))
     with pytest.raises(DomainError, match=r"^unknown decomposition type ' 1\^4'$"):
         DecompositionType(" 1^4")
-    assert DecompositionType.parse(" 1^4") == DecompositionType(name="1^4", pattern=None)
-    assert DecompositionType("unramified").pattern is None
+    assert DecompositionType.parse(" 1^4") == DecompositionType("1^4")
+    assert DecompositionType.parse("unramified").name == "unramified"
     with pytest.raises(InternalError, match=r"^token outside the vocabulary: \('bogus',\)$"):
         SymbolicClass(ONE, ("bogus",))
     with pytest.raises(InternalError, match=r"^odd local support \[2\]: product formula violated$"):
         CohClass2([TWO])
-
-
-def test_constructors_take_fields_by_name_and_keep_defaults():
-    report = _samples()["lift_report"]
-    assert report.assumptions == QUARTIC_ASSUMPTIONS
-    rebuilt = LiftReport(
-        field_disc=report.field_disc,
-        sw2=report.sw2,
-        sp2=report.sp2,
-        w2_trace=report.w2_trace,
-        lift_solvable=report.lift_solvable,
-        lift_delta_solvable=report.lift_delta_solvable,
-        local_table=dict(report.local_table),
-    )
-    assert rebuilt == report
-    pair = DeltaPair(delta1=SquareClass(3), delta2=CohClass2())
-    assert (pair.delta1, pair.delta2) == (SquareClass(3), CohClass2())
 
 
 # the pure-data types, whose constructor is the generic one over _fields
@@ -260,29 +241,22 @@ PLAIN = ("factorization", "form_invariants", "trace_form_report",
 
 
 @pytest.mark.parametrize("name", PLAIN)
-def test_plain_constructor_takes_fields_by_position_or_name(name):
+def test_plain_constructor_takes_fields_by_position(name):
     x = _samples()[name]
     cls, fields = type(x), type(x)._fields
     assert cls.__init__ is Value.__init__
     values = [getattr(x, f) for f in fields]
-    by_name = dict(zip(fields, values))
-    for y in (cls(*values), cls(**by_name), cls(*values[:1], **dict(zip(fields[1:], values[1:])))):
-        assert y == x and repr(y) == GOLDEN[name][0]
-    first, *rest = fields
-    with pytest.raises(TypeError, match=f"missing field {first!r}"):
-        cls(**{f: by_name[f] for f in rest})
-    with pytest.raises(TypeError, match=r"unknown fields \['bogus'\]"):
-        cls(*values, bogus=0)
-    with pytest.raises(TypeError, match=f"multiple values for field {first!r}"):
-        cls(*values[:1], **by_name)
-    with pytest.raises(TypeError, match="fields but"):
+    y = cls(*values)
+    assert y == x and repr(y) == GOLDEN[name][0]
+    n = len(fields)
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) takes {n} fields but {n + 1} were given$"):
         cls(*values, None)
-    if cls is not LiftReport:
-        with pytest.raises(TypeError, match=f"missing field {fields[-1]!r}"):
-            cls(*values[:-1])
-    else:
-        assert cls(*values[:-1]).assumptions == QUARTIC_ASSUMPTIONS == x.assumptions
-        assert cls(*values[:-1], assumptions=()).assumptions == ()
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) takes {n} fields but {n - 1} were given$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values[:-1], **{fields[-1]: values[-1]})
+    if cls is LiftReport:  # a class constant, not a field
+        assert y.assumptions is QUARTIC_ASSUMPTIONS
 
 
 def test_only_place_writes_its_own_equality_hash_and_ordering():
@@ -298,31 +272,6 @@ def test_only_place_writes_its_own_equality_hash_and_ordering():
         assert vars(Place)[name].__module__ == "functools"  # total_ordering
     for cls in VALUE_TYPES - {Place}:
         assert not {"__lt__", "__le__", "__gt__", "__ge__"} & vars(cls).keys()
-
-
-# one ok request per command; factor_pattern_mod_p is reached by the bench
-OK_PARAMS = {
-    "hilbert": {"a": "-1", "b": "-1", "place": "inf"},
-    "form-invariants": {"gram": "1,1;1,2"},
-    "form-isometric": {"gram1": "1,0;0,1", "gram2": "1,0;0,2"},
-    "tracefield": {"poly": "-1,1,0,0,1"},
-    "embedding": {"poly": "-1,1,0,0,1"},
-    "jehanne": {"p": "7", "type": "1^2,1^2", "disc": "-283"},
-    "hypersurface": {"n": "2", "d": "3"},
-    "delta": {"gram_omega": "1,0;0,1", "gram_eta": "-1,0;0,3"},
-}
-
-
-def test_no_request_binds_fields_by_name(monkeypatch):
-    def refuse(self, args, kwargs):
-        raise AssertionError(f"{type(self).__name__} built by name")
-
-    monkeypatch.setattr(Value, "_bind", refuse)
-    assert OK_PARAMS.keys() == cli.COMMANDS.keys()
-    for command, params in OK_PARAMS.items():
-        cli.execute(command, params)
-    cli.execute("hypersurface", {"n": "6", "degrees": "1,2,2"})
-    assert factor_pattern_mod_p(EtaleAlgebra(Poly([1, 0, 0, 0, 1])), 2**61 - 1) == ((2, 1), (2, 1))
 
 
 def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
