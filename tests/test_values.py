@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import hassewitt
+from hassewitt import cli
 from hassewitt import (
     INF,
     CharacterSum,
@@ -41,7 +42,7 @@ from hassewitt.errors import DomainError, InternalError
 from hassewitt.forms import FormInvariants
 from hassewitt.motives import TOKEN_W2_DR, MotiveReport
 from hassewitt.numberfield import TraceFormReport
-from hassewitt.obstructions import QUARTIC_ASSUMPTIONS, DeltaPair, LiftReport
+from hassewitt.obstructions import _RAMIFIED_TYPES, QUARTIC_ASSUMPTIONS, DeltaPair, LiftReport
 from hassewitt.values import Value
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -233,6 +234,30 @@ def test_validation_errors_keep_their_texts():
         SymbolicClass(ONE, ("bogus",))
     with pytest.raises(InternalError, match=r"^odd local support \[2\]: product formula violated$"):
         CohClass2([TWO])
+
+
+def test_lift_report_keeps_its_assumptions_as_a_class_constant():
+    report = _samples()["lift_report"]
+    assert "assumptions" not in LiftReport._fields
+    assert report.assumptions is LiftReport.assumptions is QUARTIC_ASSUMPTIONS
+    assert "assumptions" not in report.to_json()
+    with pytest.raises(AttributeError, match=r"^cannot assign to field 'assumptions'$"):
+        report.assumptions = ()
+    # the embedding command still states the hypotheses, beside the report
+    outputs, assumptions = cli.execute("embedding", {"poly": "-1,1,0,0,1"})
+    assert outputs == report.to_json() and assumptions is QUARTIC_ASSUMPTIONS
+
+
+def test_decomposition_type_takes_only_a_name():
+    assert DecompositionType._fields == ("name",)
+    for name in ("unramified", *_RAMIFIED_TYPES):
+        t = DecompositionType(name)
+        assert t.name == name and t == DecompositionType.parse(f" {name} ")
+        assert repr(t) == f"DecompositionType(name={name!r})"
+    with pytest.raises(TypeError):
+        DecompositionType("unramified", (2, 2))
+    with pytest.raises(TypeError):
+        DecompositionType(name="unramified", pattern=(2, 2))
 
 
 # the pure-data types, whose constructor is the generic one over _fields
