@@ -13,6 +13,8 @@ rational is replaced by num * den, and :func:`_hasse_exponent` reads the
 integers themselves, splits each at p into its valuation parity and its
 unit mod p (mod 8 at 2), and gives the product of the symbols over all
 pairs of a diagonal form in closed form, with at most one residue symbol.
+:func:`_cup_sum_at` is the one per-place cup loop: :func:`cup_sum` factors
+its places out, and a holder of ``FormInvariants.hasse_local`` passes its keys.
 
 Conventions: a place is either a finite prime or the real place ``inf``;
 the Hilbert symbol (a, b)_v is +1 exactly when z**2 = a x**2 + b y**2 has a
@@ -280,15 +282,18 @@ def cup(x: "Rat | SquareClass", y: "Rat | SquareClass") -> CohClass2:
 
 
 def cup_sum(values: Iterable["Rat | SquareClass"]) -> CohClass2:
-    """Sum of cup(a_i, a_j) over all unordered pairs i < j.
-
-    At a finite place that is :func:`_hasse_exponent` of the entries; at
-    inf, (-1)**C(neg, 2).
-    """
+    """Sum of cup(a_i, a_j) over all unordered pairs i < j."""
     reps = [_integer_rep(x) for x in values]
     if 0 in reps:
         raise DomainError("0 has no squarefree part")
-    support = [v for v in _places_of(reps) if _hasse_exponent(reps, v.prime)[0]]
+    return _cup_sum_at(reps, _places_of(reps))
+
+
+def _cup_sum_at(reps: Sequence[int], places: Iterable[Place]) -> CohClass2:
+    """cup_sum of the nonzero integers reps: :func:`_hasse_exponent` at each
+    finite place given, which must include 2 and every odd prime of odd
+    valuation in some rep, and (-1)**C(neg, 2) at inf."""
+    support = [v for v in places if _hasse_exponent(reps, v.prime)[0]]
     neg = sum(1 for x in reps if x < 0)
     if neg * (neg - 1) // 2 % 2:
         support.append(INF)

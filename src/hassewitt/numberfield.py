@@ -314,7 +314,9 @@ def trace_gram(algebra: EtaleAlgebra) -> QuadraticForm:
     is built with the algebra's diagonal and det = disc f, so no
     elimination runs; ``QuadraticForm(trace_gram(A).gram)`` runs one."""
     d = algebra.degree
-    ratios = [(x.numerator, x.denominator) for x in power_sums(algebra.poly, 2 * d - 2)]
+    c, g = algebra._monic  # p_k(f) = p_k(g) / c**k, as in power_sums
+    sums = map(Fraction, _newton_sums(g, 2 * d - 2), (c**k for k in range(2 * d - 1)))
+    ratios = [(x.numerator, x.denominator) for x in sums]
     return QuadraticForm._from_ratios([ratios[i : i + d] for i in range(d)], (algebra._diagonal, algebra._disc))
 
 

@@ -23,18 +23,9 @@ from __future__ import annotations
 from typing import Iterable, Union
 
 from . import arith
-from .cohomology import (
-    CohClass2,
-    INF,
-    MINUS_ONE,
-    Place,
-    SquareClass,
-    cup,
-    cup_sum,
-    hilbert_symbol,
-)
+from .cohomology import CohClass2, INF, Place, SquareClass, _cup_sum_at, cup_sum, hilbert_symbol
 from .errors import DomainError
-from .forms import QuadraticForm, invariants
+from .forms import FormInvariants, QuadraticForm, invariants
 from .numberfield import EtaleAlgebra
 from .values import Value, setfield
 
@@ -46,7 +37,12 @@ QUARTIC_ASSUMPTIONS = (
 
 def sp2_permutation(algebra: EtaleAlgebra) -> CohClass2:
     """Spinor class of the permutation representation: (2) cup (disc f)."""
-    return cup(SquareClass(2), SquareClass(algebra.disc))
+    return _sp2(invariants(algebra))
+
+
+def _sp2(inv: FormInvariants) -> CohClass2:
+    """(2) cup w1 (= disc f) at the hasse_local keys: 2 and the primes of w1."""
+    return _cup_sum_at((2, inv.w1.rep), inv.hasse_local)
 
 
 def sw2_permutation(algebra: EtaleAlgebra) -> CohClass2:
@@ -55,7 +51,8 @@ def sw2_permutation(algebra: EtaleAlgebra) -> CohClass2:
     Computed as w2 of the trace form plus the spinor class, which is the
     comparison formula solved for sw2.
     """
-    return invariants(algebra).w2 + sp2_permutation(algebra)
+    inv = invariants(algebra)
+    return inv.w2 + _sp2(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +162,11 @@ def lifting_decisions(algebra: EtaleAlgebra) -> LiftReport:
     if algebra.degree != 4:
         raise DomainError("lifting decisions are defined for quartics only")
     inv = invariants(algebra)
-    disc_class, w2_trace = inv.w1, inv.w2  # det of the trace form is disc f
-    # {inf} and the hasse_local keys cover 2, the finite places of w2 and
-    # the odd primes of disc f, so they hold the supports of w2 and sp2
-    table = {}
-    for v in sorted({INF, *inv.hasse_local}):
-        table[v] = (-1 if v in w2_trace else 1, hilbert_symbol(2, disc_class, v))
-    sp2 = CohClass2(v for v, (_, sym) in table.items() if sym == -1)
+    w2_trace, sp2 = inv.w2, _sp2(inv)
+    # {inf} and the hasse_local keys hold the supports of w2 and sp2
+    table = {v: (-1 if v in w2_trace else 1, -1 if v in sp2 else 1) for v in sorted({INF, *inv.hasse_local})}
     sw2 = w2_trace + sp2
-    return LiftReport(disc_class, sw2, sp2, w2_trace, w2_trace.is_zero, sw2.is_zero, table)
+    return LiftReport(inv.w1, sw2, sp2, w2_trace, w2_trace.is_zero, sw2.is_zero, table)
 
 
 # ---------------------------------------------------------------------------
@@ -239,5 +232,5 @@ def delta_comparison(q_base: QuadraticForm, q_twist: QuadraticForm) -> DeltaPair
     a = invariants(q_base)
     b = invariants(q_twist)
     delta1 = a.w1 * b.w1
-    delta2 = a.w2 + b.w2 + cup(a.w1, MINUS_ONE * b.w1)
+    delta2 = a.w2 + b.w2 + _cup_sum_at((a.w1.rep, -b.w1.rep), {*a.hasse_local, *b.hasse_local})
     return DeltaPair(delta1, delta2)

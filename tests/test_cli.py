@@ -464,8 +464,8 @@ M107 = 2**107 - 1  # a Mersenne prime
 
 # Every byte, exit code and time bound the console script is held to, run
 # in-process: (command line, exit code, stdout, stderr, seconds), with None
-# for a stream or a time that is not checked.  The installed entry point is
-# checked once more in CI, on one --json line and one exit code of this table.
+# for a stream or a time that is not checked.  CI runs every row once more
+# through the installed entry point, checking its exit code and pinned streams.
 CONSOLE_PINS = [
     # the human output of the entry point
     ("hilbert --a -1 --b -1 --place inf", 0, "-1\n", "", None),

@@ -277,3 +277,32 @@ def test_invariants_take_at_most_one_residue_symbol_per_odd_place(monkeypatch):
     assert set(taken) <= {3, 5, 7}
     assert inv.to_json()["hasse_local"] == {"2": 1, "3": -1, "5": -1}
     assert inv.w2.to_json() == [3, 5]
+
+
+def test_hasse_local_keys_hold_two_w1_and_w2():
+    """delta2, sp2 and the lifting table scan the hasse_local keys in place
+    of factoring again, so those keys must hold 2, every odd prime of w1 and
+    every finite place of w2, and never inf: checked on seeded Gram forms
+    (random entries, and transported diagonals with denominators) and on
+    seeded etale algebras with rational coefficients."""
+    from hassewitt.numberfield import EtaleAlgebra, Poly
+
+    rng = random.Random(4441)
+    subjects = [random_nondegenerate_symmetric(rng, rng.randint(1, 6), 40) for _ in range(150)]
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        entries = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 400), rng.randint(1, 40)) for _ in range(n)]
+        subjects.append(congruent_form(diagonal_form(entries), random_unimodular(rng, n)))
+    while len(subjects) < 350:
+        f = Poly([Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(rng.randint(1, 6))] + [1])
+        if f.is_squarefree():
+            subjects.append(EtaleAlgebra(f))
+    w2_only = 0  # subjects with a finite place of w2 that is neither 2 nor a prime of w1
+    for subject in subjects:
+        inv = invariants(subject)
+        keys = set(inv.hasse_local)
+        w1_places = {Place.finite(p) for p, _ in arith.factor(inv.w1.rep).factors}
+        assert INF not in keys, subject
+        assert {Place.finite(2)} | w1_places | (inv.w2.support - {INF}) <= keys, subject
+        w2_only += bool(inv.w2.support - {INF, Place.finite(2)} - w1_places)
+    assert w2_only >= 40

@@ -305,7 +305,8 @@ def test_trace_requests_build_no_gram_matrix(monkeypatch):
     """A tracefield request runs Newton's identities once and builds no
     QuadraticForm: its report is written from the power sums.  An embedding
     request runs neither: it reads the invariants off the algebra.  Either
-    request makes f monic and integral once, in the algebra's constructor."""
+    request makes f monic and integral once, in the algebra's constructor;
+    ``trace_gram`` reads that (c, g) and makes it no second time."""
     from hassewitt import cli, forms
 
     built, runs, monic = [], [], []
@@ -322,8 +323,10 @@ def test_trace_requests_build_no_gram_matrix(monkeypatch):
         outputs, assumptions = cli.execute(command, {"poly": poly})
         cli.dump_report(cli.make_report(None, command, {"poly": poly}, outputs, assumptions))
         assert (built, runs, len(monic)) == ([], want, 1), (command, poly)
-    trace_gram(EtaleAlgebra(X4_X_1))  # the library's Gram builder passes both counters
-    assert len(built) == 1 and runs == [6]
+    algebra = EtaleAlgebra(X4_X_1)
+    monic.clear()
+    trace_gram(algebra)  # the library's Gram builder passes both counters and reads the algebra's (c, g)
+    assert (len(built), runs, monic) == (1, [6], [])
 
 
 def test_trace_invariants_with_a_large_prime_in_c():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from hassewitt import arith
 from hassewitt.arith import factor
-from hassewitt.cohomology import INF, CohClass2, Place, SquareClass, cup, localize
+from hassewitt.cohomology import INF, MINUS_ONE, CohClass2, Place, SquareClass, cup, localize
 from hassewitt.errors import DomainError
 from hassewitt.forms import invariants
 from hassewitt.numberfield import (
@@ -27,7 +28,14 @@ from hassewitt.obstructions import (
     sw2_permutation,
 )
 
-from oracles import JEHANNE_TYPES, diagonal_form, poly_mul, random_nondegenerate_symmetric
+from oracles import (
+    JEHANNE_TYPES,
+    congruent_form,
+    diagonal_form,
+    poly_mul,
+    random_nondegenerate_symmetric,
+    random_unimodular,
+)
 
 F1 = EtaleAlgebra(Poly([-1, 1, 0, 0, 1]))          # x^4 + x - 1, disc -283
 F2 = EtaleAlgebra(Poly([-1, -2, 0, 1, 1]))         # x^4 + x^3 - 2x - 1, disc -275
@@ -50,6 +58,21 @@ def test_sp2_permutation():
     alg = EtaleAlgebra(Poly(poly_mul([-2, 0, 1], [-8, 0, 1])))
     assert SquareClass(discriminant(alg.poly)).is_trivial
     assert sp2_permutation(alg).is_zero
+
+
+def test_sp2_and_sw2_answer_where_invariants_answer():
+    """x^2 + x/(M q), M = 2^127 - 1 and q the least prime above 2^130: disc f
+    = 1/(M q)^2, whose num * den is the square of a 258-bit composite, past
+    the factoring limit.  The trace form's support |num disc f| * gcd(disc g,
+    c) is 1, so invariants(A) answers w1 = (1), w2 = {}; sp2 and sw2 are read
+    off it and answer too, where factoring disc f raised EffortExceededError."""
+    m = 2**127 - 1
+    q = next(n for n in range(2**130 + 1, 2**130 + 1000, 2) if arith.is_prime(n))
+    alg = EtaleAlgebra(Poly([0, Fraction(1, m * q), 1]))
+    inv = invariants(alg)
+    assert (inv.w1, inv.w2) == (SquareClass(1), CohClass2())
+    assert sp2_permutation(alg) == CohClass2()
+    assert sw2_permutation(alg) == inv.w2
 
 
 def test_sw2_permutation_golden():
@@ -347,6 +370,57 @@ def test_delta2_one_cup_matches_two_cups():
         q2 = random_nondegenerate_symmetric(rng, n, 30)
         a, b = invariants(q1), invariants(q2)
         assert delta_comparison(q1, q2).delta2 == a.w2 + cup(a.w1, a.w1) + cup(a.w1, b.w1) + b.w2
+
+
+def _prime_of(rng, bits):
+    """A random prime of exactly the given bit length."""
+    while True:
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if arith.is_prime(n):
+            return n
+
+
+def test_delta2_at_the_invariants_places_matches_the_cup_route():
+    """delta2 reads its cup at the hasse_local keys of both forms; the old
+    route factored w1(q) and -w1(q') again through cup.  Seeded pairs: random
+    Gram matrices, and transported diagonals whose entries carry primes of
+    30 to 34 bits."""
+    rng = random.Random(3803)
+    big = 0  # pairs whose delta2 holds a prime of 30 bits or more
+    for i in range(120):
+        n = rng.randint(1, 5)
+        if i % 2:
+            q1, q2 = (random_nondegenerate_symmetric(rng, n, 30) for _ in range(2))
+        else:
+            pair = []
+            for _ in range(2):
+                entries = [rng.choice([-1, 1]) * rng.randint(1, 20) for _ in range(n)]
+                for j in rng.sample(range(n), min(n, 2)):
+                    entries[j] *= _prime_of(rng, rng.randint(30, 34))
+                pair.append(congruent_form(diagonal_form(entries), random_unimodular(rng, n)))
+            q1, q2 = pair
+        a, b = invariants(q1), invariants(q2)
+        delta2 = delta_comparison(q1, q2).delta2
+        assert delta2 == a.w2 + b.w2 + cup(a.w1, MINUS_ONE * b.w1), (q1, q2)
+        big += any(v != INF and v.prime >> 29 for v in delta2.support)
+    assert big >= 20
+
+
+def test_delta_request_factors_each_support_once(monkeypatch):
+    """A delta request factors the support of each form once, in invariants,
+    and nothing else: delta2's cup reads the places the invariants hold."""
+    from hassewitt import cli, forms
+
+    calls = []
+    real = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or real(n))
+    monkeypatch.setattr(forms, "factor", arith.factor)
+    for omega, eta in (("1,0;0,1", "-1,0;0,3"), ("2,1;1,5", "7,0;0,-11"), ("1/3,0;0,3", "-5,2;2,1"),
+                       ("3,0,0;0,-1,0;0,0,2147483647", "1,1,0;1,-6,0;0,0,-2147483659")):
+        supports = [cli.parse_gram(omega)._support, cli.parse_gram(eta)._support]
+        calls.clear()
+        cli.execute("delta", {"gram_omega": omega, "gram_eta": eta})
+        assert calls == supports, (omega, eta)
 
 
 def test_jehanne_proves_p_prime_once(monkeypatch):
