@@ -88,8 +88,6 @@ def parse_int(value) -> int:
 
 
 def parse_place(value) -> Place:
-    if isinstance(value, Place):
-        return value
     if isinstance(value, bool):
         raise CLIInputError(f"cannot parse place {value!r}")
     return Place.parse(value if isinstance(value, (int, str)) else str(value))
@@ -129,83 +127,78 @@ def parse_degrees(value) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _run_hilbert(params: dict):
-    a_num, a_den = _parse_ratio(_need(params, "a"))
-    b_num, b_den = _parse_ratio(_need(params, "b"))
-    place = parse_place(_need(params, "place"))
-    if a_num == 0 or b_num == 0:
-        raise CLIInputError("Hilbert symbol entries must be nonzero")
-    # num * den lies in the square class of num / den
-    return {"symbol": hilbert_symbol(a_num * a_den, b_num * b_den, place)}, ()
+def _run_hilbert(params: dict) -> dict:
+    a_num, a_den = _parse_ratio(params["a"])
+    b_num, b_den = _parse_ratio(params["b"])
+    place = parse_place(params["place"])
+    # num * den lies in the square class of num / den; hilbert_symbol refuses 0
+    return {"symbol": hilbert_symbol(a_num * a_den, b_num * b_den, place)}
 
 
-def _run_form_invariants(params: dict):
-    q = parse_gram(_need(params, "gram"))
-    return invariants(q).to_json(), ()
+def _run_form_invariants(params: dict) -> dict:
+    q = parse_gram(params["gram"])
+    return invariants(q).to_json()
 
 
-def _run_form_isometric(params: dict):
-    q1 = parse_gram(_need(params, "gram1"))
-    q2 = parse_gram(_need(params, "gram2"))
-    return {"isometric": isometric(q1, q2)}, ()
+def _run_form_isometric(params: dict) -> dict:
+    q1 = parse_gram(params["gram1"])
+    q2 = parse_gram(params["gram2"])
+    return {"isometric": isometric(q1, q2)}
 
 
-def _run_tracefield(params: dict):
-    algebra = EtaleAlgebra(parse_poly(_need(params, "poly")))
-    return trace_form_report(algebra).to_json(), ()
+def _run_tracefield(params: dict) -> dict:
+    algebra = EtaleAlgebra(parse_poly(params["poly"]))
+    return trace_form_report(algebra).to_json()
 
 
-def _run_embedding(params: dict):
-    algebra = EtaleAlgebra(parse_poly(_need(params, "poly")))
-    return lifting_decisions(algebra).to_json(), QUARTIC_ASSUMPTIONS
+def _run_embedding(params: dict) -> dict:
+    algebra = EtaleAlgebra(parse_poly(params["poly"]))
+    return lifting_decisions(algebra).to_json()
 
 
-def _run_jehanne(params: dict):
-    p = parse_int(_need(params, "p"))
-    type_name = _need(params, "type")
-    disc = parse_int(_need(params, "disc"))
+def _run_jehanne(params: dict) -> dict:
+    p = parse_int(params["p"])
+    type_name = params["type"]
+    disc = parse_int(params["disc"])
     if not isinstance(type_name, str):
         raise CLIInputError("decomposition type must be a string")
     dtype = DecompositionType.parse(type_name)
     w2_p, symbol_p = jehanne_local(p, dtype, disc)
-    return {"w2_p": w2_p, "symbol_p": symbol_p}, QUARTIC_ASSUMPTIONS
+    return {"w2_p": w2_p, "symbol_p": symbol_p}
 
 
-def _run_hypersurface(params: dict):
-    n = parse_int(_need(params, "n"))
+def _run_hypersurface(params: dict) -> dict:
+    n = parse_int(params["n"])
     d, degrees = params.get("d"), params.get("degrees")
     if d is not None and degrees is not None:
         raise CLIInputError("give d or degrees, not both")
     if d is None and degrees is None:
         raise CLIInputError("either d or degrees is required")
     degrees = [parse_int(d)] if d is not None else parse_degrees(degrees)
-    return motive_report(CompleteIntersectionSpec(n, degrees)).to_json(), ()
+    return motive_report(CompleteIntersectionSpec(n, degrees)).to_json()
 
 
-def _run_delta(params: dict):
-    q_omega = parse_gram(_need(params, "gram_omega"))
-    q_eta = parse_gram(_need(params, "gram_eta"))
-    return delta_comparison(q_omega, q_eta).to_json(), ()
-
-
-def _need(params: dict, key: str):
-    if key not in params or params[key] is None:
-        raise CLIInputError(f"missing parameter {key!r}")
-    return params[key]
+def _run_delta(params: dict) -> dict:
+    q_omega = parse_gram(params["gram_omega"])
+    q_eta = parse_gram(params["gram_eta"])
+    return delta_comparison(q_omega, q_eta).to_json()
 
 
 class Command(NamedTuple):
-    """One CLI command.  `params` maps each batch key to the help of its flag,
-    `--key` with `_` spelled `-`; batch name `group-leaf` is the subcommand
-    `group leaf`.  Runners name the parsers and library functions at call
-    time, so a rebinding of those globals (tracing, tests) reaches them."""
+    """One CLI command: the table row that fixes a request's shape.  `params`
+    maps each batch key to the help of its flag, `--key` with `_` spelled
+    `-`; batch name `group-leaf` is the subcommand `group leaf`.  Runners
+    only parse values and call the library, naming the parsers and library
+    functions at call time, so a rebinding of those globals (tracing,
+    tests) reaches them."""
 
     help: str
-    run: Callable[[dict], tuple]
+    run: Callable[[dict], dict]
     params: dict[str, str | None]
-    optional: tuple[str, ...] = ()  # the parameters not required as flags
+    optional: tuple[str, ...] = ()  # not required; every other key is, as a flag and in batch mode
     classes: tuple[str, ...] = ()  # output keys printed as degree-2 classes
     render: Callable[[dict], str] | None = None  # one-line human output
+    assumptions: tuple[str, ...] = ()  # the hypotheses that every report of the command states
 
 
 COMMANDS = {
@@ -219,10 +212,10 @@ COMMANDS = {
     "tracefield": Command("trace form report of Q[x]/(f)", _run_tracefield,
                           {"poly": "ascending coefficients 'c0,c1,...'"}),
     "embedding": Command("embedding problem decisions for a quartic", _run_embedding, {"poly": None},
-                         classes=("sw2", "sp2", "w2_trace")),
+                         classes=("sw2", "sp2", "w2_trace"), assumptions=QUARTIC_ASSUMPTIONS),
     "jehanne": Command("local table pair for a quartic decomposition type", _run_jehanne,
                        {"p": None, "type": "one of: unramified, 1^2,1,1  1^3,1  1^2,2  1^4  2^2  1^2,1^2",
-                        "disc": None}),
+                        "disc": None}, assumptions=QUARTIC_ASSUMPTIONS),
     "hypersurface": Command("complete intersection middle-cohomology report", _run_hypersurface,
                             {"n": None, "d": None, "degrees": "comma-separated multidegree"},
                             optional=("d", "degrees"), classes=("w2_qB",)),
@@ -232,7 +225,8 @@ COMMANDS = {
 
 
 def execute(command: str, params: dict):
-    """Run one command; returns (outputs, assumptions).  Raises
+    """Run one command; returns (outputs, assumptions).  Unknown and missing
+    (or null) parameters are refused before any value is parsed.  Raises
     CLIInputError / DomainError on bad input, EffortExceededError past an
     arithmetic effort limit."""
     spec = COMMANDS.get(command)
@@ -242,7 +236,10 @@ def execute(command: str, params: dict):
         raise CLIInputError("parameters must be an object")
     if not params.keys() <= spec.params.keys():  # a subset test builds no set
         raise CLIInputError(f"unknown parameters for {command}: {sorted(params.keys() - spec.params.keys())}")
-    return spec.run(params)
+    for key in spec.params:
+        if params.get(key) is None and key not in spec.optional:
+            raise CLIInputError(f"missing parameter {key!r}")
+    return spec.run(params), spec.assumptions
 
 
 def make_report(req_id, command, inputs, outputs=None, assumptions=(), status="ok", error=None) -> dict:

@@ -303,17 +303,20 @@ def _cup_sum_at(reps: Sequence[int], places: Iterable[Place]) -> CohClass2:
 def localize(x: "SquareClass | CohClass2", v: Place) -> int:
     """Restriction to the completion at v, as an element of Z/2.
 
-    Degree 1: nontrivial iff the representative is a local nonsquare.
+    Degree 1: nontrivial iff x is a local nonsquare: the sign of num * den
+    at inf, else its valuation parity and unit at p; nothing is factored.
     Degree 2: nontrivial iff v lies in the support.
     """
     if isinstance(x, CohClass2):
         return 1 if v in x else 0
-    rep = SquareClass(x).rep
+    n = _integer_rep(x)
+    if n == 0:
+        raise DomainError("0 has no squarefree part")
     if v.is_infinite:
-        return 1 if rep < 0 else 0
+        return 1 if n < 0 else 0
     p = v.prime
-    # rep is squarefree: p divides it once, or it is a unit at p
-    if rep % p == 0:
+    unit, w = _strip_powers(n, p)
+    if w & 1:
         return 1
-    return 1 if (rep % 8 != 1 if p == 2 else _jacobi(rep % p, p) == -1) else 0
+    return 1 if (unit % 8 != 1 if p == 2 else _jacobi(unit, p) == -1) else 0
 

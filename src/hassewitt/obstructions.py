@@ -129,8 +129,7 @@ class LiftReport(Value):
     lift_solvable decides the twisted problem (w2 of the trace form must
     vanish), lift_delta_solvable the constant-group problem (sw2 must
     vanish).  local_table records, per place, the pair (localized w2 of the
-    trace form, local symbol (2, d_F)) in the +-1 convention.  The class
-    constant ``assumptions`` states the hypotheses that the report rests on.
+    trace form, local symbol (2, d_F)) in the +-1 convention.
     """
 
     _fields = (
@@ -142,7 +141,6 @@ class LiftReport(Value):
         "lift_delta_solvable",
         "local_table",
     )
-    assumptions = QUARTIC_ASSUMPTIONS
 
     def to_json(self) -> dict:
         return {

@@ -71,11 +71,11 @@ def test_hilbert_runner_builds_no_fraction(monkeypatch):
         want = hilbert_symbol(Fraction(a), Fraction(b), Place.parse(place))
         assert outputs == {"symbol": want}, (a, b, place)
     monkeypatch.undo()  # "x" and "y" below reach Fraction, which refuses them
-    # errors keep their order: a, b, place, then the nonzero check
+    # errors keep their order: a, b, place, then hilbert_symbol's nonzero check
     for params, error in (({"a": "x", "b": "y", "place": 4}, "cannot parse rational 'x'"),
                           ({"a": 0, "b": "y", "place": 4}, "cannot parse rational 'y'"),
                           ({"a": 0, "b": 1, "place": 4}, "4 is not prime"),
-                          ({"a": "0/3", "b": 1, "place": 5}, "Hilbert symbol entries must be nonzero")):
+                          ({"a": "0/3", "b": 1, "place": 5}, "Hilbert symbol needs nonzero entries")):
         with pytest.raises(DomainError) as info:
             execute("hilbert", params)
         assert str(info.value) == error
@@ -224,6 +224,82 @@ def test_execute_rejects_unknown():
         execute("hilbert", {"a": 1, "b": 2})  # missing place
     with pytest.raises(CLIInputError):
         execute("hilbert", {"a": 1, "b": 2, "place": 3, "bogus": True})
+
+
+# one request per command, answered ok, written as flag strings so that it
+# also runs single-shot
+VALID = {
+    "hilbert": {"a": "-5", "b": "3", "place": "3"},
+    "form-invariants": {"gram": "2,1;1,3"},
+    "form-isometric": {"gram1": "1,0;0,1", "gram2": "2,0;0,2"},
+    "tracefield": {"poly": "-1,1,0,0,1"},
+    "embedding": {"poly": "-1,1,0,0,1"},
+    "jehanne": {"p": "283", "type": "1^2,1,1", "disc": "-283"},
+    "hypersurface": {"n": "2", "d": "3"},
+    "delta": {"gram_omega": "1,0;0,1", "gram_eta": "2,0;0,-6"},
+}
+REQUIRED = [(name, key) for name, spec in COMMANDS.items() for key in spec.params if key not in spec.optional]
+
+
+def _batch(tmp_path, capsys, command, params_list) -> list[dict]:
+    infile, outfile = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    infile.write_text("".join(json.dumps({"id": i, "command": command, "parameters": params}) + "\n"
+                              for i, params in enumerate(params_list)))
+    code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert code == 0
+    return [json.loads(line) for line in outfile.read_text().splitlines()]
+
+
+def _argv(command: str, params: dict) -> list[str]:
+    group, _, leaf = command.partition("-")
+    flags = [arg for key, value in params.items() for arg in ("--" + key.replace("_", "-"), value)]
+    return [group, leaf, *flags] if leaf else [command, *flags]
+
+
+def test_valid_requests_cover_the_table_and_answer_ok(tmp_path, capsys):
+    assert VALID.keys() == COMMANDS.keys()
+    assert all(VALID[name].keys() >= {k for c, k in REQUIRED if c == name} for name in COMMANDS)
+    for name, params in VALID.items():
+        assert [r["status"] for r in _batch(tmp_path, capsys, name, [params])] == ["ok"], name
+        assert run_capture(capsys, _argv(name, params))[0] == 0, name
+
+
+@pytest.mark.parametrize("command, key", REQUIRED, ids=[f"{c}-{k}" for c, k in REQUIRED])
+def test_missing_parameter_is_refused_before_any_value_is_parsed(tmp_path, capsys, command, key):
+    """A required key that is absent or null is refused by the table, before
+    a runner parses the parameters that are there, malformed or not."""
+    error = f"missing parameter {key!r}"
+    valid = VALID[command]
+    dropped = {k: v for k, v in valid.items() if k != key}
+    malformed = {k: "x" for k in COMMANDS[command].params if k != key}
+    required = {k: v for k, v in valid.items() if k not in COMMANDS[command].optional}
+    for k in malformed:  # each malformed value is an error of its own when nothing is missing
+        with pytest.raises(DomainError) as info:
+            execute(command, {**required, k: "x"})
+        assert not str(info.value).startswith("missing parameter"), (command, k)
+    reports = _batch(tmp_path, capsys, command, [dropped, {**valid, key: None}, malformed, {**malformed, key: None}])
+    assert [(r["status"], r["error"]) for r in reports] == [("input_error", error)] * 4
+    # single-shot, argparse refuses the missing flag
+    code, out, err = run_capture(capsys, _argv(command, dropped))
+    flag = "--" + key.replace("_", "-")
+    assert (code, out, err) == (1, "", f"error: the following arguments are required: {flag}\n")
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_unknown_parameter_is_refused(tmp_path, capsys, command):
+    reports = _batch(tmp_path, capsys, command, [{**VALID[command], "x": 1}, {"x": 1}])
+    assert [(r["status"], r["error"]) for r in reports] == [
+        ("input_error", f"unknown parameters for {command}: ['x']")] * 2
+
+
+def test_hypersurface_parameter_errors_come_in_table_order(tmp_path, capsys):
+    """n is required and refused first when missing, with d alone, with
+    neither d nor degrees, and with both; the runner parses n before it
+    checks that exactly one of the optional d and degrees is given."""
+    reports = _batch(tmp_path, capsys, "hypersurface",
+                     [{"d": 3}, {}, {"d": 3, "degrees": "2,3"}, {"n": "x", "d": 3, "degrees": "2,3"}])
+    assert [r["error"] for r in reports] == [
+        "missing parameter 'n'", "missing parameter 'n'", "missing parameter 'n'", "cannot parse integer 'x'"]
 
 
 def test_batch_roundtrip(tmp_path, capsys):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hassewitt import cohomology
-from hassewitt.arith import squarefree_part
+from hassewitt import arith, cohomology
+from hassewitt.arith import _jacobi, squarefree_part
 from hassewitt.cohomology import (
     INF,
     CohClass2,
@@ -257,6 +257,53 @@ def test_localize_at_two():
     assert localize(SquareClass(17), Place.finite(2)) == 0  # 17 = 1 mod 8
     assert localize(SquareClass(7), Place.finite(2)) == 1
     assert localize(SquareClass(2), Place.finite(2)) == 1
+
+
+def _localize_by_squarefree_part(x, v: Place) -> int:
+    """The former route of localize: factor x down to its squarefree
+    representative, then read the sign or the unit at p."""
+    rep = SquareClass(x).rep
+    if v.is_infinite:
+        return 1 if rep < 0 else 0
+    p = v.prime
+    if rep % p == 0:
+        return 1
+    return 1 if (rep % 8 != 1 if p == 2 else _jacobi(rep % p, p) == -1) else 0
+
+
+def _refuse_factor(n):
+    raise AssertionError(f"factor({n})")
+
+
+def test_localize_agrees_with_the_squarefree_route_and_never_factors(monkeypatch):
+    rng = random.Random(39)
+    primes = [p for p in range(2, 200) if arith.is_prime(p)]
+    cases = []
+    for _ in range(20_000):
+        v = INF if rng.random() < 0.1 else Place.finite(rng.choice(primes))
+        p = rng.choice(primes) if v.is_infinite else v.prime
+        # a forced power of p on either side, so valuations of every parity occur
+        x = Fraction(rng.choice((1, -1)) * rng.randrange(1, 10**6) * p ** rng.randrange(6),
+                     rng.randrange(1, 10**4) * p ** rng.randrange(6))
+        x = SquareClass(x) if rng.random() < 0.3 else x.numerator if x.denominator == 1 else x
+        cases.append((x, v, _localize_by_squarefree_part(x, v)))
+    monkeypatch.setattr(arith, "factor", _refuse_factor)
+    for x, v, want in cases:
+        assert localize(x, v) == want, (x, v)
+
+
+def test_localize_reads_one_place_of_a_rational_past_the_factoring_limit(monkeypatch):
+    # 3 / (M q): M * q is a 258-bit composite of two primes past 2^126,
+    # which factor() refuses; localize needs only the sign or the unit at v
+    M = 2**127 - 1
+    q = 2**130 + 169  # the least prime above 2^130
+    assert arith.is_prime(M) and arith.is_prime(q)
+    assert not any(arith.is_prime(n) for n in range(2**130 + 1, q))
+    x = Fraction(3, M * q)
+    monkeypatch.setattr(arith, "factor", _refuse_factor)
+    assert [localize(x, Place.finite(p)) for p in (2, 3, 5)] == [1, 1, 1]
+    assert localize(x, INF) == 0
+    assert localize(-x, INF) == 1
 
 
 def test_localize_of_cup_matches_symbol():

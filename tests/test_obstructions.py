@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hassewitt import arith
+from hassewitt import arith, cli
 from hassewitt.arith import factor
 from hassewitt.cohomology import INF, MINUS_ONE, CohClass2, Place, SquareClass, cup, localize
 from hassewitt.errors import DomainError
@@ -17,6 +17,7 @@ from hassewitt.numberfield import (
 )
 from hassewitt.obstructions import (
     _RAMIFIED_TYPES,
+    QUARTIC_ASSUMPTIONS,
     CharacterSum,
     DecompositionType,
     delta_comparison,
@@ -126,7 +127,9 @@ def test_lifting_decisions_local_table():
     assert report.local_table[Place.finite(283)] == (-1, -1)
     assert report.local_table[Place.finite(2)] == (-1, -1)
     assert report.local_table[INF] == (1, 1)
-    assert tuple(report.assumptions)  # quartic hypotheses are recorded
+    # the embedding command states the quartic hypotheses beside the report
+    outputs, assumptions = cli.execute("embedding", {"poly": "-1,1,0,0,1"})
+    assert outputs == report.to_json() and assumptions == QUARTIC_ASSUMPTIONS
 
 
 def test_lifting_decisions_agree_with_direct_classes():

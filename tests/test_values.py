@@ -1,8 +1,9 @@
 """The value types are plain frozen classes, not dataclasses, and keep the
 contract they had as frozen dataclasses: reprs, hashes, equality,
 immutability, ordering and constructor validation.  Two records have since
-lost a field (LiftReport's assumptions, DecompositionType's pattern), and a
-plain record takes its fields by position only."""
+lost a field (LiftReport's assumptions, now a column of the CLI's command
+table; DecompositionType's pattern), and a plain record takes its fields by
+position only."""
 
 import copy
 import os
@@ -44,6 +45,8 @@ from hassewitt.motives import TOKEN_W2_DR, MotiveReport
 from hassewitt.numberfield import TraceFormReport
 from hassewitt.obstructions import _RAMIFIED_TYPES, QUARTIC_ASSUMPTIONS, DeltaPair, LiftReport
 from hassewitt.values import Value
+
+from test_exports import REQUESTS  # one request per command, each answered ok
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -236,16 +239,17 @@ def test_validation_errors_keep_their_texts():
         CohClass2([TWO])
 
 
-def test_lift_report_keeps_its_assumptions_as_a_class_constant():
+def test_assumptions_are_a_column_of_the_command_table():
+    # a report states its hypotheses through its command's table row; the
+    # LiftReport record carries none, as a field or as a class constant
     report = _samples()["lift_report"]
-    assert "assumptions" not in LiftReport._fields
-    assert report.assumptions is LiftReport.assumptions is QUARTIC_ASSUMPTIONS
+    assert not hasattr(LiftReport, "assumptions") and not hasattr(report, "assumptions")
     assert "assumptions" not in report.to_json()
-    with pytest.raises(AttributeError, match=r"^cannot assign to field 'assumptions'$"):
-        report.assumptions = ()
-    # the embedding command still states the hypotheses, beside the report
-    outputs, assumptions = cli.execute("embedding", {"poly": "-1,1,0,0,1"})
-    assert outputs == report.to_json() and assumptions is QUARTIC_ASSUMPTIONS
+    assert REQUESTS.keys() == cli.COMMANDS.keys()
+    for command, params in REQUESTS.items():
+        _, assumptions = cli.execute(command, params)
+        want = QUARTIC_ASSUMPTIONS if command in ("embedding", "jehanne") else ()
+        assert assumptions is cli.COMMANDS[command].assumptions and assumptions == want, command
 
 
 def test_decomposition_type_takes_only_a_name():
@@ -280,8 +284,6 @@ def test_plain_constructor_takes_fields_by_position(name):
         cls(*values[:-1])
     with pytest.raises(TypeError):
         cls(*values[:-1], **{fields[-1]: values[-1]})
-    if cls is LiftReport:  # a class constant, not a field
-        assert y.assumptions is QUARTIC_ASSUMPTIONS
 
 
 def test_only_place_writes_its_own_equality_hash_and_ordering():
