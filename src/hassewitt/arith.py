@@ -8,7 +8,9 @@ are exact.
 
 Factorization strategy: a gcd with the product of the odd primes below
 100 finds the small primes, and a second gcd with the product of the odd
-primes below 10**4 runs only when the cofactor left is at least 100**2.
+primes below 10**4 runs only when the cofactor left is at least 100**2;
+each prime p**e a gcd finds is taken out in O(log e) divisions, by p, p**2,
+p**4, ..., so 3**72000 costs 33 divisions, not 72,000.
 A perfect k-th power, k prime, splits into its k roots; any other composite
 cofactor meets one method, chosen by its size, that does a bounded amount
 of work.  Below 10**12 it is p*q with both primes above 10**4, and
@@ -145,10 +147,10 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        s = (a & -a).bit_length() - 1  # v_2(a), shifted out at once
+        a >>= s
+        if s % 2 and n % 8 in (3, 5):
+            result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             result = -result
@@ -395,24 +397,19 @@ class Factorization(Value):
 
 def _divide_out(n: int, primes: tuple[int, ...], product: int, out: dict[int, int]) -> int:
     """n without the primes of gcd(n, product), with their exponents put
-    into out.  primes ascends and holds every one of those primes."""
+    into out.  primes ascends and holds every one of those primes; each
+    p**e is taken out by _strip_powers in O(log e) divisions, by p, p**2,
+    p**4, ..."""
     # g is squarefree: once p * p > g, what is left of g is 1 or a prime
     g = gcd(n, product)
-    found: list[int] = []
     for p in primes:
         if p * p > g:
             break
         if g % p == 0:
-            found.append(p)
             g //= p
+            n, out[p] = _strip_powers(n, p)
     if g > 1:
-        found.append(g)
-    for p in found:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out[p] = e
+        n, out[g] = _strip_powers(n, g)
     return n
 
 

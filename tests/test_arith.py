@@ -13,6 +13,7 @@ from hassewitt.cli import run_batch
 from hassewitt.errors import DomainError, EffortExceededError, InternalError
 
 from oracles import montgomery_group_orders, naive_factor, naive_is_prime, naive_order, squares_mod
+from test_cohomology_properties import CountedInt
 
 
 def test_factor_basic():
@@ -172,6 +173,24 @@ def test_trial_primes_are_the_odd_primes_below_ten_thousand():
     odd_primes = tuple(p for p in range(3, 10**4) if naive_is_prime(p))
     assert arith._TRIAL_PRIMES == odd_primes
     assert arith._PRIMORIAL == prod(odd_primes)
+
+
+@pytest.mark.parametrize("powers, cofactor, trial", [
+    ({3: 72000}, 1, "small"),
+    ({5: 50000, 7: 3}, 1, "small"),  # 7 is the prime left in the gcd after the p * p > g break
+    ({3: 72000}, 10007, "small"),
+    ({101: 2000, 9973: 4000}, 1, "large"),
+])
+def test_divide_out_strips_each_prime_in_logarithmic_divisions(powers, cofactor, trial):
+    # one division per unit of exponent would make 144,001 on 3**72000
+    primes, product = {"small": (arith._SMALL_TRIAL, arith._SMALL_PRIMORIAL),
+                       "large": (arith._LARGE_TRIAL, arith._PRIMORIAL)}[trial]
+    n = cofactor * prod(p**e for p, e in powers.items())
+    CountedInt.divisions = 0
+    out: dict[int, int] = {}
+    assert arith._divide_out(CountedInt(n), primes, product, out) == cofactor
+    assert out == powers
+    assert CountedInt.divisions <= sum(2 * (e.bit_length() + 2) for e in powers.values())
 
 
 @pytest.mark.parametrize("n, want", [

@@ -362,6 +362,26 @@ def test_batch_oversize_integer_literal_is_input_error(tmp_path, capsys):
     assert good["id"] == "next"
 
 
+def test_batch_form_invariants_of_in_limit_prime_powers(tmp_path, capsys):
+    # 3**9000 has 4,295 digits, under the literal limit; the determinant
+    # 3**72000 is stripped in O(log e) divisions, not one per unit of e
+    big = 3**9000
+
+    def diagonal(entries):
+        return ";".join(",".join(str(a) if i == j else "0" for j in range(len(entries)))
+                        for i, a in enumerate(entries))
+
+    square, twisted = _batch(tmp_path, capsys, "form-invariants",
+                             [{"gram": diagonal([big] * 8)}, {"gram": diagonal([3 * big] + [-big] * 7)}])
+    assert square["status"] == "ok"
+    assert square["outputs"] == {"rank": 8, "signature": [8, 0], "disc": 1, "w1": 1, "w2": [],
+                                 "hasse_local": {"2": 1}}
+    # <3, -1, ..., -1> up to squares: w2 = (3, -1) + (-1, -1), at {2, 3} and {2, inf}
+    assert twisted["status"] == "ok"
+    assert twisted["outputs"] == {"rank": 8, "signature": [1, 7], "disc": -3, "w1": -3, "w2": [3, "inf"],
+                                  "hasse_local": {"2": 1, "3": -1}}
+
+
 # Fraction would read these as integers of 100,001 and 10**9 + 1 digits
 EXPONENT_LITERALS = ("1e100000", "1e1000000000")
 

@@ -42,7 +42,7 @@ NUMBERS = ["0", "1", "-1", "2", "-2", "3", "-3", "4", "5", "6", "-7", "12", "-15
            "1/2", "-3/4", "2/3", "4/6", " 5 ", "+3", "1.5", "٣"]
 PLACES = ["2", "3", "5", "7", "283", "10007", "inf", "Inf"]
 BAD = ["", " ", "x", "1/0", "1e3", "1_0", "-inf", "4", "1^2,1,1", "bogus"]
-CAPS = [str(n) for n in (P2048, 2**2048 + 1, AT_FACTOR_CAP, PAST_FACTOR_CAP)]
+CAPS = [str(n) for n in (P2048, 2**2048 + 1, AT_FACTOR_CAP, PAST_FACTOR_CAP, 3**9000)]
 STATUS_EXIT = {"ok": 0, "input_error": 1, "effort_exceeded": 3}
 
 

@@ -31,8 +31,11 @@ from hassewitt.obstructions import (
 
 from oracles import (
     JEHANNE_TYPES,
+    companion_power_traces,
     congruent_form,
     diagonal_form,
+    naive_form_invariants,
+    naive_hilbert_symbol,
     poly_mul,
     random_nondegenerate_symmetric,
     random_unimodular,
@@ -130,6 +133,24 @@ def test_lifting_decisions_local_table():
     # the embedding command states the quartic hypotheses beside the report
     outputs, assumptions = cli.execute("embedding", {"poly": "-1,1,0,0,1"})
     assert outputs == report.to_json() and assumptions == QUARTIC_ASSUMPTIONS
+
+
+def test_lifting_decisions_at_a_wild_prime_match_the_oracles():
+    # x^4 - x^3 + 3: disc 6669 = 3^3 * 13 * 19, Galois closure S4 (a 4-cycle
+    # mod 7, a 3-cycle mod 5); f = x^3 (x - 1) + 3 * 1 with 3 not dividing 1,
+    # so by Dedekind's criterion 3 does not divide the index: v_3(d_F) = 3.
+    # 3 decomposes as 1^3,1 with e = p, wildly; there the jehanne table's
+    # tame row gives (1, 1), and the trace form gives the pair pinned here
+    f = Poly([3, 0, 0, -1, 1])
+    alg = EtaleAlgebra(f)
+    assert discriminant(f) == 6669 and factor(6669).factors == ((3, 3), (13, 1), (19, 1))
+    assert factor_pattern_mod_p(alg, 7) == ((4, 1),)
+    assert factor_pattern_mod_p(alg, 5) == ((1, 1), (3, 1))
+    assert factor_pattern_mod_p(alg, 3) == ((1, 1), (1, 3))
+    sums = companion_power_traces(f, 6)
+    naive = naive_form_invariants([[sums[i + j] for j in range(4)] for i in range(4)])
+    oracle = (-1 if 3 in naive["w2"] else 1, naive_hilbert_symbol(2, 6669, Place.finite(3)))
+    assert lifting_decisions(alg).local_table[Place.finite(3)] == oracle == (-1, -1)
 
 
 def test_lifting_decisions_agree_with_direct_classes():
