@@ -15,7 +15,6 @@ from .cohomology import (
 )
 from .errors import DomainError, EffortExceededError, InternalError
 from .forms import (
-    DiagonalForm,
     FormInvariants,
     QuadraticForm,
     diagonalize,
@@ -47,7 +46,6 @@ from .numberfield import (
     trace_gram,
 )
 from .obstructions import (
-    CharacterSum,
     DecompositionType,
     DeltaPair,
     LiftReport,

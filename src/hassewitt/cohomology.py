@@ -15,6 +15,7 @@ unit mod p (mod 8 at 2), and gives the product of the symbols over all
 pairs of a diagonal form in closed form, with at most one residue symbol.
 :func:`_cup_sum_at` is the one per-place cup loop: :func:`cup_sum` factors
 its places out, and a holder of ``FormInvariants.hasse_local`` passes its keys.
+:func:`_places_of` is the one place list; ``forms.invariants`` reads it too.
 
 Conventions: a place is either a finite prime or the real place ``inf``;
 the Hilbert symbol (a, b)_v is +1 exactly when z**2 = a x**2 + b y**2 has a
@@ -100,9 +101,10 @@ class Place(Value):
 
     @property
     def prime(self) -> int:
-        if self.is_infinite:
+        infinite, p = self._key
+        if infinite:
             raise DomainError("the infinite place has no residue prime")
-        return self._key[1]
+        return p
 
     def to_json(self) -> "str | int":
         return "inf" if self.is_infinite else self.prime
@@ -258,10 +260,8 @@ def hilbert_symbol(a: "Rat | SquareClass", b: "Rat | SquareClass", v: Place) -> 
 def _places_of(reps: Sequence[int]) -> list[Place]:
     """2 and the odd primes dividing some of the nonzero integers reps, each
     factored once; their places skip the primality test factor() passed."""
-    primes = set()
-    for x in reps:
-        primes.update(p for p, _ in arith.factor(x).factors)
-    return [TWO] + [Place.from_prime(p) for p in sorted(primes - {2})]
+    primes = {p for x in reps for p, _ in arith.factor(x).factors} - {2}
+    return [TWO, *map(Place.from_prime, sorted(primes))]
 
 
 def relevant_places(*values: "Rat | SquareClass") -> list[Place]:

@@ -19,8 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .arith import factor
-from .cohomology import INF, CohClass2, Place, SquareClass, _hasse_exponent
+from .cohomology import INF, CohClass2, SquareClass, _hasse_exponent, _places_of
 from .errors import DomainError
 from .values import Value, setfield
 
@@ -96,18 +95,6 @@ def _rat_json(num: int, den: int):
     return num // g if den == g else f"{num // g}/{den // g}"
 
 
-class DiagonalForm(Value):
-    """Diagonal representative <a_1, ..., a_n>, all entries nonzero."""
-
-    _fields = ("entries",)
-
-    def __init__(self, entries: Iterable):
-        ent = tuple(Fraction(x) for x in entries)
-        if not ent or any(x == 0 for x in ent):
-            raise DomainError("diagonal entries must be nonzero")
-        setfield(self, "entries", ent)
-
-
 def _leading_minors(m: list[list[int]]) -> tuple[int, ...]:
     """Leading principal minors D_1, ..., D_n of an integral symmetric
     matrix congruent to m by a determinant-1 change of basis, all nonzero.
@@ -147,10 +134,10 @@ def _leading_minors(m: list[list[int]]) -> tuple[int, ...]:
     return tuple(minors)
 
 
-def diagonalize(q: QuadraticForm) -> DiagonalForm:
-    """Entries of a diagonal form congruent to q over Q: the diagonal the
-    form was built with."""
-    return DiagonalForm(Fraction(num, den) for num, den in q._diagonal)
+def diagonalize(q: QuadraticForm) -> tuple[Fraction, ...]:
+    """Entries of a diagonal form congruent to q over Q, all nonzero: the
+    diagonal the form was built with."""
+    return tuple(Fraction(num, den) for num, den in q._diagonal)
 
 
 class FormInvariants(Value):
@@ -200,9 +187,9 @@ def invariants(q: QuadraticForm | EtaleAlgebra) -> FormInvariants:
     disc_rep = -1 if neg % 2 else 1
     w2 = [INF] if neg * (neg - 1) // 2 % 2 else []
     hasse = {}
-    for p in [2] + [p for p, _ in factor(q._support).factors if p != 2]:
+    for v in _places_of((q._support,)):
+        p = v.prime
         e, k = _hasse_exponent(pivots, p)
-        v = Place.from_prime(p)  # factor() has proved p prime: no second test
         if e:
             w2.append(v)
         if k & 1:

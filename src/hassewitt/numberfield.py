@@ -355,8 +355,11 @@ def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
 
 def count_real_roots(f: Poly) -> int:
     """Number of real roots of a squarefree polynomial: pos - neg of a
-    diagonal of the trace form of g = _monic_integral(f) (Sylvester-Hermite)."""
-    if f.is_zero or f.degree < 1:
+    diagonal of the trace form of g = _monic_integral(f) (Sylvester-Hermite).
+    A nonzero constant has none; the zero polynomial is refused."""
+    if f.is_zero:
+        raise DomainError("real root count requires a squarefree polynomial")
+    if f.degree < 1:
         return 0
     minors = _hankel_minors(_monic_integral(f)[1])
     if minors[-1] == 0:

@@ -13,17 +13,19 @@ when sw2 = 0.  A local table for quartic fields (indexed by how an odd
 ramified prime decomposes) gives the same local data without touching the
 trace form, and serves as an independent cross-check.
 
-Also here: the addition formula for sums of quadratic characters, the real
-place closed forms, and the degree-1/2 comparison classes of a pair of
+Also here: the addition formula for sums of quadratic characters
+(:func:`sw2_character_sum` takes the characters themselves, as nonzero
+rationals or square classes, and factors each once), the real place
+closed forms, and the degree-1/2 comparison classes of a pair of
 forms of equal rank.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable
 
 from . import arith
-from .cohomology import CohClass2, INF, Place, SquareClass, _cup_sum_at, cup_sum, hilbert_symbol
+from .cohomology import CohClass2, INF, Place, Rat, SquareClass, _cup_sum_at, cup_sum, hilbert_symbol
 from .errors import DomainError
 from .forms import FormInvariants, QuadraticForm, invariants
 from .numberfield import EtaleAlgebra
@@ -172,26 +174,18 @@ def lifting_decisions(algebra: EtaleAlgebra) -> LiftReport:
 # ---------------------------------------------------------------------------
 
 
-class CharacterSum(Value):
-    """A sum of quadratic characters, each given by its square class; the
-    class of 1 is the trivial character."""
-
-    _fields = ("chars",)
-
-    def __init__(self, chars: Iterable[Union[int, SquareClass]]):
-        cs = tuple(SquareClass(c) for c in chars)
-        if not cs:
-            raise DomainError("character sum must be nonempty")
-        setfield(self, "chars", cs)
-
-
-def sw2_character_sum(cs: CharacterSum) -> CohClass2:
-    """sw2 of a sum of quadratic characters: sum of pairwise cups.
+def sw2_character_sum(chars: Iterable[Rat | SquareClass]) -> CohClass2:
+    """sw2 of a sum of quadratic characters, each given by a nonzero
+    rational or its square class (1 is the trivial character): the sum of
+    the pairwise cups.
 
     Single characters have trivial sw2, and each addition contributes the
     cup of the two determinants, so only the pairs survive.
     """
-    return cup_sum(cs.chars)
+    chars = list(chars)
+    if not chars:
+        raise DomainError("character sum must be nonempty")
+    return cup_sum(chars)
 
 
 def real_place_sw2(b_minus: int) -> int:

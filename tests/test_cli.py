@@ -448,6 +448,27 @@ def test_batch_bad_command_and_params(tmp_path, capsys):
     assert [r["id"] for r in lines] == [1, 2, 3, None]
 
 
+# a value of a JSON type that its parser does not take, per parser
+WRONG_TYPE = [
+    pytest.param("jehanne", {"p": True, "type": "1^4", "disc": 5}, "expected an integer, got True", id="p-bool"),
+    pytest.param("jehanne", {"p": [3], "type": "1^4", "disc": 5}, "expected an integer, got [3]", id="p-list"),
+    pytest.param("hilbert", {"a": 1, "b": 2, "place": True}, "cannot parse place True", id="place-bool"),
+    pytest.param("tracefield", {"poly": 5}, "cannot parse polynomial coefficients 5", id="poly-int"),
+    pytest.param("form-invariants", {"gram": 5}, "cannot parse Gram matrix 5", id="gram-int"),
+    pytest.param("form-invariants", {"gram": [[1], 2]}, "Gram matrix must be a list of rows", id="gram-row-int"),
+    pytest.param("hypersurface", {"n": 2, "degrees": {}}, "cannot parse degree list {}", id="degrees-object"),
+    pytest.param("jehanne", {"p": 3, "type": 4, "disc": 5}, "decomposition type must be a string", id="type-int"),
+    pytest.param("hilbert", [1], "parameters must be an object", id="parameters-list"),
+]
+
+
+@pytest.mark.parametrize("command, params, error", WRONG_TYPE)
+def test_batch_value_of_the_wrong_json_type_is_input_error(tmp_path, capsys, command, params, error):
+    (report,) = _batch(tmp_path, capsys, command, [params])
+    assert (report["status"], report["error"]) == ("input_error", error)
+    assert report["inputs"] == (params if isinstance(params, dict) else {})
+
+
 def test_batch_leaves_stdio_open(monkeypatch):
     request = {"id": "s", "command": "hilbert", "parameters": {"a": -1, "b": -1, "place": "inf"}}
     stdin, stdout = io.StringIO(json.dumps(request) + "\n"), io.StringIO()

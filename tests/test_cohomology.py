@@ -146,6 +146,14 @@ def _nonzero(rng, bound):
             return n
 
 
+def test_infinite_place_has_no_prime_and_zero_no_places():
+    with pytest.raises(DomainError, match="^the infinite place has no residue prime$"):
+        INF.prime
+    for values in ((0,), (3, 0), (Fraction(2, 3), Fraction(0))):
+        with pytest.raises(DomainError, match="^0 has no relevant places$"):
+            relevant_places(*values)
+
+
 def test_hilbert_zero_rejected():
     with pytest.raises(DomainError):
         hilbert_symbol(0, 3, INF)

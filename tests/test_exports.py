@@ -45,7 +45,6 @@ LEDGER = {
     "errors.DomainError": "the documented error of bad input, which callers catch",
     "errors.EffortExceededError": "the documented error past an effort limit (CLI exit 3)",
     "errors.InternalError": "the documented error of a failed internal invariant",
-    "forms.DiagonalForm": "the value that diagonalize returns",
     "cli.main": "the console script that pyproject.toml installs",
     "cli.run": "what main runs on argv: one single-shot command or a batch",
     "cli.run_batch": "the batch subcommand that run dispatches to",

@@ -152,6 +152,13 @@ def test_discriminant_requires_monic():
         discriminant(Poly([1, 2]))
 
 
+def test_discriminant_and_power_sums_refusals():
+    with pytest.raises(DomainError, match="^discriminant requires degree >= 1$"):
+        discriminant(Poly([1]))
+    with pytest.raises(DomainError, match="^power sums require a monic polynomial$"):
+        power_sums(Poly([1, 2]), 3)
+
+
 def test_etale_validation():
     with pytest.raises(DomainError):
         EtaleAlgebra(Poly([1]))  # degree 0
@@ -193,6 +200,15 @@ def test_real_signature_examples():
     assert _real_signature(EtaleAlgebra(Poly([1, 0, 1]))) == (0, 1)
     assert count_real_roots(Poly([-2, 0, 1])) == 2
     assert count_real_roots(Poly([2, 0, 1])) == 0
+
+
+def test_real_roots_of_constants():
+    # a nonzero constant has no root; the zero polynomial vanishes on all of R
+    for c in (1, -3, Fraction(2, 7)):
+        assert count_real_roots(Poly([c])) == 0
+    for zero in (Poly([]), Poly([0, 0])):
+        with pytest.raises(DomainError, match="^real root count requires a squarefree polynomial$"):
+            count_real_roots(zero)
 
 
 def test_repeated_roots_rejected():
@@ -386,7 +402,7 @@ def test_trace_gram_of_x400_minus_2_runs_no_elimination(monkeypatch):
     assert inv == invariants(algebra) == trace_form_report(algebra).form_invariants
     assert det == algebra.disc
     # one odd gap run, D_2 = ... = D_399 = 0, so the entries multiply to det exactly
-    assert len(diagonal.entries) == 400 and prod(diagonal.entries) == det
+    assert len(diagonal) == 400 and prod(diagonal) == det
 
 
 def test_signature_matches_trace_form_diagonalization():

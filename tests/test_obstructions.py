@@ -18,7 +18,6 @@ from hassewitt.numberfield import (
 from hassewitt.obstructions import (
     _RAMIFIED_TYPES,
     QUARTIC_ASSUMPTIONS,
-    CharacterSum,
     DecompositionType,
     delta_comparison,
     jehanne_local,
@@ -36,6 +35,7 @@ from oracles import (
     diagonal_form,
     naive_form_invariants,
     naive_hilbert_symbol,
+    naive_valuation,
     poly_mul,
     random_nondegenerate_symmetric,
     random_unimodular,
@@ -287,12 +287,47 @@ def _symbol_pair(d_field, p):
 
 
 def test_character_sum():
-    assert sw2_character_sum(CharacterSum([1, 7])).is_zero
-    assert sw2_character_sum(CharacterSum([-1, -1])) == places(2, "inf")
+    assert sw2_character_sum([1, 7]).is_zero
+    assert sw2_character_sum([-1, -1]) == places(2, "inf")
     for a in (5, -6, 13):
-        assert sw2_character_sum(CharacterSum([a, a])) == cup(a, -1)
-    with pytest.raises(DomainError):
-        CharacterSum([])
+        assert sw2_character_sum([a, a]) == cup(a, -1)
+    with pytest.raises(DomainError, match="^character sum must be nonempty$"):
+        sw2_character_sum([])
+    # the characters themselves, as rationals, strings or square classes
+    assert sw2_character_sum(x for x in (Fraction(-3, 4), "-12", SquareClass(2))) == sw2_character_sum([-3, -3, 2])
+
+
+P40, P41 = 1_099_511_627_791, 2_199_023_255_579  # the first primes above 2**40 and 2**41
+
+
+@pytest.mark.parametrize("chars, primes", [
+    pytest.param([12, -18, 2**61 - 1], (2, 3, 2**61 - 1), id="mersenne"),
+    pytest.param([9 * P40 * P41, -3, 5], (2, 3, 5, P40, P41), id="semiprime"),
+])
+def test_character_sum_factors_each_character_once(monkeypatch, chars, primes):
+    """With the memo cleared, one factor call and one cold factorization per
+    character; the class is the pairwise sum of the oracle's symbols over 2,
+    inf and every prime of a character."""
+    calls = []
+    real = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or real(n))
+    arith._factor_positive.cache_clear()
+    got = sw2_character_sum(chars)
+    assert calls == chars
+    assert arith._factor_positive.cache_info().misses == len(chars)
+    for x in chars:  # primes holds every prime of x
+        for p in primes:
+            x = naive_valuation(x, p)[1]
+        assert abs(x) == 1
+    expected = []
+    for v in [Place.finite(p) for p in primes] + [INF]:
+        sign = 1
+        for i, a in enumerate(chars):
+            for b in chars[i + 1:]:
+                sign *= naive_hilbert_symbol(a, b, v)
+        if sign == -1:
+            expected.append(v)
+    assert got == CohClass2(expected)
 
 
 def test_multiquadratic_character_cross_validation():
@@ -314,7 +349,7 @@ def test_multiquadratic_character_cross_validation():
         chars = []
         for a in vals:
             chars.extend([1, a])
-        assert sw2_permutation(alg) == sw2_character_sum(CharacterSum(chars)), vals
+        assert sw2_permutation(alg) == sw2_character_sum(chars), vals
 
 
 def test_real_place():
@@ -322,11 +357,10 @@ def test_real_place():
     assert real_place_sw2(2) == 1
     assert real_place_sw2(4) == 0
     for b in range(13):
-        copies = CharacterSum([-1] * b) if b else None
         expected = (b * (b - 1) // 2) % 2
         assert real_place_sw2(b) == expected
-        if copies is not None:
-            assert localize(sw2_character_sum(copies), INF) == expected
+        if b:
+            assert localize(sw2_character_sum([-1] * b), INF) == expected
     with pytest.raises(DomainError):
         real_place_sw2(-1)
 
@@ -433,12 +467,11 @@ def test_delta2_at_the_invariants_places_matches_the_cup_route():
 def test_delta_request_factors_each_support_once(monkeypatch):
     """A delta request factors the support of each form once, in invariants,
     and nothing else: delta2's cup reads the places the invariants hold."""
-    from hassewitt import cli, forms
+    from hassewitt import cli
 
     calls = []
     real = arith.factor
     monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or real(n))
-    monkeypatch.setattr(forms, "factor", arith.factor)
     for omega, eta in (("1,0;0,1", "-1,0;0,3"), ("2,1;1,5", "7,0;0,-11"), ("1/3,0;0,3", "-5,2;2,1"),
                        ("3,0,0;0,-1,0;0,0,2147483647", "1,1,0;1,-6,0;0,0,-2147483659")):
         supports = [cli.parse_gram(omega)._support, cli.parse_gram(eta)._support]
