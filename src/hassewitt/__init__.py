@@ -2,7 +2,7 @@
 number fields, embedding-problem obstructions, and middle-cohomology
 invariants of complete intersections."""
 
-from .arith import Factorization, factor, is_prime, legendre, squarefree_part
+from .arith import factor, is_prime, legendre, squarefree_part
 from .cohomology import (
     INF,
     CohClass2,
@@ -46,7 +46,6 @@ from .numberfield import (
     trace_gram,
 )
 from .obstructions import (
-    DecompositionType,
     DeltaPair,
     LiftReport,
     delta_comparison,

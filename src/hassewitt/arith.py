@@ -48,7 +48,6 @@ from math import exp, gcd, isqrt, log, prod
 from operator import or_
 
 from .errors import DomainError, EffortExceededError, InternalError
-from .values import Value
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _CACHE_SIZE = 8192  # entries in each per-process memo: primality and factorization
@@ -381,20 +380,6 @@ def _lehman(n: int) -> int:
     raise InternalError(f"Lehman's method found no factor of {n}")
 
 
-class Factorization(Value):
-    """Signed prime factorization: sign * prod(p**e) reconstructs the input.
-
-    factors holds the (prime, exponent) pairs, primes ascending."""
-
-    _fields = ("sign", "factors")
-
-    def value(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p ** e
-        return n
-
-
 def _divide_out(n: int, primes: tuple[int, ...], product: int, out: dict[int, int]) -> int:
     """n without the primes of gcd(n, product), with their exponents put
     into out.  primes ascends and holds every one of those primes; each
@@ -459,15 +444,18 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-def factor(n: int) -> Factorization:
-    """Factor a nonzero integer; keys are prime, exponents >= 1."""
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of |n| for a nonzero integer n, primes
+    ascending, exponents >= 1."""
     if n == 0:
         raise DomainError("cannot factor 0")
-    sign = -1 if n < 0 else 1
-    fac = Factorization(sign, _factor_positive(abs(n)))
-    if fac.value() != n:
+    pairs = _factor_positive(abs(n))
+    m = 1
+    for p, e in pairs:
+        m *= p ** e
+    if m != abs(n):
         raise InternalError(f"factorization of {n} does not reconstruct")
-    return fac
+    return pairs
 
 
 def squarefree_part(q: int | Fraction) -> int:
@@ -481,7 +469,7 @@ def squarefree_part(q: int | Fraction) -> int:
         raise DomainError("0 has no squarefree part")
     n = q.numerator * q.denominator  # same square class as q
     s = -1 if n < 0 else 1
-    for p, e in factor(n).factors:
+    for p, e in factor(n):
         if e % 2:
             s *= p
     return s

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .motives import CompleteIntersectionSpec, motive_report
 from .numberfield import EtaleAlgebra, Poly, trace_form_report
 from .obstructions import (
     QUARTIC_ASSUMPTIONS,
-    DecompositionType,
+    _RAMIFIED_TYPES,
     delta_comparison,
     jehanne_local,
     lifting_decisions,
@@ -46,6 +47,13 @@ class CLIInputError(DomainError):
 # ---------------------------------------------------------------------------
 
 
+def _json_text(value) -> str:
+    """A rejected value that is not a string, as the JSON that a batch
+    request spells it: true, not Python's True.  A library caller's value
+    that JSON has no spelling for reads as its repr."""
+    return json.dumps(value, default=repr)
+
+
 # a plain ASCII integer or p/q, read without building a Fraction
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -56,7 +64,7 @@ def _parse_ratio(value) -> tuple[int, int]:
     if isinstance(value, int) and not isinstance(value, bool):
         return value, 1
     if not isinstance(value, str):
-        raise CLIInputError(f"expected a rational, got {value!r}")
+        raise CLIInputError(f"expected a rational, got {_json_text(value)}")
     # Fraction reads "1e100000" as an integer of 100,001 digits: a short
     # string past the 4,300-digit literal limit, so exponents are refused
     if "e" in value or "E" in value:
@@ -75,29 +83,27 @@ def _parse_ratio(value) -> tuple[int, int]:
 
 
 def parse_int(value) -> int:
-    if isinstance(value, bool):
-        raise CLIInputError(f"expected an integer, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         try:
             return int(value.strip())
         except ValueError:
             raise CLIInputError(f"cannot parse integer {value!r}")
-    raise CLIInputError(f"expected an integer, got {value!r}")
+    raise CLIInputError(f"expected an integer, got {_json_text(value)}")
 
 
 def parse_place(value) -> Place:
-    if isinstance(value, bool):
-        raise CLIInputError(f"cannot parse place {value!r}")
-    return Place.parse(value if isinstance(value, (int, str)) else str(value))
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return Place.parse(value)
+    raise CLIInputError(f"cannot parse place {_json_text(value)}")
 
 
 def parse_poly(value) -> Poly:
     if isinstance(value, str):
         value = value.split(",")  # an empty field is an error, never a dropped coefficient
     elif not isinstance(value, (list, tuple)):
-        raise CLIInputError(f"cannot parse polynomial coefficients {value!r}")
+        raise CLIInputError(f"cannot parse polynomial coefficients {_json_text(value)}")
     return Poly._from_ratios([_parse_ratio(c) for c in value])
 
 
@@ -110,7 +116,7 @@ def parse_gram(value) -> QuadraticForm:
             raise CLIInputError("Gram matrix must be a list of rows")
         matrix = [[_parse_ratio(c) for c in row] for row in value]
     else:
-        raise CLIInputError(f"cannot parse Gram matrix {value!r}")
+        raise CLIInputError(f"cannot parse Gram matrix {_json_text(value)}")
     return QuadraticForm._from_ratios(matrix)
 
 
@@ -119,7 +125,7 @@ def parse_degrees(value) -> list[int]:
         return [parse_int(p) for p in value.split(",")]  # an empty field is an error
     if isinstance(value, (list, tuple)):
         return [parse_int(d) for d in value]
-    raise CLIInputError(f"cannot parse degree list {value!r}")
+    raise CLIInputError(f"cannot parse degree list {_json_text(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +168,7 @@ def _run_jehanne(params: dict) -> dict:
     disc = parse_int(params["disc"])
     if not isinstance(type_name, str):
         raise CLIInputError("decomposition type must be a string")
-    dtype = DecompositionType.parse(type_name)
-    w2_p, symbol_p = jehanne_local(p, dtype, disc)
+    w2_p, symbol_p = jehanne_local(p, type_name.strip(), disc)
     return {"w2_p": w2_p, "symbol_p": symbol_p}
 
 
@@ -214,7 +219,7 @@ COMMANDS = {
     "embedding": Command("embedding problem decisions for a quartic", _run_embedding, {"poly": None},
                          classes=("sw2", "sp2", "w2_trace"), assumptions=QUARTIC_ASSUMPTIONS),
     "jehanne": Command("local table pair for a quartic decomposition type", _run_jehanne,
-                       {"p": None, "type": "one of: unramified, 1^2,1,1  1^3,1  1^2,2  1^4  2^2  1^2,1^2",
+                       {"p": None, "type": "one of: unramified, " + "  ".join(_RAMIFIED_TYPES),
                         "disc": None}, assumptions=QUARTIC_ASSUMPTIONS),
     "hypersurface": Command("complete intersection middle-cohomology report", _run_hypersurface,
                             {"n": None, "d": None, "degrees": "comma-separated multidegree"},
@@ -373,6 +378,10 @@ def run_batch(infile: str, outfile: str) -> int:
             stream = opened.enter_context(open(infile, "r", encoding="utf-8")) if infile != "-" else sys.stdin
         except OSError as exc:
             print(f"error: cannot read {infile}: {exc}", file=sys.stderr)
+            return 1
+        # opening the output truncates it, so a request file is never also the output
+        if infile != "-" and outfile != "-" and os.path.exists(outfile) and os.path.samefile(infile, outfile):
+            print(f"error: --in and --out are the same file: {outfile}", file=sys.stderr)
             return 1
         try:
             out = opened.enter_context(open(outfile, "w", encoding="utf-8")) if outfile != "-" else sys.stdout

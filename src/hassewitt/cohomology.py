@@ -260,7 +260,7 @@ def hilbert_symbol(a: "Rat | SquareClass", b: "Rat | SquareClass", v: Place) -> 
 def _places_of(reps: Sequence[int]) -> list[Place]:
     """2 and the odd primes dividing some of the nonzero integers reps, each
     factored once; their places skip the primality test factor() passed."""
-    primes = {p for x in reps for p, _ in arith.factor(x).factors} - {2}
+    primes = {p for x in reps for p, _ in arith.factor(x)} - {2}
     return [TWO, *map(Place.from_prime, sorted(primes))]
 
 

@@ -29,7 +29,7 @@ from .cohomology import CohClass2, INF, Place, Rat, SquareClass, _cup_sum_at, cu
 from .errors import DomainError
 from .forms import FormInvariants, QuadraticForm, invariants
 from .numberfield import EtaleAlgebra
-from .values import Value, setfield
+from .values import Value
 
 QUARTIC_ASSUMPTIONS = (
     "defining quartic is irreducible over Q with Galois closure of group S4",
@@ -71,28 +71,16 @@ _RAMIFIED_TYPES = {
 }
 
 
-class DecompositionType(Value):
-    """How a prime decomposes in a quartic field: one of the six ramified
-    shapes, or unramified."""
-
-    _fields = ("name",)
-
-    def __init__(self, name: str):
-        if name != "unramified" and name not in _RAMIFIED_TYPES:
-            raise DomainError(f"unknown decomposition type {name!r}")
-        setfield(self, "name", name)
-
-    @staticmethod
-    def parse(text: str) -> "DecompositionType":
-        return DecompositionType(text.strip())
-
-
-def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
+def jehanne_local(p: int, name: str, d_f: int) -> tuple[int, int]:
     """Local pair (w_{2,p} of the trace form, (2, d_F)_p) for a quartic
-    field in which the odd prime p decomposes as t.
+    field in which the odd prime p decomposes as the type name: "unramified",
+    or one of the six ramified shapes "1^2,1,1", "1^3,1", "1^2,2", "1^4",
+    "2^2" and "1^2,1^2".
 
     d_f is the field discriminant, never 0.  The table excludes p = 2.
     """
+    if name != "unramified" and name not in _RAMIFIED_TYPES:
+        raise DomainError(f"unknown decomposition type {name!r}")
     if p == 2:
         raise DomainError("the local table excludes the prime 2")
     if not arith.is_prime(p):
@@ -101,7 +89,6 @@ def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
         raise DomainError("the field discriminant must be nonzero")
     eight = -1 if ((p * p - 1) // 8) % 2 else 1  # (-1)**((p^2-1)/8)
     four = -1 if ((p - 1) // 2) % 2 else 1       # (-1)**((p-1)/2)
-    name = t.name
     if name == "unramified":
         return (1, 1)
     if name == "1^2,1,1":
@@ -114,10 +101,8 @@ def jehanne_local(p: int, t: DecompositionType, d_f: int) -> tuple[int, int]:
         return (four, eight)
     if name == "2^2":
         return (-four, 1)
-    if name == "1^2,1^2":
-        sym = hilbert_symbol(d_f, p, Place.from_prime(p))
-        return (four * sym, 1)
-    raise DomainError(f"unknown decomposition type {name!r}")
+    sym = hilbert_symbol(d_f, p, Place.from_prime(p))  # 1^2,1^2
+    return (four * sym, 1)
 
 
 # ---------------------------------------------------------------------------

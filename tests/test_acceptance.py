@@ -30,7 +30,6 @@ from hassewitt.motives import (
 )
 from hassewitt.numberfield import EtaleAlgebra, Poly, power_sums, trace_gram
 from hassewitt.obstructions import (
-    DecompositionType,
     delta_comparison,
     jehanne_local,
     real_place_sw2,
@@ -86,7 +85,7 @@ def test_criterion_03_jehanne_cross_check():
     ]
     expected = {283: (-1, -1), 5: (-1, 1)}
     for p, type_name, disc, poly in cases:
-        table_pair = jehanne_local(p, DecompositionType(type_name), disc)
+        table_pair = jehanne_local(p, type_name, disc)
         assert table_pair == expected[p]
         w2 = invariants(trace_gram(EtaleAlgebra(poly))).w2
         direct_pair = (

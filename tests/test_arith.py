@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hassewitt import arith
-from hassewitt.arith import Factorization, factor, is_prime, legendre, padic_split, squarefree_part
+from hassewitt.arith import factor, is_prime, legendre, padic_split, squarefree_part
 from hassewitt.cli import run_batch
 from hassewitt.errors import DomainError, EffortExceededError, InternalError
 
@@ -17,13 +17,13 @@ from test_cohomology_properties import CountedInt
 
 
 def test_factor_basic():
-    assert factor(12) == Factorization(1, ((2, 2), (3, 1)))
-    assert factor(-283) == Factorization(-1, ((283, 1),))
+    assert factor(12) == ((2, 2), (3, 1))
+    assert factor(-283) == ((283, 1),)
     assert naive_is_prime(283)
-    assert factor(2777) == Factorization(1, ((2777, 1),))
+    assert factor(2777) == ((2777, 1),)
     assert naive_is_prime(2777)
-    assert factor(1) == Factorization(1, ())
-    assert factor(-1) == Factorization(-1, ())
+    assert factor(1) == ()
+    assert factor(-1) == ()
 
 
 def test_factor_zero_rejected():
@@ -31,20 +31,28 @@ def test_factor_zero_rejected():
         factor(0)
 
 
+def test_factor_returns_the_memos_pairs_once_they_reconstruct(monkeypatch):
+    assert factor(-360) is arith._factor_positive(360)
+    monkeypatch.setattr(arith, "_factor_positive", lambda n: ((2, 1),))
+    assert factor(-2) == ((2, 1),)
+    with pytest.raises(InternalError, match=r"^factorization of -6 does not reconstruct$"):
+        factor(-6)
+
+
 def test_factor_roundtrip_random():
     rng = random.Random(101)
     for _ in range(250):
         n = rng.randint(1, 10**12) * rng.choice([1, -1])
         fac = factor(n)
-        assert fac.value() == n
-        for p, e in fac.factors:
+        assert prod(p**e for p, e in fac) == abs(n)
+        for p, e in fac:
             assert e >= 1
             assert is_prime(p)
     # independent primality spot-check on moderate factors
     for n in (999999999989, 10**12 - 11, 87178291199):
         fac = factor(n)
-        assert fac.value() == n
-        assert dict(fac.factors) == naive_factor(n)
+        assert prod(p**e for p, e in fac) == n
+        assert dict(fac) == naive_factor(n)
 
 
 PSI12 = 318665857834031151167461  # 399165290221 * 798330580441
@@ -68,14 +76,14 @@ def test_is_prime_rejects_pseudoprimes():
 
 
 def test_factor_psi12():
-    assert factor(PSI12) == Factorization(1, ((399165290221, 1), (798330580441, 1)))
+    assert factor(PSI12) == ((399165290221, 1), (798330580441, 1))
 
 
 def test_factor_matches_naive():
     rng = random.Random(55)
     for _ in range(80):
         n = rng.randint(2, 10**7)
-        assert dict(factor(n).factors) == naive_factor(n)
+        assert dict(factor(n)) == naive_factor(n)
 
 
 def test_squarefree_part_examples():
@@ -165,8 +173,8 @@ def test_padic_split_rejects_zero_and_non_primes():
 
 def test_factor_splits_a_cofactor_past_trial_division():
     n = 104729 * 1299709  # both prime and above 10**4, so Lehman's method splits n
-    assert dict(factor(n).factors) == {104729: 1, 1299709: 1}
-    assert dict(factor(2**4 * 104729).factors) == {2: 4, 104729: 1}
+    assert dict(factor(n)) == {104729: 1, 1299709: 1}
+    assert dict(factor(2**4 * 104729)) == {2: 4, 104729: 1}
 
 
 def test_trial_primes_are_the_odd_primes_below_ten_thousand():
@@ -205,7 +213,7 @@ def test_divide_out_strips_each_prime_in_logarithmic_divisions(powers, cofactor,
     (10007 * 10009, {10007: 1, 10009: 1}),  # between 10**8 and 10**10
 ])
 def test_factor_trial_division_boundaries(n, want):
-    assert dict(factor(n).factors) == want == naive_factor(n)
+    assert dict(factor(n)) == want == naive_factor(n)
 
 
 def test_factor_matches_naive_on_both_sides_of_the_small_trial_bound():
@@ -219,7 +227,7 @@ def test_factor_matches_naive_on_both_sides_of_the_small_trial_bound():
              * rng.choice((1, 2, 8, rng.choice(large))) for _ in range(200)]
     edges = [97 * 101, 101**2, 101 * 103, 97**2 * 9973, 9_999, 10_000, 10_001, 3 * 10007, 99 * 10007 * 10009]
     for n in seeded + mixed + edges:
-        assert dict(factor(n).factors) == naive_factor(n), n
+        assert dict(factor(n)) == naive_factor(n), n
 
 
 def _next_prime(n: int) -> int:
@@ -245,7 +253,7 @@ def test_factor_recovers_products_of_drawn_primes(parts):
         want[p] = want.get(p, 0) + e
     n = prod(p**e for p, e in parts)
     try:
-        got = dict(factor(n).factors)
+        got = dict(factor(n))
     except EffortExceededError:
         assert n.bit_length() > arith._FACTOR_BITS, parts
         return
@@ -424,7 +432,7 @@ def test_pm1_finding_every_prime_falls_back_to_ecm(monkeypatch):
     m = STAGE1_P * STAGE1_OTHER
     assert arith._pollard_pm1(m) == 1
     _first_rung_only(monkeypatch)
-    assert dict(factor(m).factors) == {STAGE1_P: 1, STAGE1_OTHER: 1}
+    assert dict(factor(m)) == {STAGE1_P: 1, STAGE1_OTHER: 1}
 
 
 def test_pm1_stage_1_replay_splits_when_both_primes_are_found(monkeypatch):
@@ -434,7 +442,7 @@ def test_pm1_stage_1_replay_splits_when_both_primes_are_found(monkeypatch):
     assert gcd(pow(2, arith._PM1_EXPONENT, m) - 1, m) == m
     assert arith._pollard_pm1(m) == STAGE1_EARLY
     _first_rung_only(monkeypatch)
-    assert dict(factor(-5 * m).factors) == {5: 1, STAGE1_P: 1, STAGE1_EARLY: 1}
+    assert dict(factor(-5 * m)) == {5: 1, STAGE1_P: 1, STAGE1_EARLY: 1}
 
 
 def test_pm1_stage_1_replay_splits_primes_past_ecm_and_rho(monkeypatch):
@@ -452,7 +460,7 @@ def test_pm1_stage_1_replay_splits_primes_past_ecm_and_rho(monkeypatch):
     assert arith._ecm(m) == 1
     monkeypatch.undo()
     _first_rung_only(monkeypatch)
-    assert dict(factor(m).factors) == {LARGE_EARLY: 1, LARGE_P: 1}
+    assert dict(factor(m)) == {LARGE_EARLY: 1, LARGE_P: 1}
 
 
 def test_pm1_stage_2_replay_splits_a_batch_that_finds_both_primes(monkeypatch):
@@ -461,7 +469,7 @@ def test_pm1_stage_2_replay_splits_a_batch_that_finds_both_primes(monkeypatch):
     m = STAGE2_P * STAGE2_OTHER
     assert arith._pollard_pm1(m) == STAGE2_OTHER
     _first_rung_only(monkeypatch)
-    assert dict(factor(3 * m).factors) == {3: 1, STAGE2_OTHER: 1, STAGE2_P: 1}
+    assert dict(factor(3 * m)) == {3: 1, STAGE2_OTHER: 1, STAGE2_P: 1}
 
 
 def test_pm1_runs_only_on_cofactors_of_at_least_10_to_the_12(monkeypatch):
@@ -479,12 +487,12 @@ def test_pm1_runs_only_on_cofactors_of_at_least_10_to_the_12(monkeypatch):
     below = 999_983 * 1_000_003
     above = 1_048_573 * 1_048_571
     assert below < arith._PM1_FLOOR == 10**12 < above
-    assert dict(factor(3 * below).factors) == {3: 1, 999_983: 1, 1_000_003: 1}
+    assert dict(factor(3 * below)) == {3: 1, 999_983: 1, 1_000_003: 1}
     assert calls == []
-    assert dict(factor(3 * above).factors) == {3: 1, 1_048_571: 1, 1_048_573: 1}
+    assert dict(factor(3 * above)) == {3: 1, 1_048_571: 1, 1_048_573: 1}
     assert calls == [above]
     calls.clear()
-    assert dict(factor(7 * STAGE1_P * SAFE_Q).factors) == {7: 1, STAGE1_P: 1, SAFE_Q: 1}
+    assert dict(factor(7 * STAGE1_P * SAFE_Q)) == {7: 1, STAGE1_P: 1, SAFE_Q: 1}
     assert calls == [STAGE1_P * SAFE_Q]
 
 
@@ -500,7 +508,7 @@ def test_prime_powers_split_into_roots_without_p_minus_1(monkeypatch):
     m31, m61, m89, m107 = (2**e - 1 for e in (31, 61, 89, 107))  # Mersenne primes
     for n, want in ((m89**3, {m89: 3}), (m61**5, {m61: 5}), (m61**6, {m61: 6}), (m31**7, {m31: 7}),
                     (12 * m107**3, {2: 2, 3: 1, m107: 3}), (m107**19, {m107: 19})):
-        assert dict(factor(n).factors) == want, want
+        assert dict(factor(n)) == want, want
     arith._factor_positive.cache_clear()
 
 
@@ -516,7 +524,7 @@ def test_factor_splits_seeded_semiprime_cofactors(monkeypatch):
         while P == Q:
             P, Q = (_next_prime(rng.getrandbits(bits) | 1 << (bits - 1))
                     for bits in (rng.randint(25, 30), rng.randint(25, 30)))
-        assert dict(factor(s * P * Q).factors) == {s: 1, P: 1, Q: 1}, (s, P, Q)
+        assert dict(factor(s * P * Q)) == {s: 1, P: 1, Q: 1}, (s, P, Q)
         g = arith._ecm(P * Q)
         assert g in (P, Q) and arith._ecm(P * Q) == g, (P, Q)
         g = arith._pollard_pm1(P * Q)
@@ -530,7 +538,7 @@ def test_factor_splits_a_pm1_replay_collision_without_rho(monkeypatch):
     assert naive_is_prime(P) and naive_is_prime(Q)
     assert arith._pollard_pm1(P * Q) == 1
     _first_rung_only(monkeypatch)
-    assert dict(factor(7 * P * Q).factors) == {7: 1, P: 1, Q: 1}
+    assert dict(factor(7 * P * Q)) == {7: 1, P: 1, Q: 1}
 
 
 # primes between 1,000 and 5,000 for the curve-order oracle

@@ -163,6 +163,13 @@ def test_jehanne(capsys):
     assert json.loads(out)["outputs"] == {"symbol_p": -1, "w2_p": -1}
 
 
+def test_jehanne_strips_the_type_and_checks_it_first(capsys):
+    code, out, _ = run_capture(capsys, ["jehanne", "--p", "283", "--type", " 1^2,1,1 ", "--disc", "-283"])
+    assert (code, out) == (0, "w2_p: -1\nsymbol_p: -1\n")
+    code, out, err = run_capture(capsys, ["jehanne", "--p", "2", "--type", "1^5", "--disc", "0"])
+    assert (code, out, err) == (1, "", "error: unknown decomposition type '1^5'\n")
+
+
 @pytest.mark.parametrize("type_name", JEHANNE_TYPES)
 def test_jehanne_zero_discriminant_is_input_error(tmp_path, capsys, type_name):
     error = "the field discriminant must be nonzero"
@@ -450,13 +457,16 @@ def test_batch_bad_command_and_params(tmp_path, capsys):
 
 # a value of a JSON type that its parser does not take, per parser
 WRONG_TYPE = [
-    pytest.param("jehanne", {"p": True, "type": "1^4", "disc": 5}, "expected an integer, got True", id="p-bool"),
+    pytest.param("jehanne", {"p": True, "type": "1^4", "disc": 5}, "expected an integer, got true", id="p-bool"),
     pytest.param("jehanne", {"p": [3], "type": "1^4", "disc": 5}, "expected an integer, got [3]", id="p-list"),
-    pytest.param("hilbert", {"a": 1, "b": 2, "place": True}, "cannot parse place True", id="place-bool"),
+    pytest.param("hilbert", {"a": 1, "b": 2, "place": True}, "cannot parse place true", id="place-bool"),
     pytest.param("tracefield", {"poly": 5}, "cannot parse polynomial coefficients 5", id="poly-int"),
     pytest.param("form-invariants", {"gram": 5}, "cannot parse Gram matrix 5", id="gram-int"),
     pytest.param("form-invariants", {"gram": [[1], 2]}, "Gram matrix must be a list of rows", id="gram-row-int"),
     pytest.param("hypersurface", {"n": 2, "degrees": {}}, "cannot parse degree list {}", id="degrees-object"),
+    pytest.param("hypersurface", {"n": 2, "degrees": {"d": [3, None]}}, 'cannot parse degree list {"d": [3, null]}',
+                 id="degrees-object-nonempty"),
+    pytest.param("hilbert", {"a": 1, "b": 2, "place": 3.0}, "cannot parse place 3.0", id="place-float"),
     pytest.param("jehanne", {"p": 3, "type": 4, "disc": 5}, "decomposition type must be a string", id="type-int"),
     pytest.param("hilbert", [1], "parameters must be an object", id="parameters-list"),
 ]
@@ -477,6 +487,19 @@ def test_batch_leaves_stdio_open(monkeypatch):
     assert run(["batch", "--in", "-", "--out", "-"]) == 0
     assert not stdin.closed and not stdout.closed
     assert json.loads(stdout.getvalue())["outputs"] == {"symbol": -1}
+
+
+def test_batch_refuses_one_file_as_input_and_output(tmp_path, capsys):
+    # opening the output truncates it, so the refusal comes first and the
+    # requests survive, also through a second name for the file
+    infile, alias = tmp_path / "in.jsonl", tmp_path / "alias.jsonl"
+    infile.write_text(json.dumps({"id": 1, "command": "hilbert", "parameters": {"a": -1, "b": -1, "place": "inf"}}) + "\n")
+    alias.symlink_to(infile)
+    before = infile.read_bytes()
+    for outfile in (infile, alias):
+        code, out, err = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+        assert (code, out, err) == (1, "", f"error: --in and --out are the same file: {outfile}\n")
+        assert infile.read_bytes() == before
 
 
 def test_batch_unreadable_file(tmp_path, capsys):

@@ -220,7 +220,7 @@ def test_unchecked_places_come_from_factor(monkeypatch):
 
     def recording_factor(n):
         fac = real_factor(n)
-        proved.update(p for p, _ in fac.factors)
+        proved.update(p for p, _ in fac)
         return fac
 
     def recording_from_prime(p):
@@ -300,7 +300,7 @@ def test_hasse_local_keys_hold_two_w1_and_w2():
     for subject in subjects:
         inv = invariants(subject)
         keys = set(inv.hasse_local)
-        w1_places = {Place.finite(p) for p, _ in arith.factor(inv.w1.rep).factors}
+        w1_places = {Place.finite(p) for p, _ in arith.factor(inv.w1.rep)}
         assert INF not in keys, subject
         assert {Place.finite(2)} | w1_places | (inv.w2.support - {INF}) <= keys, subject
         w2_only += bool(inv.w2.support - {INF, Place.finite(2)} - w1_places)

@@ -18,7 +18,6 @@ from hassewitt.numberfield import (
 from hassewitt.obstructions import (
     _RAMIFIED_TYPES,
     QUARTIC_ASSUMPTIONS,
-    DecompositionType,
     delta_comparison,
     jehanne_local,
     lifting_decisions,
@@ -143,7 +142,7 @@ def test_lifting_decisions_at_a_wild_prime_match_the_oracles():
     # tame row gives (1, 1), and the trace form gives the pair pinned here
     f = Poly([3, 0, 0, -1, 1])
     alg = EtaleAlgebra(f)
-    assert discriminant(f) == 6669 and factor(6669).factors == ((3, 3), (13, 1), (19, 1))
+    assert discriminant(f) == 6669 and factor(6669) == ((3, 3), (13, 1), (19, 1))
     assert factor_pattern_mod_p(alg, 7) == ((4, 1),)
     assert factor_pattern_mod_p(alg, 5) == ((1, 1), (3, 1))
     assert factor_pattern_mod_p(alg, 3) == ((1, 1), (1, 3))
@@ -174,7 +173,7 @@ def test_lifting_decisions_agree_with_direct_classes():
         assert report.sp2 == sp2_permutation(alg) == cup(2, discriminant(f)), f
         assert report.sw2 == sw2_permutation(alg), f
         places = {INF, Place.finite(2), *report.w2_trace.support, *report.sp2.support}
-        places.update(Place.finite(q) for q, _ in factor(report.field_disc.rep).factors)
+        places.update(Place.finite(q) for q, _ in factor(report.field_disc.rep))
         assert set(report.local_table) == places, f
 
 
@@ -184,24 +183,24 @@ def test_lifting_decisions_requires_quartic():
 
 
 def test_jehanne_table_golden():
-    assert jehanne_local(283, DecompositionType("1^2,1,1"), -283) == (-1, -1)
-    assert jehanne_local(5, DecompositionType("2^2"), -275) == (-1, 1)
-    assert jehanne_local(7, DecompositionType("unramified"), -283) == (1, 1)
+    assert jehanne_local(283, "1^2,1,1", -283) == (-1, -1)
+    assert jehanne_local(5, "2^2", -275) == (-1, 1)
+    assert jehanne_local(7, "unramified", -283) == (1, 1)
 
 
 def test_jehanne_table_cases():
     # p = 7: (p^2-1)/8 = 6 even, (p-1)/2 = 3 odd, (p+1)/2 = 4 even
-    assert jehanne_local(7, DecompositionType("1^2,1,1"), -283) == (1, 1)
-    assert jehanne_local(7, DecompositionType("1^3,1"), -283) == (1, 1)
-    assert jehanne_local(7, DecompositionType("1^2,2"), -283) == (-1, 1)
-    assert jehanne_local(7, DecompositionType("1^4"), -283) == (-1, 1)
-    assert jehanne_local(7, DecompositionType("2^2"), -283) == (1, 1)
+    assert jehanne_local(7, "1^2,1,1", -283) == (1, 1)
+    assert jehanne_local(7, "1^3,1", -283) == (1, 1)
+    assert jehanne_local(7, "1^2,2", -283) == (-1, 1)
+    assert jehanne_local(7, "1^4", -283) == (-1, 1)
+    assert jehanne_local(7, "2^2", -283) == (1, 1)
     # p = 5: (p^2-1)/8 = 3 odd, (p-1)/2 = 2 even, (p+1)/2 = 3 odd
-    assert jehanne_local(5, DecompositionType("1^2,1,1"), -275) == (-1, -1)
-    assert jehanne_local(5, DecompositionType("1^2,2"), -275) == (1, -1)
-    assert jehanne_local(5, DecompositionType("1^4"), -275) == (1, -1)
+    assert jehanne_local(5, "1^2,1,1", -275) == (-1, -1)
+    assert jehanne_local(5, "1^2,2", -275) == (1, -1)
+    assert jehanne_local(5, "1^4", -275) == (1, -1)
     # the doubly ramified case picks up a symbol (d_F, p)_p
-    assert jehanne_local(5, DecompositionType("1^2,1^2"), -275) == (
+    assert jehanne_local(5, "1^2,1^2", -275) == (
         1 * _symbol(-275, 5),
         1,
     )
@@ -215,25 +214,28 @@ def _symbol(a, p):
 
 def test_jehanne_rejects_two_and_composites():
     with pytest.raises(DomainError, match=r"^the local table excludes the prime 2$"):
-        jehanne_local(2, DecompositionType("1^4"), -283)
+        jehanne_local(2, "1^4", -283)
     # Place.finite's primality test is the only check for the other p
     for p in (1, 0, -3, 4, 9, 10**40):
         with pytest.raises(DomainError, match=rf"^{p} must be an odd prime$"):
-            jehanne_local(p, DecompositionType("1^4"), -283)
+            jehanne_local(p, "1^4", -283)
     with pytest.raises(DomainError, match=r"^1000009 must be an odd prime$"):
-        jehanne_local(1000009, DecompositionType("1^2,1^2"), 5)  # 293 * 3413
+        jehanne_local(1000009, "1^2,1^2", 5)  # 293 * 3413
+    # the type is checked first, so a jehanne request with a bad type and a
+    # bad p reads the type's error
     with pytest.raises(DomainError, match=r"^unknown decomposition type '1\^5'$"):
-        DecompositionType("1^5")
+        jehanne_local(2, "1^5", 0)
+    with pytest.raises(DomainError, match=r"^unknown decomposition type ' 1\^4'$"):
+        jehanne_local(7, " 1^4", -283)  # the command strips the name, the table does not
 
 
 def test_ramified_shapes_are_the_six_of_degree_4():
     # (e, f) per prime above p; the table is constant, so e*f sums to 4 is checked
-    # here and not on every DecompositionType
+    # here and not on every call
     assert len(_RAMIFIED_TYPES) == 6
     for name, shape in _RAMIFIED_TYPES.items():
         assert sum(e * f for e, f in shape) == 4, name
         assert any(e > 1 for e, _ in shape), name
-        assert DecompositionType(name).name == name
 
 
 def test_jehanne_symbol_column_is_two_over_p_to_the_valuation():
@@ -248,7 +250,7 @@ def test_jehanne_symbol_column_is_two_over_p_to_the_valuation():
             v = sum((e - 1) * f for e, f in _RAMIFIED_TYPES.get(name, ()))
             for unit in (1, -1, 2, -4, 2003, -2 * 2011, 2017 * 2027):  # prime to p
                 d_f = unit * p**v
-                assert jehanne_local(p, DecompositionType(name), d_f)[1] == two**v, (p, name, d_f)
+                assert jehanne_local(p, name, d_f)[1] == two**v, (p, name, d_f)
                 checked += 1
     assert checked == 302 * 7 * 7
 
@@ -258,7 +260,7 @@ def test_jehanne_rejects_a_zero_discriminant():
     # with the Hilbert symbol's text
     for name in JEHANNE_TYPES:
         with pytest.raises(DomainError, match="^the field discriminant must be nonzero$"):
-            jehanne_local(7, DecompositionType(name), 0)
+            jehanne_local(7, name, 0)
 
 
 def test_jehanne_consistent_with_direct_computation():
@@ -277,7 +279,7 @@ def test_jehanne_consistent_with_direct_computation():
             -1 if localize(w2, Place.finite(p)) else 1,
             _symbol_pair(d_field, p),
         )
-        assert jehanne_local(p, DecompositionType(type_name), d_field) == direct, (p, type_name)
+        assert jehanne_local(p, type_name, d_field) == direct, (p, type_name)
 
 
 def _symbol_pair(d_field, p):
@@ -494,8 +496,8 @@ def test_jehanne_proves_p_prime_once(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(arith, "is_prime", counted)
-    assert jehanne_local(p, DecompositionType("1^2,1^2"), 5 * p) == expected
+    assert jehanne_local(p, "1^2,1^2", 5 * p) == expected
     assert calls == [p]
     calls.clear()
-    assert jehanne_local(p, DecompositionType("1^4"), 5 * p) == (-1, -1)
+    assert jehanne_local(p, "1^4", 5 * p) == (-1, -1)
     assert calls == [p]

@@ -1,9 +1,8 @@
 """The value types are plain frozen classes, not dataclasses, and keep the
 contract they had as frozen dataclasses: reprs, hashes, equality,
-immutability, ordering and constructor validation.  Two records have since
-lost a field (LiftReport's assumptions, now a column of the CLI's command
-table; DecompositionType's pattern), and a plain record takes its fields by
-position only."""
+immutability, ordering and constructor validation.  LiftReport has since
+lost its assumptions field, now a column of the CLI's command table, and a
+plain record takes its fields by position only."""
 
 import copy
 import os
@@ -21,27 +20,24 @@ from hassewitt import (
     INF,
     CohClass2,
     CompleteIntersectionSpec,
-    DecompositionType,
     EtaleAlgebra,
-    Factorization,
     Place,
     Poly,
     QuadraticForm,
     SquareClass,
     SymbolicClass,
     delta_comparison,
-    factor,
     invariants,
     lifting_decisions,
     motive_report,
     trace_form_report,
 )
 from hassewitt.cohomology import ONE, TWO
-from hassewitt.errors import DomainError, InternalError
+from hassewitt.errors import InternalError
 from hassewitt.forms import FormInvariants
 from hassewitt.motives import TOKEN_W2_DR, MotiveReport
 from hassewitt.numberfield import TraceFormReport
-from hassewitt.obstructions import _RAMIFIED_TYPES, QUARTIC_ASSUMPTIONS, DeltaPair, LiftReport
+from hassewitt.obstructions import QUARTIC_ASSUMPTIONS, DeltaPair, LiftReport
 from hassewitt.values import Value
 
 from test_exports import REQUESTS  # one request per command, each answered ok
@@ -60,7 +56,6 @@ def _samples() -> dict:
         "square_class_frac": SquareClass(Fraction(2, 9)),
         "coh2": CohClass2([Place.finite(3), INF]),
         "coh2_zero": CohClass2(),
-        "factorization": factor(-360),
         "quadratic_form": q,
         "form_invariants": invariants(q),
         "poly": Poly([Fraction(1, 2), 0, 1]),
@@ -70,8 +65,6 @@ def _samples() -> dict:
         "symbolic_class": SymbolicClass(CohClass2([TWO, INF]), (TOKEN_W2_DR,)),
         "motive_report_ci": motive_report(CompleteIntersectionSpec(4, (2, 2))),
         "motive_report_hyp": motive_report(CompleteIntersectionSpec(2, (3,))),
-        "decomposition_type": DecompositionType("1^2,2"),
-        "decomposition_type_unram": DecompositionType("unramified"),
         "lift_report": lifting_decisions(alg),
         "delta_pair": delta_comparison(QuadraticForm([[1, 0], [0, 1]]), QuadraticForm([[-1, 0], [0, 3]])),
     }
@@ -89,7 +82,6 @@ GOLDEN = {
     "square_class_frac": ("(2)", 6909455589863252355),
     "coh2": ("{3, inf}", None),
     "coh2_zero": ("{}", None),
-    "factorization": ("Factorization(sign=-1, factors=((2, 3), (3, 2), (5, 1)))", -5044661707261389336),
     "quadratic_form": ("QuadraticForm([['1', '1/2'], ['1/2', '-3']])", -5012048146152096224),
     "form_invariants": (
         "FormInvariants(rank=2, signature=(1, 1), disc=(-13), w1=(-13), w2={}, hasse_local={2: 1, 13: 1})",
@@ -117,8 +109,6 @@ GOLDEN = {
         "delta1=(-1) + disc_d(f), delta2={2, inf} + w2(q_dR))",
         None,
     ),
-    "decomposition_type": ("DecompositionType(name='1^2,2')", None),
-    "decomposition_type_unram": ("DecompositionType(name='unramified')", None),
     "lift_report": (
         "LiftReport(field_disc=(-283), sw2={}, sp2={2, 283}, w2_trace={2, 283}, lift_solvable=False, "
         "lift_delta_solvable=True, local_table={2: (-1, -1), 283: (-1, -1), inf: (1, 1)})",
@@ -133,7 +123,6 @@ HASHED = {
     Place: ("_key",),
     SquareClass: ("rep",),
     CohClass2: ("support",),
-    Factorization: ("sign", "factors"),
     QuadraticForm: ("_scale", "_scaled"),
     FormInvariants: ("rank", "signature", "disc", "w2"),
     Poly: ("_scale", "_scaled"),
@@ -142,7 +131,6 @@ HASHED = {
     CompleteIntersectionSpec: ("n", "degrees"),
     SymbolicClass: ("numeric", "tokens"),
     MotiveReport: ("chi", "b_n", "tau_mod8", "m", "m_prime", "w1_qB", "w2_qB", "delta1", "delta2"),
-    DecompositionType: ("name",),
     DeltaPair: ("delta1", "delta2"),
 }
 
@@ -150,7 +138,7 @@ VALUE_TYPES = set(HASHED) | {LiftReport}
 
 
 def test_samples_cover_every_exported_value_type():
-    assert len(VALUE_TYPES) == 15
+    assert len(VALUE_TYPES) == 13
     assert {type(x) for x in _samples().values()} == VALUE_TYPES
     exported = {x for x in vars(hassewitt).values() if isinstance(x, type) and not issubclass(x, Exception)}
     assert exported == VALUE_TYPES
@@ -192,8 +180,6 @@ def test_equality_is_per_class():
             if type(other) is not type(x):
                 assert x != other
     assert Place.finite(2) != (0, 2) and SquareClass(2) != 2 and CohClass2() != frozenset()
-    assert Factorization(1, ((3, 1),)) == factor(3)
-    assert Factorization(1, ((3, 1),)) != Factorization(-1, ((3, 1),))
     assert samples["form_invariants"] != samples["trace_form_report"].form_invariants
 
 
@@ -219,12 +205,6 @@ def test_etale_algebra_equality_ignores_real_roots_and_disc():
 
 
 def test_validation_errors_keep_their_texts():
-    with pytest.raises(DomainError, match=r"^unknown decomposition type 'bogus'$"):
-        DecompositionType("bogus")
-    with pytest.raises(DomainError, match=r"^unknown decomposition type ' 1\^4'$"):
-        DecompositionType(" 1^4")
-    assert DecompositionType.parse(" 1^4") == DecompositionType("1^4")
-    assert DecompositionType.parse("unramified").name == "unramified"
     with pytest.raises(InternalError, match=r"^token outside the vocabulary: \('bogus',\)$"):
         SymbolicClass(ONE, ("bogus",))
     with pytest.raises(InternalError, match=r"^odd local support \[2\]: product formula violated$"):
@@ -244,21 +224,8 @@ def test_assumptions_are_a_column_of_the_command_table():
         assert assumptions is cli.COMMANDS[command].assumptions and assumptions == want, command
 
 
-def test_decomposition_type_takes_only_a_name():
-    assert DecompositionType._fields == ("name",)
-    for name in ("unramified", *_RAMIFIED_TYPES):
-        t = DecompositionType(name)
-        assert t.name == name and t == DecompositionType.parse(f" {name} ")
-        assert repr(t) == f"DecompositionType(name={name!r})"
-    with pytest.raises(TypeError):
-        DecompositionType("unramified", (2, 2))
-    with pytest.raises(TypeError):
-        DecompositionType(name="unramified", pattern=(2, 2))
-
-
 # the pure-data types, whose constructor is the generic one over _fields
-PLAIN = ("factorization", "form_invariants", "trace_form_report",
-         "motive_report_hyp", "lift_report", "delta_pair")
+PLAIN = ("form_invariants", "trace_form_report", "motive_report_hyp", "lift_report", "delta_pair")
 
 
 @pytest.mark.parametrize("name", PLAIN)
