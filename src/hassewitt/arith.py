@@ -104,6 +104,7 @@ _PRIMORIAL = prod(_TRIAL_PRIMES)
 _SMALL_TRIAL = tuple(p for p in _TRIAL_PRIMES if p < _SMALL_BOUND)
 _LARGE_TRIAL = _TRIAL_PRIMES[len(_SMALL_TRIAL):]
 _SMALL_PRIMORIAL = prod(_SMALL_TRIAL)
+_ROOT_DEGREES = (2, *_TRIAL_PRIMES)  # the primes k for which _perfect_power tries k-th roots
 
 
 # a hit proves nothing new, like a _factor_positive hit: it is the bool BPSW
@@ -402,7 +403,7 @@ def _perfect_power(m: int) -> tuple[int, int]:
     """(r, k) with m = r**k for the least prime k that has one, else (m, 1).
     m, of at most _PRIME_BITS bits, has no prime below _TRIAL_BOUND: only k with
     _TRIAL_BOUND**k < m are tried, r by Newton's method from above a float root."""
-    for k in (2, *_TRIAL_PRIMES):
+    for k in _ROOT_DEGREES:
         if _TRIAL_BOUND**k >= m:
             break
         r = isqrt(m) if k == 2 else int(exp(log(m) / k) * (1 + 2.0**-40)) + 1

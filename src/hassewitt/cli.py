@@ -262,14 +262,28 @@ def make_report(req_id, command, inputs, outputs=None, assumptions=(), status="o
     return report
 
 
-# json.dumps with these options would build a new encoder on every call.
-# A report is a fresh tree of parsed JSON and to_json output, so it holds no
-# cycle, and the per-call markers dict of check_circular is skipped.
+# Sorted keys, no spaces, and no cycle check: a report is a fresh tree of
+# parsed JSON and to_json output, so it holds no cycle.  _ENCODER.encode would
+# build a new C encoder with these options on every call, so one is built here,
+# once, with the arguments JSONEncoder.iterencode passes (markers, default,
+# string encoder, indent, separators, sort_keys, skipkeys, allow_nan).
+# Without the _json accelerator, c_make_encoder is None and _ENCODER.encode
+# does the work, with the same bytes.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_encode = _ENCODER.encode
+if json.encoder.c_make_encoder is not None:
+    _C_ENCODER = json.encoder.c_make_encoder(
+        None, _ENCODER.default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True)
+
+    def _encode(report: dict) -> str:
+        return "".join(_C_ENCODER(report, 0))
 
 
 def dump_report(report: dict) -> str:
-    return _render_exact(_ENCODER.encode, report)
+    try:
+        return _encode(report)
+    except ValueError:  # an int past the digit limit
+        return _render_exact(_encode, report)
 
 
 def _render_exact(render, *args, **kwargs) -> str:

@@ -10,8 +10,10 @@ companion matrix powers instead of Newton recursions, exhaustive squaring
 instead of Euler's criterion, Montgomery curve group orders counted point
 by point for the ECM ladder, full series convolution, the O(c n) series
 recurrence and, for one degree, the closed form instead of one divided
-difference on integer nodes, the parity table of delta1 and delta2
-instead of the comparison formula on the Betti classes, a fresh
+difference on integer nodes, Hirzebruch's signature series in t = tanh h
+instead of the parity of one binomial coefficient for the index, the
+parity table of delta1 and delta2 instead of the comparison formula on
+the Betti classes, a fresh
 x**(p**i) mod g per degree instead of the Frobenius matrix, x**e mod f by right-to-left schoolbook products
 on coefficient lists instead of the packed ring, Fraction pivots and a Hilbert symbol per pair of diagonal
 entries instead of leading minors and the closed-form exponent
@@ -104,6 +106,25 @@ def hypersurface_chi_closed_form(n: int, d: int) -> int:
     value = Fraction((1 - d) ** (n + 2) - 1, d)
     assert value.denominator == 1, "closed form is not an integer"
     return n + 2 + int(value)
+
+
+def hirzebruch_index(n: int, degrees: list[int]) -> int:
+    """The index tau of the middle lattice, from Hirzebruch's signature
+    theorem: tau = d1...dc [h**n] (h/tanh h)**(n+c+1) prod tanh(d h)/(d h).
+    With t = tanh h, dh = dt/(1 - t**2) and the powers of h cancel:
+
+        tau = [t**(n+c)] prod N_d(t)/D_d(t) * 1/(1 - t**2),
+
+    N_d the odd and D_d the even part of (1 + t)**d.  D_d(0) = 1, so each
+    division, truncated after t**(n+c), stays in the integers."""
+    top = n + len(degrees)
+    series = [1] + [0] * top
+    for d in degrees:
+        # times N_d, then divided by D_d in place, low coefficients first
+        series = [sum(comb(d, j) * series[k - j] for j in range(1, min(k, d) + 1, 2)) for k in range(top + 1)]
+        for k in range(top + 1):
+            series[k] -= sum(comb(d, j) * series[k - j] for j in range(2, min(k, d) + 1, 2))
+    return sum(series[top::-2])
 
 
 def parity_delta_classes(n: int, d: int) -> tuple[dict, dict]:

@@ -14,7 +14,9 @@ alters reports on purpose rewrites the pins by running this file:
 
 import hashlib
 import json
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,69 @@ def test_batch_reports_match_the_golden_pins(workload, tmp_path):
     if len(new) != len(old):
         raise AssertionError(f"{workload}: {len(lines)} reports, {len(old)} pinned")
     raise AssertionError(f"{workload}: the output's sha256 changed, but no report fingerprint did")
+
+
+# dump_report writes every report with one encoder built at import; the
+# bytes are those of a JSONEncoder with the same options, built per call
+REFERENCE_OPTIONS = dict(sort_keys=True, separators=(",", ":"), check_circular=False)
+AWKWARD_REQUESTS = (
+    # non-ASCII and control characters, echoed in the id, the inputs and the error
+    '{"id": "r\\u00e9\\u0007", "command": "hilbert", "parameters": {"a": "3\\u00e9\\n", "b": NaN, "place": Infinity}}',
+    '{"id": 1.5, "command": "h\\u00e9\\u2028\\u0000", "parameters": {"x": -Infinity, "y": [], "z": {}, "w": 2.5e-300}}',
+    '{"id": null, "command": "form-invariants", "parameters": {"gram": "1,0;0,\\u00e9\\t"}}',
+    '{"id": [], "command": "hilbert", "parameters": {"a": NaN, "b": 1, "place": "inf"}}',
+    '{"id": {}, "command": "hilbert", "parameters": {"a": -1, "b": -1, "place": "inf"}}',
+)
+
+
+@pytest.mark.parametrize("line", AWKWARD_REQUESTS)
+def test_dump_report_writes_the_bytes_of_json_encoder(line):
+    report = cli._process_request_line(line)
+    assert cli.dump_report(report) == json.JSONEncoder(**REFERENCE_OPTIONS).encode(report)
+
+
+def test_dump_report_writes_an_int_past_the_digit_limit_and_restores_the_limit():
+    report = cli.make_report(7, "hypersurface", {"n": 2}, {"chi": -(7**6000), "betti": [], "w": {}})
+    saved = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError):
+        json.JSONEncoder(**REFERENCE_OPTIONS).encode(report)
+    text = cli.dump_report(report)
+    assert sys.get_int_max_str_digits() == saved
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text == json.JSONEncoder(**REFERENCE_OPTIONS).encode(report)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_dump_report_refuses_what_json_encoder_refuses():
+    report = cli.make_report(1, "hilbert", {"a": Fraction(1, 3)})
+    with pytest.raises(TypeError) as want:
+        json.JSONEncoder(**REFERENCE_OPTIONS).encode(report)
+    with pytest.raises(TypeError) as got:
+        cli.dump_report(report)
+    assert str(got.value) == str(want.value) == "Object of type Fraction is not JSON serializable"
+
+
+def test_dump_report_builds_no_encoder_per_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an encoder was built after import")
+
+    report = cli._process_request_line(AWKWARD_REQUESTS[0])
+    want = cli.dump_report(report)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", refuse)
+    assert cli.dump_report(report) == want
+
+
+def test_dump_report_without_the_c_accelerator_writes_the_same_bytes():
+    # the encoder is chosen at import, so the fallback runs in a fresh interpreter
+    code = ("import json.encoder, sys; json.encoder.c_make_encoder = None\n"
+            "from hassewitt import cli\n"
+            "assert cli._encode == cli._ENCODER.encode\n"
+            "print('\\n'.join(cli.dump_report(cli._process_request_line(line)) for line in sys.argv[1:]))")
+    got = subprocess.run([sys.executable, "-c", code, *AWKWARD_REQUESTS],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert got.splitlines() == [cli.dump_report(cli._process_request_line(line)) for line in AWKWARD_REQUESTS]
 
 
 if __name__ == "__main__":
