@@ -46,7 +46,6 @@ from .numberfield import (
     trace_gram,
 )
 from .obstructions import (
-    DeltaPair,
     LiftReport,
     delta_comparison,
     jehanne_local,

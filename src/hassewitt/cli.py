@@ -186,7 +186,8 @@ def _run_hypersurface(params: dict) -> dict:
 def _run_delta(params: dict) -> dict:
     q_omega = parse_gram(params["gram_omega"])
     q_eta = parse_gram(params["gram_eta"])
-    return delta_comparison(q_omega, q_eta).to_json()
+    delta1, delta2 = delta_comparison(q_omega, q_eta)
+    return {"delta1": delta1.to_json(), "delta2": delta2.to_json()}
 
 
 class Command(NamedTuple):

@@ -245,8 +245,8 @@ class EtaleAlgebra(Value):
     The constructor's one PRS gives the leading minors of the trace form
     of g = c**d * f(x/c), congruent to that of f by diag(c**-i), and from
     them disc f = disc g / c**(d(d-1)) and a diagonal of the trace form as
-    integer pairs, and the real root count, pos - neg of that diagonal.
-    It keeps (c, g) for the power sums of :func:`trace_form_report`.
+    integer pairs; ``real_roots`` is pos - neg of that diagonal, counted
+    when read.  It keeps (c, g) for the power sums of :func:`trace_form_report`.
     Equality and hashing compare poly alone."""
 
     _fields = ("poly",)
@@ -265,10 +265,13 @@ class EtaleAlgebra(Value):
         diagonal = _frobenius_diagonal(minors)
         setfield(self, "poly", poly)
         setfield(self, "_monic", (c, g))
-        setfield(self, "real_roots", _sign_count(diagonal))
         setfield(self, "_disc", (minors[-1], c ** (poly.degree * (poly.degree - 1))))
         setfield(self, "_diagonal", diagonal)
         setfield(self, "_support", abs(minors[-1]) // gcd(*self._disc) * gcd(minors[-1], c))  # see forms.invariants
+
+    @property
+    def real_roots(self) -> int:
+        return _sign_count(self._diagonal)
 
     @property
     def disc(self) -> Fraction:
@@ -322,17 +325,19 @@ def trace_gram(algebra: EtaleAlgebra) -> QuadraticForm:
 
 class TraceFormReport(Value):
     """Trace form of an etale algebra, held as its power sums p_0, ..., p_(2n-2),
-    each an int or "num/den" in lowest terms, and its classifying data."""
+    each an int or "num/den" in lowest terms, and its classifying data, whose
+    w1 is the field discriminant's square class."""
 
-    _fields = ("power_sums", "disc_field", "signature", "form_invariants")
+    _fields = ("power_sums", "form_invariants")
 
     def to_json(self) -> dict:
-        sums, n = self.power_sums, self.form_invariants.rank
+        sums, inv = self.power_sums, self.form_invariants
+        n = inv.rank
         return {
             "gram": [list(sums[i : i + n]) for i in range(n)],
-            "disc_field": self.disc_field.to_json(),
-            "signature": list(self.signature),
-            "invariants": self.form_invariants.to_json(),
+            "disc_field": inv.w1.to_json(),
+            "signature": list(inv.signature),
+            "invariants": inv.to_json(),
         }
 
 
@@ -344,8 +349,7 @@ def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
     for pk in _newton_sums(g, 2 * algebra.degree - 2):
         sums.append(_rat_json(pk, power))
         power *= c
-    inv = invariants(algebra)
-    return TraceFormReport(tuple(sums), inv.w1, inv.signature, inv)
+    return TraceFormReport(tuple(sums), invariants(algebra))
 
 
 # ---------------------------------------------------------------------------

@@ -186,17 +186,8 @@ def real_place_sw2(b_minus: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class DeltaPair(Value):
-    """Degree-1 and degree-2 comparison classes of an ordered pair of forms."""
-
-    _fields = ("delta1", "delta2")
-
-    def to_json(self) -> dict:
-        return {"delta1": self.delta1.to_json(), "delta2": self.delta2.to_json()}
-
-
-def delta_comparison(q_base: QuadraticForm, q_twist: QuadraticForm) -> DeltaPair:
-    """Comparison classes of two forms of equal rank:
+def delta_comparison(q_base: QuadraticForm, q_twist: QuadraticForm) -> tuple[SquareClass, CohClass2]:
+    """Comparison classes (delta1, delta2) of two forms of equal rank:
 
         delta1 = w1(q) + w1(q')
         delta2 = w2(q) + w1(q).w1(q) + w1(q).w1(q') + w2(q')
@@ -210,4 +201,4 @@ def delta_comparison(q_base: QuadraticForm, q_twist: QuadraticForm) -> DeltaPair
     b = invariants(q_twist)
     delta1 = a.w1 * b.w1
     delta2 = a.w2 + b.w2 + _cup_sum_at((a.w1.rep, -b.w1.rep), {*a.hasse_local, *b.hasse_local})
-    return DeltaPair(delta1, delta2)
+    return delta1, delta2

@@ -202,18 +202,18 @@ def test_criterion_10_delta_degenerate_and_composition():
     for _ in range(100):
         n = rng.randint(1, 5)
         q = random_nondegenerate_symmetric(rng, n, 60)
-        pair = delta_comparison(q, q)
-        assert pair.delta1.is_trivial and pair.delta2.is_zero
+        delta1, delta2 = delta_comparison(q, q)
+        assert delta1.is_trivial and delta2.is_zero
     for _ in range(100):
         n = rng.randint(1, 4)
         q1 = random_nondegenerate_symmetric(rng, n, 25)
         q2 = random_nondegenerate_symmetric(rng, n, 25)
         q3 = random_nondegenerate_symmetric(rng, n, 25)
-        d12 = delta_comparison(q1, q2)
-        d23 = delta_comparison(q2, q3)
-        d13 = delta_comparison(q1, q3)
+        _, d12 = delta_comparison(q1, q2)
+        _, d23 = delta_comparison(q2, q3)
+        _, d13 = delta_comparison(q1, q3)
         w1 = invariants(q1).w1
         w2 = invariants(q2).w1
         w3 = invariants(q3).w1
-        assert d13.delta2 == d12.delta2 + d23.delta2 + cup(w1 * w2, w2 * w3)
+        assert d13 == d12 + d23 + cup(w1 * w2, w2 * w3)
     _ok(10, "delta comparison is trivial on (q, q) and composes on 100 triples")

@@ -420,9 +420,10 @@ def test_signature_matches_trace_form_diagonalization():
 
 def test_trace_form_report_fields():
     report = trace_form_report(EtaleAlgebra(X4_X_1))
-    assert report.disc_field == SquareClass(-283)
-    assert report.signature == (3, 1)
     assert report.form_invariants.w1 == SquareClass(-283)
+    assert report.form_invariants.signature == (3, 1)
+    assert not hasattr(report, "disc_field") and not hasattr(report, "signature")
+    assert report.to_json()["disc_field"] == -283 and report.to_json()["signature"] == [3, 1]
     assert report.form_invariants.w2.to_json() == [2, 283]
 
 
@@ -822,5 +823,5 @@ def test_trace_form_report_det_and_signature_identities():
         res = sylvester_resultant(f, derivative(f))
         assert bareiss.det == gram.det == algebra.disc == (-res if d * (d - 1) // 2 % 2 else res), f
         assert r1 == naive_count_real_roots(f), f
-        assert report.signature == invariants(bareiss).signature == (r1 + r2, r2), f
+        assert report.form_invariants.signature == invariants(bareiss).signature == (r1 + r2, r2), f
         assert report.to_json()["gram"] == gram.to_json() and report.form_invariants == invariants(bareiss), f

@@ -1,8 +1,10 @@
 """The value types are plain frozen classes, not dataclasses, and keep the
 contract they had as frozen dataclasses: reprs, hashes, equality,
 immutability, ordering and constructor validation.  LiftReport has since
-lost its assumptions field, now a column of the CLI's command table, and a
-plain record takes its fields by position only."""
+lost its assumptions field, now a column of the CLI's command table,
+TraceFormReport the disc_field and signature that its form_invariants hold,
+and DeltaPair is gone: delta_comparison returns a plain pair.  A plain
+record takes its fields by position only."""
 
 import copy
 import os
@@ -26,7 +28,6 @@ from hassewitt import (
     QuadraticForm,
     SquareClass,
     SymbolicClass,
-    delta_comparison,
     invariants,
     lifting_decisions,
     motive_report,
@@ -37,7 +38,7 @@ from hassewitt.errors import InternalError
 from hassewitt.forms import FormInvariants
 from hassewitt.motives import TOKEN_W2_DR, MotiveReport
 from hassewitt.numberfield import TraceFormReport
-from hassewitt.obstructions import QUARTIC_ASSUMPTIONS, DeltaPair, LiftReport
+from hassewitt.obstructions import QUARTIC_ASSUMPTIONS, LiftReport
 from hassewitt.values import Value
 
 from test_exports import REQUESTS  # one request per command, each answered ok
@@ -66,7 +67,6 @@ def _samples() -> dict:
         "motive_report_ci": motive_report(CompleteIntersectionSpec(4, (2, 2))),
         "motive_report_hyp": motive_report(CompleteIntersectionSpec(2, (3,))),
         "lift_report": lifting_decisions(alg),
-        "delta_pair": delta_comparison(QuadraticForm([[1, 0], [0, 1]]), QuadraticForm([[-1, 0], [0, 3]])),
     }
 
 
@@ -93,8 +93,7 @@ GOLDEN = {
         -2075042570270469948,
     ),
     "trace_form_report": (
-        "TraceFormReport(power_sums=(4, 0, 0, -3, 4, 0, 3), disc_field=(-283), signature=(3, 1), "
-        "form_invariants=FormInvariants(rank=4, signature=(3, 1), disc=(-283), w1=(-283), "
+        "TraceFormReport(power_sums=(4, 0, 0, -3, 4, 0, 3), form_invariants=FormInvariants(rank=4, signature=(3, 1), disc=(-283), w1=(-283), "
         "w2={2, 283}, hasse_local={2: -1, 283: -1}))",
         None,
     ),
@@ -114,7 +113,6 @@ GOLDEN = {
         "lift_delta_solvable=True, local_table={2: (-1, -1), 283: (-1, -1), inf: (1, 1)})",
         None,
     ),
-    "delta_pair": ("DeltaPair(delta1=(-3), delta2={2, 3})", 1742305880704956175),
 }
 
 # the fields that equality compares and the hash covers, per type; LiftReport
@@ -127,18 +125,17 @@ HASHED = {
     FormInvariants: ("rank", "signature", "disc", "w2"),
     Poly: ("_scale", "_scaled"),
     EtaleAlgebra: ("poly",),
-    TraceFormReport: ("power_sums", "disc_field", "signature", "form_invariants"),
+    TraceFormReport: ("power_sums", "form_invariants"),
     CompleteIntersectionSpec: ("n", "degrees"),
     SymbolicClass: ("numeric", "tokens"),
     MotiveReport: ("chi", "b_n", "tau_mod8", "m", "m_prime", "w1_qB", "w2_qB", "delta1", "delta2"),
-    DeltaPair: ("delta1", "delta2"),
 }
 
 VALUE_TYPES = set(HASHED) | {LiftReport}
 
 
 def test_samples_cover_every_exported_value_type():
-    assert len(VALUE_TYPES) == 13
+    assert len(VALUE_TYPES) == 12
     assert {type(x) for x in _samples().values()} == VALUE_TYPES
     exported = {x for x in vars(hassewitt).values() if isinstance(x, type) and not issubclass(x, Exception)}
     assert exported == VALUE_TYPES
@@ -198,8 +195,9 @@ def test_place_sorts_finite_by_prime_with_inf_last():
 def test_etale_algebra_equality_ignores_real_roots_and_disc():
     alg = EtaleAlgebra(Poly([-1, 1, 0, 0, 1]))
     other = copy.copy(alg)
-    object.__setattr__(other, "real_roots", 0)
+    object.__setattr__(other, "_diagonal", [(1, 1), (-1, 1)] * 2)
     object.__setattr__(other, "_disc", (7, 3))
+    assert (other.real_roots, alg.real_roots) == (0, 2)
     assert other == alg and hash(other) == hash(alg) == hash((alg.poly,))
     assert EtaleAlgebra(Poly([1, 0, 1])) != alg
 
@@ -225,7 +223,7 @@ def test_assumptions_are_a_column_of_the_command_table():
 
 
 # the pure-data types, whose constructor is the generic one over _fields
-PLAIN = ("form_invariants", "trace_form_report", "motive_report_hyp", "lift_report", "delta_pair")
+PLAIN = ("form_invariants", "trace_form_report", "motive_report_hyp", "lift_report")
 
 
 @pytest.mark.parametrize("name", PLAIN)
