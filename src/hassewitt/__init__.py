@@ -36,7 +36,6 @@ from .motives import (
 from .numberfield import (
     EtaleAlgebra,
     Poly,
-    TraceFormReport,
     count_real_roots,
     discriminant,
     factor_pattern_mod_p,

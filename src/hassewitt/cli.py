@@ -154,7 +154,14 @@ def _run_form_isometric(params: dict) -> dict:
 
 def _run_tracefield(params: dict) -> dict:
     algebra = EtaleAlgebra(parse_poly(params["poly"]))
-    return trace_form_report(algebra).to_json()
+    sums, inv = trace_form_report(algebra)
+    n = inv.rank
+    return {
+        "gram": [sums[i : i + n] for i in range(n)],
+        "disc_field": inv.w1.to_json(),
+        "signature": list(inv.signature),
+        "invariants": inv.to_json(),
+    }
 
 
 def _run_embedding(params: dict) -> dict:
@@ -287,24 +294,21 @@ def dump_report(report: dict) -> str:
         return _render_exact(_encode, report)
 
 
-def _render_exact(render, *args, **kwargs) -> str:
-    """render(*args, **kwargs), lifting the interpreter's int-to-str digit
-    limit (4300 by default) if render hits it.
+def _render_exact(render, *args) -> str:
+    """render(*args) with the interpreter's int-to-str digit limit (4300 by
+    default) lifted, and restored after.
 
     The limit guards the parsing of outside input and stays in force there.
     Output integers are bounded by the input limits instead: chi near the
     hypersurface limits has about 16,400 digits.  The CLI is
     single-threaded, so the limit is restored before anything else runs.
     """
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return render(*args, **kwargs)
-    except ValueError:
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return render(*args, **kwargs)
-        finally:
-            sys.set_int_max_str_digits(saved)
+        return render(*args)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _error_text(exc: Exception) -> str:

@@ -79,16 +79,12 @@ class Place(Value):
         return Place((0, p))
 
     @staticmethod
-    def infinite() -> "Place":
-        return Place((1, 0))
-
-    @staticmethod
     def parse(token: "str | int") -> "Place":
         if isinstance(token, int):
             return Place.finite(token)
         text = token.strip().lower()
         if text in ("inf", "infinity", "oo"):
-            return Place.infinite()
+            return INF
         try:
             p = int(text)
         except ValueError:
@@ -113,7 +109,7 @@ class Place(Value):
         return "inf" if self.is_infinite else str(self.prime)
 
 
-INF = Place.infinite()
+INF = Place((1, 0))
 TWO = Place.finite(2)
 
 
@@ -166,10 +162,6 @@ class CohClass2(Value):
         if len(sup) % 2:
             raise InternalError(f"odd local support {sorted(sup)}: product formula violated")
         setfield(self, "support", sup)
-
-    @staticmethod
-    def zero() -> "CohClass2":
-        return CohClass2()
 
     @property
     def is_zero(self) -> bool:

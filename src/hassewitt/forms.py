@@ -143,26 +143,28 @@ def diagonalize(q: QuadraticForm) -> tuple[Fraction, ...]:
 class FormInvariants(Value):
     """Full classifying data of a rational form.
 
-    disc and w1 are both the square class of the determinant (no sign
-    twist is applied) and therefore coincide; both are reported.
-    hasse_local carries the Hasse unit, the product of local symbols over
-    pairs of diagonal entries, at 2, at the odd primes of disc and at the
-    finite places of w2; it is +1 everywhere else.  That key set depends
+    w1 is the square class of the determinant (no sign twist is applied),
+    so it is also the discriminant class; ``to_json`` reports it under
+    both the "disc" and the "w1" key.  hasse_local carries the Hasse unit,
+    the product of local symbols over pairs of diagonal entries, at 2, at
+    the odd primes of w1 and at the finite places of w2; it is +1
+    everywhere else.  That key set depends
     only on the isometry class, so isometric forms serialize identically.
     """
 
-    _fields = ("rank", "signature", "disc", "w1", "w2", "hasse_local")
+    _fields = ("rank", "signature", "w1", "w2", "hasse_local")
 
     def __hash__(self) -> int:
         # hasse_local, a dict, is left out
-        return hash((self.rank, self.signature, self.disc, self.w2))
+        return hash((self.rank, self.signature, self.w1, self.w2))
 
     def to_json(self) -> dict:
+        w1 = self.w1.to_json()
         return {
             "rank": self.rank,
             "signature": list(self.signature),
-            "disc": self.disc.to_json(),
-            "w1": self.w1.to_json(),
+            "disc": w1,
+            "w1": w1,
             "w2": self.w2.to_json(),
             "hasse_local": {repr(v): s for v, s in sorted(self.hasse_local.items())},
         }
@@ -196,8 +198,7 @@ def invariants(q: QuadraticForm | EtaleAlgebra) -> FormInvariants:
             disc_rep *= p
         if p == 2 or e or k & 1:
             hasse[v] = -1 if e else 1
-    disc = SquareClass.from_squarefree(disc_rep)
-    return FormInvariants(n, (n - neg, neg), disc, disc, CohClass2(w2), hasse)
+    return FormInvariants(n, (n - neg, neg), SquareClass.from_squarefree(disc_rep), CohClass2(w2), hasse)
 
 
 def isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:

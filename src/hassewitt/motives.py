@@ -150,7 +150,7 @@ def _betti_w(m: int) -> tuple[int, int, SquareClass, CohClass2]:
         raise InternalError("middle lattice shift is odd")
     m_prime = m // 2
     w1 = MINUS_ONE if m_prime % 2 else ONE
-    w2 = _CLASS_MINUS_ONE_MINUS_ONE if (m_prime * (m_prime - 1) // 2) % 2 else CohClass2.zero()
+    w2 = _CLASS_MINUS_ONE_MINUS_ONE if (m_prime * (m_prime - 1) // 2) % 2 else CohClass2()
     return m, m_prime, w1, w2
 
 
@@ -167,7 +167,7 @@ def hypersurface_w(n: int, d: int) -> tuple[SquareClass, CohClass2]:
         coeff = (d - 1) // 2
     else:
         coeff = ((n + 2) // 4) * (1 + d // 2)
-    w2 = _CLASS_MINUS_ONE_MINUS_ONE if coeff % 2 else CohClass2.zero()
+    w2 = _CLASS_MINUS_ONE_MINUS_ONE if coeff % 2 else CohClass2()
     return w1, w2
 
 

@@ -40,7 +40,7 @@ from typing import Iterable
 
 from .arith import is_prime
 from .errors import DomainError, InternalError
-from .forms import QuadraticForm, _rat_json, invariants
+from .forms import FormInvariants, QuadraticForm, _rat_json, invariants
 from .values import Value, setfield
 
 
@@ -306,6 +306,8 @@ def power_sums(f: Poly, upto: int) -> list[Fraction]:
     g = c**d * f(x/c), whose roots are c times those of f."""
     if not f.is_monic:
         raise DomainError("power sums require a monic polynomial")
+    if upto < 0:
+        raise DomainError(f"power sums need upto >= 0, got {upto}")
     c, g = _monic_integral(f)
     return [Fraction(pk, c**k) for k, pk in enumerate(_newton_sums(g, upto))]
 
@@ -323,33 +325,17 @@ def trace_gram(algebra: EtaleAlgebra) -> QuadraticForm:
     return QuadraticForm._from_ratios([ratios[i : i + d] for i in range(d)], (algebra._diagonal, algebra._disc))
 
 
-class TraceFormReport(Value):
-    """Trace form of an etale algebra, held as its power sums p_0, ..., p_(2n-2),
-    each an int or "num/den" in lowest terms, and its classifying data, whose
-    w1 is the field discriminant's square class."""
-
-    _fields = ("power_sums", "form_invariants")
-
-    def to_json(self) -> dict:
-        sums, inv = self.power_sums, self.form_invariants
-        n = inv.rank
-        return {
-            "gram": [list(sums[i : i + n]) for i in range(n)],
-            "disc_field": inv.w1.to_json(),
-            "signature": list(inv.signature),
-            "invariants": inv.to_json(),
-        }
-
-
-def trace_form_report(algebra: EtaleAlgebra) -> TraceFormReport:
-    """The trace form, printed from its power sums p_k(f) = p_k(g) / c**k,
-    and ``invariants(algebra)``: det = disc f and signature (r1 + r2, r2)."""
+def trace_form_report(algebra: EtaleAlgebra) -> tuple[list, FormInvariants]:
+    """The trace form as the pair (power sums, ``invariants(algebra)``): p_0,
+    ..., p_(2n-2), p_k(f) = p_k(g) / c**k, each an int or "num/den" in lowest
+    terms, and its classifying data, whose w1 is the field discriminant's
+    square class (det = disc f, signature (r1 + r2, r2))."""
     c, g = algebra._monic
     sums, power = [], 1
     for pk in _newton_sums(g, 2 * algebra.degree - 2):
         sums.append(_rat_json(pk, power))
         power *= c
-    return TraceFormReport(tuple(sums), invariants(algebra))
+    return sums, invariants(algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,15 @@ def test_is_prime_rejects_pseudoprimes():
         assert is_prime(p), p
 
 
+def test_is_prime_refuses_the_squares_of_the_wieferich_primes():
+    # 1093**2 and 3511**2 are strong base-2 pseudoprimes with no factor in
+    # the trial primes, so the square check of the Lucas test refuses them
+    is_prime.cache_clear()
+    for n in (1093**2, 3511**2):
+        assert arith._strong_base2(n), n
+        assert not is_prime(n), n
+
+
 def test_factor_psi12():
     assert factor(PSI12) == ((399165290221, 1), (798330580441, 1))
 

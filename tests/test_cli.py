@@ -110,7 +110,8 @@ def test_internal_error_names_the_exception_type_single_shot(monkeypatch, capsys
 def test_composite_place_reads_not_prime_and_a_bad_token_reads_cannot_parse(tmp_path, capsys):
     psi12 = "318665857834031151167461"  # 399165290221 * 798330580441, a strong pseudoprime to 2..37
     cases = [("15", "15 is not prime"), (" 15 ", "15 is not prime"), (psi12, f"{psi12} is not prime"),
-             ("1", "1 is not prime"), ("x", "cannot parse place 'x'"), ("1.5", "cannot parse place '1.5'")]
+             ("1", "1 is not prime"), ("x", "cannot parse place 'x'"), ("1.5", "cannot parse place '1.5'"),
+             ("1194649", "1194649 is not prime")]  # 1093**2, a strong base-2 pseudoprime
     for token, error in cases:
         with pytest.raises(DomainError) as info:
             Place.parse(token)
@@ -431,6 +432,23 @@ def test_batch_empty_file(tmp_path, capsys):
     code, _, _ = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
     assert code == 0
     assert outfile.read_text() == ""
+
+
+def test_batch_writes_no_line_for_a_blank_line(tmp_path, capsys):
+    request = json.dumps({"id": 1, "command": "hilbert", "parameters": {"a": -1, "b": -1, "place": "inf"}})
+    infile, outfile = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    infile.write_text(f"\n{request}\n\n \t\n{request}\n  \n")
+    code, out, err = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(outfile)])
+    assert (code, out, err) == (0, "", "")
+    assert outfile.read_text() == 2 * (dump_report(_process_request_line(request)) + "\n")
+
+
+def test_batch_unwritable_output(tmp_path, capsys):
+    infile = tmp_path / "in.jsonl"
+    infile.write_text(json.dumps({"id": 1, "command": "hilbert", "parameters": {"a": -1, "b": -1, "place": "inf"}}) + "\n")
+    code, out, err = run_capture(capsys, ["batch", "--in", str(infile), "--out", str(tmp_path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.endswith("\n"), err
 
 
 def test_batch_bad_command_and_params(tmp_path, capsys):

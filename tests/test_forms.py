@@ -9,7 +9,7 @@ from hassewitt import arith, cohomology
 from hassewitt.cli import parse_gram
 from hassewitt.cohomology import INF, Place, cup, cup_sum, hilbert_symbol, localize
 from hassewitt.errors import DomainError
-from hassewitt.forms import QuadraticForm, diagonalize, invariants, isometric
+from hassewitt.forms import FormInvariants, QuadraticForm, diagonalize, invariants, isometric
 
 from oracles import (
     congruent_form,
@@ -112,7 +112,7 @@ def test_invariants_congruence_independence_sample():
 def test_invariants_see_denominator_primes():
     # det = 1, yet the form ramifies at 3: the places come from L * det
     inv = invariants(QuadraticForm([[Fraction(1, 3), 0], [0, 3]]))
-    assert inv.disc.is_trivial
+    assert inv.w1.is_trivial
     assert inv.w2.to_json() == [2, 3]
 
 
@@ -162,7 +162,7 @@ def test_isometric_distinguishes_hasse():
     # <1, 1> and <3, 3> have equal rank, signature, disc, but differ at 3
     q1 = diagonal_form([1, 1])
     q2 = diagonal_form([3, 3])
-    assert invariants(q1).disc == invariants(q2).disc
+    assert invariants(q1).w1 == invariants(q2).w1
     assert not isometric(q1, q2)
 
 
@@ -178,10 +178,14 @@ def test_whitney_sum_formulas():
 
 
 def test_form_invariants_json():
-    payload = invariants(diagonal_form([2, -6])).to_json()
+    inv = invariants(diagonal_form([2, -6]))
+    payload = inv.to_json()
+    # w1 is the determinant's square class, stored once and reported as disc and w1
+    assert FormInvariants._fields == ("rank", "signature", "w1", "w2", "hasse_local")
+    assert list(payload) == ["rank", "signature", "disc", "w1", "w2", "hasse_local"]
     assert payload["rank"] == 2
     assert payload["signature"] == [1, 1]
-    assert payload["disc"] == -3
+    assert payload["disc"] == payload["w1"] == inv.w1.rep == -3
     assert payload["w2"] == [2, 3]
     assert set(payload["hasse_local"]) == {"2", "3"}
 

@@ -106,6 +106,15 @@ def test_dump_report_writes_an_int_past_the_digit_limit_and_restores_the_limit()
         sys.set_int_max_str_digits(saved)
 
 
+def test_dump_report_encodes_an_int_past_the_digit_limit_twice(monkeypatch):
+    # once with the limit in force, which fails, and once with it lifted
+    calls = []
+    encode = cli._encode
+    monkeypatch.setattr(cli, "_encode", lambda report: calls.append(report) or encode(report))
+    cli.dump_report({"chi": -(7**6000)})
+    assert len(calls) == 2
+
+
 def test_dump_report_refuses_what_json_encoder_refuses():
     report = cli.make_report(1, "hilbert", {"a": Fraction(1, 3)})
     with pytest.raises(TypeError) as want:

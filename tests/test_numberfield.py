@@ -157,6 +157,8 @@ def test_discriminant_and_power_sums_refusals():
         discriminant(Poly([1]))
     with pytest.raises(DomainError, match="^power sums require a monic polynomial$"):
         power_sums(Poly([1, 2]), 3)
+    with pytest.raises(DomainError, match="^power sums need upto >= 0, got -1$"):
+        power_sums(Poly([-2, 0, 1]), -1)
 
 
 def test_etale_validation():
@@ -370,7 +372,7 @@ def _binomial_closed_form(n, a):
 @pytest.mark.parametrize("n", list(range(1, 33)) + [64, 127, 128, 255, 400])
 def test_binomial_trace_form_is_the_closed_form(n):
     for a in (2, -3):
-        got = trace_form_report(EtaleAlgebra(Poly([-a] + [0] * (n - 1) + [1]))).form_invariants
+        _, got = trace_form_report(EtaleAlgebra(Poly([-a] + [0] * (n - 1) + [1])))
         assert got == invariants(diagonal_form(_binomial_closed_form(n, a), pivots=True)), (n, a)
 
 
@@ -399,7 +401,7 @@ def test_trace_gram_of_x400_minus_2_runs_no_elimination(monkeypatch):
     gram = trace_gram(algebra)
     inv, diagonal, det = invariants(gram), diagonalize(gram), gram.det
     assert calls == []
-    assert inv == invariants(algebra) == trace_form_report(algebra).form_invariants
+    assert inv == invariants(algebra) == trace_form_report(algebra)[1]
     assert det == algebra.disc
     # one odd gap run, D_2 = ... = D_399 = 0, so the entries multiply to det exactly
     assert len(diagonal) == 400 and prod(diagonal) == det
@@ -418,13 +420,12 @@ def test_signature_matches_trace_form_diagonalization():
         assert invariants(QuadraticForm(trace_gram(alg).gram)).signature == (r1 + r2, r2)
 
 
-def test_trace_form_report_fields():
-    report = trace_form_report(EtaleAlgebra(X4_X_1))
-    assert report.form_invariants.w1 == SquareClass(-283)
-    assert report.form_invariants.signature == (3, 1)
-    assert not hasattr(report, "disc_field") and not hasattr(report, "signature")
-    assert report.to_json()["disc_field"] == -283 and report.to_json()["signature"] == [3, 1]
-    assert report.form_invariants.w2.to_json() == [2, 283]
+def test_trace_form_report_is_the_power_sums_and_the_invariants():
+    algebra = EtaleAlgebra(X4_X_1)
+    sums, inv = trace_form_report(algebra)
+    assert sums == [4, 0, 0, -3, 4, 0, 3] and inv == invariants(algebra)
+    assert inv.w1 == SquareClass(-283) and inv.signature == (3, 1) and inv.w2.to_json() == [2, 283]
+    assert trace_form_report(EtaleAlgebra(Poly(["1/3", "1/2", 1])))[0] == [2, "-1/2", "-5/12"]
 
 
 def test_trace_form_disc_identity():
@@ -817,11 +818,11 @@ def test_trace_form_report_det_and_signature_identities():
         algebra = EtaleAlgebra(f)
         gram = trace_gram(algebra)
         bareiss = QuadraticForm(gram.gram)
-        report = trace_form_report(algebra)
+        sums, inv = trace_form_report(algebra)
         r1, r2 = _real_signature(algebra)
         d = f.degree
         res = sylvester_resultant(f, derivative(f))
         assert bareiss.det == gram.det == algebra.disc == (-res if d * (d - 1) // 2 % 2 else res), f
         assert r1 == naive_count_real_roots(f), f
-        assert report.form_invariants.signature == invariants(bareiss).signature == (r1 + r2, r2), f
-        assert report.to_json()["gram"] == gram.to_json() and report.form_invariants == invariants(bareiss), f
+        assert inv.signature == invariants(bareiss).signature == (r1 + r2, r2), f
+        assert [sums[i : i + d] for i in range(d)] == gram.to_json() and inv == invariants(bareiss), f

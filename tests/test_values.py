@@ -1,10 +1,10 @@
 """The value types are plain frozen classes, not dataclasses, and keep the
 contract they had as frozen dataclasses: reprs, hashes, equality,
 immutability, ordering and constructor validation.  LiftReport has since
-lost its assumptions field, now a column of the CLI's command table,
-TraceFormReport the disc_field and signature that its form_invariants hold,
-and DeltaPair is gone: delta_comparison returns a plain pair.  A plain
-record takes its fields by position only."""
+lost its assumptions field, now a column of the CLI's command table, and
+FormInvariants its disc field, a copy of w1.  DeltaPair and TraceFormReport
+are gone: delta_comparison and trace_form_report return plain pairs.  A
+plain record takes its fields by position only."""
 
 import copy
 import os
@@ -31,13 +31,11 @@ from hassewitt import (
     invariants,
     lifting_decisions,
     motive_report,
-    trace_form_report,
 )
 from hassewitt.cohomology import ONE, TWO
 from hassewitt.errors import InternalError
 from hassewitt.forms import FormInvariants
 from hassewitt.motives import TOKEN_W2_DR, MotiveReport
-from hassewitt.numberfield import TraceFormReport
 from hassewitt.obstructions import QUARTIC_ASSUMPTIONS, LiftReport
 from hassewitt.values import Value
 
@@ -61,7 +59,6 @@ def _samples() -> dict:
         "form_invariants": invariants(q),
         "poly": Poly([Fraction(1, 2), 0, 1]),
         "etale_algebra": alg,
-        "trace_form_report": trace_form_report(alg),
         "ci_spec": CompleteIntersectionSpec(4, (2, 2)),
         "symbolic_class": SymbolicClass(CohClass2([TWO, INF]), (TOKEN_W2_DR,)),
         "motive_report_ci": motive_report(CompleteIntersectionSpec(4, (2, 2))),
@@ -84,18 +81,13 @@ GOLDEN = {
     "coh2_zero": ("{}", None),
     "quadratic_form": ("QuadraticForm([['1', '1/2'], ['1/2', '-3']])", -5012048146152096224),
     "form_invariants": (
-        "FormInvariants(rank=2, signature=(1, 1), disc=(-13), w1=(-13), w2={}, hasse_local={2: 1, 13: 1})",
+        "FormInvariants(rank=2, signature=(1, 1), w1=(-13), w2={}, hasse_local={2: 1, 13: 1})",
         None,
     ),
     "poly": ("Poly(1/2 + 1*x^2)", -7241051228792277221),
     "etale_algebra": (
         "EtaleAlgebra(poly=Poly(-1 + 1*x^1 + 1*x^4), disc=Fraction(-283, 1), real_roots=2)",
         -2075042570270469948,
-    ),
-    "trace_form_report": (
-        "TraceFormReport(power_sums=(4, 0, 0, -3, 4, 0, 3), form_invariants=FormInvariants(rank=4, signature=(3, 1), disc=(-283), w1=(-283), "
-        "w2={2, 283}, hasse_local={2: -1, 283: -1}))",
-        None,
     ),
     "ci_spec": ("CompleteIntersectionSpec(n=4, degrees=(2, 2))", 1748472070744434519),
     "symbolic_class": ("{2, inf} + w2(q_dR)", None),
@@ -122,10 +114,9 @@ HASHED = {
     SquareClass: ("rep",),
     CohClass2: ("support",),
     QuadraticForm: ("_scale", "_scaled"),
-    FormInvariants: ("rank", "signature", "disc", "w2"),
+    FormInvariants: ("rank", "signature", "w1", "w2"),
     Poly: ("_scale", "_scaled"),
     EtaleAlgebra: ("poly",),
-    TraceFormReport: ("power_sums", "form_invariants"),
     CompleteIntersectionSpec: ("n", "degrees"),
     SymbolicClass: ("numeric", "tokens"),
     MotiveReport: ("chi", "b_n", "tau_mod8", "m", "m_prime", "w1_qB", "w2_qB", "delta1", "delta2"),
@@ -135,7 +126,7 @@ VALUE_TYPES = set(HASHED) | {LiftReport}
 
 
 def test_samples_cover_every_exported_value_type():
-    assert len(VALUE_TYPES) == 12
+    assert len(VALUE_TYPES) == 11
     assert {type(x) for x in _samples().values()} == VALUE_TYPES
     exported = {x for x in vars(hassewitt).values() if isinstance(x, type) and not issubclass(x, Exception)}
     assert exported == VALUE_TYPES
@@ -177,7 +168,7 @@ def test_equality_is_per_class():
             if type(other) is not type(x):
                 assert x != other
     assert Place.finite(2) != (0, 2) and SquareClass(2) != 2 and CohClass2() != frozenset()
-    assert samples["form_invariants"] != samples["trace_form_report"].form_invariants
+    assert samples["form_invariants"] != invariants(samples["etale_algebra"])
 
 
 def test_place_sorts_finite_by_prime_with_inf_last():
@@ -223,7 +214,7 @@ def test_assumptions_are_a_column_of_the_command_table():
 
 
 # the pure-data types, whose constructor is the generic one over _fields
-PLAIN = ("form_invariants", "trace_form_report", "motive_report_hyp", "lift_report")
+PLAIN = ("form_invariants", "motive_report_hyp", "lift_report")
 
 
 @pytest.mark.parametrize("name", PLAIN)
